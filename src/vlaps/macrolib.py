@@ -126,22 +126,30 @@ def rho(
     return float(np.linalg.norm((u1 - u2).ravel()))
 
 
-@dataclass
+@dataclass(frozen=True)
 class MacroLibrary:
-    """Finite prototype set with its normalization statistics."""
+    """Finite prototype set with its normalization statistics.
+
+    The library owns read-only copies of its arrays, so the normalized,
+    flattened prototype matrix cached for ``distances_to`` cannot go stale.
+    """
 
     prototypes: np.ndarray  # (m, H, n), raw action units
     per_dim_mean: np.ndarray  # (n,)
     per_dim_std: np.ndarray  # (n,), strictly positive
 
     def __post_init__(self):
-        self.prototypes = np.asarray(self.prototypes, dtype=float)
-        self.per_dim_mean = np.asarray(self.per_dim_mean, dtype=float)
-        self.per_dim_std = np.asarray(self.per_dim_std, dtype=float)
+        for name in ("prototypes", "per_dim_mean", "per_dim_std"):
+            array = np.array(getattr(self, name), dtype=float)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
         if self.prototypes.ndim != 3:
             raise ContractViolationError("prototypes must have shape (m, H, n)")
         if np.any(self.per_dim_std <= 0):
             raise ContractViolationError("per_dim_std must be strictly positive")
+        flat = self.normalize(self.prototypes).reshape(self.m, -1)
+        flat.setflags(write=False)
+        object.__setattr__(self, "_normalized_flat", flat)
 
     @property
     def m(self) -> int:
@@ -169,7 +177,7 @@ class MacroLibrary:
                 f"macro shape {macro.shape} != {self.prototypes.shape[1:]}"
             )
         if normalized:
-            flat = self.normalize(self.prototypes).reshape(self.m, -1)
+            flat = self._normalized_flat
             target = self.normalize(macro).ravel()
         else:
             flat = self.prototypes.reshape(self.m, -1)
@@ -324,7 +332,10 @@ def _swap(
         medoids = medoids.copy()
         medoids[best_swap[0]] = best_swap[1]
         medoids = np.sort(medoids)
-        assert best_cost <= cost + 1e-12  # objective never increases
+        if best_cost > cost + 1e-12:
+            raise ContractViolationError(
+                f"_swap: a PAM swap raised the objective from {cost} to {best_cost}"
+            )
         cost = best_cost
         if history is not None:
             history.append(cost)

@@ -9,8 +9,10 @@ node's candidate set; it governs visit allocation during selection.
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -23,6 +25,7 @@ from .world import Observation, TaskSpec
 _SUM_TOL = 1e-9
 _FLOOR_TOL = 1e-12
 _MAX_SAMPLE_ATTEMPTS = 1000
+_DIST_SUM_TOL = 1e-8  # sample_candidates input; rng.choice allowed about 1.5e-8
 
 
 @runtime_checkable
@@ -114,26 +117,51 @@ class CandidateSet:
 def sample_candidates(
     dist: np.ndarray, k: int, rng: np.random.Generator, anchor: np.ndarray
 ) -> CandidateSet:
-    """Draw k distinct library indices by repeated categorical sampling.
+    """Draw k distinct library indices from ``dist`` by rejection sampling.
 
-    Duplicate draws are rejected and resampled; after a bounded number of
-    attempts the set is completed with the highest-probability leftovers.
+    Each draw is one categorical sample, and a repeat is rejected and drawn
+    again.  After ``_MAX_SAMPLE_ATTEMPTS`` draws in total, the set is completed
+    with the most probable indices not yet chosen (ties go to the lower
+    index).  Slot order is draw order.
+
+    A draw is the inverse-CDF step of ``rng.choice(m, p=dist)``: one
+    ``rng.random()`` looked up with ``bisect_right`` in the normalised
+    cumulative sum.  It yields the same indices and consumes ``rng`` exactly
+    as ``rng.choice`` does.  Raises ``ContractViolationError`` unless ``dist``
+    is a 1-D, finite, non-negative vector summing to 1 within
+    ``_DIST_SUM_TOL``, and ``ConfigurationError`` if ``k`` exceeds its length.
     """
+    dist = np.asarray(dist, dtype=float)
+    if dist.ndim != 1 or dist.size == 0:
+        raise ContractViolationError(
+            f"sample_candidates: dist must be a non-empty 1-D vector, "
+            f"got shape {dist.shape}"
+        )
     m = len(dist)
     if k > m:
         raise ConfigurationError(f"k={k} exceeds library size {m}")
+    probs = dist.tolist()
+    # a -inf fails the first test; NaN or +inf make the sum fail the second
+    if not (min(probs) >= 0.0 and abs(math.fsum(probs) - 1.0) <= _DIST_SUM_TOL):
+        raise ContractViolationError(
+            "sample_candidates: dist must be finite, non-negative and sum to 1; "
+            f"got min={dist.min()}, sum={dist.sum()}"
+        )
+    cdf = dist.cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
     chosen: list[int] = []
     seen = set()
     attempts = 0
     while len(chosen) < k and attempts < _MAX_SAMPLE_ATTEMPTS:
-        idx = int(rng.choice(m, p=dist))
+        idx = bisect_right(cdf, rng.random())
         attempts += 1
         if idx not in seen:
             seen.add(idx)
             chosen.append(idx)
     if len(chosen) < k:
         # fall back on probability order (then index) for the remainder
-        for idx in sorted(range(m), key=lambda i: (-dist[i], i)):
+        for idx in sorted(range(m), key=lambda i: (-probs[i], i)):
             if idx not in seen:
                 seen.add(idx)
                 chosen.append(idx)

@@ -74,7 +74,7 @@ class SearchConfig:
     literal_eq2: bool = False  # same-index visit count in the score numerator
     prior_query_cost_s: float = 0.002
     sim_step_cost_s: float = 0.0001
-    validate: bool = True      # run post-search structural assertions
+    validate: bool = True      # run post-search structural checks
 
     def __post_init__(self):
         if self.n_mc < 0 or self.k < 1 or self.d_sim_max < 1 or self.horizon < 1:
@@ -83,6 +83,9 @@ class SearchConfig:
             raise ConfigurationError("d_max, t_max, alphas must be positive")
         if not 0.0 <= self.epsilon_beta <= 1.0 or not 0.0 <= self.epsilon_psi <= 1.0:
             raise ConfigurationError("epsilon values must lie in [0,1]")
+        if not self.c_exp > 0:
+            # a non-positive scale would zero or invert every selection score
+            raise ConfigurationError(f"c_exp must be positive, got {self.c_exp}")
 
     def to_json(self) -> dict:
         return {key: getattr(self, attr) for key, attr in _CONFIG_KEY_MAP.items()}
@@ -429,11 +432,24 @@ def _check_tree(root: TreeNode, outcome: SearchOutcome, cfg: SearchConfig) -> No
     while stack:
         node = stack.pop()
         count += 1
-        assert len(node.children) <= cfg.k
+        if len(node.children) > cfg.k:
+            raise ContractViolationError(
+                f"_check_tree: node {node.node_id} at depth {node.depth} has "
+                f"{len(node.children)} children, more than k={cfg.k}"
+            )
         stack.extend(node.children.values())
-    assert count <= 1 + cfg.n_mc * cfg.k
+    if count > 1 + cfg.n_mc * cfg.k:
+        raise ContractViolationError(
+            f"_check_tree: tree has {count} nodes, more than "
+            f"1 + n_mc*k = {1 + cfg.n_mc * cfg.k}"
+        )
     if outcome.kind == BEST_ROOT_MACRO and root.visit_counts is not None:
-        assert int(root.visit_counts.sum()) == outcome.iterations_used
+        visits = int(root.visit_counts.sum())
+        if visits != outcome.iterations_used:
+            raise ContractViolationError(
+                f"_check_tree: root visit counts sum to {visits}, "
+                f"but {outcome.iterations_used} iterations were used"
+            )
 
 
 def replay_plan(

@@ -9,6 +9,7 @@ noise) flows through explicitly passed generators.
 from __future__ import annotations
 
 import json
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -92,6 +93,10 @@ _OBJECT_FRACTIONS = [
     (0.40, 0.15),
 ]
 _REGION_FRACTIONS = [(0.15, 0.15), (0.85, 0.85), (0.15, 0.85)]
+# a scalar goal distance decides the predicate when it lies farther than this
+# (times the radius, if above 1) from the region radius; a closer one defers
+# to np.linalg.norm, whose rounding may differ in the last bit
+_GOAL_TIE_MARGIN = 1e-9
 
 
 class BlockNavEnv(WorldModel):
@@ -150,13 +155,24 @@ class BlockNavEnv(WorldModel):
             raise ContractViolationError(
                 f"action shape {action.shape} != ({self.action_dim},)"
             )
-        v = state.values.copy()
-        dx = float(np.clip(action[0], -self.max_step, self.max_step))
-        dy = float(np.clip(action[1], -self.max_step, self.max_step))
-        v[_RX] = np.clip(v[_RX] + dx, 0.0, self.extent)
-        v[_RY] = np.clip(v[_RY] + dy, 0.0, self.extent)
+        # Scalar arithmetic on Python floats: the same IEEE operations as the
+        # numpy form without per-element array overhead.  Each clip is
+        # min(max(x, lo), hi) written as two conditionals (much faster than
+        # the builtins): x is kept on ties and NaN passes, as in np.clip.
+        ax, ay, g = action.tolist()
+        v = state.values.tolist()
+        max_step, extent = self.max_step, self.extent
+        dx = -max_step if ax < -max_step else ax
+        dx = max_step if dx > max_step else dx
+        dy = -max_step if ay < -max_step else ay
+        dy = max_step if dy > max_step else dy
+        rx = v[_RX] + dx
+        rx = 0.0 if rx < 0.0 else rx
+        v[_RX] = extent if rx > extent else rx
+        ry = v[_RY] + dy
+        ry = 0.0 if ry < 0.0 else ry
+        v[_RY] = extent if ry > extent else ry
 
-        g = action[2]
         if g > 0:
             v[_GRIP] = 1.0
         elif g < 0:
@@ -175,7 +191,7 @@ class BlockNavEnv(WorldModel):
         if carried >= 0:
             v[4 + 2 * carried] = v[_RX]
             v[5 + 2 * carried] = v[_RY]
-        return StateVec(v, state.step_count + 1)
+        return StateVec(np.array(v, dtype=float), state.step_count + 1)
 
     def observe(self, state: StateVec) -> Observation:
         return Observation(state.values.copy())
@@ -195,12 +211,23 @@ class BlockNavEnv(WorldModel):
         # the desk-scale observation is the full state vector
         return StateVec(np.asarray(obs.features, dtype=float).copy(), step_count=0)
 
-    def _nearest_object(self, values: np.ndarray) -> int:
-        pos = values[_RX:_RY + 1]
-        objects = values[4:].reshape(self.object_count, 2)
-        dists = np.linalg.norm(objects - pos, axis=1)
-        idx = int(np.argmin(dists))
-        return idx if dists[idx] <= self.pick_radius else -1
+    def _nearest_object(self, values: list) -> int:
+        """Index of the object nearest the robot if within ``pick_radius``, else -1.
+
+        Bit-exact with ``np.argmin`` over ``np.linalg.norm(objects - pos,
+        axis=1)``: the lowest index wins a tie and a NaN distance yields -1.
+        """
+        rx, ry = values[_RX], values[_RY]
+        best, best_d = -1, math.inf
+        for i in range(self.object_count):
+            dx = values[4 + 2 * i] - rx
+            dy = values[5 + 2 * i] - ry
+            d = math.sqrt(dx * dx + dy * dy)
+            if d < best_d:
+                best, best_d = i, d
+            elif d != d:
+                return -1
+        return best if best_d <= self.pick_radius else -1
 
     # -- tasks --------------------------------------------------------------
 
@@ -220,12 +247,23 @@ class BlockNavEnv(WorldModel):
     def _make_task(self, obj: int, region: int) -> TaskSpec:
         center = self.regions[region]
         radius = self.region_radius
+        cx, cy = float(center[0]), float(center[1])
+        ix = 4 + 2 * obj
+        margin = _GOAL_TIE_MARGIN * max(1.0, radius)
 
-        def goal(state: StateVec, _obj=obj, _center=center, _radius=radius) -> bool:
-            if int(state.values[_CARRIED]) == _obj:
+        def goal(state: StateVec) -> bool:
+            v = state.values.tolist()
+            if int(v[_CARRIED]) == obj:
                 return False
-            pos = state.values[4 + 2 * _obj: 6 + 2 * _obj]
-            return bool(np.linalg.norm(pos - _center) <= _radius)
+            dx = v[ix] - cx
+            dy = v[ix + 1] - cy
+            d = math.sqrt(dx * dx + dy * dy)
+            if abs(d - radius) > margin:
+                return d <= radius
+            # np.linalg.norm takes a BLAS dot that may fuse the multiply-add,
+            # so near the boundary only its own rounding is bit-exact
+            pos = state.values[ix:ix + 2]
+            return bool(np.linalg.norm(pos - center) <= radius)
 
         return TaskSpec(
             task_id=f"move_obj{obj}_to_region{region}",

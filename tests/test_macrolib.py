@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -201,3 +202,36 @@ def test_trajectory_jsonl_round_trip(tmp_path):
         assert np.allclose(orig.actions, back.actions)
         assert orig.success == back.success
         assert orig.task_id == back.task_id
+
+
+def test_library_arrays_are_frozen_copies(library):
+    with pytest.raises(ValueError):
+        library.prototypes[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        library.per_dim_std[0] = 2.0
+    with pytest.raises(ValueError):
+        library.per_dim_mean[0] = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        library.prototypes = np.zeros_like(library.prototypes)
+    # the library does not alias the caller's arrays
+    protos = np.arange(12.0).reshape(3, 2, 2)
+    std = np.ones(2)
+    lib = MacroLibrary(protos, np.zeros(2), std)
+    before = lib.distances_to(np.zeros((2, 2)))
+    protos[0] = 100.0
+    std[:] = 3.0
+    assert np.array_equal(lib.distances_to(np.zeros((2, 2))), before)
+    assert lib.per_dim_std[0] == 1.0
+
+
+def test_distances_to_matches_fresh_normalization(library):
+    rng = np.random.default_rng(4)
+    m = library.m
+    fresh = library.normalize(library.prototypes).reshape(m, -1)
+    for _ in range(50):
+        macro = rng.normal(size=(library.horizon, library.action_dim))
+        target = library.normalize(macro).ravel()
+        expected = np.linalg.norm(fresh - target, axis=1)
+        assert library.distances_to(macro).tobytes() == expected.tobytes()
+        raw = np.linalg.norm(library.prototypes.reshape(m, -1) - macro.ravel(), axis=1)
+        assert library.distances_to(macro, normalized=False).tobytes() == raw.tobytes()

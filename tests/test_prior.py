@@ -249,3 +249,85 @@ def test_line_protocol_prior_errors(env, tasks):
     garbled = LineProtocolPrior(_ListIO([]), _ListIO(['{"nope": 1}\n']))
     with pytest.raises(errors.PriorQueryError):
         garbled.sample_macro(obs, tasks[0], np.random.default_rng(0))
+
+
+def reference_sample_candidates(dist, k, rng):
+    """The rng.choice rejection loop that sample_candidates reproduces."""
+    m = len(dist)
+    chosen, seen, attempts = [], set(), 0
+    while len(chosen) < k and attempts < 1000:
+        idx = int(rng.choice(m, p=dist))
+        attempts += 1
+        if idx not in seen:
+            seen.add(idx)
+            chosen.append(idx)
+    if len(chosen) < k:
+        for idx in sorted(range(m), key=lambda i: (-dist[i], i)):
+            if idx not in seen:
+                seen.add(idx)
+                chosen.append(idx)
+            if len(chosen) == k:
+                break
+    return tuple(chosen)
+
+
+def test_sample_candidates_matches_rng_choice_stream():
+    # same indices, and the shared generator is left in the same state
+    gen = np.random.default_rng(11)
+    anchor = np.zeros((1, 1))
+    for trial in range(1500):
+        m = int(gen.integers(1, 80))
+        k = int(gen.integers(1, min(m, 12) + 1))
+        logits = gen.normal(scale=gen.uniform(0.0, 3.0), size=m)
+        dist = np.exp(logits - logits.max())
+        dist /= dist.sum()
+        ref_rng = np.random.default_rng(trial)
+        new_rng = np.random.default_rng(trial)
+        expected = reference_sample_candidates(dist, k, ref_rng)
+        got = sample_candidates(dist, k, new_rng, anchor)
+        assert got.indices == expected
+        assert new_rng.random() == ref_rng.random()
+
+
+def test_sample_candidates_fallback_matches_rng_choice_stream():
+    # three reachable indices and k = 5: all 1000 attempts are spent, then the
+    # zero-probability leftovers fill in by index
+    dist = np.zeros(8)
+    dist[[6, 2, 4]] = [0.5, 0.3, 0.2]
+    ref_rng, new_rng = np.random.default_rng(5), np.random.default_rng(5)
+    expected = reference_sample_candidates(dist, 5, ref_rng)
+    got = sample_candidates(dist, 5, new_rng, np.zeros((1, 1)))
+    assert got.indices == expected
+    assert sorted(got.indices[:3]) == [2, 4, 6] and got.indices[3:] == (0, 1)
+    assert new_rng.random() == ref_rng.random()
+
+
+def test_sample_candidates_renormalises_like_rng_choice():
+    # a dist summing to 1 + 5e-9 is accepted; rng.choice divides the cumulative
+    # sum by its last entry, which moves the first bin edge from just above the
+    # first uniform draw u to just below it, so the draw lands in bin 1
+    u = np.random.default_rng(21).random()
+    total = 1.0 + 5e-9
+    dist = np.array([u * total * (1.0 - 1e-10), 0.0, 0.0])
+    dist[1] = total - dist[0]
+    ref = reference_sample_candidates(dist, 1, np.random.default_rng(21))
+    got = sample_candidates(dist, 1, np.random.default_rng(21), np.zeros((1, 1)))
+    assert got.indices == ref == (1,)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        [0.5, np.nan, 0.5],
+        [0.6, -0.1, 0.5],
+        [0.5, 0.5, 0.5],
+        [0.5, np.inf, 0.5],
+        [0.5, -np.inf, 0.5],
+        [[0.5, 0.5]],
+        [],
+    ],
+    ids=["nan", "negative", "unnormalised", "inf", "neg-inf", "2-d", "empty"],
+)
+def test_sample_candidates_rejects_bad_dist(dist):
+    with pytest.raises(ContractViolationError, match="sample_candidates"):
+        sample_candidates(np.array(dist), 1, np.random.default_rng(0), np.zeros((1, 1)))

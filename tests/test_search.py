@@ -16,7 +16,9 @@ from vlaps.search import (
     CostMeter,
     EpisodeResult,
     SearchConfig,
+    SearchOutcome,
     TreeNode,
+    _check_tree,
     backpropagate,
     expand,
     replay_plan,
@@ -59,6 +61,13 @@ def test_config_rejects_unknown_keys_and_bad_values():
         SearchConfig(epsilon_beta=2.0)
     with pytest.raises(ConfigurationError):
         SearchConfig(k=0)
+
+
+@pytest.mark.parametrize("c_exp", [0.0, -1.4, float("nan")])
+def test_config_rejects_non_positive_c_exp(c_exp):
+    # a zero scale flattens every score and a negative one inverts selection
+    with pytest.raises(ConfigurationError, match="c_exp"):
+        SearchConfig(c_exp=c_exp)
 
 
 # -- score / selection / backprop ---------------------------------------------
@@ -412,3 +421,27 @@ def test_episode_requires_library_when_searching(env, model, tasks):
     prior = ScriptedExpertPrior(model, cfg.horizon, 0.0)
     with pytest.raises(ConfigurationError):
         run_episode(env, model, tasks[0], prior, None, cfg, streams=RngFactory(0))
+
+
+def test_check_tree_rejects_too_many_children():
+    cfg = SearchConfig(k=2, n_mc=5)
+    root = _fake_node([0.5, 0.5], [0, 0])
+    for i in range(3):
+        root.children[i] = TreeNode(StateVec(np.zeros(2)), 1, i + 1)
+    outcome = SearchOutcome(GOAL_PLAN, plan=[])
+    with pytest.raises(ContractViolationError, match="_check_tree: node 0 at depth 0 has 3"):
+        _check_tree(root, outcome, cfg)
+
+
+def test_check_tree_rejects_too_many_nodes_and_lost_visits():
+    cfg = SearchConfig(k=2, n_mc=1)
+    root = _fake_node([0.5, 0.5], [1, 0])
+    child = _fake_node([0.5, 0.5], [0, 0])
+    root.children = {0: child, 1: TreeNode(StateVec(np.zeros(2)), 1, 2)}
+    child.children = {0: TreeNode(StateVec(np.zeros(2)), 2, 3)}
+    with pytest.raises(ContractViolationError, match="_check_tree: tree has 4 nodes"):
+        _check_tree(root, SearchOutcome(GOAL_PLAN, plan=[]), cfg)
+    root.children = {}
+    _check_tree(root, SearchOutcome(BEST_ROOT_MACRO, iterations_used=1), cfg)
+    with pytest.raises(ContractViolationError, match="_check_tree: root visit counts"):
+        _check_tree(root, SearchOutcome(BEST_ROOT_MACRO, iterations_used=2), cfg)

@@ -7,6 +7,7 @@ from vlaps.errors import ConfigurationError, ContractViolationError
 from vlaps.world import (
     BlockNavEnv,
     ScriptedExpertPrior,
+    StateVec,
     greedy_expert_action,
     make_blocknav_env,
     run_expert_episode,
@@ -167,3 +168,260 @@ def test_env_json_round_trip(env, tasks):
     data = json.loads(blob)
     assert data["tasks"][0]["task_id"] == tasks[0].task_id
     assert "goal" in data["tasks"][0]
+
+
+# -- scalar hot path against the numpy reference -----------------------------
+#
+# The reference functions below are the numpy forms of BlockNavEnv.step,
+# BlockNavEnv._nearest_object and the goal predicate that the scalar code
+# replaced.  The scalar code must reproduce them bit for bit.
+
+def reference_nearest_object(env, values):
+    pos = values[0:2]
+    objects = values[4:].reshape(env.object_count, 2)
+    dists = np.linalg.norm(objects - pos, axis=1)
+    idx = int(np.argmin(dists))
+    return idx if dists[idx] <= env.pick_radius else -1
+
+
+def reference_step(env, state, action):
+    action = np.asarray(action, dtype=float)
+    v = state.values.copy()
+    dx = float(np.clip(action[0], -env.max_step, env.max_step))
+    dy = float(np.clip(action[1], -env.max_step, env.max_step))
+    v[0] = np.clip(v[0] + dx, 0.0, env.extent)
+    v[1] = np.clip(v[1] + dy, 0.0, env.extent)
+    g = action[2]
+    if g > 0:
+        v[2] = 1.0
+    elif g < 0:
+        v[2] = -1.0
+    carried = int(v[3])
+    if v[2] > 0 and carried < 0:
+        idx = reference_nearest_object(env, v)
+        if idx >= 0:
+            carried = idx
+            v[3] = float(idx)
+    elif v[2] < 0 and carried >= 0:
+        v[3] = -1.0
+        carried = -1
+    if carried >= 0:
+        v[4 + 2 * carried] = v[0]
+        v[5 + 2 * carried] = v[1]
+    return StateVec(v, state.step_count + 1)
+
+
+def reference_goal(env, task, state):
+    obj = task.metadata["object_index"]
+    center = env.regions[task.metadata["region_index"]]
+    if int(state.values[3]) == obj:
+        return False
+    pos = state.values[4 + 2 * obj: 6 + 2 * obj]
+    return bool(np.linalg.norm(pos - center) <= env.region_radius)
+
+
+def assert_same_step(env, values, action, step_count=0):
+    ref = reference_step(env, StateVec(np.array(values, dtype=float), step_count), action)
+    got = env.step(StateVec(np.array(values, dtype=float), step_count), action)
+    assert got.values.dtype == ref.values.dtype
+    assert got.values.tobytes() == ref.values.tobytes(), (values, action)
+    assert got.step_count == ref.step_count
+    return got
+
+
+def random_state_values(env, rng):
+    """A state anywhere in (and a little beyond) the arena, often near an object."""
+    values = rng.uniform(-1.0, env.extent + 1.0, size=env.state_dim)
+    values[2] = rng.choice([-1.0, 1.0])
+    values[3] = rng.choice([-1.0] + [float(i) for i in range(env.object_count)])
+    if rng.random() < 0.5:
+        obj = int(rng.integers(env.object_count))
+        values[4 + 2 * obj: 6 + 2 * obj] = values[0:2] + rng.normal(0.0, 0.3, size=2)
+    return values
+
+
+def test_step_matches_numpy_reference_random(env, tasks):
+    rng = np.random.default_rng(20240)
+    three = BlockNavEnv(object_count=3)
+    for world in (env, three):
+        for _ in range(10_000):
+            values = random_state_values(world, rng)
+            action = rng.uniform(-1.0, 1.0, size=3)
+            if rng.random() < 0.2:
+                action[2] = 0.0
+            got = assert_same_step(world, values, action, step_count=int(rng.integers(50)))
+            if world is env:
+                for task in tasks:
+                    assert task.goal_predicate(got) == reference_goal(env, task, got)
+
+
+def test_nearest_object_matches_numpy_reference():
+    rng = np.random.default_rng(7)
+    world = BlockNavEnv(object_count=4)
+    for _ in range(5_000):
+        values = random_state_values(world, rng)
+        assert world._nearest_object(values.tolist()) == reference_nearest_object(world, values)
+
+
+def test_step_clamps_at_arena_edges(env):
+    for start, action, expected in [
+        ((0.1, 9.9), (-0.5, 0.5, 0.0), (0.0, 10.0)),
+        ((0.0, 10.0), (-0.3, 0.3, 0.0), (0.0, 10.0)),
+        ((0.5, 9.5), (-0.5, 0.5, 0.0), (0.0, 10.0)),
+        ((-2.0, 12.0), (0.1, -0.1, 0.0), (0.0, 10.0)),
+        # signed zeros: np.clip keeps x on a tie, so -0.0 stays -0.0
+        ((-0.0, 10.0), (-0.0, 0.0, 0.0), (0.0, 10.0)),
+        ((0.0, 10.0), (-0.0, -0.0, 0.0), (0.0, 10.0)),
+    ]:
+        values = [start[0], start[1], -1.0, -1.0, 5.0, 5.0, 6.0, 6.0]
+        got = assert_same_step(env, values, action)
+        assert tuple(got.values[0:2]) == expected
+
+
+def test_step_clamps_large_moves(env):
+    values = [5.0, 5.0, -1.0, -1.0, 1.0, 1.0, 9.0, 9.0]
+    got = assert_same_step(env, values, (3.0, -7.0, 0.0))
+    assert tuple(got.values[0:2]) == (5.5, 4.5)
+    got = assert_same_step(env, values, (-np.inf, np.inf, 0.0))
+    assert tuple(got.values[0:2]) == (4.5, 5.5)
+
+
+def test_step_nan_action_matches_reference(env):
+    values = [5.0, 5.0, -1.0, -1.0, 5.0, 5.0, 6.0, 6.0]
+    for action in [(np.nan, 0.0, 1.0), (0.0, np.nan, -1.0), (0.0, 0.0, np.nan)]:
+        assert_same_step(env, values, action)
+
+
+def test_nan_object_blocks_pick_like_argmin():
+    # np.argmin returns the first NaN distance, which then fails the radius test
+    world = BlockNavEnv(object_count=3)
+    for nan_obj in range(3):
+        values = [5.0, 5.0, -1.0, -1.0, 5.1, 5.0, 5.0, 5.1, 4.9, 5.0]
+        values[4 + 2 * nan_obj] = np.nan
+        assert reference_nearest_object(world, np.array(values)) == -1
+        assert world._nearest_object(values) == -1
+        assert_same_step(world, values, (0.0, 0.0, 1.0))
+
+
+def test_pick_matches_reference_near_radius(env):
+    # diagonal offsets within a few ulps of pick_radius, where the rounding of
+    # the distance decides the pick
+    rng = np.random.default_rng(12)
+    r = env.pick_radius
+    outcomes = set()
+    for theta in rng.uniform(0.0, 2.0 * np.pi, size=3000):
+        ox, oy = 5.0 + r * np.cos(theta), 5.0 + r * np.sin(theta)
+        for _ in range(int(rng.integers(0, 3))):
+            ox = np.nextafter(ox, rng.choice([-np.inf, np.inf]))
+        values = [5.0, 5.0, -1.0, -1.0, ox, oy, 9.0, 9.0]
+        expected = reference_nearest_object(env, np.array(values))
+        assert env._nearest_object(values) == expected
+        outcomes.add(expected)
+    assert outcomes == {0, -1}
+
+
+def test_step_zero_grip_holds_gripper(env):
+    # open and empty-handed: g == 0 keeps the gripper open next to an object
+    open_values = [5.0, 5.0, -1.0, -1.0, 5.1, 5.0, 8.0, 8.0]
+    got = assert_same_step(env, open_values, (0.1, 0.0, 0.0))
+    assert got.values[2] == -1.0 and got.values[3] == -1.0
+    # closed and carrying: g == 0 keeps carrying
+    closed_values = [5.0, 5.0, 1.0, 0.0, 5.0, 5.0, 8.0, 8.0]
+    got = assert_same_step(env, closed_values, (0.2, -0.3, 0.0))
+    assert got.values[2] == 1.0 and got.values[3] == 0.0
+    assert tuple(got.values[4:6]) == tuple(got.values[0:2])
+
+
+def test_step_equidistant_objects_pick_lowest_index():
+    world = BlockNavEnv(object_count=3)
+    # objects 1 and 2 are exactly 0.25 from the robot, object 0 is farther
+    values = [5.0, 5.0, -1.0, -1.0, 5.3, 5.0, 5.25, 5.0, 4.75, 5.0]
+    assert world._nearest_object(values) == 1
+    got = assert_same_step(world, values, (0.0, 0.0, 1.0))
+    assert got.values[3] == 1.0
+    # all three at the same distance: object 0 wins
+    values = [5.0, 5.0, -1.0, -1.0, 5.0, 5.25, 5.25, 5.0, 4.75, 5.0]
+    got = assert_same_step(world, values, (0.0, 0.0, 1.0))
+    assert got.values[3] == 0.0
+
+
+def test_pick_radius_one_ulp_either_side(env):
+    # robot at x = 0.6 and the object t to its left: 0.6 - t and the
+    # difference back are exact, so the distance is exactly t
+    r = env.pick_radius
+    for t, picks in [(np.nextafter(r, 0.0), True), (r, True), (np.nextafter(r, 1.0), False)]:
+        values = [0.6, 5.0, -1.0, -1.0, 0.6 - t, 5.0, 9.0, 9.0]
+        assert reference_nearest_object(env, np.array(values)) == (0 if picks else -1)
+        got = assert_same_step(env, values, (0.0, 0.0, 1.0))
+        assert got.values[3] == (0.0 if picks else -1.0)
+
+
+def exact_offset_state(world, task, t):
+    """A state with the task's object exactly t from the region centre, or None.
+
+    Tries both axes and both signs; an offset is exact only where the object
+    coordinate falls in a binade at least as fine as t's.
+    """
+    obj = task.metadata["object_index"]
+    center = world.regions[task.metadata["region_index"]]
+    for axis in (0, 1):
+        for sign in (-1.0, 1.0):
+            pos = center.copy()
+            pos[axis] += sign * t
+            if float(np.linalg.norm(pos - center)) == t:
+                values = np.full(world.state_dim, 9.0)
+                values[0:4] = (5.0, 5.0, -1.0, -1.0)
+                values[4 + 2 * obj: 6 + 2 * obj] = pos
+                return StateVec(values)
+    return None
+
+
+def test_goal_radius_one_ulp_either_side(env):
+    covered = set()
+    for world in (env, BlockNavEnv(extent=1.5)):
+        r = world.region_radius
+        for task in world.tasks():
+            cases = [(np.nextafter(r, 0.0), True), (r, True), (np.nextafter(r, 1.0), False)]
+            states = [(exact_offset_state(world, task, t), inside) for t, inside in cases]
+            if any(state is None for state, _ in states):
+                continue
+            for state, inside in states:
+                assert reference_goal(world, task, state) is inside
+                assert task.goal_predicate(state) is inside
+            covered.add(task.metadata["region_index"])
+    assert covered == {0, 1, 2}
+
+
+def test_goal_matches_reference_near_boundary(env, tasks):
+    # points within a few ulps of the region boundary in every direction,
+    # where a plain scalar norm and numpy's fused BLAS dot can disagree
+    rng = np.random.default_rng(3)
+    r = env.region_radius
+    outcomes = set()
+    for task in tasks:
+        obj = task.metadata["object_index"]
+        cx, cy = env.regions[task.metadata["region_index"]]
+        for theta in rng.uniform(0.0, 2.0 * np.pi, size=300):
+            x, y = cx + r * np.cos(theta), cy + r * np.sin(theta)
+            for _ in range(int(rng.integers(0, 3))):
+                x = np.nextafter(x, rng.choice([-np.inf, np.inf]))
+            values = np.array([5.0, 5.0, -1.0, -1.0, 9.0, 9.0, 9.0, 9.0])
+            values[4 + 2 * obj: 6 + 2 * obj] = (x, y)
+            state = StateVec(values)
+            expected = reference_goal(env, task, state)
+            assert task.goal_predicate(state) is expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_goal_false_while_carried_and_on_nan(env, tasks):
+    task = tasks[0]
+    obj = task.metadata["object_index"]
+    cx, cy = env.regions[task.metadata["region_index"]]
+    values = np.array([cx, cy, 1.0, float(obj), 9.0, 9.0, 9.0, 9.0])
+    values[4 + 2 * obj: 6 + 2 * obj] = (cx, cy)
+    assert task.goal_predicate(StateVec(values)) is False
+    values[3] = -1.0
+    assert task.goal_predicate(StateVec(values)) is True
+    values[4 + 2 * obj] = np.nan
+    assert task.goal_predicate(StateVec(values)) is reference_goal(env, task, StateVec(values))
