@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import subprocess
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
@@ -32,11 +31,9 @@ _DIST_SUM_TOL = 1e-8  # sample_candidates input; rng.choice allowed about 1.5e-8
 class PriorPolicy(Protocol):
     """Anything that maps (observation, task) to a sampled macro-action.
 
-    Implementations set ``thread_safe = False`` to request serialized access
-    (see :class:`SerializedPrior`).
+    The search rejects, with ``PriorQueryError``, a macro that is not a
+    finite 2-D array with at least one row and ``action_dim`` columns.
     """
-
-    thread_safe: bool
 
     def sample_macro(
         self, obs: Observation, task: TaskSpec, rng: np.random.Generator
@@ -195,8 +192,6 @@ def psi_prior(
 class UniformLibraryPrior:
     """Uninformed baseline prior: a uniformly random library prototype."""
 
-    thread_safe = True
-
     def __init__(self, lib: MacroLibrary):
         self.lib = lib
 
@@ -206,28 +201,12 @@ class UniformLibraryPrior:
         return self.lib.prototypes[int(rng.integers(self.lib.m))].copy()
 
 
-class SerializedPrior:
-    """Wraps a non-thread-safe prior behind a single query lock."""
-
-    thread_safe = True
-
-    def __init__(self, inner: PriorPolicy):
-        self.inner = inner
-        self._lock = threading.Lock()
-
-    def sample_macro(self, obs, task, rng):
-        with self._lock:
-            return self.inner.sample_macro(obs, task, rng)
-
-
 class LineProtocolPrior:
     """Process-external prior speaking line-delimited JSON.
 
     Request:  ``{"observation": [...], "instruction": "..."}``
     Response: ``{"macro": [[...], ...]}`` (an H x n array)
     """
-
-    thread_safe = False
 
     def __init__(self, writer, reader, action_dim: int | None = None):
         self._writer = writer

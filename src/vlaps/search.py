@@ -193,6 +193,37 @@ def backpropagate(path: list) -> None:
         node.visit_counts[idx] += 1
 
 
+def _query_prior(
+    prior: PriorPolicy,
+    model: WorldModel,
+    state: StateVec,
+    task: TaskSpec,
+    rng: np.random.Generator,
+    where: str,
+) -> np.ndarray:
+    """Ask the prior for a macro at ``state`` and check what it returns.
+
+    Raises ``PriorQueryError``, naming ``where``, if the prior raises or its
+    macro is not a finite 2-D float array with at least one row and
+    ``model.action_dim`` columns.
+    """
+    obs = model.observe(state)
+    try:
+        macro = np.asarray(prior.sample_macro(obs, task, rng), dtype=float)
+    except Exception as exc:  # noqa: BLE001 - surface with search context
+        raise PriorQueryError(f"prior query failed {where}: {exc}") from exc
+    if macro.ndim != 2 or macro.shape[0] < 1 or macro.shape[1] != model.action_dim:
+        raise PriorQueryError(
+            f"prior returned a macro of shape {macro.shape} {where}; expected "
+            f"(H, {model.action_dim}) with H >= 1"
+        )
+    # a Python check over the floats is about twice as fast as np.isfinite
+    # on an H x 3 macro, and the rollout loop queries the prior every H steps
+    if not all(map(math.isfinite, macro.ravel().tolist())):
+        raise PriorQueryError(f"prior returned a non-finite macro {where}")
+    return macro
+
+
 def expand(
     node: TreeNode,
     prior: PriorPolicy,
@@ -215,13 +246,9 @@ def expand(
         raise ContractViolationError("node is already expanded")
     if node.depth >= cfg.d_max:
         raise ContractViolationError("cannot expand a node at maximum depth")
-    obs = model.observe(node.sim_state)
     meter.add_query()
-    try:
-        anchor = prior.sample_macro(obs, task, rng_query)
-    except Exception as exc:  # noqa: BLE001 - surface with search context
-        raise PriorQueryError(f"prior query failed at depth {node.depth}: {exc}") from exc
-
+    anchor = _query_prior(prior, model, node.sim_state, task, rng_query,
+                          f"in expand at depth {node.depth}")
     dist = beta_distribution(lib, anchor, cfg.alpha_beta, cfg.epsilon_beta)
     node.candidates = sample_candidates(dist, cfg.k, rng_sample, anchor=anchor)
     node.psi = psi_prior(node.candidates, lib, anchor, cfg.alpha_psi, cfg.epsilon_psi)
@@ -251,7 +278,8 @@ def rollout(
     """Simulate the prior policy from a state until goal or the step cap.
 
     Returns (success, primitive steps used, macro sequence queried); the last
-    macro may have been cut short by the cap or by reaching the goal.
+    macro may have been cut short by the cap or by reaching the goal.  Raises
+    ``PriorQueryError`` if the prior fails or returns a malformed macro.
     """
     state = model.clone_state(start)
     if task.goal_predicate(state):
@@ -261,17 +289,14 @@ def rollout(
     while steps < cfg.d_sim_max:
         if meter is not None:
             meter.add_query()
-        macro = prior.sample_macro(model.observe(state), task, rng)
+        macro = _query_prior(prior, model, state, task, rng, "in rollout")
         macros.append(macro)
-        for row in macro:
-            state = model.step(state, row)
-            steps += 1
-            if meter is not None:
-                meter.add_steps(1)
-            if task.goal_predicate(state):
-                return True, steps, macros
-            if steps >= cfg.d_sim_max:
-                break
+        state, success, used = step_macro(
+            model, state, macro, task, meter, limit=cfg.d_sim_max - steps
+        )
+        steps += used
+        if success:
+            return True, steps, macros
     return False, steps, macros
 
 

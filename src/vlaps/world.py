@@ -40,12 +40,18 @@ class Observation:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """A task: natural-language label plus a decidable goal predicate."""
+    """A task: natural-language label plus a decidable goal predicate.
+
+    ``goal_on_values`` is an optional form of the same predicate that takes
+    the state's values as a list of floats; a world model that steps on such
+    lists may use it in place of ``goal_predicate``, so the two must agree.
+    """
 
     task_id: str
     instruction: str
     goal_predicate: Callable[[StateVec], bool]
     metadata: dict = field(default_factory=dict)
+    goal_on_values: Optional[Callable[[list], bool]] = None
 
     def reward(self, state: StateVec) -> float:
         """Sparse reward: 1 exactly on goal states, 0 elsewhere."""
@@ -77,6 +83,24 @@ class WorldModel(ABC):
 
     def clone_state(self, state: StateVec) -> StateVec:
         return state.copy()
+
+    def run_macro(
+        self, state: StateVec, macro: np.ndarray, task: TaskSpec
+    ) -> tuple[StateVec, bool, int]:
+        """Step the rows of a validated 2-D macro until the goal holds.
+
+        Returns the resulting state, whether the goal predicate held, and the
+        number of primitives applied.  The goal is checked after each step;
+        checking it on ``state`` itself is the caller's job.  Models may
+        override this with a faster loop that gives the same results.
+        """
+        steps = 0
+        for row in macro:
+            state = self.step(state, row)
+            steps += 1
+            if task.goal_predicate(state):
+                return state, True, steps
+        return state, False, steps
 
 
 # BlockNav state layout: [rx, ry, grip, carried, ox0, oy0, ox1, oy1, ...]
@@ -155,12 +179,37 @@ class BlockNavEnv(WorldModel):
             raise ContractViolationError(
                 f"action shape {action.shape} != ({self.action_dim},)"
             )
-        # Scalar arithmetic on Python floats: the same IEEE operations as the
-        # numpy form without per-element array overhead.  Each clip is
-        # min(max(x, lo), hi) written as two conditionals (much faster than
-        # the builtins): x is kept on ties and NaN passes, as in np.clip.
-        ax, ay, g = action.tolist()
         v = state.values.tolist()
+        self._advance(v, *action.tolist())
+        return StateVec(np.array(v, dtype=float), state.step_count + 1)
+
+    def run_macro(
+        self, state: StateVec, macro: np.ndarray, task: TaskSpec
+    ) -> tuple[StateVec, bool, int]:
+        # steps the whole macro on one list of floats when the task has a
+        # list form of its goal; a task without one keeps its own predicate
+        on_values = task.goal_on_values
+        if on_values is None:
+            return super().run_macro(state, macro, task)
+        v = state.values.tolist()
+        advance = self._advance
+        steps, success = 0, False
+        for ax, ay, g in macro.tolist():
+            advance(v, ax, ay, g)
+            steps += 1
+            if on_values(v):
+                success = True
+                break
+        return StateVec(np.array(v, dtype=float), state.step_count + steps), success, steps
+
+    def _advance(self, v: list, ax: float, ay: float, g: float) -> None:
+        """Apply one primitive ``(ax, ay, g)`` to the state values ``v`` in place.
+
+        Scalar arithmetic on Python floats: the same IEEE operations as the
+        numpy form without per-element array overhead.  Each clip is
+        min(max(x, lo), hi) written as two conditionals (much faster than the
+        builtins): x is kept on ties and NaN passes, as in np.clip.
+        """
         max_step, extent = self.max_step, self.extent
         dx = -max_step if ax < -max_step else ax
         dx = max_step if dx > max_step else dx
@@ -191,7 +240,6 @@ class BlockNavEnv(WorldModel):
         if carried >= 0:
             v[4 + 2 * carried] = v[_RX]
             v[5 + 2 * carried] = v[_RY]
-        return StateVec(np.array(v, dtype=float), state.step_count + 1)
 
     def observe(self, state: StateVec) -> Observation:
         return Observation(state.values.copy())
@@ -251,8 +299,7 @@ class BlockNavEnv(WorldModel):
         ix = 4 + 2 * obj
         margin = _GOAL_TIE_MARGIN * max(1.0, radius)
 
-        def goal(state: StateVec) -> bool:
-            v = state.values.tolist()
+        def on_values(v: list) -> bool:
             if int(v[_CARRIED]) == obj:
                 return False
             dx = v[ix] - cx
@@ -262,13 +309,16 @@ class BlockNavEnv(WorldModel):
                 return d <= radius
             # np.linalg.norm takes a BLAS dot that may fuse the multiply-add,
             # so near the boundary only its own rounding is bit-exact
-            pos = state.values[ix:ix + 2]
-            return bool(np.linalg.norm(pos - center) <= radius)
+            return bool(np.linalg.norm(np.array(v[ix:ix + 2]) - center) <= radius)
+
+        def goal(state: StateVec) -> bool:
+            return on_values(state.values.tolist())
 
         return TaskSpec(
             task_id=f"move_obj{obj}_to_region{region}",
             instruction=f"move object {obj} to region {region}",
             goal_predicate=goal,
+            goal_on_values=on_values,
             metadata={
                 "object_index": obj,
                 "region_index": region,
@@ -317,11 +367,13 @@ def step_macro(
     macro: np.ndarray,
     task: TaskSpec,
     meter=None,
+    limit: float = math.inf,
 ) -> tuple[StateVec, bool, int]:
     """Apply the rows of a macro-action in order, stopping early on goal.
 
+    Applies at most ``limit`` rows (an int, or ``math.inf`` for all of them).
     Returns the resulting state, whether the goal predicate held, and the
-    number of primitives actually applied.
+    number of primitives actually applied, which is also charged to ``meter``.
     """
     macro = np.asarray(macro, dtype=float)
     if macro.ndim != 2 or macro.shape[1] != model.action_dim:
@@ -330,15 +382,12 @@ def step_macro(
         )
     if task.goal_predicate(state):
         return state, True, 0
-    steps = 0
-    for row in macro:
-        state = model.step(state, row)
-        steps += 1
-        if meter is not None:
-            meter.add_steps(1)
-        if task.goal_predicate(state):
-            return state, True, steps
-    return state, False, steps
+    if limit < len(macro):
+        macro = macro[:max(0, limit)]
+    state, success, steps = model.run_macro(state, macro, task)
+    if meter is not None:
+        meter.add_steps(steps)
+    return state, success, steps
 
 
 # -- scripted expert ---------------------------------------------------------
@@ -385,8 +434,6 @@ class ScriptedExpertPrior:
     random action; at 0 this is the deterministic expert.  The prior simulates
     its own copy of the environment for the length of one macro-action.
     """
-
-    thread_safe = True
 
     def __init__(self, env: BlockNavEnv, horizon: int, noise_level: float = 0.0):
         if not 0.0 <= noise_level <= 1.0:

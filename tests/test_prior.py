@@ -12,7 +12,6 @@ from vlaps.macrolib import MacroLibrary
 from vlaps.prior import (
     CandidateSet,
     LineProtocolPrior,
-    SerializedPrior,
     UniformLibraryPrior,
     beta_distribution,
     psi_prior,
@@ -192,14 +191,6 @@ def test_uniform_library_prior(library, env, tasks):
     assert macro.shape == (library.horizon, library.action_dim)
     flat_protos = {tuple(p.ravel()) for p in library.prototypes}
     assert tuple(macro.ravel()) in flat_protos
-
-
-def test_serialized_prior_passthrough(library, env, tasks):
-    prior = SerializedPrior(UniformLibraryPrior(library))
-    obs = env.observe(env.reset(0, tasks[0].task_id))
-    a = prior.sample_macro(obs, tasks[0], np.random.default_rng(4))
-    b = UniformLibraryPrior(library).sample_macro(obs, tasks[0], np.random.default_rng(4))
-    assert np.array_equal(a, b)
 
 
 ECHO_PRIOR = textwrap.dedent("""

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from vlaps.errors import ConfigurationError, ContractViolationError
+from vlaps.errors import ConfigurationError, ContractViolationError, PriorQueryError
 from vlaps.macrolib import MacroLibrary
 from vlaps.prior import CandidateSet, UniformLibraryPrior
 from vlaps.rngutil import RngFactory
@@ -28,7 +28,14 @@ from vlaps.search import (
     search_once,
     select_path,
 )
-from vlaps.world import BlockNavEnv, ScriptedExpertPrior, StateVec, TaskSpec, WorldModel
+from vlaps.world import (
+    BlockNavEnv,
+    ScriptedExpertPrior,
+    StateVec,
+    TaskSpec,
+    WorldModel,
+    step_macro,
+)
 
 
 # -- config ------------------------------------------------------------------
@@ -445,3 +452,134 @@ def test_check_tree_rejects_too_many_nodes_and_lost_visits():
     _check_tree(root, SearchOutcome(BEST_ROOT_MACRO, iterations_used=1), cfg)
     with pytest.raises(ContractViolationError, match="_check_tree: root visit counts"):
         _check_tree(root, SearchOutcome(BEST_ROOT_MACRO, iterations_used=2), cfg)
+
+
+# -- rollout against the row-by-row loop ----------------------------------------
+
+def reference_rollout(model, prior, start, task, cfg, rng, meter=None):
+    """The rollout loop as it was before it stepped through step_macro."""
+    state = model.clone_state(start)
+    if task.goal_predicate(state):
+        return True, 0, []
+    steps = 0
+    macros = []
+    while steps < cfg.d_sim_max:
+        if meter is not None:
+            meter.add_query()
+        macro = prior.sample_macro(model.observe(state), task, rng)
+        macros.append(macro)
+        for row in macro:
+            state = model.step(state, row)
+            steps += 1
+            if meter is not None:
+                meter.add_steps(1)
+            if task.goal_predicate(state):
+                return True, steps, macros
+            if steps >= cfg.d_sim_max:
+                break
+    return False, steps, macros
+
+
+def test_rollout_matches_reference_loop(model, tasks, library):
+    priors = [UniformLibraryPrior(library)] + [
+        ScriptedExpertPrior(model, 4, noise) for noise in (0.0, 0.3, 0.6, 1.0)]
+    outcomes = set()
+    for seed in range(200):
+        cfg = SearchConfig(d_sim_max=(5, 17, 30, 80)[seed % 4], t_max=1e9)
+        prior = priors[seed % len(priors)]
+        task = tasks[seed % len(tasks)]
+        start = model.reset(seed, task.task_id)
+        runs = []
+        for fn in (reference_rollout, rollout):
+            meter, rng = CostMeter(cfg), np.random.default_rng(seed)
+            success, steps, macros = fn(model, prior, start, task, cfg, rng, meter)
+            runs.append((success, steps, [m.tobytes() for m in macros],
+                         meter.queries, meter.sim_steps, rng.random()))
+        assert runs[0] == runs[1], seed
+        success, steps = runs[1][:2]
+        outcomes.add("goal" if success else "cap" if steps % 4 else "cap_at_macro_end")
+    assert outcomes == {"goal", "cap", "cap_at_macro_end"}
+
+
+def test_chain_world_takes_default_macro_loop():
+    # ChainWorld does not override run_macro: WorldModel's step-and-test loop
+    world = ChainWorld(goal_pos=3)
+    task = world.task()
+    assert task.goal_on_values is None
+    start = world.reset(0, "chain")
+    macro = np.array([[1.0], [1.0], [1.0], [1.0]])
+    meter = CostMeter(SearchConfig())
+    state, ok, used = step_macro(world, start, macro, task, meter=meter)
+    assert (state.values[0], state.step_count, ok, used) == (3.0, 3, True, 3)
+    assert meter.sim_steps == 3
+    state, ok, used = step_macro(world, start, macro, task, limit=2)
+    assert (state.values[0], ok, used) == (2.0, False, 2)
+    cfg = SearchConfig(d_sim_max=9, horizon=1, t_max=1e9)
+    prior = UniformLibraryPrior(_chain_library())
+    for seed in range(20):
+        runs = [fn(world, prior, start, task, cfg, np.random.default_rng(seed))
+                for fn in (reference_rollout, rollout)]
+        assert runs[0][:2] == runs[1][:2]
+        assert [m.tobytes() for m in runs[0][2]] == [m.tobytes() for m in runs[1][2]]
+
+
+# -- prior outputs ---------------------------------------------------------------
+
+class _FixedPrior:
+    def __init__(self, output):
+        self.output = output
+
+    def sample_macro(self, obs, task, rng):
+        if isinstance(self.output, Exception):
+            raise self.output
+        return self.output
+
+
+BAD_PRIOR_OUTPUTS = {
+    "empty": np.zeros((0, 3)),
+    "nan": np.array([[0.1, 0.0, 1.0], [np.nan, 0.0, 1.0]]),
+    "inf": np.array([[0.1, -np.inf, 1.0]]),
+    "wrong_columns": np.zeros((4, 2)),
+    "one_dimensional": np.zeros(3),
+    "three_dimensional": np.zeros((1, 4, 3)),
+    "not_numeric": [["a", "b", "c"]],
+    "raises": ValueError("prior crashed"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_PRIOR_OUTPUTS))
+def test_rollout_rejects_bad_prior_output(name, model, tasks):
+    # an empty macro used to loop forever and a NaN one to drive the state to NaN
+    prior = _FixedPrior(BAD_PRIOR_OUTPUTS[name])
+    task = tasks[0]
+    start = model.reset(0, task.task_id)
+    with pytest.raises(PriorQueryError, match="in rollout"):
+        rollout(model, prior, start, task, SearchConfig(), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("name", sorted(BAD_PRIOR_OUTPUTS))
+def test_expand_rejects_bad_prior_output(name, model, tasks, library):
+    prior = _FixedPrior(BAD_PRIOR_OUTPUTS[name])
+    cfg = SearchConfig(k=5, t_max=1e9)
+    node = TreeNode(model.reset(0, tasks[0].task_id), 2, 0)
+    with pytest.raises(PriorQueryError, match="in expand at depth 2"):
+        expand(node, prior, library, model, tasks[0], cfg,
+               np.random.default_rng(0), np.random.default_rng(1), CostMeter(cfg), 1)
+    assert node.candidates is None
+
+
+def test_prior_only_episode_rejects_nan_macro(env, model, tasks, library):
+    prior = _FixedPrior(BAD_PRIOR_OUTPUTS["nan"])
+    with pytest.raises(PriorQueryError):
+        run_episode(env, model, tasks[0], prior, library, SearchConfig(n_mc=0),
+                    streams=RngFactory(0))
+
+
+def test_prior_output_accepts_lists_and_one_row_macros(model, tasks):
+    task = tasks[0]
+    start = model.reset(0, task.task_id)
+    cfg = SearchConfig(d_sim_max=5, t_max=1e9)
+    success, steps, macros = rollout(model, _FixedPrior([[0.1, 0.0, -1.0]]), start, task,
+                                     cfg, np.random.default_rng(0))
+    assert (success, steps, len(macros)) == (False, 5, 5)
+    assert all(m.dtype == float and m.shape == (1, 3) for m in macros)

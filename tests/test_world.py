@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from vlaps.world import (
     BlockNavEnv,
     ScriptedExpertPrior,
     StateVec,
+    TaskSpec,
     greedy_expert_action,
     make_blocknav_env,
     run_expert_episode,
@@ -425,3 +428,130 @@ def test_goal_false_while_carried_and_on_nan(env, tasks):
     assert task.goal_predicate(StateVec(values)) is True
     values[4 + 2 * obj] = np.nan
     assert task.goal_predicate(StateVec(values)) is reference_goal(env, task, StateVec(values))
+
+
+# -- macro kernel against the row-by-row loop ---------------------------------
+#
+# ``reference_step_macro`` is the row-by-row loop that step_macro and the
+# rollout's inner loop ran before BlockNavEnv stepped whole macros on a list:
+# one ndarray step and one goal test per row, then the step cap.  Run with the
+# numpy reference step and goal above, it is independent of the kernel.
+
+class StepCounter:
+    def __init__(self):
+        self.sim_steps = 0
+
+    def add_steps(self, n):
+        self.sim_steps += n
+
+
+def reference_step_macro(step, goal, state, macro, limit=math.inf):
+    if goal(state):
+        return state, True, 0, []
+    steps, carried = 0, []
+    for row in macro:
+        state = step(state, row)
+        steps += 1
+        carried.append(int(state.values[3]))
+        if goal(state):
+            return state, True, steps, carried
+        if steps >= limit:
+            break
+    return state, False, steps, carried
+
+
+def random_macro_case(world, task, rng):
+    """A state, macro and limit; often near the task's goal region or an object."""
+    values = random_state_values(world, rng)
+    obj = task.metadata["object_index"]
+    if rng.random() < 0.4:
+        # the robot near the region centre, carrying the task's object or not
+        center = world.regions[task.metadata["region_index"]]
+        values[0:2] = center + rng.normal(0.0, 0.5, size=2)
+        values[4 + 2 * obj: 6 + 2 * obj] = values[0:2]
+        values[2:4] = (1.0, float(obj)) if rng.random() < 0.7 else (-1.0, -1.0)
+    horizon = int(rng.integers(1, 7))
+    macro = rng.uniform(-0.6, 0.6, size=(horizon, 3))
+    macro[:, 2] = rng.choice([-1.0, 0.0, 1.0, 0.5, -0.5], size=horizon)
+    limit = math.inf if rng.random() < 0.5 else int(rng.integers(1, horizon + 2))
+    return StateVec(values, int(rng.integers(50))), macro, limit
+
+
+def test_step_macro_matches_row_by_row_reference_random():
+    rng = np.random.default_rng(31)
+    seen = {"goal_mid_macro": 0, "cap_mid_macro": 0, "pick_and_drop": 0, "goal": 0}
+    for world in (BlockNavEnv(), BlockNavEnv(object_count=3)):
+        world_tasks = world.tasks()
+        for _ in range(3_000):
+            task = world_tasks[int(rng.integers(len(world_tasks)))]
+            state, macro, limit = random_macro_case(world, task, rng)
+            ref, ref_ok, ref_used, carried = reference_step_macro(
+                lambda s, a: reference_step(world, s, a),
+                lambda s: reference_goal(world, task, s),
+                StateVec(state.values.copy(), state.step_count), macro, limit)
+            meter = StepCounter()
+            got, ok, used = step_macro(world, state, macro, task, meter=meter, limit=limit)
+            assert got.values.dtype == ref.values.dtype
+            assert got.values.tobytes() == ref.values.tobytes()
+            assert (got.step_count, ok, used) == (ref.step_count, ref_ok, ref_used)
+            assert meter.sim_steps == used
+            seen["goal"] += ok
+            seen["goal_mid_macro"] += ok and 0 < used < len(macro)
+            seen["cap_mid_macro"] += not ok and used == limit < len(macro)
+            held = [c >= 0 for c in [int(state.values[3])] + carried]
+            pick = next((i for i in range(1, len(held)) if held[i] and not held[i - 1]), None)
+            seen["pick_and_drop"] += pick is not None and not all(held[pick:])
+    assert min(seen.values()) >= 20, seen
+
+
+def test_step_macro_limit_zero_applies_nothing(env, tasks):
+    state = env.reset(0, tasks[0].task_id)
+    meter = StepCounter()
+    out, ok, used = step_macro(env, state, np.ones((4, 3)), tasks[0], meter=meter, limit=0)
+    assert (ok, used, meter.sim_steps) == (False, 0, 0)
+    assert out.values.tobytes() == state.values.tobytes()
+
+
+def test_goal_on_values_matches_goal_predicate_one_ulp_either_side(env):
+    checked = 0
+    for world in (env, BlockNavEnv(extent=1.5)):
+        r = world.region_radius
+        for task in world.tasks():
+            for t in (np.nextafter(r, 0.0), r, np.nextafter(r, 1.0)):
+                state = exact_offset_state(world, task, t)
+                if state is None:
+                    continue
+                for carried in (-1.0, float(task.metadata["object_index"])):
+                    state.values[3] = carried
+                    expected = task.goal_predicate(state)
+                    assert task.goal_on_values(state.values.tolist()) is expected
+                    assert expected is reference_goal(world, task, state)
+                    checked += 1
+    assert checked >= 24
+
+
+def test_custom_predicate_without_list_form_takes_default_path(env, tasks):
+    # a BlockNav task whose goal is "robot x >= 6": the built-in region test
+    # must not replace it, so step_macro stops where this predicate holds
+    calls = []
+
+    def robot_right(state):
+        calls.append(state.step_count)
+        return bool(state.values[0] >= 6.0)
+
+    task = TaskSpec("custom", "move right", robot_right)
+    assert task.goal_on_values is None
+    state = env.reset(0, tasks[0].task_id)
+    macro = np.tile([0.5, 0.0, -1.0], (6, 1))
+    ref, ref_ok, ref_used, _ = reference_step_macro(
+        lambda s, a: reference_step(env, s, a), robot_right, state, macro)
+    calls.clear()
+    got, ok, used = step_macro(env, state, macro, task)
+    assert (ok, used) == (ref_ok, ref_used) == (True, 2)
+    assert got.values.tobytes() == ref.values.tobytes()
+    assert calls == [0, 1, 2]  # the start state, then after each step
+    # a task built from a BlockNav one with a replaced predicate and no list
+    # form also keeps its own predicate
+    stripped = dataclasses.replace(tasks[0], goal_predicate=robot_right,
+                                   goal_on_values=None)
+    assert step_macro(env, state, macro, stripped)[1:] == (True, 2)
