@@ -77,6 +77,7 @@ class RunRecord:
     iterations: int
     prior_queries: int
     decision_points: int = 0
+    # never set; kept so records.jsonl stays byte-identical and old records load
     root_tie: bool = False
 
     def sort_key(self):

@@ -9,7 +9,7 @@ passes), run on per-dimension-normalized flattened macros.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -166,23 +166,15 @@ class MacroLibrary:
     def normalize(self, macros: np.ndarray) -> np.ndarray:
         return (np.asarray(macros, dtype=float) - self.per_dim_mean) / self.per_dim_std
 
-    def denormalize(self, macros: np.ndarray) -> np.ndarray:
-        return np.asarray(macros, dtype=float) * self.per_dim_std + self.per_dim_mean
-
-    def distances_to(self, macro: np.ndarray, normalized: bool = True) -> np.ndarray:
+    def distances_to(self, macro: np.ndarray) -> np.ndarray:
         """Vector of rho(prototype_i, macro) over the whole library."""
         macro = np.asarray(macro, dtype=float)
         if macro.shape != self.prototypes.shape[1:]:
             raise ContractViolationError(
                 f"macro shape {macro.shape} != {self.prototypes.shape[1:]}"
             )
-        if normalized:
-            flat = self._normalized_flat
-            target = self.normalize(macro).ravel()
-        else:
-            flat = self.prototypes.reshape(self.m, -1)
-            target = macro.ravel()
-        return np.linalg.norm(flat - target, axis=1)
+        target = self.normalize(macro).ravel()
+        return np.linalg.norm(self._normalized_flat - target, axis=1)
 
     def to_json(self) -> dict:
         return {

@@ -33,6 +33,3 @@ class RngFactory:
     def rng(self, *key: int) -> np.random.Generator:
         seq = np.random.SeedSequence(list(self.entropy) + [int(k) for k in key])
         return np.random.default_rng(seq)
-
-    def child(self, *key: int) -> "RngFactory":
-        return RngFactory(*(self.entropy + tuple(int(k) for k in key)))

@@ -3,8 +3,11 @@
 The search is PUCT-style with no value estimates: visits are allocated by a
 prior over each node's sampled candidate macro-actions, counts are the only
 backpropagated quantity, and the search terminates as soon as any simulated
-state satisfies the goal.  The episode runner replans in a receding-horizon
-loop, executing either the returned goal plan or the most-visited root macro.
+state satisfies the goal.  ``search_once`` has one iteration path: select a
+leaf, expand it with candidates sampled around the prior's macro, roll the
+prior out from the best-prior child, backpropagate.  The episode runner
+replans in a receding-horizon loop, executing either the returned goal plan
+or the most-visited root macro.
 
 Time accounting is a deterministic cost model (a fixed charge per prior query
 and per simulated primitive step) so that identical configurations produce
@@ -38,7 +41,6 @@ BEST_ROOT_MACRO = "best_root_macro"
 _CONFIG_KEY_MAP = {
     # JSON key -> attribute
     "N_mc": "n_mc",
-    "c_exp": "c_exp",
     "k": "k",
     "d_sim_max": "d_sim_max",
     "H": "horizon",
@@ -49,7 +51,6 @@ _CONFIG_KEY_MAP = {
     "alpha_psi": "alpha_psi",
     "epsilon_psi": "epsilon_psi",
     "seed": "seed",
-    "literal_eq2": "literal_eq2",
     "prior_query_cost_s": "prior_query_cost_s",
     "sim_step_cost_s": "sim_step_cost_s",
 }
@@ -60,7 +61,6 @@ class SearchConfig:
     """All search hyperparameters (defaults are the reference large-scale values)."""
 
     n_mc: int = 300            # search iterations per decision point
-    c_exp: float = 1.4         # score multiplier; argmax-invariant with Q = 0
     k: int = 10                # candidate expansions per node
     d_sim_max: int = 300       # primitive steps per simulated rollout
     horizon: int = 4           # macro-action length H
@@ -71,10 +71,8 @@ class SearchConfig:
     alpha_psi: float = 5.0     # selection-prior temperature
     epsilon_psi: float = 0.0   # optional uniform term in the selection prior
     seed: int = 0
-    literal_eq2: bool = False  # same-index visit count in the score numerator
     prior_query_cost_s: float = 0.002
     sim_step_cost_s: float = 0.0001
-    validate: bool = True      # run post-search structural checks
 
     def __post_init__(self):
         if self.n_mc < 0 or self.k < 1 or self.d_sim_max < 1 or self.horizon < 1:
@@ -83,9 +81,6 @@ class SearchConfig:
             raise ConfigurationError("d_max, t_max, alphas must be positive")
         if not 0.0 <= self.epsilon_beta <= 1.0 or not 0.0 <= self.epsilon_psi <= 1.0:
             raise ConfigurationError("epsilon values must lie in [0,1]")
-        if not self.c_exp > 0:
-            # a non-positive scale would zero or invert every selection score
-            raise ConfigurationError(f"c_exp must be positive, got {self.c_exp}")
 
     def to_json(self) -> dict:
         return {key: getattr(self, attr) for key, attr in _CONFIG_KEY_MAP.items()}
@@ -137,7 +132,6 @@ class SearchOutcome:
     iterations_used: int = 0
     wall_time: float = 0.0
     nodes_created: int = 1
-    root_tie: bool = False
 
 
 @dataclass
@@ -150,25 +144,25 @@ class EpisodeResult:
     total_search_iterations: int = 0
 
 
-def score(node: TreeNode, i: int, cfg: SearchConfig) -> float:
+def score(node: TreeNode, i: int) -> float:
     """Selection score of candidate i at a node (no value estimates).
 
-    Default form uses the parent-total visit count in the numerator, which is
-    what makes visit allocation track the prior; ``literal_eq2`` switches to
-    the same-index count.
+    ``psi_i * sqrt(sum_j N_j) / (1 + N_i)``: the parent-total visit count in
+    the numerator is what makes visit allocation track the prior.  With no Q
+    term an exploration constant would scale every score alike, so there is
+    none.
     """
     if node.candidates is None:
         raise ContractViolationError("score requires an expanded node")
     n_i = float(node.visit_counts[i])
-    numerator = n_i if cfg.literal_eq2 else float(node.visit_counts.sum())
-    return cfg.c_exp * float(node.psi[i]) * math.sqrt(numerator) / (1.0 + n_i)
+    return float(node.psi[i]) * math.sqrt(float(node.visit_counts.sum())) / (1.0 + n_i)
 
 
-def _best_candidate(node: TreeNode, cfg: SearchConfig) -> int:
+def _best_candidate(node: TreeNode) -> int:
     # ties: higher psi, then lower index (deterministic replay)
     return max(
         range(len(node.candidates)),
-        key=lambda i: (score(node, i, cfg), float(node.psi[i]), -i),
+        key=lambda i: (score(node, i), float(node.psi[i]), -i),
     )
 
 
@@ -181,7 +175,7 @@ def select_path(root: TreeNode, cfg: SearchConfig) -> tuple[TreeNode, list]:
     """
     node, path = root, []
     while node.candidates is not None and not node.is_goal and node.depth < cfg.d_max:
-        idx = _best_candidate(node, cfg)
+        idx = _best_candidate(node)
         path.append((node, idx))
         node = node.children[idx]
     return node, path
@@ -319,12 +313,13 @@ def search_once(
 ) -> SearchOutcome:
     """Run one decision point's search.
 
-    Iteration 1 first simulates the prior directly from the root (so a prior
-    that already solves the task returns its solution immediately), then each
-    iteration selects a leaf, expands it, simulates a rollout from the
-    best-prior new child, and backpropagates visit counts.  Returns a goal
-    plan as soon as any simulated state satisfies the goal, otherwise the
-    most-visited root macro once the iteration budget or deadline is spent.
+    Each iteration selects a leaf, expands it if it is shallower than
+    ``d_max``, rolls the prior out from the best-prior new child (or from the
+    leaf itself at ``d_max``), and backpropagates visit counts.  Iteration 1 first
+    rolls the prior out from the root, so a prior that already solves the
+    task returns its solution at once.  Returns a goal plan as soon as any
+    simulated state satisfies the goal, otherwise the most-visited root macro
+    once the iteration budget or deadline is spent.
     """
     if cfg.n_mc < 1:
         raise ConfigurationError("search_once requires n_mc >= 1")
@@ -335,96 +330,59 @@ def search_once(
     if deadline is None:
         deadline = meter.elapsed() + cfg.t_max
     start_time = meter.elapsed()
+    nodes_created = 1
+    iterations = 0
 
-    def finish(outcome: SearchOutcome) -> SearchOutcome:
-        outcome.wall_time = meter.elapsed() - start_time
-        if cfg.validate:
-            _check_tree(root, outcome, cfg)
+    def finish(kind: str, plan=None, best_macro=None) -> SearchOutcome:
+        outcome = SearchOutcome(kind, plan=plan, best_macro=best_macro,
+                                iterations_used=iterations, nodes_created=nodes_created,
+                                wall_time=meter.elapsed() - start_time)
+        _check_tree(root, outcome, cfg)
         return outcome
 
     root = TreeNode(model.clone_state(root_state), 0, 0,
                     is_goal=task.goal_predicate(root_state))
-    nodes_created = 1
     if root.is_goal:
-        return finish(SearchOutcome(GOAL_PLAN, plan=[], iterations_used=0))
+        return finish(GOAL_PLAN, plan=[])
 
-    rollouts_done = 0
-    iterations = 0
+    rollouts = 0
     for it in range(1, cfg.n_mc + 1):
         if meter.elapsed() >= deadline:
             break
         iterations = it
-        record = {"iteration": it, "path": [], "expanded_node_id": None,
-                  "rollout_result": None}
-
-        if it == 1:
-            # direct prior rollout from the root before any expansion
-            success, _, macros = rollout(
-                model, prior, root.sim_state, task, cfg,
-                streams.rng(ROLLOUT, dp, rollouts_done), meter,
-            )
-            rollouts_done += 1
-            if success:
-                out = SearchOutcome(GOAL_PLAN, plan=macros, iterations_used=1,
-                                    nodes_created=nodes_created)
-                _trace(trace, record, meter, rollout_result="goal")
-                return finish(out)
-            leaf, path = root, []
-        else:
-            leaf, path = select_path(root, cfg)
-        record["path"] = [node.node_id for node, _ in path]
-
-        if leaf.is_goal:
-            # defensive: goal nodes normally terminate the search at creation
-            out = SearchOutcome(GOAL_PLAN, plan=_path_macros(path, lib),
-                                iterations_used=it, nodes_created=nodes_created)
-            return finish(out)
-
-        if leaf.candidates is None and leaf.depth < cfg.d_max:
-            children = expand(
-                leaf, prior, lib, model, task, cfg,
-                streams.rng(PRIOR_QUERY, dp, leaf.node_id),
-                streams.rng(CANDIDATES, dp, leaf.node_id),
-                meter, nodes_created,
-            )
-            nodes_created += len(children)
-            record["expanded_node_id"] = leaf.node_id
-            for idx, child in enumerate(children):
-                if child.is_goal:
-                    plan = _path_macros(path + [(leaf, idx)], lib)
-                    _trace(trace, record, meter, rollout_result="goal_child")
-                    return finish(SearchOutcome(
-                        GOAL_PLAN, plan=plan, iterations_used=it,
-                        nodes_created=nodes_created))
-            ci = _best_candidate(leaf, cfg)
-            success, _, macros = rollout(
-                model, prior, leaf.children[ci].sim_state, task, cfg,
-                streams.rng(ROLLOUT, dp, rollouts_done), meter,
-            )
-            rollouts_done += 1
-            if success:
-                plan = _path_macros(path + [(leaf, ci)], lib) + macros
-                _trace(trace, record, meter, rollout_result="goal")
-                return finish(SearchOutcome(
-                    GOAL_PLAN, plan=plan, iterations_used=it,
-                    nodes_created=nodes_created))
-            backpropagate(path + [(leaf, ci)])
-            _trace(trace, record, meter, rollout_result="fail")
-        else:
-            # depth-capped leaf: rollout only
+        leaf, path = select_path(root, cfg) if it > 1 else (root, [])
+        record = {"iteration": it, "path": [node.node_id for node, _ in path],
+                  "expanded_node_id": None, "rollout_result": None}
+        # iteration 1 rolls the prior out from the root before it expands the
+        # root, with no deadline check in between
+        for expand_leaf in ((False, True) if it == 1 else (True,)):
+            if expand_leaf and leaf.depth < cfg.d_max:
+                children = expand(
+                    leaf, prior, lib, model, task, cfg,
+                    streams.rng(PRIOR_QUERY, dp, leaf.node_id),
+                    streams.rng(CANDIDATES, dp, leaf.node_id),
+                    meter, nodes_created,
+                )
+                nodes_created += len(children)
+                record["expanded_node_id"] = leaf.node_id
+                for idx, child in enumerate(children):
+                    if child.is_goal:
+                        _trace(trace, record, meter, rollout_result="goal_child")
+                        plan = _path_macros(path + [(leaf, idx)], lib)
+                        return finish(GOAL_PLAN, plan=plan)
+                best = _best_candidate(leaf)
+                path.append((leaf, best))
+                leaf = children[best]
             success, _, macros = rollout(
                 model, prior, leaf.sim_state, task, cfg,
-                streams.rng(ROLLOUT, dp, rollouts_done), meter,
+                streams.rng(ROLLOUT, dp, rollouts), meter,
             )
-            rollouts_done += 1
+            rollouts += 1
             if success:
-                plan = _path_macros(path, lib) + macros
                 _trace(trace, record, meter, rollout_result="goal")
-                return finish(SearchOutcome(
-                    GOAL_PLAN, plan=plan, iterations_used=it,
-                    nodes_created=nodes_created))
-            backpropagate(path)
-            _trace(trace, record, meter, rollout_result="fail")
+                return finish(GOAL_PLAN, plan=_path_macros(path, lib) + macros)
+        backpropagate(path)
+        _trace(trace, record, meter, rollout_result="fail")
 
     # budget exhausted: most-visited root macro
     if root.candidates is None:
@@ -436,11 +394,8 @@ def search_once(
     counts = root.visit_counts
     best = max(range(len(counts)),
                key=lambda i: (counts[i], float(root.psi[i]), -i))
-    tie = int((counts == counts[best]).sum()) > 1
-    macro = lib.prototypes[root.candidates.indices[best]].copy()
-    return finish(SearchOutcome(
-        BEST_ROOT_MACRO, best_macro=macro, iterations_used=iterations,
-        nodes_created=nodes_created, root_tie=tie))
+    return finish(BEST_ROOT_MACRO,
+                  best_macro=lib.prototypes[root.candidates.indices[best]].copy())
 
 
 def _trace(trace, record: dict, meter: CostMeter, rollout_result: str) -> None:

@@ -8,7 +8,6 @@ noise) flows through explicitly passed generators.
 
 from __future__ import annotations
 
-import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -427,6 +426,26 @@ def _clip_step(delta: np.ndarray, max_step: float) -> np.ndarray:
     return delta
 
 
+def _noisy_expert_action(
+    env: BlockNavEnv,
+    state: StateVec,
+    task: TaskSpec,
+    noise_level: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """The greedy action, replaced with probability ``noise_level`` by a
+    uniformly random one.  Draws ``rng.random()`` and then three uniforms,
+    and nothing at noise 0."""
+    action = greedy_expert_action(env, state, task)
+    if noise_level > 0.0 and rng.random() < noise_level:
+        action = np.array([
+            rng.uniform(-env.max_step, env.max_step),
+            rng.uniform(-env.max_step, env.max_step),
+            rng.uniform(-1.0, 1.0),
+        ])
+    return action
+
+
 class ScriptedExpertPrior:
     """Greedy BlockNav controller exposed through the prior-policy interface.
 
@@ -448,13 +467,8 @@ class ScriptedExpertPrior:
         state = self.env.state_from_observation(obs)
         rows = []
         for _ in range(self.horizon):
-            action = greedy_expert_action(self.env, state, task)
-            if self.noise_level > 0.0 and rng.random() < self.noise_level:
-                action = np.array([
-                    rng.uniform(-self.env.max_step, self.env.max_step),
-                    rng.uniform(-self.env.max_step, self.env.max_step),
-                    rng.uniform(-1.0, 1.0),
-                ])
+            action = _noisy_expert_action(
+                self.env, state, task, self.noise_level, rng)
             state = self.env.step(state, action)
             rows.append(action)
         return np.array(rows)
@@ -481,13 +495,7 @@ def run_expert_episode(
     for _ in range(max_steps):
         if success:
             break
-        action = greedy_expert_action(env, state, task)
-        if noise_level > 0.0 and rng.random() < noise_level:
-            action = np.array([
-                rng.uniform(-env.max_step, env.max_step),
-                rng.uniform(-env.max_step, env.max_step),
-                rng.uniform(-1.0, 1.0),
-            ])
+        action = _noisy_expert_action(env, state, task, noise_level, rng)
         states.append(state.values.copy())
         actions.append(action)
         state = env.step(state, action)

@@ -113,9 +113,8 @@ def test_criterion_3_prior_proportional_allocation():
     node.candidates = CandidateSet(tuple(range(10)), np.zeros((1, 1)))
     node.psi = psi
     node.visit_counts = np.zeros(10, dtype=np.int64)
-    cfg = SearchConfig()
     for _ in range(10_000):
-        node.visit_counts[_best_candidate(node, cfg)] += 1
+        node.visit_counts[_best_candidate(node)] += 1
     freqs = node.visit_counts / node.visit_counts.sum()
     corr = float(spearmanr(freqs, psi).statistic)
     gap = float(np.max(np.abs(freqs - psi)))

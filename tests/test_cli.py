@@ -73,6 +73,15 @@ def test_bad_config_key_is_config_error(tmp_path, capsys):
     assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("key", ["c_exp", "literal_eq2"])
+def test_removed_search_knob_is_config_error(key, tmp_path, capsys):
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps({"search": {"N_mc": 10, key: 1.4}}))
+    assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err
+
+
 def test_missing_input_file_is_io_error(tmp_path, capsys):
     assert main([
         "build-library", "--input", str(tmp_path / "missing.jsonl"),

@@ -1,7 +1,8 @@
+import collections
 import dataclasses
 import io
-import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,16 +10,19 @@ import pytest
 from vlaps.errors import ConfigurationError, ContractViolationError, PriorQueryError
 from vlaps.macrolib import MacroLibrary
 from vlaps.prior import CandidateSet, UniformLibraryPrior
-from vlaps.rngutil import RngFactory
+from vlaps.rngutil import CANDIDATES, PRIOR_QUERY, ROLLOUT, RngFactory
 from vlaps.search import (
     BEST_ROOT_MACRO,
     GOAL_PLAN,
     CostMeter,
-    EpisodeResult,
     SearchConfig,
     SearchOutcome,
     TreeNode,
+    _CONFIG_KEY_MAP,
+    _best_candidate,
     _check_tree,
+    _path_macros,
+    _trace,
     backpropagate,
     expand,
     replay_plan,
@@ -43,7 +47,6 @@ from vlaps.world import (
 def test_config_defaults():
     cfg = SearchConfig()
     assert cfg.n_mc == 300
-    assert cfg.c_exp == 1.4
     assert cfg.k == 10
     assert cfg.d_sim_max == 300
     assert cfg.horizon == 4
@@ -55,7 +58,7 @@ def test_config_defaults():
 
 
 def test_config_json_round_trip():
-    cfg = SearchConfig(n_mc=50, k=4, t_max=12.5, literal_eq2=True)
+    cfg = SearchConfig(n_mc=50, k=4, t_max=12.5)
     data = cfg.to_json()
     assert data["N_mc"] == 50 and data["T_max"] == 12.5 and data["H"] == 4
     assert SearchConfig.from_json(data) == cfg
@@ -70,11 +73,11 @@ def test_config_rejects_unknown_keys_and_bad_values():
         SearchConfig(k=0)
 
 
-@pytest.mark.parametrize("c_exp", [0.0, -1.4, float("nan")])
-def test_config_rejects_non_positive_c_exp(c_exp):
-    # a zero scale flattens every score and a negative one inverts selection
-    with pytest.raises(ConfigurationError, match="c_exp"):
-        SearchConfig(c_exp=c_exp)
+def test_config_fields_all_have_json_keys():
+    # every knob round-trips through suite configs; none is settable only in code
+    fields = {f.name for f in dataclasses.fields(SearchConfig)}
+    assert fields == set(_CONFIG_KEY_MAP.values())
+    assert len(fields) == len(_CONFIG_KEY_MAP) == 13
 
 
 # -- score / selection / backprop ---------------------------------------------
@@ -88,44 +91,31 @@ def _fake_node(psi, counts):
 
 
 def test_score_zero_counts():
-    cfg = SearchConfig(c_exp=1.0)
     node = _fake_node([0.2, 0.5, 0.3], [0, 0, 0])
-    assert [score(node, i, cfg) for i in range(3)] == [0.0, 0.0, 0.0]
+    assert [score(node, i) for i in range(3)] == [0.0, 0.0, 0.0]
     # tie broken by higher psi, then lower index
-    from vlaps.search import _best_candidate
-    assert _best_candidate(node, cfg) == 1
+    assert _best_candidate(node) == 1
     tied = _fake_node([0.4, 0.4, 0.2], [0, 0, 0])
-    assert _best_candidate(tied, cfg) == 0
+    assert _best_candidate(tied) == 0
 
 
 def test_score_hand_example():
-    cfg = SearchConfig(c_exp=1.0)
     node = _fake_node([0.5, 0.5], [1, 0])
-    assert score(node, 0, cfg) == pytest.approx(0.25)
-    assert score(node, 1, cfg) == pytest.approx(0.5)
-    from vlaps.search import _best_candidate
-    assert _best_candidate(node, cfg) == 1
+    assert score(node, 0) == pytest.approx(0.25)
+    assert score(node, 1) == pytest.approx(0.5)
+    assert _best_candidate(node) == 1
 
 
 def test_score_scaling_invariance():
-    cfg = SearchConfig(c_exp=1.0)
-    from vlaps.search import _best_candidate
     a = _fake_node([0.1, 0.6, 0.3], [3, 1, 2])
     b = _fake_node([0.2, 1.2, 0.6], [3, 1, 2])
-    assert _best_candidate(a, cfg) == _best_candidate(b, cfg)
-
-
-def test_score_literal_form():
-    cfg = SearchConfig(c_exp=1.0, literal_eq2=True)
-    node = _fake_node([0.5, 0.5], [1, 0])
-    assert score(node, 0, cfg) == pytest.approx(0.5 * 1.0 / 2.0)
-    assert score(node, 1, cfg) == 0.0
+    assert _best_candidate(a) == _best_candidate(b)
 
 
 def test_score_requires_expansion():
     node = TreeNode(StateVec(np.zeros(2)), 0, 0)
     with pytest.raises(ContractViolationError):
-        score(node, 0, SearchConfig())
+        score(node, 0)
 
 
 def test_select_path_fresh_root():
@@ -143,7 +133,7 @@ def test_backpropagate_locality():
 
 
 def test_select_path_deterministic():
-    cfg = SearchConfig(c_exp=1.0)
+    cfg = SearchConfig()
     root = _fake_node([0.3, 0.7], [2, 5])
     for i in range(2):
         root.children[i] = TreeNode(StateVec(np.zeros(2)), 1, i + 1)
@@ -311,13 +301,11 @@ def test_trace_export(env, model, tasks, library):
 def test_prior_proportional_allocation():
     # single-node simulation: visit frequencies track the selection prior
     from scipy.stats import spearmanr
-    from vlaps.search import _best_candidate
     rng = np.random.default_rng(0)
     psi = rng.dirichlet(np.ones(10))
     node = _fake_node(psi, np.zeros(10, dtype=int))
-    cfg = SearchConfig()
     for _ in range(5000):
-        node.visit_counts[_best_candidate(node, cfg)] += 1
+        node.visit_counts[_best_candidate(node)] += 1
     freqs = node.visit_counts / node.visit_counts.sum()
     assert spearmanr(freqs, psi).statistic >= 0.99
     assert np.max(np.abs(freqs - psi)) <= 0.05
@@ -521,6 +509,178 @@ def test_chain_world_takes_default_macro_loop():
                 for fn in (reference_rollout, rollout)]
         assert runs[0][:2] == runs[1][:2]
         assert [m.tobytes() for m in runs[0][2]] == [m.tobytes() for m in runs[1][2]]
+
+
+# -- search_once against the loop with three rollout paths -----------------------
+
+def reference_best_candidate(node, c_exp=1.4):
+    """Selection with the exploration constant the score used to carry."""
+    def reference_score(i):
+        n_i = float(node.visit_counts[i])
+        total = float(node.visit_counts.sum())
+        return c_exp * float(node.psi[i]) * math.sqrt(total) / (1.0 + n_i)
+    return max(range(len(node.candidates)),
+               key=lambda i: (reference_score(i), float(node.psi[i]), -i))
+
+
+def reference_select_path(root, cfg):
+    node, path = root, []
+    while node.candidates is not None and not node.is_goal and node.depth < cfg.d_max:
+        idx = reference_best_candidate(node)
+        path.append((node, idx))
+        node = node.children[idx]
+    return node, path
+
+
+def reference_search_once(root_state, task, prior, lib, model, cfg, streams,
+                          meter, deadline=None, trace=None):
+    """search_once as it was with a separate root, post-expansion and
+    depth-capped rollout; returns the outcome and the name of its exit."""
+    if deadline is None:
+        deadline = meter.elapsed() + cfg.t_max
+    start_time = meter.elapsed()
+
+    def finish(outcome, exit_name):
+        outcome.wall_time = meter.elapsed() - start_time
+        _check_tree(root, outcome, cfg)
+        return outcome, exit_name
+
+    root = TreeNode(model.clone_state(root_state), 0, 0,
+                    is_goal=task.goal_predicate(root_state))
+    nodes_created = 1
+    if root.is_goal:
+        return finish(SearchOutcome(GOAL_PLAN, plan=[], iterations_used=0), "root_goal")
+
+    rollouts_done = 0
+    iterations = 0
+    for it in range(1, cfg.n_mc + 1):
+        if meter.elapsed() >= deadline:
+            break
+        iterations = it
+        record = {"iteration": it, "path": [], "expanded_node_id": None,
+                  "rollout_result": None}
+        if it == 1:
+            success, _, macros = rollout(
+                model, prior, root.sim_state, task, cfg,
+                streams.rng(ROLLOUT, 0, rollouts_done), meter,
+            )
+            rollouts_done += 1
+            if success:
+                out = SearchOutcome(GOAL_PLAN, plan=macros, iterations_used=1,
+                                    nodes_created=nodes_created)
+                _trace(trace, record, meter, rollout_result="goal")
+                return finish(out, "root_rollout_goal")
+            leaf, path = root, []
+        else:
+            leaf, path = reference_select_path(root, cfg)
+        record["path"] = [node.node_id for node, _ in path]
+
+        if leaf.is_goal:
+            out = SearchOutcome(GOAL_PLAN, plan=_path_macros(path, lib),
+                                iterations_used=it, nodes_created=nodes_created)
+            return finish(out, "goal_leaf")
+
+        if leaf.candidates is None and leaf.depth < cfg.d_max:
+            children = expand(
+                leaf, prior, lib, model, task, cfg,
+                streams.rng(PRIOR_QUERY, 0, leaf.node_id),
+                streams.rng(CANDIDATES, 0, leaf.node_id),
+                meter, nodes_created,
+            )
+            nodes_created += len(children)
+            record["expanded_node_id"] = leaf.node_id
+            for idx, child in enumerate(children):
+                if child.is_goal:
+                    plan = _path_macros(path + [(leaf, idx)], lib)
+                    _trace(trace, record, meter, rollout_result="goal_child")
+                    return finish(SearchOutcome(
+                        GOAL_PLAN, plan=plan, iterations_used=it,
+                        nodes_created=nodes_created), "goal_child")
+            ci = reference_best_candidate(leaf)
+            success, _, macros = rollout(
+                model, prior, leaf.children[ci].sim_state, task, cfg,
+                streams.rng(ROLLOUT, 0, rollouts_done), meter,
+            )
+            rollouts_done += 1
+            if success:
+                plan = _path_macros(path + [(leaf, ci)], lib) + macros
+                _trace(trace, record, meter, rollout_result="goal")
+                return finish(SearchOutcome(
+                    GOAL_PLAN, plan=plan, iterations_used=it,
+                    nodes_created=nodes_created), "expansion_rollout_goal")
+            backpropagate(path + [(leaf, ci)])
+            _trace(trace, record, meter, rollout_result="fail")
+        else:
+            success, _, macros = rollout(
+                model, prior, leaf.sim_state, task, cfg,
+                streams.rng(ROLLOUT, 0, rollouts_done), meter,
+            )
+            rollouts_done += 1
+            if success:
+                plan = _path_macros(path, lib) + macros
+                _trace(trace, record, meter, rollout_result="goal")
+                return finish(SearchOutcome(
+                    GOAL_PLAN, plan=plan, iterations_used=it,
+                    nodes_created=nodes_created), "depth_capped_goal")
+            backpropagate(path)
+            _trace(trace, record, meter, rollout_result="fail")
+
+    if root.candidates is None:
+        raise ConfigurationError("search budget exhausted before the root could be expanded")
+    counts = root.visit_counts
+    best = max(range(len(counts)),
+               key=lambda i: (counts[i], float(root.psi[i]), -i))
+    macro = lib.prototypes[root.candidates.indices[best]].copy()
+    return finish(SearchOutcome(
+        BEST_ROOT_MACRO, best_macro=macro, iterations_used=iterations,
+        nodes_created=nodes_created),
+        "budget_spent" if iterations == cfg.n_mc else "deadline_cut")
+
+
+def _search_fingerprint(outcome, meter, trace):
+    plan = [m.tobytes() for m in outcome.plan] if outcome.plan is not None else None
+    best = outcome.best_macro.tobytes() if outcome.best_macro is not None else None
+    return (outcome.kind, plan, best, outcome.iterations_used, outcome.nodes_created,
+            outcome.wall_time, meter.queries, meter.sim_steps, trace.getvalue())
+
+
+def test_search_once_matches_reference_loop(env, model, tasks, library):
+    from vlaps.world import greedy_expert_action
+    priors = [UniformLibraryPrior(library)] + [
+        ScriptedExpertPrior(model, 4, noise) for noise in (0.0, 0.2, 0.3, 0.45, 0.6, 1.0)]
+    exits = collections.Counter()
+    for case in range(400):
+        rng = np.random.default_rng(case)
+        cfg = SearchConfig(
+            n_mc=int(rng.integers(1, 40)), k=int(rng.integers(2, 9)),
+            d_max=int(rng.choice([1, 1, 2, 3, 100])),
+            d_sim_max=int(rng.choice([2, 4, 9, 30])),
+            # at 0.005 the root rollout alone can cross the deadline
+            t_max=float(rng.choice([0.005, 0.02, 0.1, 1e9, 1e9])),
+        )
+        prior = priors[case % len(priors)]
+        task = tasks[case % len(tasks)]
+        # start about one rollout's length from the goal along the expert's
+        # path, where every exit of the search is common
+        state = env.reset(case, task.task_id)
+        path = [state]
+        while not task.goal_predicate(path[-1]):
+            path.append(env.step(path[-1], greedy_expert_action(env, path[-1], task)))
+        state = path[max(0, len(path) - 1 - cfg.d_sim_max - int(rng.integers(0, 6)))]
+        runs = []
+        for fn in (reference_search_once, search_once):
+            meter, trace = CostMeter(cfg), io.StringIO()
+            outcome = fn(state, task, prior, library, model, cfg,
+                         streams=RngFactory(case), meter=meter, trace=trace)
+            if fn is reference_search_once:
+                outcome, exit_name = outcome
+            runs.append(_search_fingerprint(outcome, meter, trace))
+        assert runs[0] == runs[1], (case, exit_name)
+        exits[exit_name] += 1
+    assert "goal_leaf" not in exits
+    for name in ("root_rollout_goal", "goal_child", "expansion_rollout_goal",
+                 "depth_capped_goal", "budget_spent", "deadline_cut"):
+        assert exits[name] >= 10, exits
 
 
 # -- prior outputs ---------------------------------------------------------------

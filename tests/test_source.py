@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import vlaps
@@ -16,3 +17,12 @@ def test_package_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    success, wall_time = capsys.readouterr().out.split()
+    assert success in ("True", "False") and float(wall_time) > 0

@@ -90,6 +90,41 @@ def test_sparse_reward_matches_predicate(env, tasks):
         assert task.reward(state) == (1.0 if task.goal_predicate(state) else 0.0)
 
 
+def _reference_noisy_action(env, state, task, noise, rng):
+    # the noisy-expert rule as ScriptedExpertPrior and run_expert_episode each
+    # wrote it out
+    action = greedy_expert_action(env, state, task)
+    if noise > 0.0 and rng.random() < noise:
+        action = np.array([
+            rng.uniform(-env.max_step, env.max_step),
+            rng.uniform(-env.max_step, env.max_step),
+            rng.uniform(-1.0, 1.0),
+        ])
+    return action
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3, 1.0])
+def test_noisy_expert_keeps_draw_order(env, tasks, noise):
+    for seed, task in enumerate(tasks * 3):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        states, actions, success = run_expert_episode(env, task, seed, noise, 40, rng)
+        state = env.reset(seed, task.task_id)
+        ref_actions = []
+        while len(ref_actions) < 40 and not task.goal_predicate(state):
+            ref_actions.append(_reference_noisy_action(env, state, task, noise, ref_rng))
+            state = env.step(state, ref_actions[-1])
+        assert np.array(ref_actions).tobytes() == actions.tobytes()
+        assert success == task.goal_predicate(state) and len(states) == len(actions)
+        prior = ScriptedExpertPrior(env, 4, noise)
+        macro = prior.sample_macro(env.observe(state), task, rng)
+        ref_rows = []
+        for _ in range(4):
+            ref_rows.append(_reference_noisy_action(env, state, task, noise, ref_rng))
+            state = env.step(state, ref_rows[-1])
+        assert np.array(ref_rows).tobytes() == macro.tobytes()
+        assert rng.random() == ref_rng.random()
+
+
 def test_pick_and_carry(env, tasks):
     task = tasks[0]
     state = env.reset(0, task.task_id)
