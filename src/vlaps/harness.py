@@ -23,7 +23,8 @@ from .world import BlockNavEnv, ScriptedExpertPrior, TaskSpec, run_expert_episod
 METHOD_VLAPS = "vlaps"
 METHOD_PRIOR_ONLY = "prior_only"
 
-CSV_COLUMNS = ["noise", "method", "success_rate", "mean_runtime_s", "n"]
+CSV_COLUMNS = ["noise", "method", "success_rate", "mean_runtime_s",
+               "mean_prior_queries", "n"]
 
 DEFAULT_DEMO_SEEDS = list(range(5))
 
@@ -280,7 +281,8 @@ def parse_summary_csv(path) -> list[dict]:
             "method": cells[1],
             "success_rate": float(cells[2]),
             "mean_runtime_s": float(cells[3]) if cells[3] != "" else None,
-            "n": int(cells[4]),
+            "mean_prior_queries": float(cells[4]),
+            "n": int(cells[5]),
         })
     return rows
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -55,6 +56,10 @@ _CONFIG_KEY_MAP = {
     "sim_step_cost_s": "sim_step_cost_s",
 }
 
+_INT_FIELDS = ("n_mc", "k", "d_sim_max", "horizon", "d_max", "seed")
+_REAL_FIELDS = ("t_max", "alpha_beta", "epsilon_beta", "alpha_psi", "epsilon_psi",
+                "prior_query_cost_s", "sim_step_cost_s")
+
 
 @dataclass
 class SearchConfig:
@@ -75,11 +80,21 @@ class SearchConfig:
     sim_step_cost_s: float = 0.0001
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                    or not 0 <= value < math.inf):
+                raise ConfigurationError(
+                    f"{name} must be a finite non-negative number, got {value!r}")
         if self.n_mc < 0 or self.k < 1 or self.d_sim_max < 1 or self.horizon < 1:
             raise ConfigurationError("n_mc, k, d_sim_max, horizon must be positive")
-        if self.d_max < 1 or self.t_max <= 0 or self.alpha_beta < 0 or self.alpha_psi < 0:
-            raise ConfigurationError("d_max, t_max, alphas must be positive")
-        if not 0.0 <= self.epsilon_beta <= 1.0 or not 0.0 <= self.epsilon_psi <= 1.0:
+        if self.d_max < 1 or self.t_max <= 0:
+            raise ConfigurationError("d_max, t_max must be positive")
+        if self.epsilon_beta > 1.0 or self.epsilon_psi > 1.0:
             raise ConfigurationError("epsilon values must lie in [0,1]")
 
     def to_json(self) -> dict:
@@ -285,9 +300,12 @@ def rollout(
             meter.add_query()
         macro = _query_prior(prior, model, state, task, rng, "in rollout")
         macros.append(macro)
-        state, success, used = step_macro(
-            model, state, macro, task, meter, limit=cfg.d_sim_max - steps
-        )
+        # the goal was tested on ``state`` by the check above or after the
+        # previous macro's last step, so this skips step_macro's start test
+        state, success, used = model.run_macro(
+            state, macro[:cfg.d_sim_max - steps], task)
+        if meter is not None:
+            meter.add_steps(used)
         steps += used
         if success:
             return True, steps, macros

@@ -392,58 +392,81 @@ def step_macro(
 # -- scripted expert ---------------------------------------------------------
 
 _DROP_FRACTION = 0.5  # drop once within this fraction of the region radius
+_TWO_53 = 9007199254740992.0  # 2**53 turns a frexp mantissa into a 53-bit integer
+
+
+def _fused_norm(dx: float, dy: float) -> float:
+    """``np.linalg.norm([dx, dy])`` as ``sqrt(fma(dy, dy, dx*dx))``, bit for bit.
+
+    numpy's 1-D norm is ``sqrt(x.dot(x))``, and the BLAS dot fuses its second
+    multiply-add, so ``math.sqrt(dx*dx + dy*dy)`` and ``math.hypot`` differ
+    from it in the last bit for about 8% of inputs.  Here ``dx*dx`` and the
+    exact ``dy*dy`` are summed as one integer over their mantissas, rounded
+    once by ``float(int)`` and scaled exactly by ``ldexp``; non-finite inputs,
+    and exponents at which the sum could leave the normal range, defer to
+    numpy.
+    """
+    p = dx * dx
+    mp, ep = math.frexp(p)
+    my, ey = math.frexp(dy)
+    if -400 < ep < 400 and -200 < ey < 200 and math.isfinite(p) and math.isfinite(dy):
+        # p == ip * 2**(ep - 53) and dy*dy == iy*iy * 2**(2*ey - 106) exactly
+        ip, iy = int(mp * _TWO_53), int(my * _TWO_53)
+        shift = ep - 2 * ey + 53
+        if shift >= 0:
+            return math.sqrt(math.ldexp(float(iy * iy + (ip << shift)), 2 * ey - 106))
+        return math.sqrt(math.ldexp(float((iy * iy << -shift) + ip), ep - 53))
+    return float(np.linalg.norm(np.array([dx, dy])))
+
+
+def _expert_values(env: BlockNavEnv, v: list, task: TaskSpec) -> tuple[float, float, float]:
+    """The greedy BlockNav controller's ``(dx, dy, g)`` at state values ``v``;
+    a task without ``goal_on_values`` has its ``goal_predicate`` tested."""
+    goal = task.goal_on_values or (lambda w: task.goal_predicate(StateVec(np.array(w))))
+    if goal(v):
+        return 0.0, 0.0, -1.0
+    obj = task.metadata["object_index"]
+    carried = int(v[_CARRIED])
+    if carried == obj:
+        cx, cy = task.metadata["region_center"]
+        dx, dy = cx - v[_RX], cy - v[_RY]
+        reach, grip = env.region_radius * _DROP_FRACTION, 1.0
+    elif carried >= 0:
+        # holding the wrong object: release it
+        return 0.0, 0.0, -1.0
+    else:
+        dx, dy = v[4 + 2 * obj] - v[_RX], v[5 + 2 * obj] - v[_RY]
+        reach, grip = env.pick_radius * 0.8, -1.0
+    norm = _fused_norm(dx, dy)
+    if norm <= reach:
+        # at the region: drop; at the object: close the gripper
+        return 0.0, 0.0, -grip
+    if norm > env.max_step:
+        scale = env.max_step / norm
+        return dx * scale, dy * scale, grip
+    return dx, dy, grip
 
 
 def greedy_expert_action(env: BlockNavEnv, state: StateVec, task: TaskSpec) -> np.ndarray:
     """One step of the deterministic greedy controller for a BlockNav task."""
-    if task.goal_predicate(state):
-        return np.array([0.0, 0.0, -1.0])
-    obj = task.metadata["object_index"]
-    center = np.asarray(task.metadata["region_center"])
-    carried = env.carried_index(state)
-    robot = env.robot_position(state)
-
-    if carried == obj:
-        delta = center - robot
-        if np.linalg.norm(delta) <= env.region_radius * _DROP_FRACTION:
-            return np.array([0.0, 0.0, -1.0])
-        return np.array([*_clip_step(delta, env.max_step), 1.0])
-    if carried >= 0:
-        # holding the wrong object: release it
-        return np.array([0.0, 0.0, -1.0])
-
-    target = env.object_position(state, obj)
-    delta = target - robot
-    if np.linalg.norm(delta) <= env.pick_radius * 0.8:
-        return np.array([0.0, 0.0, 1.0])
-    return np.array([*_clip_step(delta, env.max_step), -1.0])
+    return np.array(_expert_values(env, state.values.tolist(), task))
 
 
-def _clip_step(delta: np.ndarray, max_step: float) -> np.ndarray:
-    norm = float(np.linalg.norm(delta))
-    if norm > max_step:
-        return delta * (max_step / norm)
-    return delta
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    # the arithmetic of rng.uniform(lo, hi) on the same draw, at a quarter of
+    # its call cost
+    return lo + (hi - lo) * rng.random()
 
 
-def _noisy_expert_action(
-    env: BlockNavEnv,
-    state: StateVec,
-    task: TaskSpec,
-    noise_level: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """The greedy action, replaced with probability ``noise_level`` by a
-    uniformly random one.  Draws ``rng.random()`` and then three uniforms,
-    and nothing at noise 0."""
-    action = greedy_expert_action(env, state, task)
+def _noisy_expert_action(env: BlockNavEnv, v: list, task: TaskSpec, noise_level: float,
+                         rng: np.random.Generator) -> tuple[float, float, float]:
+    """The greedy action at state values ``v``, replaced with probability
+    ``noise_level`` by a uniformly random one.  Draws ``rng.random()`` and
+    then three uniforms, and nothing at noise 0."""
     if noise_level > 0.0 and rng.random() < noise_level:
-        action = np.array([
-            rng.uniform(-env.max_step, env.max_step),
-            rng.uniform(-env.max_step, env.max_step),
-            rng.uniform(-1.0, 1.0),
-        ])
-    return action
+        m = env.max_step
+        return _uniform(rng, -m, m), _uniform(rng, -m, m), _uniform(rng, -1.0, 1.0)
+    return _expert_values(env, v, task)
 
 
 class ScriptedExpertPrior:
@@ -464,12 +487,12 @@ class ScriptedExpertPrior:
     def sample_macro(
         self, obs: Observation, task: TaskSpec, rng: np.random.Generator
     ) -> np.ndarray:
-        state = self.env.state_from_observation(obs)
+        env, noise_level = self.env, self.noise_level
+        v = np.asarray(obs.features, dtype=float).tolist()
         rows = []
         for _ in range(self.horizon):
-            action = _noisy_expert_action(
-                self.env, state, task, self.noise_level, rng)
-            state = self.env.step(state, action)
+            action = _noisy_expert_action(env, v, task, noise_level, rng)
+            env._advance(v, *action)
             rows.append(action)
         return np.array(rows)
 
@@ -495,7 +518,7 @@ def run_expert_episode(
     for _ in range(max_steps):
         if success:
             break
-        action = _noisy_expert_action(env, state, task, noise_level, rng)
+        action = _noisy_expert_action(env, state.values.tolist(), task, noise_level, rng)
         states.append(state.values.copy())
         actions.append(action)
         state = env.step(state, action)

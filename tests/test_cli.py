@@ -82,6 +82,15 @@ def test_removed_search_knob_is_config_error(key, tmp_path, capsys):
     assert "configuration error" in err and key in err
 
 
+@pytest.mark.parametrize("key,value", [("k", 2.5), ("T_max", float("nan"))])
+def test_bad_search_value_is_config_error(key, value, tmp_path, capsys):
+    # json writes NaN as a bare token, which json.loads reads back
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps({"search": {"N_mc": 10, key: value}}))
+    assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_missing_input_file_is_io_error(tmp_path, capsys):
     assert main([
         "build-library", "--input", str(tmp_path / "missing.jsonl"),

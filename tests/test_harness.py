@@ -124,9 +124,11 @@ def test_report_files(small_records, tmp_path):
     assert names == {"summary.csv", "summary.json", "success_rate.svg", "runtime.svg"}
     for p in paths:
         assert p.exists() and p.stat().st_size > 0
-    assert parse_summary_csv(tmp_path / "summary.csv") == [
-        {k: row[k] for k in CSV_COLUMNS} for row in rows
-    ]
+    parsed = parse_summary_csv(tmp_path / "summary.csv")
+    assert parsed == [{k: row[k] for k in CSV_COLUMNS} for row in rows]
+    # every summary.json field, mean_prior_queries included, is in the CSV
+    assert set(CSV_COLUMNS) == set(rows[0])
+    assert [r["mean_prior_queries"] for r in parsed] == [r["mean_prior_queries"] for r in rows]
     assert json.loads((tmp_path / "summary.json").read_text()) == rows
     svg = (tmp_path / "success_rate.svg").read_text()
     assert svg.startswith("<svg") and METHOD_VLAPS in svg

@@ -73,6 +73,25 @@ def test_config_rejects_unknown_keys_and_bad_values():
         SearchConfig(k=0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("t_max", math.nan), ("t_max", math.inf), ("alpha_beta", math.nan),
+    ("alpha_psi", math.nan), ("alpha_psi", math.inf), ("epsilon_psi", math.nan),
+    ("prior_query_cost_s", -0.002), ("prior_query_cost_s", math.nan),
+    ("sim_step_cost_s", -1e-4), ("sim_step_cost_s", math.nan), ("sim_step_cost_s", math.inf),
+    ("k", 2.5), ("n_mc", 2.5), ("d_sim_max", 2.5), ("horizon", 2.5), ("d_max", 2.5),
+    ("k", 3.0), ("k", "3"), ("k", True), ("t_max", "10"),
+])
+def test_config_rejects_non_finite_negative_and_non_integer_values(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        SearchConfig(**{field: value})
+
+
+def test_config_accepts_large_budgets_and_numpy_integers():
+    cfg = SearchConfig(t_max=1e9, k=np.int64(4), n_mc=np.int32(7), prior_query_cost_s=0,
+                       sim_step_cost_s=0.0)
+    assert (cfg.t_max, cfg.k, cfg.n_mc) == (1e9, 4, 7)
+
+
 def test_config_fields_all_have_json_keys():
     # every knob round-trips through suite configs; none is settable only in code
     fields = {f.name for f in dataclasses.fields(SearchConfig)}

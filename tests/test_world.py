@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from vlaps.world import (
     ScriptedExpertPrior,
     StateVec,
     TaskSpec,
+    _fused_norm,
+    _uniform,
     greedy_expert_action,
     make_blocknav_env,
     run_expert_episode,
@@ -90,10 +93,45 @@ def test_sparse_reward_matches_predicate(env, tasks):
         assert task.reward(state) == (1.0 if task.goal_predicate(state) else 0.0)
 
 
+# -- the scripted expert against its numpy form -------------------------------
+#
+# The reference functions below are the numpy forms of greedy_expert_action,
+# _clip_step, ScriptedExpertPrior.sample_macro and run_expert_episode that the
+# list-state expert replaced.  The list-state expert must reproduce them bit
+# for bit, draws from the shared generator included.
+
+def reference_clip_step(delta, max_step):
+    norm = float(np.linalg.norm(delta))
+    if norm > max_step:
+        return delta * (max_step / norm)
+    return delta
+
+
+def reference_greedy_expert_action(env, state, task):
+    if task.goal_predicate(state):
+        return np.array([0.0, 0.0, -1.0])
+    obj = task.metadata["object_index"]
+    center = np.asarray(task.metadata["region_center"])
+    carried = env.carried_index(state)
+    robot = env.robot_position(state)
+    if carried == obj:
+        delta = center - robot
+        if np.linalg.norm(delta) <= env.region_radius * 0.5:
+            return np.array([0.0, 0.0, -1.0])
+        return np.array([*reference_clip_step(delta, env.max_step), 1.0])
+    if carried >= 0:
+        return np.array([0.0, 0.0, -1.0])
+    target = env.object_position(state, obj)
+    delta = target - robot
+    if np.linalg.norm(delta) <= env.pick_radius * 0.8:
+        return np.array([0.0, 0.0, 1.0])
+    return np.array([*reference_clip_step(delta, env.max_step), -1.0])
+
+
 def _reference_noisy_action(env, state, task, noise, rng):
     # the noisy-expert rule as ScriptedExpertPrior and run_expert_episode each
     # wrote it out
-    action = greedy_expert_action(env, state, task)
+    action = reference_greedy_expert_action(env, state, task)
     if noise > 0.0 and rng.random() < noise:
         action = np.array([
             rng.uniform(-env.max_step, env.max_step),
@@ -101,6 +139,31 @@ def _reference_noisy_action(env, state, task, noise, rng):
             rng.uniform(-1.0, 1.0),
         ])
     return action
+
+
+def reference_sample_macro(env, horizon, noise, obs, task, rng):
+    state = env.state_from_observation(obs)
+    rows = []
+    for _ in range(horizon):
+        action = _reference_noisy_action(env, state, task, noise, rng)
+        state = env.step(state, action)
+        rows.append(action)
+    return np.array(rows)
+
+
+def reference_run_expert_episode(env, task, seed, noise_level, max_steps, rng):
+    state = env.reset(seed, task.task_id)
+    states, actions = [], []
+    success = task.goal_predicate(state)
+    for _ in range(max_steps):
+        if success:
+            break
+        action = _reference_noisy_action(env, state, task, noise_level, rng)
+        states.append(state.values.copy())
+        actions.append(action)
+        state = env.step(state, action)
+        success = task.goal_predicate(state)
+    return states, np.array(actions).reshape(len(actions), env.action_dim), success
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.3, 1.0])
@@ -590,3 +653,263 @@ def test_custom_predicate_without_list_form_takes_default_path(env, tasks):
     stripped = dataclasses.replace(tasks[0], goal_predicate=robot_right,
                                    goal_on_values=None)
     assert step_macro(env, state, macro, stripped)[1:] == (True, 2)
+
+
+# -- list-state expert: the fused norm, the greedy rule, the prior, episodes ---
+
+def fma_model_norm(dx, dy):
+    """sqrt(fma(dy, dy, dx*dx)) from exact rational arithmetic.
+
+    The sum of the rounded dx*dx and the exact dy*dy is rounded once (float of
+    a Fraction is correctly rounded, subnormals included; past the largest
+    double it is inf, as fma gives); a NaN input gives NaN and otherwise an
+    infinite one gives inf.
+    """
+    if math.isnan(dx) or math.isnan(dy):
+        return math.nan
+    if math.isinf(dx) or math.isinf(dy):
+        return math.inf
+    p = dx * dx
+    if math.isinf(p):
+        return math.inf
+    exact = Fraction(p) + Fraction(dy) ** 2
+    try:
+        return math.sqrt(float(exact))
+    except OverflowError:
+        return math.inf
+
+
+def test_fused_norm_matches_exact_fma_model():
+    tiny, huge = 5e-324, 1.7976931348623157e308
+    specials = [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308, 1e-310, 3e-160,
+                1e-150, 1.2e-150, 7.3e-154, 1e150, 1.3e150, 1.34e154, 1.5e154, huge,
+                0.5, 0.35, 0.3, 1.0, 3.0, math.nan, math.inf, -math.inf]
+    pairs = [(a, b) for a in specials for b in specials]
+    pairs += [(a, -b) for a in specials for b in specials]
+    rng = np.random.default_rng(58)
+    for scale in (1.0, 1e-5, 1e5, 1e-150, 1e150, 1e-160, 1e-300, 1e300):
+        pairs += (rng.normal(0.0, 1.0, size=(2_000, 2)) * scale).tolist()
+    pairs += (rng.uniform(-12.0, 12.0, size=(20_000, 2))).tolist()
+    differs = 0
+    for dx, dy in pairs:
+        expected = fma_model_norm(dx, dy)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _fused_norm(dx, dy)
+            numpy_norm = float(np.linalg.norm(np.array([dx, dy])))
+        if math.isnan(expected):
+            assert math.isnan(got) and math.isnan(numpy_norm), (dx, dy)
+            continue
+        assert got == expected and math.copysign(1.0, got) == 1.0, (dx, dy, got, expected)
+        assert numpy_norm == expected, (dx, dy, numpy_norm, expected)
+        differs += math.sqrt(dx * dx + dy * dy) != expected
+    # the plain scalar norm is wrong in the last bit often enough to matter
+    assert differs > 1_000
+
+
+def random_expert_values(world, task, rng):
+    """State values around the expert's decision boundaries for ``task``.
+
+    The task's object is carried, another object is carried, or none is, and
+    the robot is often near the region centre or the task's object.
+    """
+    values = random_state_values(world, rng)
+    obj = task.metadata["object_index"]
+    others = [i for i in range(world.object_count) if i != obj]
+    carried = rng.choice([-1, obj, others[int(rng.integers(len(others)))]])
+    values[2:4] = (1.0 if carried >= 0 else float(rng.choice([-1.0, 1.0])), float(carried))
+    if rng.random() < 0.6:
+        target = (np.array(task.metadata["region_center"]) if carried == obj
+                  else values[4 + 2 * obj: 6 + 2 * obj])
+        values[0:2] = target + rng.normal(0.0, 0.4, size=2)
+    if carried >= 0:
+        values[4 + 2 * carried: 6 + 2 * carried] = values[0:2]
+    return values
+
+
+def test_expert_action_matches_numpy_reference_random():
+    rng = np.random.default_rng(2025)
+    seen = dict.fromkeys(["target_carried", "wrong_carried", "none_carried", "goal",
+                          "drop", "pick", "release", "clipped", "unclipped"], 0)
+    for world in (BlockNavEnv(), BlockNavEnv(object_count=3)):
+        world_tasks = world.tasks()
+        for _ in range(6_000):
+            task = world_tasks[int(rng.integers(len(world_tasks)))]
+            state = StateVec(random_expert_values(world, task, rng))
+            ref = reference_greedy_expert_action(world, state, task)
+            got = greedy_expert_action(world, state, task)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), state.values
+            obj, carried = task.metadata["object_index"], int(state.values[3])
+            seen["target_carried" if carried == obj else
+                 "wrong_carried" if carried >= 0 else "none_carried"] += 1
+            if task.goal_predicate(state):
+                seen["goal"] += 1
+            elif got[0] == got[1] == 0.0:
+                seen["drop" if carried == obj else "pick" if carried < 0 else "release"] += 1
+            else:
+                moved = float(np.linalg.norm(got[:2]))
+                seen["clipped" if abs(moved - world.max_step) < 1e-12 else "unclipped"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def axis_offset_values(world, task, carried, t):
+    """State values with the expert's target point exactly ``t`` from the
+    robot along one axis, so that every norm is exact, or None.
+
+    The target is the region centre when the task's object is carried, else
+    the object, which is put at x = 0 so that the offset is always exact.
+    """
+    obj = task.metadata["object_index"]
+    values = np.array([5.0, 5.0, -1.0, -1.0] + [9.0, 1.0] * world.object_count)
+    values[4 + 2 * obj: 6 + 2 * obj] = (0.0, 5.0)
+    for axis in (0, 1):
+        for sign in (-1.0, 1.0):
+            target = (np.array(task.metadata["region_center"]) if carried == obj
+                      else values[4 + 2 * obj: 6 + 2 * obj].copy())
+            robot = target.copy()
+            robot[axis] -= sign * t
+            if target[axis] - robot[axis] != sign * t:
+                continue
+            values[0:4] = (*robot, 1.0 if carried >= 0 else -1.0, float(carried))
+            if carried >= 0:
+                values[4 + 2 * carried: 6 + 2 * carried] = robot
+            return values
+    return None
+
+
+def test_expert_action_one_ulp_either_side_of_drop_pick_and_step(env):
+    # the drop radius (carrying the task's object), the pick radius (carrying
+    # nothing) and the step clip at max_step, each at one ulp below, at, and
+    # one ulp above; small worlds put the region centres in fine binades
+    covered = set()
+    for world in (env, BlockNavEnv(extent=1.5), BlockNavEnv(extent=0.5)):
+        for task in world.tasks():
+            obj = task.metadata["object_index"]
+            for carried, reach in [(obj, world.region_radius * 0.5),
+                                   (-1, world.pick_radius * 0.8),
+                                   (obj, world.max_step), (-1, world.max_step)]:
+                ts = (np.nextafter(reach, 0.0), reach, np.nextafter(reach, 1.0))
+                cases = [axis_offset_values(world, task, carried, t) for t in ts]
+                if any(values is None for values in cases):
+                    continue
+                for t, values in zip(ts, cases):
+                    state = StateVec(values)
+                    ref = reference_greedy_expert_action(world, state, task)
+                    got = greedy_expert_action(world, state, task)
+                    assert got.tobytes() == ref.tobytes()
+                    if reach == world.max_step:
+                        # kept at or below max_step, scaled down to it above
+                        assert abs(got[0]) + abs(got[1]) == min(t, world.max_step)
+                    else:
+                        # drop or close the gripper exactly when within reach
+                        at_reach = (0.0, 0.0, -1.0 if carried == obj else 1.0)
+                        assert (tuple(got) == at_reach) == (t <= reach)
+                covered.add((carried >= 0, reach == world.max_step))
+    assert len(covered) == 4, covered
+
+
+def test_expert_action_matches_reference_near_thresholds(env, tasks):
+    # random directions within a few ulps of the drop, pick and step radii,
+    # where the plain scalar norm and numpy's fused one disagree
+    rng = np.random.default_rng(11)
+    outcomes = set()
+    for task in tasks:
+        obj = task.metadata["object_index"]
+        for carried, reach in [(obj, env.region_radius * 0.5), (-1, env.pick_radius * 0.8),
+                               (obj, env.max_step), (-1, env.max_step)]:
+            for theta in rng.uniform(0.0, 2.0 * np.pi, size=400):
+                values = axis_offset_values(env, task, carried, 0.0)
+                target = (np.array(task.metadata["region_center"]) if carried == obj
+                          else values[4 + 2 * obj: 6 + 2 * obj].copy())
+                rx = target[0] - reach * np.cos(theta)
+                for _ in range(int(rng.integers(0, 3))):
+                    rx = np.nextafter(rx, rng.choice([-np.inf, np.inf]))
+                values[0:2] = (rx, target[1] - reach * np.sin(theta))
+                if carried >= 0:
+                    values[4 + 2 * carried: 6 + 2 * carried] = values[0:2]
+                state = StateVec(values)
+                ref = reference_greedy_expert_action(env, state, task)
+                got = greedy_expert_action(env, state, task)
+                assert got.tobytes() == ref.tobytes(), values
+                delta = target - values[0:2]
+                outcomes.add((reach, bool(np.linalg.norm(delta) <= reach)))
+    assert len(outcomes) == 6  # both sides of each of the three radii
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3, 1.0])
+def test_sample_macro_matches_numpy_reference(noise):
+    rng = np.random.default_rng(int(noise * 10) + 40)
+    for world in (BlockNavEnv(), BlockNavEnv(object_count=3)):
+        world_tasks = world.tasks()
+        for horizon in (1, 4, 7):
+            prior = ScriptedExpertPrior(world, horizon, noise)
+            for case in range(150):
+                task = world_tasks[case % len(world_tasks)]
+                obs = world.observe(StateVec(random_expert_values(world, task, rng)))
+                draws, ref_draws = (np.random.default_rng(case) for _ in range(2))
+                got = prior.sample_macro(obs, task, draws)
+                ref = reference_sample_macro(world, horizon, noise, obs, task, ref_draws)
+                assert got.shape == ref.shape == (horizon, 3)
+                assert got.tobytes() == ref.tobytes()
+                assert draws.random() == ref_draws.random()
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3, 1.0])
+def test_run_expert_episode_matches_numpy_reference(noise):
+    for world in (BlockNavEnv(), BlockNavEnv(object_count=3)):
+        for seed, task in enumerate(world.tasks() * 4):
+            draws, ref_draws = np.random.default_rng(seed), np.random.default_rng(seed)
+            states, actions, success = run_expert_episode(world, task, seed, noise, 60, draws)
+            ref_states, ref_actions, ref_success = reference_run_expert_episode(
+                world, task, seed, noise, 60, ref_draws)
+            assert success == ref_success
+            assert actions.shape == ref_actions.shape
+            assert actions.tobytes() == ref_actions.tobytes()
+            assert np.array(states).tobytes() == np.array(ref_states).tobytes()
+            assert draws.random() == ref_draws.random()
+
+
+def test_expert_on_custom_tasks_matches_reference(env, tasks):
+    # a task without a list form keeps its own predicate, including one that
+    # differs from the region test, and a custom list form is honoured
+    def near_centre(state):
+        return bool(np.linalg.norm(state.values[0:2] - 5.0) <= 1.5)
+
+    def near_centre_values(v):
+        return bool(np.linalg.norm(np.array(v[0:2]) - 5.0) <= 1.5)
+
+    custom = []
+    for task in tasks:
+        custom += [
+            dataclasses.replace(task, goal_on_values=None),
+            dataclasses.replace(task, goal_predicate=near_centre, goal_on_values=None),
+            dataclasses.replace(task, goal_predicate=near_centre,
+                                goal_on_values=near_centre_values),
+        ]
+    rng = np.random.default_rng(5)
+    goals = 0
+    for i in range(1_800):
+        task = custom[i % len(custom)]
+        state = StateVec(random_expert_values(env, task, rng))
+        ref = reference_greedy_expert_action(env, state, task)
+        assert greedy_expert_action(env, state, task).tobytes() == ref.tobytes()
+        goals += task.goal_predicate(state)
+        noise = (0.0, 0.3, 1.0)[i % 3]
+        draws, ref_draws = np.random.default_rng(i), np.random.default_rng(i)
+        obs = env.observe(state)
+        got = ScriptedExpertPrior(env, 4, noise).sample_macro(obs, task, draws)
+        assert got.tobytes() == reference_sample_macro(
+            env, 4, noise, obs, task, ref_draws).tobytes()
+        assert draws.random() == ref_draws.random()
+    assert goals >= 50
+
+
+@pytest.mark.parametrize("lo,hi", [(-0.5, 0.5), (-0.37, 0.37), (-1.0, 1.0), (-0.35, 0.35)])
+def test_uniform_matches_rng_uniform_stream(lo, hi):
+    # the expert's noise draws replace rng.uniform(lo, hi) with its own
+    # arithmetic on rng.random(); both must give the same values and leave
+    # the generator in the same place
+    draws, ref_draws = np.random.default_rng(77), np.random.default_rng(77)
+    got = [_uniform(draws, lo, hi) for _ in range(100_000)]
+    ref = [ref_draws.uniform(lo, hi) for _ in range(100_000)]
+    assert got == ref
+    assert draws.random() == ref_draws.random()
