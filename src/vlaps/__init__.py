@@ -19,7 +19,6 @@ from .macrolib import (
     MacroLibrary,
     Trajectory,
     build_library,
-    rho,
     segment_trajectories,
 )
 from .prior import (
@@ -82,7 +81,6 @@ __all__ = [
     "make_blocknav_env",
     "psi_prior",
     "render_report",
-    "rho",
     "run_episode",
     "run_suite",
     "sample_candidates",

@@ -214,10 +214,14 @@ def write_records(records: list[RunRecord], path) -> None:
 def load_records(path) -> list[RunRecord]:
     records = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                records.append(RunRecord(**json.loads(line)))
+                data = json.loads(line)
+                try:
+                    records.append(RunRecord(**data))
+                except TypeError as exc:
+                    raise ConfigurationError(f"{path}:{lineno}: bad record ({exc})") from exc
     return records
 
 

@@ -20,6 +20,7 @@ from .errors import (
     ConfigurationError,
     ContractViolationError,
     DegenerateLibraryError,
+    VlapsError,
 )
 
 LIBRARY_FORMAT_VERSION = 1
@@ -69,18 +70,21 @@ def save_trajectories(trajs: Iterable[Trajectory], path) -> None:
 def load_trajectories(path) -> list[Trajectory]:
     groups: dict[int, dict] = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             rec = json.loads(line)
-            g = groups.setdefault(
-                rec["traj_id"],
-                {"states": [], "actions": [], "success": rec["success"],
-                 "task_id": rec.get("task_id", "")},
-            )
-            g["states"].append(np.asarray(rec["state"], dtype=float))
-            g["actions"].append(rec["action"])
+            try:
+                g = groups.setdefault(
+                    rec["traj_id"],
+                    {"states": [], "actions": [], "success": rec["success"],
+                     "task_id": rec.get("task_id", "")},
+                )
+                g["states"].append(np.asarray(rec["state"], dtype=float))
+                g["actions"].append(rec["action"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigurationError(f"{path}:{lineno}: bad trajectory ({exc!r})") from exc
     return [
         Trajectory(g["states"], np.asarray(g["actions"]), g["success"], g["task_id"])
         for _, g in sorted(groups.items())
@@ -103,27 +107,6 @@ def segment_trajectories(trajs: Iterable[Trajectory], horizon: int) -> list[np.n
         for c in range(count):
             macros.append(traj.actions[c * horizon:(c + 1) * horizon].copy())
     return macros
-
-
-def rho(
-    u1: np.ndarray,
-    u2: np.ndarray,
-    per_dim_mean: Optional[np.ndarray] = None,
-    per_dim_std: Optional[np.ndarray] = None,
-) -> float:
-    """Euclidean distance between flattened macro-actions.
-
-    When normalization statistics are given, both macros are standardized per
-    action dimension first (scale-invariant coordinates).
-    """
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    if u1.shape != u2.shape or u1.ndim != 2:
-        raise ContractViolationError(f"macro shapes differ: {u1.shape} vs {u2.shape}")
-    if per_dim_mean is not None:
-        u1 = (u1 - per_dim_mean) / per_dim_std
-        u2 = (u2 - per_dim_mean) / per_dim_std
-    return float(np.linalg.norm((u1 - u2).ravel()))
 
 
 @dataclass(frozen=True)
@@ -167,7 +150,8 @@ class MacroLibrary:
         return (np.asarray(macros, dtype=float) - self.per_dim_mean) / self.per_dim_std
 
     def distances_to(self, macro: np.ndarray) -> np.ndarray:
-        """Vector of rho(prototype_i, macro) over the whole library."""
+        """Distance from every prototype to ``macro``: the Euclidean norm of
+        the flattened difference, each action dimension standardized first."""
         macro = np.asarray(macro, dtype=float)
         if macro.shape != self.prototypes.shape[1:]:
             raise ContractViolationError(
@@ -207,7 +191,11 @@ class MacroLibrary:
 
     @classmethod
     def load(cls, path) -> "MacroLibrary":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        data = json.loads(Path(path).read_text())
+        try:
+            return cls.from_json(data)
+        except (AttributeError, KeyError, TypeError, ValueError, VlapsError) as exc:
+            raise ConfigurationError(f"{path}: bad macro library ({exc!r})") from exc
 
 
 def build_library(

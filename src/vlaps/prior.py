@@ -1,9 +1,10 @@
 """The prior-policy surface: candidate sampling and selection priors.
 
-``beta_distribution`` is the epsilon-smoothed softmax over negative scaled
-distances to the prior's suggested macro; it governs which library prototypes
-become a node's candidates.  ``psi_prior`` is the pure softmax restricted to a
-node's candidate set; it governs visit allocation during selection.
+Both priors are one rule, ``beta_distribution``: an epsilon-smoothed softmax
+over negative scaled distances to the prior's suggested macro.  Over the whole
+library (``alpha_beta``, ``epsilon_beta``) it decides which prototypes become a
+node's candidates; as ``psi_prior``, over the candidates' distances
+(``alpha_psi``, ``epsilon_psi``, by default 0), it allocates visits among them.
 """
 
 from __future__ import annotations
@@ -40,30 +41,12 @@ class PriorPolicy(Protocol):
     ) -> np.ndarray: ...
 
 
-@dataclass
-class VectorChecks:
-    """Running tally of probability-vector validations (used by the test suite)."""
-
-    produced: int = 0
-    violations: int = 0
-
-    def reset(self) -> None:
-        self.produced = 0
-        self.violations = 0
-
-
-VECTOR_CHECKS = VectorChecks()
-
-
-def _validated(probs: np.ndarray, epsilon: float, support: int) -> np.ndarray:
-    VECTOR_CHECKS.produced += 1
-    ok = (
+def _validated(probs: np.ndarray, epsilon: float) -> np.ndarray:
+    if not (
         np.all(probs >= 0.0)
         and abs(float(probs.sum()) - 1.0) <= _SUM_TOL
-        and (epsilon <= 0.0 or float(probs.min()) >= epsilon / support - _FLOOR_TOL)
-    )
-    if not ok:
-        VECTOR_CHECKS.violations += 1
+        and (epsilon <= 0.0 or float(probs.min()) >= epsilon / len(probs) - _FLOOR_TOL)
+    ):
         raise ContractViolationError(
             f"invalid probability vector: sum={probs.sum()}, min={probs.min()}"
         )
@@ -76,44 +59,42 @@ def _shifted_softmax(neg_scaled: np.ndarray) -> np.ndarray:
     return weights / weights.sum()
 
 
-def beta_distribution(
-    lib: MacroLibrary, anchor: np.ndarray, alpha: float, epsilon: float
-) -> np.ndarray:
-    """Candidate-sampling distribution over the whole library.
+def beta_distribution(dists: np.ndarray, alpha: float, epsilon: float) -> np.ndarray:
+    """The prior rule over a vector of macro distances.
 
-    ``probs[i] = (1-eps) * softmax_i(-alpha * rho(u_i, anchor)) + eps/m``,
-    with the softmax computed under a max-shift for stability.
+    ``probs[i] = (1-eps) * softmax_i(-alpha * dists[i]) + eps/len(dists)``,
+    with the softmax computed under a max-shift for stability.  At
+    ``eps = 0`` this is the softmax itself, bit for bit.
     """
     if alpha < 0:
         raise ConfigurationError(f"alpha must be >= 0, got {alpha}")
     if not 0.0 <= epsilon <= 1.0:
         raise ConfigurationError(f"epsilon must be in [0,1], got {epsilon}")
-    dists = lib.distances_to(anchor)
-    probs = (1.0 - epsilon) * _shifted_softmax(-alpha * dists) + epsilon / lib.m
-    return _validated(probs, epsilon, lib.m)
+    if len(dists) == 0:
+        raise ContractViolationError("cannot build a prior over no macros")
+    probs = (1.0 - epsilon) * _shifted_softmax(-alpha * dists) + epsilon / len(dists)
+    return _validated(probs, epsilon)
+
+
+# the selection prior: the same rule over a node's candidates' distances
+psi_prior = beta_distribution
 
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """A node's fixed macro-action candidates: library indices plus the anchor."""
+    """A node's fixed macro-action candidates: distinct library indices."""
 
     indices: tuple[int, ...]
-    anchor: np.ndarray
 
     def __post_init__(self):
         if len(set(self.indices)) != len(self.indices):
             raise ContractViolationError("candidate indices must be distinct")
-        anchor = np.asarray(self.anchor, dtype=float)
-        anchor.setflags(write=False)
-        object.__setattr__(self, "anchor", anchor)
 
     def __len__(self) -> int:
         return len(self.indices)
 
 
-def sample_candidates(
-    dist: np.ndarray, k: int, rng: np.random.Generator, anchor: np.ndarray
-) -> CandidateSet:
+def sample_candidates(dist: np.ndarray, k: int, rng: np.random.Generator) -> CandidateSet:
     """Draw k distinct library indices from ``dist`` by rejection sampling.
 
     Each draw is one categorical sample, and a repeat is rejected and drawn
@@ -164,29 +145,7 @@ def sample_candidates(
                 chosen.append(idx)
             if len(chosen) == k:
                 break
-    return CandidateSet(tuple(chosen), anchor)
-
-
-def psi_prior(
-    candidates: CandidateSet,
-    lib: MacroLibrary,
-    anchor: np.ndarray,
-    alpha_psi: float,
-    epsilon_psi: float = 0.0,
-) -> np.ndarray:
-    """Selection prior over a candidate set: softmax of scaled anchor distances.
-
-    By default there is no epsilon-uniform term (exploration among candidates
-    is handled by the visit-count term of the selection score); a nonzero
-    ``epsilon_psi`` restores one.
-    """
-    if len(candidates) == 0:
-        raise ContractViolationError("candidate set is empty")
-    dists = lib.distances_to(np.asarray(anchor, dtype=float))[list(candidates.indices)]
-    probs = _shifted_softmax(-alpha_psi * dists)
-    if epsilon_psi > 0.0:
-        probs = (1.0 - epsilon_psi) * probs + epsilon_psi / len(candidates)
-    return _validated(probs, epsilon_psi, len(candidates))
+    return CandidateSet(tuple(chosen))
 
 
 class UniformLibraryPrior:
@@ -208,10 +167,9 @@ class LineProtocolPrior:
     Response: ``{"macro": [[...], ...]}`` (an H x n array)
     """
 
-    def __init__(self, writer, reader, action_dim: int | None = None):
+    def __init__(self, writer, reader):
         self._writer = writer
         self._reader = reader
-        self.action_dim = action_dim
 
     def sample_macro(
         self, obs: Observation, task: TaskSpec, rng: np.random.Generator
@@ -226,19 +184,14 @@ class LineProtocolPrior:
         if not line:
             raise PriorQueryError("external prior closed the stream")
         try:
-            macro = np.asarray(json.loads(line)["macro"], dtype=float)
+            return np.asarray(json.loads(line)["macro"], dtype=float)
         except (KeyError, ValueError, json.JSONDecodeError) as exc:
             raise PriorQueryError(f"malformed prior response: {line!r}") from exc
-        if macro.ndim != 2 or (
-            self.action_dim is not None and macro.shape[1] != self.action_dim
-        ):
-            raise PriorQueryError(f"prior returned macro of shape {macro.shape}")
-        return macro
 
 
-def subprocess_prior(cmd: list[str], action_dim: int | None = None):
+def subprocess_prior(cmd: list[str]):
     """Spawn an external prior process; returns (prior, process)."""
     proc = subprocess.Popen(
         cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, bufsize=1
     )
-    return LineProtocolPrior(proc.stdin, proc.stdout, action_dim=action_dim), proc
+    return LineProtocolPrior(proc.stdin, proc.stdout), proc

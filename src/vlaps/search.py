@@ -247,9 +247,10 @@ def expand(
 ) -> list[TreeNode]:
     """Create the node's k candidate children.
 
-    Queries the prior exactly once for the anchor macro, samples the fixed
-    candidate set from the library, computes the selection prior, and steps
-    the world model through each candidate macro.
+    Queries the prior exactly once for the anchor macro and measures the
+    library's distances to it once.  Samples the fixed candidate set by the
+    prior rule over all of them, takes the selection prior over the
+    candidates' own, and steps the world model through each candidate macro.
     """
     if node.candidates is not None:
         raise ContractViolationError("node is already expanded")
@@ -258,9 +259,11 @@ def expand(
     meter.add_query()
     anchor = _query_prior(prior, model, node.sim_state, task, rng_query,
                           f"in expand at depth {node.depth}")
-    dist = beta_distribution(lib, anchor, cfg.alpha_beta, cfg.epsilon_beta)
-    node.candidates = sample_candidates(dist, cfg.k, rng_sample, anchor=anchor)
-    node.psi = psi_prior(node.candidates, lib, anchor, cfg.alpha_psi, cfg.epsilon_psi)
+    dists = lib.distances_to(anchor)
+    dist = beta_distribution(dists, cfg.alpha_beta, cfg.epsilon_beta)
+    node.candidates = sample_candidates(dist, cfg.k, rng_sample)
+    node.psi = psi_prior(dists[list(node.candidates.indices)], cfg.alpha_psi,
+                         cfg.epsilon_psi)
     node.visit_counts = np.zeros(cfg.k, dtype=np.int64)
 
     children = []

@@ -9,6 +9,7 @@ noise) flows through explicitly passed generators.
 from __future__ import annotations
 
 import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -51,10 +52,6 @@ class TaskSpec:
     goal_predicate: Callable[[StateVec], bool]
     metadata: dict = field(default_factory=dict)
     goal_on_values: Optional[Callable[[list], bool]] = None
-
-    def reward(self, state: StateVec) -> float:
-        """Sparse reward: 1 exactly on goal states, 0 elsewhere."""
-        return 1.0 if self.goal_predicate(state) else 0.0
 
     def to_json(self) -> dict:
         return {
@@ -140,10 +137,19 @@ class BlockNavEnv(WorldModel):
         region_radius: float = 0.6,
         jitter: float = 0.3,
     ):
-        if extent <= 0:
-            raise ConfigurationError(f"extent must be positive, got {extent}")
-        if object_count < 1:
-            raise ConfigurationError(f"object_count must be >= 1, got {object_count}")
+        reals = {"extent": extent, "max_step": max_step, "pick_radius": pick_radius,
+                 "region_radius": region_radius, "jitter": jitter}
+        for name, value in reals.items():
+            # only the jitter may be 0; NaN fails the range test
+            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                    or not 0 <= value < math.inf or (value == 0 and name != "jitter")):
+                bound = ">= 0" if name == "jitter" else "> 0"
+                raise ConfigurationError(
+                    f"{name} must be a finite number {bound}, got {value!r}")
+        if (not isinstance(object_count, numbers.Integral) or isinstance(object_count, bool)
+                or object_count < 1):
+            raise ConfigurationError(
+                f"object_count must be an integer >= 1, got {object_count!r}")
         self.extent = float(extent)
         self.object_count = int(object_count)
         self.max_step = float(max_step)
@@ -242,21 +248,6 @@ class BlockNavEnv(WorldModel):
 
     def observe(self, state: StateVec) -> Observation:
         return Observation(state.values.copy())
-
-    # -- accessors ---------------------------------------------------------
-
-    def robot_position(self, state: StateVec) -> np.ndarray:
-        return state.values[_RX:_RY + 1].copy()
-
-    def object_position(self, state: StateVec, index: int) -> np.ndarray:
-        return state.values[4 + 2 * index: 6 + 2 * index].copy()
-
-    def carried_index(self, state: StateVec) -> int:
-        return int(state.values[_CARRIED])
-
-    def state_from_observation(self, obs: Observation) -> StateVec:
-        # the desk-scale observation is the full state vector
-        return StateVec(np.asarray(obs.features, dtype=float).copy(), step_count=0)
 
     def _nearest_object(self, values: list) -> int:
         """Index of the object nearest the robot if within ``pick_radius``, else -1.
@@ -366,11 +357,9 @@ def step_macro(
     macro: np.ndarray,
     task: TaskSpec,
     meter=None,
-    limit: float = math.inf,
 ) -> tuple[StateVec, bool, int]:
     """Apply the rows of a macro-action in order, stopping early on goal.
 
-    Applies at most ``limit`` rows (an int, or ``math.inf`` for all of them).
     Returns the resulting state, whether the goal predicate held, and the
     number of primitives actually applied, which is also charged to ``meter``.
     """
@@ -381,8 +370,6 @@ def step_macro(
         )
     if task.goal_predicate(state):
         return state, True, 0
-    if limit < len(macro):
-        macro = macro[:max(0, limit)]
     state, success, steps = model.run_macro(state, macro, task)
     if meter is not None:
         meter.add_steps(steps)

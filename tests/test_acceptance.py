@@ -22,7 +22,7 @@ from vlaps.harness import (
     run_suite,
     write_records,
 )
-from vlaps.macrolib import MacroLibrary, build_library, rho
+from vlaps.macrolib import MacroLibrary, build_library
 from vlaps.prior import UniformLibraryPrior, beta_distribution
 from vlaps.rngutil import RngFactory, stable_hash
 from vlaps.search import GOAL_PLAN, SearchConfig, replay_plan, search_once
@@ -55,12 +55,31 @@ def _trend_config():
 
 @pytest.fixture(scope="module")
 def trend_run(library):
-    prior_mod.VECTOR_CHECKS.reset()
-    start = time.perf_counter()
-    records = run_suite(_trend_config(), library=library)
-    elapsed = time.perf_counter() - start
-    checks = (prior_mod.VECTOR_CHECKS.produced, prior_mod.VECTOR_CHECKS.violations)
-    return records, aggregate(records), elapsed, checks
+    # a spy on the package's vector check re-checks every probability vector
+    # the trend suite produces: non-negative, normalized, and the eps floor
+    checks = [0, 0]
+    validated = prior_mod._validated
+
+    def spy(probs, epsilon):
+        values = probs.tolist()
+        ok = (min(values) >= 0.0 and abs(math.fsum(values) - 1.0) <= 1e-9
+              and (epsilon <= 0.0 or min(values) >= epsilon / len(values) - 1e-12))
+        checks[0] += 1
+        checks[1] += not ok
+        return validated(probs, epsilon)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prior_mod, "_validated", spy)
+        start = time.perf_counter()
+        records = run_suite(_trend_config(), library=library)
+        elapsed = time.perf_counter() - start
+    return records, aggregate(records), elapsed, tuple(checks)
+
+
+def _standardized(macro, mean, std):
+    """A macro's entries as Python floats, each action dimension standardized."""
+    return [(a - mu) / sd
+            for row in macro.tolist() for a, mu, sd in zip(row, mean.tolist(), std.tolist())]
 
 
 def test_criterion_1_distribution_oracle_equivalence():
@@ -79,10 +98,12 @@ def test_criterion_1_distribution_oracle_equivalence():
         alpha = float(rng.uniform(0.0, 20.0))
         epsilon = float(rng.uniform(0.0, 1.0))
 
-        probs = beta_distribution(lib, anchor, alpha, epsilon)
+        probs = beta_distribution(lib.distances_to(anchor), alpha, epsilon)
 
-        # independent scalar transcription of the mixture
-        dists = [rho(p, anchor, mean, std) for p in protos]
+        # independent scalar transcription of the distances and the mixture
+        target = _standardized(anchor, mean, std)
+        dists = [math.sqrt(sum((a - b) ** 2 for a, b in zip(_standardized(p, mean, std), target)))
+                 for p in protos]
         weights = [math.exp(-alpha * d) for d in dists]
         total = sum(weights)
         oracle = [(1 - epsilon) * w / total + epsilon / m for w in weights]
@@ -110,7 +131,7 @@ def test_criterion_3_prior_proportional_allocation():
     rng = np.random.default_rng(0)
     psi = rng.dirichlet(np.ones(10))
     node = TreeNode(StateVec(np.zeros(1)), 0, 0)
-    node.candidates = CandidateSet(tuple(range(10)), np.zeros((1, 1)))
+    node.candidates = CandidateSet(tuple(range(10)))
     node.psi = psi
     node.visit_counts = np.zeros(10, dtype=np.int64)
     for _ in range(10_000):

@@ -107,3 +107,45 @@ def test_malformed_config_json_is_io_error(tmp_path, capsys):
 
 def test_report_missing_records_is_config_error(tmp_path, capsys):
     assert main(["report", "--records", str(tmp_path)]) == EXIT_CONFIG
+
+
+# -- malformed input files -------------------------------------------------------
+
+def test_record_with_unknown_key_is_config_error(tmp_path, capsys):
+    record = {"task_id": "t", "noise_level": 0.0, "method": "vlaps", "seed": 0,
+              "success": True, "wall_time": 1.0, "iterations": 3, "prior_queries": 4}
+    lines = [json.dumps(record), json.dumps({**record, "bogus": 1})]
+    (tmp_path / "records.jsonl").write_text("\n".join(lines) + "\n")
+    assert main(["report", "--records", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "records.jsonl:2" in err and "bogus" in err
+
+
+def test_trajectory_without_success_is_config_error(tmp_path, capsys):
+    path = tmp_path / "trajs.jsonl"
+    path.write_text(json.dumps({"traj_id": 0, "state": [0.0], "action": [0.0, 0.0, 1.0]}) + "\n")
+    assert main(["build-library", "--input", str(path), "--size", "2",
+                 "--out", str(tmp_path / "lib.json")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "trajs.jsonl:1" in err and "success" in err
+
+
+def test_library_without_prototypes_is_config_error(tmp_path, monkeypatch, capsys):
+    lib_path = tmp_path / "lib.json"
+    lib_path.write_text(json.dumps({"format_version": 1, "H": 4, "n": 3, "m": 2,
+                                    "per_dim_mean": [0.0] * 3, "per_dim_std": [1.0] * 3}))
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps({"library_path": str(lib_path), "seeds": [0]}))
+    monkeypatch.setenv("VLAPS_OUTPUT_ROOT", str(tmp_path))
+    assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "lib.json" in err and "prototypes" in err
+
+
+def test_nan_extent_is_config_error(tmp_path, monkeypatch, capsys):
+    # a NaN extent would otherwise surface as a bad prior or too few macros
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps({"extent": float("nan"), "seeds": [0]}))
+    monkeypatch.setenv("VLAPS_OUTPUT_ROOT", str(tmp_path))
+    assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert "extent" in capsys.readouterr().err

@@ -18,7 +18,6 @@ from vlaps.macrolib import (
     Trajectory,
     build_library,
     load_trajectories,
-    rho,
     save_trajectories,
     segment_trajectories,
 )
@@ -29,6 +28,16 @@ def _traj(n_steps, success=True, task_id="t"):
     actions = rng.normal(size=(n_steps, 3))
     states = [rng.normal(size=4) for _ in range(n_steps)]
     return Trajectory(states, actions, success, task_id)
+
+
+def rho(u1, u2, per_dim_mean=None, per_dim_std=None):
+    """The macro distance rho(u1, u2) as the library measures it: from the one
+    prototype u1 to u2, with identity statistics unless others are given."""
+    dim = np.shape(u1)[-1]
+    lib = MacroLibrary(np.asarray([u1], dtype=float),
+                       np.zeros(dim) if per_dim_mean is None else per_dim_mean,
+                       np.ones(dim) if per_dim_std is None else per_dim_std)
+    return float(lib.distances_to(u2)[0])
 
 
 def test_rho_identity_and_example():

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import textwrap
@@ -27,6 +28,11 @@ def identity_library(values):
     return MacroLibrary(protos, np.zeros(1), np.ones(1))
 
 
+def beta(lib, anchor, alpha, epsilon):
+    """The sampling prior over ``lib`` around ``anchor``, as expand takes it."""
+    return beta_distribution(lib.distances_to(anchor), alpha, epsilon)
+
+
 def naive_beta(values, anchor, alpha, epsilon):
     """Direct scalar transcription of the sampling distribution."""
     dists = [abs(v - anchor) for v in values]
@@ -37,19 +43,19 @@ def naive_beta(values, anchor, alpha, epsilon):
 
 def test_epsilon_one_is_uniform():
     lib = identity_library([0.0, 1.0, 2.0, 5.0])
-    probs = beta_distribution(lib, np.array([[0.0]]), alpha=10.0, epsilon=1.0)
+    probs = beta(lib, np.array([[0.0]]), alpha=10.0, epsilon=1.0)
     assert np.allclose(probs, 0.25)
 
 
 def test_alpha_zero_is_uniform():
     lib = identity_library([0.0, 1.0, 2.0])
-    probs = beta_distribution(lib, np.array([[0.7]]), alpha=0.0, epsilon=0.0)
+    probs = beta(lib, np.array([[0.7]]), alpha=0.0, epsilon=0.0)
     assert np.allclose(probs, 1.0 / 3.0)
 
 
 def test_beta_matches_scalar_oracle_example():
     lib = identity_library([0.0, 1.0, 2.0])
-    probs = beta_distribution(lib, np.array([[0.0]]), alpha=1.0, epsilon=0.0)
+    probs = beta(lib, np.array([[0.0]]), alpha=1.0, epsilon=0.0)
     oracle = naive_beta([0.0, 1.0, 2.0], 0.0, 1.0, 0.0)
     assert np.allclose(probs, oracle, atol=1e-12)
     assert np.allclose(probs, [0.6652, 0.2447, 0.0900], atol=5e-4)
@@ -63,16 +69,18 @@ def test_beta_oracle_equivalence_random():
         alpha = float(rng.uniform(0, 20))
         epsilon = float(rng.uniform(0, 1))
         lib = identity_library(values)
-        probs = beta_distribution(lib, np.array([[anchor]]), alpha, epsilon)
+        probs = beta(lib, np.array([[anchor]]), alpha, epsilon)
         assert np.max(np.abs(probs - naive_beta(values, anchor, alpha, epsilon))) < 1e-12
 
 
 def test_beta_invalid_params():
     lib = identity_library([0.0, 1.0])
     with pytest.raises(ConfigurationError):
-        beta_distribution(lib, np.array([[0.0]]), alpha=-1.0, epsilon=0.0)
+        beta(lib, np.array([[0.0]]), alpha=-1.0, epsilon=0.0)
     with pytest.raises(ConfigurationError):
-        beta_distribution(lib, np.array([[0.0]]), alpha=1.0, epsilon=1.5)
+        beta(lib, np.array([[0.0]]), alpha=1.0, epsilon=1.5)
+    with pytest.raises(ContractViolationError):
+        beta_distribution(np.zeros(0), alpha=1.0, epsilon=0.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -83,7 +91,7 @@ def test_beta_invalid_params():
 )
 def test_epsilon_floor_and_normalization(values, alpha, epsilon):
     lib = identity_library(values)
-    probs = beta_distribution(lib, np.array([[values[0]]]), alpha, epsilon)
+    probs = beta(lib, np.array([[values[0]]]), alpha, epsilon)
     assert abs(probs.sum() - 1.0) <= 1e-9
     assert probs.min() >= epsilon / lib.m - 1e-12
 
@@ -96,36 +104,35 @@ def test_temperature_monotonicity():
     nearest = int(np.argmin(np.abs(values - anchor)))
     last = -1.0
     for alpha in [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0]:
-        probs = beta_distribution(lib, np.array([[anchor]]), alpha, epsilon=0.1)
+        probs = beta(lib, np.array([[anchor]]), alpha, epsilon=0.1)
         assert probs[nearest] >= last - 1e-12
         last = probs[nearest]
 
 
 def test_sample_candidates_exhaustion():
     lib = identity_library([0.0, 1.0, 2.0, 3.0])
-    probs = beta_distribution(lib, np.array([[0.0]]), alpha=5.0, epsilon=0.1)
-    cands = sample_candidates(probs, 4, np.random.default_rng(0), np.array([[0.0]]))
+    probs = beta(lib, np.array([[0.0]]), alpha=5.0, epsilon=0.1)
+    cands = sample_candidates(probs, 4, np.random.default_rng(0))
     assert sorted(cands.indices) == [0, 1, 2, 3]
 
 
 def test_sample_candidates_too_many():
     probs = np.full(3, 1 / 3)
     with pytest.raises(ConfigurationError):
-        sample_candidates(probs, 4, np.random.default_rng(0), np.zeros((1, 1)))
+        sample_candidates(probs, 4, np.random.default_rng(0))
 
 
 def test_sample_candidates_deterministic():
     probs = np.array([0.5, 0.3, 0.1, 0.1])
-    anchor = np.zeros((1, 1))
-    a = sample_candidates(probs, 2, np.random.default_rng(7), anchor)
-    b = sample_candidates(probs, 2, np.random.default_rng(7), anchor)
+    a = sample_candidates(probs, 2, np.random.default_rng(7))
+    b = sample_candidates(probs, 2, np.random.default_rng(7))
     assert a.indices == b.indices
 
 
 def test_sample_candidates_point_mass_fallback():
     # a near-degenerate distribution still yields k distinct indices
     probs = np.array([1.0 - 3e-12, 1e-12, 1e-12, 1e-12])
-    cands = sample_candidates(probs, 3, np.random.default_rng(0), np.zeros((1, 1)))
+    cands = sample_candidates(probs, 3, np.random.default_rng(0))
     assert len(set(cands.indices)) == 3
     assert 0 in cands.indices
 
@@ -137,42 +144,45 @@ def test_nearest_prototype_frequency_grows_with_alpha():
     lib = identity_library(values)
     anchor = np.array([[2.1]])
     nearest = 2
-    probs = beta_distribution(lib, anchor, alpha=50.0, epsilon=0.1)
+    probs = beta(lib, anchor, alpha=50.0, epsilon=0.1)
     hits = 0
     trials = 10_000
     sampler = np.random.default_rng(0)
     for _ in range(trials):
-        cands = sample_candidates(probs, 3, sampler, anchor)
+        cands = sample_candidates(probs, 3, sampler)
         hits += nearest in cands.indices
     assert hits / trials >= 0.99
 
 
 def test_candidate_set_immutable():
-    anchor = np.array([[1.0]])
-    cands = CandidateSet((0, 2), anchor)
-    with pytest.raises(ValueError):
-        cands.anchor[0, 0] = 5.0
+    cands = CandidateSet((0, 2))
     with pytest.raises(AttributeError):
         cands.indices = (1,)
     with pytest.raises(ContractViolationError):
-        CandidateSet((0, 0), anchor)
+        CandidateSet((0, 0))
+
+
+def psi(cands, lib, anchor, alpha_psi, epsilon_psi=0.0):
+    """The selection prior over ``cands``, as expand takes it."""
+    dists = lib.distances_to(anchor)[list(cands.indices)]
+    return psi_prior(dists, alpha_psi, epsilon_psi)
 
 
 def test_psi_singleton_and_symmetry():
     lib = identity_library([0.0, 2.0, -2.0])
     anchor = np.array([[0.0]])
-    single = psi_prior(CandidateSet((1,), anchor), lib, anchor, alpha_psi=5.0)
+    single = psi(CandidateSet((1,)), lib, anchor, alpha_psi=5.0)
     assert single == pytest.approx([1.0])
-    pair = psi_prior(CandidateSet((1, 2), anchor), lib, anchor, alpha_psi=5.0)
+    pair = psi(CandidateSet((1, 2)), lib, anchor, alpha_psi=5.0)
     assert np.allclose(pair, [0.5, 0.5])
 
 
 def test_psi_epsilon_flag():
     lib = identity_library([0.0, 1.0, 5.0])
     anchor = np.array([[0.0]])
-    cands = CandidateSet((0, 1, 2), anchor)
-    pure = psi_prior(cands, lib, anchor, alpha_psi=10.0)
-    mixed = psi_prior(cands, lib, anchor, alpha_psi=10.0, epsilon_psi=0.3)
+    cands = CandidateSet((0, 1, 2))
+    pure = psi(cands, lib, anchor, alpha_psi=10.0)
+    mixed = psi(cands, lib, anchor, alpha_psi=10.0, epsilon_psi=0.3)
     assert pure[2] < 0.1 / 3
     assert mixed.min() >= 0.3 / 3 - 1e-12
     assert abs(mixed.sum() - 1.0) <= 1e-9
@@ -181,7 +191,7 @@ def test_psi_epsilon_flag():
 def test_psi_empty_candidates():
     lib = identity_library([0.0, 1.0])
     with pytest.raises(ContractViolationError):
-        psi_prior(CandidateSet((), np.zeros((1, 1))), lib, np.zeros((1, 1)), 5.0)
+        psi(CandidateSet(()), lib, np.zeros((1, 1)), 5.0)
 
 
 def test_uniform_library_prior(library, env, tasks):
@@ -204,7 +214,7 @@ ECHO_PRIOR = textwrap.dedent("""
 
 
 def test_line_protocol_prior_subprocess(env, tasks):
-    prior, proc = subprocess_prior([sys.executable, "-c", ECHO_PRIOR], action_dim=3)
+    prior, proc = subprocess_prior([sys.executable, "-c", ECHO_PRIOR])
     try:
         obs = env.observe(env.reset(0, tasks[0].task_id))
         macro = prior.sample_macro(obs, tasks[0], np.random.default_rng(0))
@@ -265,7 +275,6 @@ def reference_sample_candidates(dist, k, rng):
 def test_sample_candidates_matches_rng_choice_stream():
     # same indices, and the shared generator is left in the same state
     gen = np.random.default_rng(11)
-    anchor = np.zeros((1, 1))
     for trial in range(1500):
         m = int(gen.integers(1, 80))
         k = int(gen.integers(1, min(m, 12) + 1))
@@ -275,7 +284,7 @@ def test_sample_candidates_matches_rng_choice_stream():
         ref_rng = np.random.default_rng(trial)
         new_rng = np.random.default_rng(trial)
         expected = reference_sample_candidates(dist, k, ref_rng)
-        got = sample_candidates(dist, k, new_rng, anchor)
+        got = sample_candidates(dist, k, new_rng)
         assert got.indices == expected
         assert new_rng.random() == ref_rng.random()
 
@@ -287,7 +296,7 @@ def test_sample_candidates_fallback_matches_rng_choice_stream():
     dist[[6, 2, 4]] = [0.5, 0.3, 0.2]
     ref_rng, new_rng = np.random.default_rng(5), np.random.default_rng(5)
     expected = reference_sample_candidates(dist, 5, ref_rng)
-    got = sample_candidates(dist, 5, new_rng, np.zeros((1, 1)))
+    got = sample_candidates(dist, 5, new_rng)
     assert got.indices == expected
     assert sorted(got.indices[:3]) == [2, 4, 6] and got.indices[3:] == (0, 1)
     assert new_rng.random() == ref_rng.random()
@@ -302,7 +311,7 @@ def test_sample_candidates_renormalises_like_rng_choice():
     dist = np.array([u * total * (1.0 - 1e-10), 0.0, 0.0])
     dist[1] = total - dist[0]
     ref = reference_sample_candidates(dist, 1, np.random.default_rng(21))
-    got = sample_candidates(dist, 1, np.random.default_rng(21), np.zeros((1, 1)))
+    got = sample_candidates(dist, 1, np.random.default_rng(21))
     assert got.indices == ref == (1,)
 
 
@@ -321,4 +330,112 @@ def test_sample_candidates_renormalises_like_rng_choice():
 )
 def test_sample_candidates_rejects_bad_dist(dist):
     with pytest.raises(ContractViolationError, match="sample_candidates"):
-        sample_candidates(np.array(dist), 1, np.random.default_rng(0), np.zeros((1, 1)))
+        sample_candidates(np.array(dist), 1, np.random.default_rng(0))
+
+
+# -- the one prior rule against the two functions it replaced --------------------
+#
+# ``reference_beta_distribution`` and ``reference_psi_prior`` are the sampling
+# and selection priors as they were before both became one rule over one
+# distance vector per expansion.  Each measured the library's distances to the
+# anchor itself; psi mixed in its uniform term only when epsilon_psi > 0.
+
+def _reference_shifted_softmax(neg_scaled):
+    shifted = neg_scaled - neg_scaled.max()
+    weights = np.exp(shifted)
+    return weights / weights.sum()
+
+
+def reference_beta_distribution(lib, anchor, alpha, epsilon):
+    dists = lib.distances_to(anchor)
+    return (1.0 - epsilon) * _reference_shifted_softmax(-alpha * dists) + epsilon / lib.m
+
+
+def reference_psi_prior(candidates, lib, anchor, alpha_psi, epsilon_psi=0.0):
+    dists = lib.distances_to(np.asarray(anchor, dtype=float))[list(candidates.indices)]
+    probs = _reference_shifted_softmax(-alpha_psi * dists)
+    if epsilon_psi > 0.0:
+        probs = (1.0 - epsilon_psi) * probs + epsilon_psi / len(candidates)
+    return probs
+
+
+def test_one_rule_matches_both_reference_priors_bitwise():
+    gen = np.random.default_rng(13)
+    seen = {"eps_psi_zero": 0, "eps_psi_positive": 0, "alpha_zero": 0, "one_candidate": 0}
+    for trial in range(2000):
+        m, horizon, dim = (int(gen.integers(1, hi)) for hi in (40, 5, 4))
+        lib = MacroLibrary(gen.normal(scale=gen.uniform(0.1, 3.0), size=(m, horizon, dim)),
+                           gen.normal(size=dim), gen.uniform(0.3, 2.0, size=dim))
+        anchor = gen.normal(size=(horizon, dim))
+        alpha_zero = trial % 7 == 0
+        alpha_beta = 0.0 if alpha_zero else float(gen.uniform(0.0, 20.0))
+        alpha_psi = 0.0 if alpha_zero else float(gen.uniform(0.0, 20.0))
+        epsilon_beta = float(gen.choice([0.0, 1.0, gen.uniform()]))
+        epsilon_psi = 0.0 if trial % 2 else float(gen.choice([1.0, gen.uniform()]))
+        k = 1 if trial % 5 == 0 else int(gen.integers(1, m + 1))
+
+        dists = lib.distances_to(anchor)
+        probs = beta_distribution(dists, alpha_beta, epsilon_beta)
+        expected = reference_beta_distribution(lib, anchor, alpha_beta, epsilon_beta)
+        assert probs.tobytes() == expected.tobytes()
+        cands = sample_candidates(probs, k, np.random.default_rng(trial))
+        got = psi_prior(dists[list(cands.indices)], alpha_psi, epsilon_psi)
+        want = reference_psi_prior(cands, lib, anchor, alpha_psi, epsilon_psi)
+        assert got.tobytes() == want.tobytes()
+        seen["eps_psi_zero"] += epsilon_psi == 0.0
+        seen["eps_psi_positive"] += epsilon_psi > 0.0
+        seen["alpha_zero"] += alpha_zero
+        seen["one_candidate"] += k == 1
+    assert min(seen.values()) >= 200, seen
+
+
+def test_expand_takes_both_reference_priors(model, tasks, library):
+    # the candidates and psi that expand sets are those of the two reference
+    # priors, each of which measured the anchor's distances itself
+    from types import SimpleNamespace
+
+    from vlaps.search import CostMeter, SearchConfig, TreeNode, expand
+
+    gen = np.random.default_rng(5)
+    for trial in range(40):
+        cfg = SearchConfig(k=int(gen.integers(1, 12)), alpha_beta=float(gen.uniform(0, 20)),
+                           epsilon_beta=float(gen.uniform()),
+                           alpha_psi=float(gen.uniform(0, 20)),
+                           epsilon_psi=0.0 if trial % 2 else float(gen.uniform()))
+        anchor = library.prototypes[int(gen.integers(library.m))] + gen.normal(
+            scale=0.2, size=(library.horizon, library.action_dim))
+        prior = SimpleNamespace(sample_macro=lambda obs, task, rng: anchor)
+        task = tasks[trial % len(tasks)]
+        node = TreeNode(model.reset(trial, task.task_id), 0, 0)
+        expand(node, prior, library, model, task, cfg, np.random.default_rng(0),
+               np.random.default_rng(trial), CostMeter(cfg), 1)
+        dist = reference_beta_distribution(library, anchor, cfg.alpha_beta, cfg.epsilon_beta)
+        expected = sample_candidates(dist, cfg.k, np.random.default_rng(trial))
+        assert node.candidates == expected
+        psi = reference_psi_prior(expected, library, anchor, cfg.alpha_psi, cfg.epsilon_psi)
+        assert node.psi.tobytes() == psi.tobytes()
+
+
+def test_search_reports_bad_line_prior_macros(model, tasks, library):
+    # LineProtocolPrior passes on any array it parses; the search checks
+    # what it returns, at whichever of its two query sites asked
+    from vlaps.errors import PriorQueryError
+    from vlaps.search import SearchConfig, search_once
+
+    good = json.dumps({"macro": [[0.0, 0.0, -1.0]] * 4}) + "\n"
+    bad = {
+        "one_dimensional": ([0.1, 0.0, -1.0], r"of shape \(3,\)"),
+        "two_columns": ([[0.1, 0.0]] * 4, r"of shape \(4, 2\)"),
+        "nan": ([[0.1, 0.0, -1.0], [math.nan, 0.0, -1.0]], "non-finite macro"),
+    }
+    cfg = SearchConfig(n_mc=5, k=4, d_sim_max=4, t_max=1e9)
+    task = tasks[0]
+    start = model.reset(0, task.task_id)
+    for macro, error in bad.values():
+        reply = json.dumps({"macro": macro}) + "\n"
+        # the first query is the root rollout's; a good 4-step reply uses up
+        # its 4-step cap, so the next query is the root expansion's
+        for lines, where in (([reply], "in rollout"), ([good, reply], "in expand at depth 0")):
+            prior = LineProtocolPrior(_ListIO([]), _ListIO(lines))
+            with pytest.raises(PriorQueryError, match=f"{error} {where}"):
+                search_once(start, task, prior, library, model, cfg)

@@ -103,7 +103,7 @@ def test_config_fields_all_have_json_keys():
 
 def _fake_node(psi, counts):
     node = TreeNode(StateVec(np.zeros(2)), depth=0, node_id=0)
-    node.candidates = CandidateSet(tuple(range(len(psi))), np.zeros((1, 1)))
+    node.candidates = CandidateSet(tuple(range(len(psi))))
     node.psi = np.asarray(psi, dtype=float)
     node.visit_counts = np.asarray(counts, dtype=np.int64)
     return node
@@ -519,7 +519,7 @@ def test_chain_world_takes_default_macro_loop():
     state, ok, used = step_macro(world, start, macro, task, meter=meter)
     assert (state.values[0], state.step_count, ok, used) == (3.0, 3, True, 3)
     assert meter.sim_steps == 3
-    state, ok, used = step_macro(world, start, macro, task, limit=2)
+    state, ok, used = step_macro(world, start, macro[:2], task)
     assert (state.values[0], ok, used) == (2.0, False, 2)
     cfg = SearchConfig(d_sim_max=9, horizon=1, t_max=1e9)
     prior = UniformLibraryPrior(_chain_library())

@@ -33,6 +33,26 @@ def test_env_invalid_params(extent, count):
         make_blocknav_env(extent, count)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("extent", math.nan), ("extent", "nan"), ("extent", math.inf), ("extent", True),
+    ("max_step", 0.0), ("max_step", -0.5), ("pick_radius", math.nan),
+    ("region_radius", math.inf), ("region_radius", None), ("jitter", -0.1),
+    ("jitter", math.nan), ("jitter", math.inf), ("object_count", 2.7),
+    ("object_count", True), ("object_count", 0), ("object_count", "2"),
+])
+def test_env_rejects_bad_values_naming_the_field(field, value):
+    # a NaN extent would reach the dynamics, and a string or a fractional
+    # count would fail with TypeError, far from the config that held it
+    with pytest.raises(ConfigurationError, match=field):
+        BlockNavEnv(**{field: value})
+
+
+def test_env_accepts_zero_jitter_and_numpy_numbers():
+    world = BlockNavEnv(extent=np.float64(8.0), object_count=np.int64(3), jitter=0)
+    assert (world.extent, world.object_count, world.jitter) == (8.0, 3, 0.0)
+    assert world.to_json()["object_count"] == 3
+
+
 def test_expert_solves_every_task(env, tasks):
     # expert-completeness oracle: zero-noise expert succeeds within 100 steps
     for task in tasks:
@@ -83,22 +103,29 @@ def test_replay_determinism(env, tasks):
     assert np.array_equal(finals[0], finals[1])
 
 
-def test_sparse_reward_matches_predicate(env, tasks):
-    # brute-force check over states sampled from random rollouts
-    task = tasks[0]
-    rng = np.random.default_rng(0)
-    state = env.reset(0, task.task_id)
-    for _ in range(200):
-        state = env.step(state, rng.uniform(-1, 1, size=3))
-        assert task.reward(state) == (1.0 if task.goal_predicate(state) else 0.0)
-
-
 # -- the scripted expert against its numpy form -------------------------------
 #
 # The reference functions below are the numpy forms of greedy_expert_action,
 # _clip_step, ScriptedExpertPrior.sample_macro and run_expert_episode that the
 # list-state expert replaced.  The list-state expert must reproduce them bit
-# for bit, draws from the shared generator included.
+# for bit, draws from the shared generator included.  The four accessors are
+# the BlockNavEnv methods that the numpy forms read the state through.
+
+def carried_index(state):
+    return int(state.values[3])
+
+
+def robot_position(state):
+    return state.values[0:2].copy()
+
+
+def object_position(state, index):
+    return state.values[4 + 2 * index: 6 + 2 * index].copy()
+
+
+def state_from_observation(obs):
+    return StateVec(np.asarray(obs.features, dtype=float).copy(), step_count=0)
+
 
 def reference_clip_step(delta, max_step):
     norm = float(np.linalg.norm(delta))
@@ -112,8 +139,8 @@ def reference_greedy_expert_action(env, state, task):
         return np.array([0.0, 0.0, -1.0])
     obj = task.metadata["object_index"]
     center = np.asarray(task.metadata["region_center"])
-    carried = env.carried_index(state)
-    robot = env.robot_position(state)
+    carried = carried_index(state)
+    robot = robot_position(state)
     if carried == obj:
         delta = center - robot
         if np.linalg.norm(delta) <= env.region_radius * 0.5:
@@ -121,7 +148,7 @@ def reference_greedy_expert_action(env, state, task):
         return np.array([*reference_clip_step(delta, env.max_step), 1.0])
     if carried >= 0:
         return np.array([0.0, 0.0, -1.0])
-    target = env.object_position(state, obj)
+    target = object_position(state, obj)
     delta = target - robot
     if np.linalg.norm(delta) <= env.pick_radius * 0.8:
         return np.array([0.0, 0.0, 1.0])
@@ -142,7 +169,7 @@ def _reference_noisy_action(env, state, task, noise, rng):
 
 
 def reference_sample_macro(env, horizon, noise, obs, task, rng):
-    state = env.state_from_observation(obs)
+    state = state_from_observation(obs)
     rows = []
     for _ in range(horizon):
         action = _reference_noisy_action(env, state, task, noise, rng)
@@ -194,12 +221,12 @@ def test_pick_and_carry(env, tasks):
     obj = task.metadata["object_index"]
     # walk the expert until it has picked up the target object
     for _ in range(100):
-        if env.carried_index(state) == obj:
+        if carried_index(state) == obj:
             break
         state = env.step(state, greedy_expert_action(env, state, task))
-    assert env.carried_index(state) == obj
+    assert carried_index(state) == obj
     moved = env.step(state, np.array([0.4, 0.0, 1.0]))
-    assert np.allclose(env.object_position(moved, obj), env.robot_position(moved))
+    assert np.allclose(object_position(moved, obj), robot_position(moved))
 
 
 def test_step_macro_zero_macro(env, tasks):
@@ -532,8 +559,9 @@ def test_goal_false_while_carried_and_on_nan(env, tasks):
 #
 # ``reference_step_macro`` is the row-by-row loop that step_macro and the
 # rollout's inner loop ran before BlockNavEnv stepped whole macros on a list:
-# one ndarray step and one goal test per row, then the step cap.  Run with the
-# numpy reference step and goal above, it is independent of the kernel.
+# one ndarray step and one goal test per row.  Run with the numpy reference
+# step and goal above, it is independent of the kernel.  The rollout cuts a
+# macro at its step cap itself; test_rollout_matches_reference_loop covers it.
 
 class StepCounter:
     def __init__(self):
@@ -543,7 +571,7 @@ class StepCounter:
         self.sim_steps += n
 
 
-def reference_step_macro(step, goal, state, macro, limit=math.inf):
+def reference_step_macro(step, goal, state, macro):
     if goal(state):
         return state, True, 0, []
     steps, carried = 0, []
@@ -553,13 +581,11 @@ def reference_step_macro(step, goal, state, macro, limit=math.inf):
         carried.append(int(state.values[3]))
         if goal(state):
             return state, True, steps, carried
-        if steps >= limit:
-            break
     return state, False, steps, carried
 
 
 def random_macro_case(world, task, rng):
-    """A state, macro and limit; often near the task's goal region or an object."""
+    """A state and a macro; often near the task's goal region or an object."""
     values = random_state_values(world, rng)
     obj = task.metadata["object_index"]
     if rng.random() < 0.4:
@@ -571,43 +597,33 @@ def random_macro_case(world, task, rng):
     horizon = int(rng.integers(1, 7))
     macro = rng.uniform(-0.6, 0.6, size=(horizon, 3))
     macro[:, 2] = rng.choice([-1.0, 0.0, 1.0, 0.5, -0.5], size=horizon)
-    limit = math.inf if rng.random() < 0.5 else int(rng.integers(1, horizon + 2))
-    return StateVec(values, int(rng.integers(50))), macro, limit
+    return StateVec(values, int(rng.integers(50))), macro
 
 
 def test_step_macro_matches_row_by_row_reference_random():
     rng = np.random.default_rng(31)
-    seen = {"goal_mid_macro": 0, "cap_mid_macro": 0, "pick_and_drop": 0, "goal": 0}
+    seen = {"goal_mid_macro": 0, "pick_and_drop": 0, "goal": 0}
     for world in (BlockNavEnv(), BlockNavEnv(object_count=3)):
         world_tasks = world.tasks()
         for _ in range(3_000):
             task = world_tasks[int(rng.integers(len(world_tasks)))]
-            state, macro, limit = random_macro_case(world, task, rng)
+            state, macro = random_macro_case(world, task, rng)
             ref, ref_ok, ref_used, carried = reference_step_macro(
                 lambda s, a: reference_step(world, s, a),
                 lambda s: reference_goal(world, task, s),
-                StateVec(state.values.copy(), state.step_count), macro, limit)
+                StateVec(state.values.copy(), state.step_count), macro)
             meter = StepCounter()
-            got, ok, used = step_macro(world, state, macro, task, meter=meter, limit=limit)
+            got, ok, used = step_macro(world, state, macro, task, meter=meter)
             assert got.values.dtype == ref.values.dtype
             assert got.values.tobytes() == ref.values.tobytes()
             assert (got.step_count, ok, used) == (ref.step_count, ref_ok, ref_used)
             assert meter.sim_steps == used
             seen["goal"] += ok
             seen["goal_mid_macro"] += ok and 0 < used < len(macro)
-            seen["cap_mid_macro"] += not ok and used == limit < len(macro)
             held = [c >= 0 for c in [int(state.values[3])] + carried]
             pick = next((i for i in range(1, len(held)) if held[i] and not held[i - 1]), None)
             seen["pick_and_drop"] += pick is not None and not all(held[pick:])
     assert min(seen.values()) >= 20, seen
-
-
-def test_step_macro_limit_zero_applies_nothing(env, tasks):
-    state = env.reset(0, tasks[0].task_id)
-    meter = StepCounter()
-    out, ok, used = step_macro(env, state, np.ones((4, 3)), tasks[0], meter=meter, limit=0)
-    assert (ok, used, meter.sim_steps) == (False, 0, 0)
-    assert out.values.tobytes() == state.values.tobytes()
 
 
 def test_goal_on_values_matches_goal_predicate_one_ulp_either_side(env):
