@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigurationError
@@ -33,10 +33,9 @@ DEFAULT_DEMO_SEEDS = list(range(5))
 class SuiteConfig:
     """One benchmark sweep: tasks x noise levels x paired seeds x two methods."""
 
-    environment: str = "blocknav"
     extent: float = 10.0
     object_count: int = 2
-    task_ids: list = field(default_factory=list)  # empty = all environment tasks
+    task_ids: list = field(default_factory=list)  # empty = all BlockNav tasks
     noise_levels: list = field(default_factory=lambda: [0.0, 0.2, 0.4, 0.6])
     seeds: list = field(default_factory=lambda: list(range(10)))
     search: SearchConfig = field(default_factory=SearchConfig)
@@ -85,40 +84,21 @@ class RunRecord:
         return (self.noise_level, self.task_id, self.method, self.seed)
 
     def to_json(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "noise_level": self.noise_level,
-            "method": self.method,
-            "seed": self.seed,
-            "success": self.success,
-            "wall_time": round(self.wall_time, 9),
-            "iterations": self.iterations,
-            "prior_queries": self.prior_queries,
-            "decision_points": self.decision_points,
-            "root_tie": self.root_tie,
-        }
-
-
-def build_env(cfg: SuiteConfig) -> BlockNavEnv:
-    if cfg.environment != "blocknav":
-        raise ConfigurationError(f"unknown environment {cfg.environment!r}")
-    return BlockNavEnv(extent=cfg.extent, object_count=cfg.object_count)
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["wall_time"] = round(self.wall_time, 9)
+        return data
 
 
 def collect_expert_trajectories(
     env: BlockNavEnv,
     tasks: list[TaskSpec],
     seeds: list[int],
-    noise_level: float = 0.0,
-    max_steps: int = 100,
 ) -> list[Trajectory]:
-    """Roll the scripted expert across tasks and seeds, logging every episode."""
+    """Roll the zero-noise expert across tasks and seeds, logging every episode."""
     trajs = []
     for task in tasks:
         for seed in seeds:
-            states, actions, success = run_expert_episode(
-                env, task, seed, noise_level=noise_level, max_steps=max_steps
-            )
+            states, actions, success = run_expert_episode(env, task, seed)
             if len(actions):
                 trajs.append(Trajectory(states, actions, success, task.task_id))
     return trajs
@@ -159,7 +139,7 @@ def _episode_streams(cfg: SuiteConfig, task: TaskSpec, noise: float, seed: int) 
 
 def run_suite(cfg: SuiteConfig, library: MacroLibrary | None = None) -> list[RunRecord]:
     """Run every (noise, task, seed) cell with both methods on paired seeds."""
-    env = build_env(cfg)
+    env = BlockNavEnv(extent=cfg.extent, object_count=cfg.object_count)
     all_tasks = env.tasks()
     if cfg.task_ids:
         tasks = [env.task_by_id(tid) for tid in cfg.task_ids]
@@ -219,10 +199,24 @@ def load_records(path) -> list[RunRecord]:
             if line:
                 data = json.loads(line)
                 try:
-                    records.append(RunRecord(**data))
+                    rec = RunRecord(**data)
                 except TypeError as exc:
                     raise ConfigurationError(f"{path}:{lineno}: bad record ({exc})") from exc
+                for f in fields(rec):
+                    value = getattr(rec, f.name)
+                    if not _is_json_type(value, f.type):
+                        raise ConfigurationError(
+                            f"{path}:{lineno}: {f.name} must be {f.type}, got {value!r}")
+                records.append(rec)
     return records
+
+
+def _is_json_type(value, type_name: str) -> bool:
+    """Whether a JSON value has a record field's type: an int is also a
+    float, and a bool is no number."""
+    if type_name == "bool" or isinstance(value, bool):
+        return type_name == "bool" and isinstance(value, bool)
+    return isinstance(value, {"str": str, "int": int, "float": (int, float)}[type_name])
 
 
 def aggregate(records: list[RunRecord]) -> list[dict]:
@@ -271,24 +265,6 @@ def render_report(summary: list[dict], out_dir) -> list[Path]:
     except OSError as exc:
         raise OSError(f"cannot write report to {out}: {exc}") from exc
     return [csv_path, json_path, rate_path, runtime_path]
-
-
-def parse_summary_csv(path) -> list[dict]:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != ",".join(CSV_COLUMNS):
-        raise ConfigurationError(f"unexpected CSV header in {path}")
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        rows.append({
-            "noise": float(cells[0]),
-            "method": cells[1],
-            "success_rate": float(cells[2]),
-            "mean_runtime_s": float(cells[3]) if cells[3] != "" else None,
-            "mean_prior_queries": float(cells[4]),
-            "n": int(cells[5]),
-        })
-    return rows
 
 
 def _csv_cell(value) -> str:

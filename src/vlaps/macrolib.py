@@ -82,13 +82,19 @@ def load_trajectories(path) -> list[Trajectory]:
                      "task_id": rec.get("task_id", "")},
                 )
                 g["states"].append(np.asarray(rec["state"], dtype=float))
-                g["actions"].append(rec["action"])
+                g["actions"].append(np.asarray(rec["action"], dtype=float))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigurationError(f"{path}:{lineno}: bad trajectory ({exc!r})") from exc
-    return [
-        Trajectory(g["states"], np.asarray(g["actions"]), g["success"], g["task_id"])
-        for _, g in sorted(groups.items())
-    ]
+    trajs, shapes = [], set()
+    for traj_id, g in sorted(groups.items()):
+        shapes.update(a.shape for a in g["actions"])
+        if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+            raise ConfigurationError(
+                f"{path}: up to trajectory traj_id={traj_id!r} the actions have shapes "
+                f"{sorted(shapes)}; all must be lists of one length")
+        trajs.append(Trajectory(g["states"], np.array(g["actions"]), g["success"],
+                                g["task_id"]))
+    return trajs
 
 
 def segment_trajectories(trajs: Iterable[Trajectory], horizon: int) -> list[np.ndarray]:
@@ -202,14 +208,13 @@ def build_library(
     macros: list[np.ndarray],
     m: int,
     seed: int,
-    max_candidates: int = _MAX_PAM_CANDIDATES,
     history: Optional[list] = None,
 ) -> MacroLibrary:
     """Cluster a macro corpus into m medoid prototypes (PAM, deterministic).
 
     Normalization statistics are computed over all primitive actions of the
     input corpus; clustering runs in those normalized coordinates.  ``seed``
-    only matters when the corpus is subsampled to ``max_candidates``.
+    only matters when the corpus is subsampled to ``_MAX_PAM_CANDIDATES``.
     """
     if m < 2:
         raise ConfigurationError(f"library size must be >= 2, got {m}")
@@ -236,12 +241,12 @@ def build_library(
         )
     stack, flat = stack[unique_idx], flat[unique_idx]
 
-    if len(stack) > max_candidates:
+    if len(stack) > _MAX_PAM_CANDIDATES:
         rng = np.random.default_rng(seed)
-        keep = np.sort(rng.choice(len(stack), size=max_candidates, replace=False))
+        keep = np.sort(rng.choice(len(stack), size=_MAX_PAM_CANDIDATES, replace=False))
         stack, flat = stack[keep], flat[keep]
 
-    medoids = _pam(cdist(flat, flat), m, seed=seed, history=history)
+    medoids = _pam(cdist(flat, flat), m, seed, history)
     return MacroLibrary(stack[medoids], per_dim_mean, per_dim_std)
 
 
@@ -250,13 +255,7 @@ def pam_objective(dist: np.ndarray, medoids: np.ndarray) -> float:
     return float(dist[:, medoids].min(axis=1).sum())
 
 
-def _pam(
-    dist: np.ndarray,
-    m: int,
-    seed: int = 0,
-    history: Optional[list] = None,
-    restarts: int = _PAM_RESTARTS,
-) -> np.ndarray:
+def _pam(dist: np.ndarray, m: int, seed: int, history: Optional[list]) -> np.ndarray:
     """Multi-start PAM: BUILD init plus seeded random restarts, best kept."""
     n_points = dist.shape[0]
     if m == n_points:
@@ -275,7 +274,7 @@ def _pam(
     best_medoids, best_cost = _swap(dist, np.array(sorted(medoids)), history)
 
     rng = np.random.default_rng(seed)
-    for _ in range(restarts):
+    for _ in range(_PAM_RESTARTS):
         init = np.sort(rng.choice(n_points, size=m, replace=False))
         med, cost = _swap(dist, init, None)
         if cost < best_cost - 1e-12:

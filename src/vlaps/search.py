@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -39,26 +39,8 @@ from .world import StateVec, TaskSpec, WorldModel, step_macro
 GOAL_PLAN = "goal_plan"
 BEST_ROOT_MACRO = "best_root_macro"
 
-_CONFIG_KEY_MAP = {
-    # JSON key -> attribute
-    "N_mc": "n_mc",
-    "k": "k",
-    "d_sim_max": "d_sim_max",
-    "H": "horizon",
-    "d_max": "d_max",
-    "T_max": "t_max",
-    "alpha_beta": "alpha_beta",
-    "epsilon_beta": "epsilon_beta",
-    "alpha_psi": "alpha_psi",
-    "epsilon_psi": "epsilon_psi",
-    "seed": "seed",
-    "prior_query_cost_s": "prior_query_cost_s",
-    "sim_step_cost_s": "sim_step_cost_s",
-}
-
-_INT_FIELDS = ("n_mc", "k", "d_sim_max", "horizon", "d_max", "seed")
-_REAL_FIELDS = ("t_max", "alpha_beta", "epsilon_beta", "alpha_psi", "epsilon_psi",
-                "prior_query_cost_s", "sim_step_cost_s")
+# the JSON keys that differ from the attribute names
+_JSON_KEYS = {"n_mc": "N_mc", "horizon": "H", "t_max": "T_max"}
 
 
 @dataclass
@@ -80,16 +62,16 @@ class SearchConfig:
     sim_step_cost_s: float = 0.0001
 
     def __post_init__(self):
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        for name in _REAL_FIELDS:
-            value = getattr(self, name)
-            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+        # integer fields first, then the real ones, each in declaration order
+        for f in sorted(fields(self), key=lambda fld: fld.type != "int"):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                    raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
+            elif (not isinstance(value, numbers.Real) or isinstance(value, bool)
                     or not 0 <= value < math.inf):
                 raise ConfigurationError(
-                    f"{name} must be a finite non-negative number, got {value!r}")
+                    f"{f.name} must be a finite non-negative number, got {value!r}")
         if self.n_mc < 0 or self.k < 1 or self.d_sim_max < 1 or self.horizon < 1:
             raise ConfigurationError("n_mc, k, d_sim_max, horizon must be positive")
         if self.d_max < 1 or self.t_max <= 0:
@@ -98,14 +80,15 @@ class SearchConfig:
             raise ConfigurationError("epsilon values must lie in [0,1]")
 
     def to_json(self) -> dict:
-        return {key: getattr(self, attr) for key, attr in _CONFIG_KEY_MAP.items()}
+        return {_JSON_KEYS.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json(cls, data: dict) -> "SearchConfig":
-        unknown = set(data) - set(_CONFIG_KEY_MAP)
+        attrs = {_JSON_KEYS.get(f.name, f.name): f.name for f in fields(cls)}
+        unknown = set(data) - set(attrs)
         if unknown:
             raise ConfigurationError(f"unknown search config keys: {sorted(unknown)}")
-        return cls(**{_CONFIG_KEY_MAP[key]: value for key, value in data.items()})
+        return cls(**{attrs[key]: value for key, value in data.items()})
 
 
 class CostMeter:
@@ -117,8 +100,8 @@ class CostMeter:
         self.queries = 0
         self.sim_steps = 0
 
-    def add_query(self, n: int = 1) -> None:
-        self.queries += n
+    def add_query(self) -> None:
+        self.queries += 1
 
     def add_steps(self, n: int) -> None:
         self.sim_steps += n
@@ -250,7 +233,8 @@ def expand(
     Queries the prior exactly once for the anchor macro and measures the
     library's distances to it once.  Samples the fixed candidate set by the
     prior rule over all of them, takes the selection prior over the
-    candidates' own, and steps the world model through each candidate macro.
+    candidates' own, and steps the world model through each candidate macro,
+    charging its steps to ``meter``.
     """
     if node.candidates is not None:
         raise ContractViolationError("node is already expanded")
@@ -269,9 +253,8 @@ def expand(
     children = []
     for slot, proto_idx in enumerate(node.candidates.indices):
         macro = lib.prototypes[proto_idx]
-        state, success, _ = step_macro(
-            model, model.clone_state(node.sim_state), macro, task, meter=meter
-        )
+        state, success, used = step_macro(model, node.sim_state.copy(), macro, task)
+        meter.add_steps(used)
         child = TreeNode(state, node.depth + 1, next_id + slot, is_goal=success)
         node.children[slot] = child
         children.append(child)
@@ -293,7 +276,7 @@ def rollout(
     macro may have been cut short by the cap or by reaching the goal.  Raises
     ``PriorQueryError`` if the prior fails or returns a malformed macro.
     """
-    state = model.clone_state(start)
+    state = start.copy()
     if task.goal_predicate(state):
         return True, 0, []
     steps = 0
@@ -361,7 +344,7 @@ def search_once(
         _check_tree(root, outcome, cfg)
         return outcome
 
-    root = TreeNode(model.clone_state(root_state), 0, 0,
+    root = TreeNode(root_state.copy(), 0, 0,
                     is_goal=task.goal_predicate(root_state))
     if root.is_goal:
         return finish(GOAL_PLAN, plan=[])
@@ -460,7 +443,7 @@ def replay_plan(
     task: TaskSpec,
 ) -> tuple[StateVec, bool, int]:
     """Execute a macro plan from a state with per-primitive goal early stop."""
-    state = model.clone_state(start)
+    state = start.copy()
     total = 0
     for macro in plan:
         state, success, used = step_macro(model, state, macro, task)

@@ -53,13 +53,6 @@ class TaskSpec:
     metadata: dict = field(default_factory=dict)
     goal_on_values: Optional[Callable[[list], bool]] = None
 
-    def to_json(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "instruction": self.instruction,
-            "goal": dict(self.metadata),
-        }
-
 
 class WorldModel(ABC):
     """Deterministic simulator interface used both as environment and planner model."""
@@ -76,9 +69,6 @@ class WorldModel(ABC):
 
     @abstractmethod
     def observe(self, state: StateVec) -> Observation: ...
-
-    def clone_state(self, state: StateVec) -> StateVec:
-        return state.copy()
 
     def run_macro(
         self, state: StateVec, macro: np.ndarray, task: TaskSpec
@@ -114,8 +104,8 @@ _OBJECT_FRACTIONS = [
 ]
 _REGION_FRACTIONS = [(0.15, 0.15), (0.85, 0.85), (0.15, 0.85)]
 # a scalar goal distance decides the predicate when it lies farther than this
-# (times the radius, if above 1) from the region radius; a closer one defers
-# to np.linalg.norm, whose rounding may differ in the last bit
+# (times the radius, if above 1) from the region radius; a closer one, which
+# may differ from numpy's fused norm in the last bit, defers to _fused_norm
 _GOAL_TIE_MARGIN = 1e-9
 
 
@@ -283,9 +273,8 @@ class BlockNavEnv(WorldModel):
         raise ConfigurationError(f"unknown task_id {task_id!r}")
 
     def _make_task(self, obj: int, region: int) -> TaskSpec:
-        center = self.regions[region]
         radius = self.region_radius
-        cx, cy = float(center[0]), float(center[1])
+        cx, cy = self.regions[region].tolist()
         ix = 4 + 2 * obj
         margin = _GOAL_TIE_MARGIN * max(1.0, radius)
 
@@ -297,9 +286,8 @@ class BlockNavEnv(WorldModel):
             d = math.sqrt(dx * dx + dy * dy)
             if abs(d - radius) > margin:
                 return d <= radius
-            # np.linalg.norm takes a BLAS dot that may fuse the multiply-add,
-            # so near the boundary only its own rounding is bit-exact
-            return bool(np.linalg.norm(np.array(v[ix:ix + 2]) - center) <= radius)
+            # near the boundary only the fused norm's rounding is bit-exact
+            return _fused_norm(dx, dy) <= radius
 
         def goal(state: StateVec) -> bool:
             return on_values(state.values.tolist())
@@ -312,7 +300,7 @@ class BlockNavEnv(WorldModel):
             metadata={
                 "object_index": obj,
                 "region_index": region,
-                "region_center": [float(center[0]), float(center[1])],
+                "region_center": [cx, cy],
                 "region_radius": radius,
             },
         )
@@ -326,9 +314,6 @@ class BlockNavEnv(WorldModel):
             "pick_radius": self.pick_radius,
             "region_radius": self.region_radius,
             "jitter": self.jitter,
-            "regions": self.regions.tolist(),
-            "base_object_positions": self.base_object_positions.tolist(),
-            "tasks": [t.to_json() for t in self.tasks()],
         }
 
     @classmethod
@@ -356,12 +341,12 @@ def step_macro(
     state: StateVec,
     macro: np.ndarray,
     task: TaskSpec,
-    meter=None,
 ) -> tuple[StateVec, bool, int]:
     """Apply the rows of a macro-action in order, stopping early on goal.
 
     Returns the resulting state, whether the goal predicate held, and the
-    number of primitives actually applied, which is also charged to ``meter``.
+    number of primitives actually applied.  It charges no cost model; the
+    search charges the steps it reports.
     """
     macro = np.asarray(macro, dtype=float)
     if macro.ndim != 2 or macro.shape[1] != model.action_dim:
@@ -370,10 +355,7 @@ def step_macro(
         )
     if task.goal_predicate(state):
         return state, True, 0
-    state, success, steps = model.run_macro(state, macro, task)
-    if meter is not None:
-        meter.add_steps(steps)
-    return state, success, steps
+    return model.run_macro(state, macro, task)
 
 
 # -- scripted expert ---------------------------------------------------------
@@ -432,11 +414,6 @@ def _expert_values(env: BlockNavEnv, v: list, task: TaskSpec) -> tuple[float, fl
         scale = env.max_step / norm
         return dx * scale, dy * scale, grip
     return dx, dy, grip
-
-
-def greedy_expert_action(env: BlockNavEnv, state: StateVec, task: TaskSpec) -> np.ndarray:
-    """One step of the deterministic greedy controller for a BlockNav task."""
-    return np.array(_expert_values(env, state.values.tolist(), task))
 
 
 def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:

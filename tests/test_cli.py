@@ -1,9 +1,10 @@
+import csv
 import json
 
 import pytest
 
 from vlaps.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from vlaps.harness import collect_expert_trajectories, parse_summary_csv
+from vlaps.harness import collect_expert_trajectories
 from vlaps.macrolib import MacroLibrary, save_trajectories
 from vlaps.search import SearchConfig
 
@@ -55,7 +56,8 @@ def test_full_pipeline(traj_file, tmp_path, monkeypatch, capsys):
 
     assert main(["report", "--records", str(results)]) == EXIT_OK
     assert (results / "summary.csv").read_bytes() == before
-    rows = parse_summary_csv(results / "summary.csv")
+    with open(results / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert {row["method"] for row in rows} == {"vlaps", "prior_only"}
 
 
@@ -80,6 +82,15 @@ def test_removed_search_knob_is_config_error(key, tmp_path, capsys):
     assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "configuration error" in err and key in err
+
+
+def test_removed_suite_key_is_config_error(tmp_path, capsys):
+    # SuiteConfig no longer has an environment key: BlockNav is the only one
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps({"environment": "blocknav", "seeds": [0]}))
+    assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "environment" in err
 
 
 @pytest.mark.parametrize("key,value", [("k", 2.5), ("T_max", float("nan"))])
@@ -119,6 +130,46 @@ def test_record_with_unknown_key_is_config_error(tmp_path, capsys):
     assert main(["report", "--records", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "records.jsonl:2" in err and "bogus" in err
+
+
+_RECORD = {"task_id": "t", "noise_level": 0.0, "method": "vlaps", "seed": 0,
+           "success": True, "wall_time": 1.0, "iterations": 3, "prior_queries": 4}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("noise_level", "high"), ("seed", 1.5), ("seed", True), ("wall_time", False),
+    ("success", 1), ("task_id", 3), ("decision_points", None), ("root_tie", "no"),
+])
+def test_record_with_bad_value_type_is_config_error(key, value, tmp_path, capsys):
+    lines = [json.dumps(_RECORD), json.dumps({**_RECORD, key: value})]
+    (tmp_path / "records.jsonl").write_text("\n".join(lines) + "\n")
+    assert main(["report", "--records", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "records.jsonl:2" in err and key in err
+
+
+def test_old_records_and_integer_numbers_load(tmp_path, capsys):
+    # records written before decision_points and root_tie existed still load,
+    # and JSON integers are accepted where a float is expected
+    record = {**_RECORD, "noise_level": 0, "wall_time": 2}
+    (tmp_path / "records.jsonl").write_text(json.dumps(record) + "\n")
+    assert main(["report", "--records", str(tmp_path)]) == EXIT_OK
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["noise"], row["mean_runtime_s"]) for row in rows] == [("0", "2.0")]
+
+
+@pytest.mark.parametrize("second_id", [5, 6])
+def test_ragged_trajectory_actions_are_config_error(second_id, tmp_path, capsys):
+    # actions of different lengths within one trajectory or across two
+    path = tmp_path / "trajs.jsonl"
+    lines = [{"traj_id": traj_id, "success": True, "state": [0.0], "action": action}
+             for traj_id, action in ((5, [0.0, 0.0, 1.0]), (second_id, [0.0, 0.0]))]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    assert main(["build-library", "--input", str(path), "--size", "2",
+                 "--out", str(tmp_path / "lib.json")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "trajs.jsonl" in err and f"traj_id={second_id}" in err
 
 
 def test_trajectory_without_success_is_config_error(tmp_path, capsys):

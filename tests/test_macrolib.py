@@ -160,10 +160,11 @@ def test_build_errors():
         build_library(same, 3, seed=0)
 
 
-def test_build_deterministic_under_subsampling():
+def test_build_deterministic_under_subsampling(monkeypatch):
+    monkeypatch.setattr("vlaps.macrolib._MAX_PAM_CANDIDATES", 20)
     macros = _random_macros(50, seed=9)
-    a = build_library(macros, 4, seed=5, max_candidates=20)
-    b = build_library(macros, 4, seed=5, max_candidates=20)
+    a = build_library(macros, 4, seed=5)
+    b = build_library(macros, 4, seed=5)
     assert np.array_equal(a.prototypes, b.prototypes)
 
 

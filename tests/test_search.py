@@ -18,7 +18,6 @@ from vlaps.search import (
     SearchConfig,
     SearchOutcome,
     TreeNode,
-    _CONFIG_KEY_MAP,
     _best_candidate,
     _check_tree,
     _path_macros,
@@ -38,6 +37,7 @@ from vlaps.world import (
     StateVec,
     TaskSpec,
     WorldModel,
+    _expert_values,
     step_macro,
 )
 
@@ -86,17 +86,29 @@ def test_config_rejects_non_finite_negative_and_non_integer_values(field, value)
         SearchConfig(**{field: value})
 
 
+def test_config_checks_integer_fields_before_real_ones():
+    # t_max precedes seed in the dataclass, but the integer checks run first
+    with pytest.raises(ConfigurationError, match="seed must be an integer"):
+        SearchConfig(t_max=math.nan, seed=2.5)
+
+
 def test_config_accepts_large_budgets_and_numpy_integers():
     cfg = SearchConfig(t_max=1e9, k=np.int64(4), n_mc=np.int32(7), prior_query_cost_s=0,
                        sim_step_cost_s=0.0)
     assert (cfg.t_max, cfg.k, cfg.n_mc) == (1e9, 4, 7)
 
 
-def test_config_fields_all_have_json_keys():
+def test_config_json_round_trip_of_every_field():
     # every knob round-trips through suite configs; none is settable only in code
-    fields = {f.name for f in dataclasses.fields(SearchConfig)}
-    assert fields == set(_CONFIG_KEY_MAP.values())
-    assert len(fields) == len(_CONFIG_KEY_MAP) == 13
+    cfg = SearchConfig(n_mc=7, k=3, d_sim_max=11, horizon=2, d_max=5, t_max=9.5,
+                       alpha_beta=1.5, epsilon_beta=0.25, alpha_psi=2.5, epsilon_psi=0.5,
+                       seed=13, prior_query_cost_s=0.5, sim_step_cost_s=0.125)
+    assert all(getattr(cfg, f.name) != f.default for f in dataclasses.fields(SearchConfig))
+    data = json.loads(json.dumps(cfg.to_json()))
+    assert list(data) == ["N_mc", "k", "d_sim_max", "H", "d_max", "T_max", "alpha_beta",
+                          "epsilon_beta", "alpha_psi", "epsilon_psi", "seed",
+                          "prior_query_cost_s", "sim_step_cost_s"]
+    assert SearchConfig.from_json(data) == cfg
 
 
 # -- score / selection / backprop ---------------------------------------------
@@ -180,6 +192,9 @@ def test_expand_creates_k_children(env, model, tasks, library, search_setup):
     assert len(children) == cfg.k
     assert len(node.candidates) == cfg.k
     assert meter.queries == 1  # exactly one prior query per expansion
+    # expand charges the steps of every child's macro (step_macro charges none)
+    assert meter.sim_steps == sum(c.sim_state.step_count - node.sim_state.step_count
+                                  for c in children) > 0
     with pytest.raises(ContractViolationError):
         expand(node, prior, library, model, task, cfg,
                np.random.default_rng(0), np.random.default_rng(1), meter, 10)
@@ -197,10 +212,9 @@ def test_rollout_degenerate_start(env, model, tasks, library, search_setup):
     cfg, prior = search_setup
     task = tasks[0]
     # drive the expert to the goal first
-    from vlaps.world import greedy_expert_action
     state = env.reset(0, task.task_id)
     while not task.goal_predicate(state):
-        state = env.step(state, greedy_expert_action(env, state, task))
+        state = env.step(state, _expert_values(env, state.values.tolist(), task))
     success, steps, macros = rollout(model, prior, state, task, cfg,
                                      np.random.default_rng(0))
     assert success and steps == 0 and macros == []
@@ -255,10 +269,9 @@ def test_goal_plans_replay_to_goal(env, model, tasks, library):
 
 def test_root_already_at_goal(env, model, tasks, library):
     task = tasks[0]
-    from vlaps.world import greedy_expert_action
     state = env.reset(0, task.task_id)
     while not task.goal_predicate(state):
-        state = env.step(state, greedy_expert_action(env, state, task))
+        state = env.step(state, _expert_values(env, state.values.tolist(), task))
     cfg = SearchConfig()
     prior = ScriptedExpertPrior(model, cfg.horizon, 0.0)
     out = search_once(state, task, prior, library, model, cfg, streams=RngFactory(0))
@@ -465,7 +478,7 @@ def test_check_tree_rejects_too_many_nodes_and_lost_visits():
 
 def reference_rollout(model, prior, start, task, cfg, rng, meter=None):
     """The rollout loop as it was before it stepped through step_macro."""
-    state = model.clone_state(start)
+    state = start.copy()
     if task.goal_predicate(state):
         return True, 0, []
     steps = 0
@@ -515,10 +528,8 @@ def test_chain_world_takes_default_macro_loop():
     assert task.goal_on_values is None
     start = world.reset(0, "chain")
     macro = np.array([[1.0], [1.0], [1.0], [1.0]])
-    meter = CostMeter(SearchConfig())
-    state, ok, used = step_macro(world, start, macro, task, meter=meter)
+    state, ok, used = step_macro(world, start, macro, task)
     assert (state.values[0], state.step_count, ok, used) == (3.0, 3, True, 3)
-    assert meter.sim_steps == 3
     state, ok, used = step_macro(world, start, macro[:2], task)
     assert (state.values[0], ok, used) == (2.0, False, 2)
     cfg = SearchConfig(d_sim_max=9, horizon=1, t_max=1e9)
@@ -564,7 +575,7 @@ def reference_search_once(root_state, task, prior, lib, model, cfg, streams,
         _check_tree(root, outcome, cfg)
         return outcome, exit_name
 
-    root = TreeNode(model.clone_state(root_state), 0, 0,
+    root = TreeNode(root_state.copy(), 0, 0,
                     is_goal=task.goal_predicate(root_state))
     nodes_created = 1
     if root.is_goal:
@@ -664,7 +675,6 @@ def _search_fingerprint(outcome, meter, trace):
 
 
 def test_search_once_matches_reference_loop(env, model, tasks, library):
-    from vlaps.world import greedy_expert_action
     priors = [UniformLibraryPrior(library)] + [
         ScriptedExpertPrior(model, 4, noise) for noise in (0.0, 0.2, 0.3, 0.45, 0.6, 1.0)]
     exits = collections.Counter()
@@ -684,7 +694,7 @@ def test_search_once_matches_reference_loop(env, model, tasks, library):
         state = env.reset(case, task.task_id)
         path = [state]
         while not task.goal_predicate(path[-1]):
-            path.append(env.step(path[-1], greedy_expert_action(env, path[-1], task)))
+            path.append(env.step(path[-1], _expert_values(env, path[-1].values.tolist(), task)))
         state = path[max(0, len(path) - 1 - cfg.d_sim_max - int(rng.integers(0, 6)))]
         runs = []
         for fn in (reference_search_once, search_once):

@@ -1,10 +1,15 @@
 import ast
+import json
 import re
 from pathlib import Path
 
 import vlaps
+from vlaps.harness import SuiteConfig
+from vlaps.search import SearchConfig
 
 SOURCES = sorted(Path(vlaps.__file__).parent.glob("*.py"))
+REPO = Path(__file__).resolve().parents[1]
+README = (REPO / "README.md").read_text()
 
 
 def test_package_has_no_assert_statements():
@@ -20,8 +25,7 @@ def test_package_has_no_assert_statements():
 
 
 def test_readme_library_example_runs(capsys):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    blocks = re.findall(r"```python\n(.*?)```", README, flags=re.DOTALL)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
     success, wall_time = capsys.readouterr().out.split()
@@ -60,3 +64,58 @@ def test_no_module_level_instances_of_package_classes():
                 if name in classes:
                     found.append(f"{path.name}:{stmt.lineno} calls {name}")
     assert found == []
+
+
+def test_readme_suite_example_and_search_keys_match_the_config():
+    blocks = re.findall(r"```json\n(.*?)```", README, flags=re.DOTALL)
+    assert len(blocks) == 1
+    cfg = SuiteConfig.from_json(json.loads(blocks[0]))
+    assert cfg.search.n_mc == 300 and cfg.task_ids
+    sentence = re.search(r"The `search` object takes the keys (.*?)\.", README, flags=re.DOTALL)
+    keys = re.findall(r"`(\w+)`", sentence.group(1))
+    assert keys == list(SearchConfig().to_json())
+
+
+def _identifiers(tree):
+    """(top-level definition, identifier) for every name and attribute in a
+    module; the definition is None outside any top-level def or class."""
+    found = set()
+    for stmt in tree.body:
+        owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                found.add((owner, node.id))
+            elif isinstance(node, ast.Attribute):
+                found.add((owner, node.attr))
+    return found
+
+
+def test_every_public_definition_has_a_user_outside_the_tests():
+    # a public function or class must be used by package code outside its own
+    # body (__init__.py's import lists do not count), used by bench/ (the
+    # tracer names its targets as strings), or named in README.md; otherwise
+    # only tests reach it
+    modules = {path.name: ast.parse(path.read_text(), filename=str(path))
+               for path in SOURCES if path.name != "__init__.py"}
+    package = {name: _identifiers(tree) for name, tree in modules.items()}
+    bench = set()
+    for path in (REPO / "bench").glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bench |= {ident for _, ident in _identifiers(tree)}
+        bench |= {node.value for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    readme = set(re.findall(r"\w+", README))
+    checked, unused = 0, []
+    for module, tree in modules.items():
+        for stmt in tree.body:
+            if (not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    or stmt.name.startswith("_")):
+                continue
+            checked += 1
+            name = stmt.name
+            used = any(ident == name and (other != module or owner != name)
+                       for other, found in package.items() for owner, ident in found)
+            if not (used or name in bench or name in readme):
+                unused.append(f"{module}: {name}")
+    assert checked >= 50
+    assert unused == []
