@@ -22,7 +22,6 @@ from .macrolib import (
     segment_trajectories,
 )
 from .prior import (
-    CandidateSet,
     LineProtocolPrior,
     PriorPolicy,
     UniformLibraryPrior,
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockNavEnv",
-    "CandidateSet",
     "ConfigurationError",
     "ContractViolationError",
     "DegenerateLibraryError",

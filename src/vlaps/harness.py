@@ -35,9 +35,9 @@ class SuiteConfig:
 
     extent: float = 10.0
     object_count: int = 2
-    task_ids: list = field(default_factory=list)  # empty = all BlockNav tasks
-    noise_levels: list = field(default_factory=lambda: [0.0, 0.2, 0.4, 0.6])
-    seeds: list = field(default_factory=lambda: list(range(10)))
+    task_ids: list[str] = field(default_factory=list)  # empty = all BlockNav tasks
+    noise_levels: list[float] = field(default_factory=lambda: [0.0, 0.2, 0.4, 0.6])
+    seeds: list[int] = field(default_factory=lambda: list(range(10)))
     search: SearchConfig = field(default_factory=SearchConfig)
     library_path: str = ""   # empty = build from expert demos
     library_size: int = 64
@@ -45,6 +45,17 @@ class SuiteConfig:
     out_dir: str = "."
 
     def __post_init__(self):
+        # each value has its field's JSON type (the search config checks its own)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type.startswith("list["):
+                ok = isinstance(value, list) and all(_is_json_type(x, f.type[5:-1])
+                                                     for x in value)
+            else:
+                ok = f.name == "search" or _is_json_type(value, f.type)
+            if not ok:
+                raise ConfigurationError(f"suite config: {f.name} must be {f.type}, "
+                                         f"got {value!r}")
         if len(self.seeds) < 1:
             raise ConfigurationError("at least one seed (episode per cell) required")
         if any(not 0.0 <= x <= 1.0 for x in self.noise_levels):
@@ -57,6 +68,8 @@ class SuiteConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "SuiteConfig":
+        if not isinstance(data, dict) or not isinstance(data.get("search", {}), dict):
+            raise ConfigurationError("a suite config and its search value must be JSON objects")
         data = dict(data)
         if "search" in data:
             data["search"] = SearchConfig.from_json(data["search"])

@@ -85,8 +85,12 @@ def load_trajectories(path) -> list[Trajectory]:
                 g["actions"].append(np.asarray(rec["action"], dtype=float))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigurationError(f"{path}:{lineno}: bad trajectory ({exc!r})") from exc
+    try:
+        ordered = sorted(groups.items())
+    except TypeError as exc:
+        raise ConfigurationError(f"{path}: traj_id values cannot be ordered ({exc})") from exc
     trajs, shapes = [], set()
-    for traj_id, g in sorted(groups.items()):
+    for traj_id, g in ordered:
         shapes.update(a.shape for a in g["actions"])
         if len(shapes) != 1 or len(next(iter(shapes))) != 1:
             raise ConfigurationError(

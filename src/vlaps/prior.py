@@ -13,7 +13,6 @@ import json
 import math
 import subprocess
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -80,27 +79,13 @@ def beta_distribution(dists: np.ndarray, alpha: float, epsilon: float) -> np.nda
 psi_prior = beta_distribution
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """A node's fixed macro-action candidates: distinct library indices."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(set(self.indices)) != len(self.indices):
-            raise ContractViolationError("candidate indices must be distinct")
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
-def sample_candidates(dist: np.ndarray, k: int, rng: np.random.Generator) -> CandidateSet:
+def sample_candidates(dist: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
     """Draw k distinct library indices from ``dist`` by rejection sampling.
 
     Each draw is one categorical sample, and a repeat is rejected and drawn
     again.  After ``_MAX_SAMPLE_ATTEMPTS`` draws in total, the set is completed
     with the most probable indices not yet chosen (ties go to the lower
-    index).  Slot order is draw order.
+    index).  Returns the indices in draw order.
 
     A draw is the inverse-CDF step of ``rng.choice(m, p=dist)``: one
     ``rng.random()`` looked up with ``bisect_right`` in the normalised
@@ -145,7 +130,7 @@ def sample_candidates(dist: np.ndarray, k: int, rng: np.random.Generator) -> Can
                 chosen.append(idx)
             if len(chosen) == k:
                 break
-    return CandidateSet(tuple(chosen))
+    return chosen
 
 
 class UniformLibraryPrior:

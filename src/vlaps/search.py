@@ -3,11 +3,16 @@
 The search is PUCT-style with no value estimates: visits are allocated by a
 prior over each node's sampled candidate macro-actions, counts are the only
 backpropagated quantity, and the search terminates as soon as any simulated
-state satisfies the goal.  ``search_once`` has one iteration path: select a
-leaf, expand it with candidates sampled around the prior's macro, roll the
-prior out from the best-prior child, backpropagate.  The episode runner
-replans in a receding-horizon loop, executing either the returned goal plan
-or the most-visited root macro.
+state satisfies the goal.  Each tree node holds the edge that reached it: the
+library index of its macro, that macro's selection prior ψ and its visit
+count, all plain Python numbers; a node's children are a list in draw order.
+``search_once`` has one iteration path: select a leaf, expand it with
+candidates sampled around the prior's macro, roll the prior out from the
+best-prior child, backpropagate.  The episode runner replans in a
+receding-horizon loop, executing either the returned goal plan or the
+most-visited root macro.  A goal plan that misses the goal on the true
+environment (the model diverged) is followed by a new search from the
+reached state while decision points and budget remain.
 
 Time accounting is a deterministic cost model (a fixed charge per prior query
 and per simulated primitive step) so that identical configurations produce
@@ -26,13 +31,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, PriorQueryError
 from .macrolib import MacroLibrary
-from .prior import (
-    CandidateSet,
-    PriorPolicy,
-    beta_distribution,
-    psi_prior,
-    sample_candidates,
-)
+from .prior import PriorPolicy, beta_distribution, psi_prior, sample_candidates
 from .rngutil import CANDIDATES, PRIOR_QUERY, ROLLOUT, RngFactory
 from .world import StateVec, TaskSpec, WorldModel, step_macro
 
@@ -112,14 +111,19 @@ class CostMeter:
 
 @dataclass
 class TreeNode:
+    """A simulated state and the edge that reached it from its parent: the
+    library index of the macro taken (-1 at the root), that macro's selection
+    prior and its visit count.  ``children`` are in draw order; a node is
+    expanded once it has any."""
+
     sim_state: StateVec
     depth: int
     node_id: int
     is_goal: bool = False
-    candidates: Optional[CandidateSet] = None
-    psi: Optional[np.ndarray] = None
-    visit_counts: Optional[np.ndarray] = None
-    children: dict = field(default_factory=dict)
+    proto: int = -1
+    psi: float = 0.0
+    visits: int = 0
+    children: list = field(default_factory=list)
 
 
 @dataclass
@@ -128,7 +132,6 @@ class SearchOutcome:
     plan: Optional[list] = None        # macro sequence root -> goal
     best_macro: Optional[np.ndarray] = None
     iterations_used: int = 0
-    wall_time: float = 0.0
     nodes_created: int = 1
 
 
@@ -142,26 +145,19 @@ class EpisodeResult:
     total_search_iterations: int = 0
 
 
-def score(node: TreeNode, i: int) -> float:
-    """Selection score of candidate i at a node (no value estimates).
+def _best_candidate(node: TreeNode) -> int:
+    """Index of the child with the highest selection score (no value estimates).
 
     ``psi_i * sqrt(sum_j N_j) / (1 + N_i)``: the parent-total visit count in
     the numerator is what makes visit allocation track the prior.  With no Q
     term an exploration constant would scale every score alike, so there is
-    none.
+    none.  Ties go to the higher psi, then the lower index (deterministic
+    replay).
     """
-    if node.candidates is None:
-        raise ContractViolationError("score requires an expanded node")
-    n_i = float(node.visit_counts[i])
-    return float(node.psi[i]) * math.sqrt(float(node.visit_counts.sum())) / (1.0 + n_i)
-
-
-def _best_candidate(node: TreeNode) -> int:
-    # ties: higher psi, then lower index (deterministic replay)
-    return max(
-        range(len(node.candidates)),
-        key=lambda i: (score(node, i), float(node.psi[i]), -i),
-    )
+    children = node.children
+    root = math.sqrt(sum(child.visits for child in children))
+    return max(range(len(children)), key=lambda i: (
+        children[i].psi * root / (1 + children[i].visits), children[i].psi, -i))
 
 
 def select_path(root: TreeNode, cfg: SearchConfig) -> tuple[TreeNode, list]:
@@ -172,7 +168,7 @@ def select_path(root: TreeNode, cfg: SearchConfig) -> tuple[TreeNode, list]:
     maximum depth.
     """
     node, path = root, []
-    while node.candidates is not None and not node.is_goal and node.depth < cfg.d_max:
+    while node.children and not node.is_goal and node.depth < cfg.d_max:
         idx = _best_candidate(node)
         path.append((node, idx))
         node = node.children[idx]
@@ -180,9 +176,9 @@ def select_path(root: TreeNode, cfg: SearchConfig) -> tuple[TreeNode, list]:
 
 
 def backpropagate(path: list) -> None:
-    """Increment the visit count of each chosen candidate along the path."""
+    """Increment the visit count of each chosen child along the path."""
     for node, idx in path:
-        node.visit_counts[idx] += 1
+        node.children[idx].visits += 1
 
 
 def _query_prior(
@@ -228,15 +224,15 @@ def expand(
     meter: CostMeter,
     next_id: int,
 ) -> list[TreeNode]:
-    """Create the node's k candidate children.
+    """Create the node's k children, one per candidate macro.
 
     Queries the prior exactly once for the anchor macro and measures the
-    library's distances to it once.  Samples the fixed candidate set by the
-    prior rule over all of them, takes the selection prior over the
+    library's distances to it once.  Samples k distinct library indices by
+    the prior rule over all of them, takes the selection prior over the
     candidates' own, and steps the world model through each candidate macro,
     charging its steps to ``meter``.
     """
-    if node.candidates is not None:
+    if node.children:
         raise ContractViolationError("node is already expanded")
     if node.depth >= cfg.d_max:
         raise ContractViolationError("cannot expand a node at maximum depth")
@@ -245,20 +241,15 @@ def expand(
                           f"in expand at depth {node.depth}")
     dists = lib.distances_to(anchor)
     dist = beta_distribution(dists, cfg.alpha_beta, cfg.epsilon_beta)
-    node.candidates = sample_candidates(dist, cfg.k, rng_sample)
-    node.psi = psi_prior(dists[list(node.candidates.indices)], cfg.alpha_psi,
-                         cfg.epsilon_psi)
-    node.visit_counts = np.zeros(cfg.k, dtype=np.int64)
-
-    children = []
-    for slot, proto_idx in enumerate(node.candidates.indices):
-        macro = lib.prototypes[proto_idx]
-        state, success, used = step_macro(model, node.sim_state.copy(), macro, task)
+    indices = sample_candidates(dist, cfg.k, rng_sample)
+    psi = psi_prior(dists[indices], cfg.alpha_psi, cfg.epsilon_psi).tolist()
+    for slot, (proto, weight) in enumerate(zip(indices, psi)):
+        state, success, used = step_macro(model, node.sim_state.copy(),
+                                          lib.prototypes[proto], task)
         meter.add_steps(used)
-        child = TreeNode(state, node.depth + 1, next_id + slot, is_goal=success)
-        node.children[slot] = child
-        children.append(child)
-    return children
+        node.children.append(TreeNode(state, node.depth + 1, next_id + slot,
+                                      success, proto, weight))
+    return node.children
 
 
 def rollout(
@@ -268,7 +259,7 @@ def rollout(
     task: TaskSpec,
     cfg: SearchConfig,
     rng: np.random.Generator,
-    meter: Optional[CostMeter] = None,
+    meter: CostMeter,
 ) -> tuple[bool, int, list]:
     """Simulate the prior policy from a state until goal or the step cap.
 
@@ -282,16 +273,14 @@ def rollout(
     steps = 0
     macros: list[np.ndarray] = []
     while steps < cfg.d_sim_max:
-        if meter is not None:
-            meter.add_query()
+        meter.add_query()
         macro = _query_prior(prior, model, state, task, rng, "in rollout")
         macros.append(macro)
         # the goal was tested on ``state`` by the check above or after the
         # previous macro's last step, so this skips step_macro's start test
         state, success, used = model.run_macro(
             state, macro[:cfg.d_sim_max - steps], task)
-        if meter is not None:
-            meter.add_steps(used)
+        meter.add_steps(used)
         steps += used
         if success:
             return True, steps, macros
@@ -299,7 +288,7 @@ def rollout(
 
 
 def _path_macros(path: list, lib: MacroLibrary) -> list:
-    return [lib.prototypes[node.candidates.indices[idx]].copy() for node, idx in path]
+    return [lib.prototypes[node.children[idx].proto].copy() for node, idx in path]
 
 
 def search_once(
@@ -312,7 +301,6 @@ def search_once(
     streams: Optional[RngFactory] = None,
     dp: int = 0,
     meter: Optional[CostMeter] = None,
-    deadline: Optional[float] = None,
     trace=None,
 ) -> SearchOutcome:
     """Run one decision point's search.
@@ -323,7 +311,7 @@ def search_once(
     rolls the prior out from the root, so a prior that already solves the
     task returns its solution at once.  Returns a goal plan as soon as any
     simulated state satisfies the goal, otherwise the most-visited root macro
-    once the iteration budget or deadline is spent.
+    once the iteration budget is spent or ``meter`` reads ``cfg.t_max``.
     """
     if cfg.n_mc < 1:
         raise ConfigurationError("search_once requires n_mc >= 1")
@@ -331,16 +319,12 @@ def search_once(
         streams = RngFactory(cfg.seed)
     if meter is None:
         meter = CostMeter(cfg)
-    if deadline is None:
-        deadline = meter.elapsed() + cfg.t_max
-    start_time = meter.elapsed()
     nodes_created = 1
     iterations = 0
 
     def finish(kind: str, plan=None, best_macro=None) -> SearchOutcome:
         outcome = SearchOutcome(kind, plan=plan, best_macro=best_macro,
-                                iterations_used=iterations, nodes_created=nodes_created,
-                                wall_time=meter.elapsed() - start_time)
+                                iterations_used=iterations, nodes_created=nodes_created)
         _check_tree(root, outcome, cfg)
         return outcome
 
@@ -351,7 +335,7 @@ def search_once(
 
     rollouts = 0
     for it in range(1, cfg.n_mc + 1):
-        if meter.elapsed() >= deadline:
+        if meter.elapsed() >= cfg.t_max:
             break
         iterations = it
         leaf, path = select_path(root, cfg) if it > 1 else (root, [])
@@ -389,17 +373,15 @@ def search_once(
         _trace(trace, record, meter, rollout_result="fail")
 
     # budget exhausted: most-visited root macro
-    if root.candidates is None:
+    if not root.children:
         # deadline hit before the first expansion (timeout-starved budget)
         raise ConfigurationError(
             "search budget exhausted before the root could be expanded; "
             "increase t_max or lower per-call costs"
         )
-    counts = root.visit_counts
-    best = max(range(len(counts)),
-               key=lambda i: (counts[i], float(root.psi[i]), -i))
-    return finish(BEST_ROOT_MACRO,
-                  best_macro=lib.prototypes[root.candidates.indices[best]].copy())
+    # ties: higher psi, then the first drawn
+    best = max(root.children, key=lambda child: (child.visits, child.psi))
+    return finish(BEST_ROOT_MACRO, best_macro=lib.prototypes[best.proto].copy())
 
 
 def _trace(trace, record: dict, meter: CostMeter, rollout_result: str) -> None:
@@ -411,24 +393,27 @@ def _trace(trace, record: dict, meter: CostMeter, rollout_result: str) -> None:
 
 
 def _check_tree(root: TreeNode, outcome: SearchOutcome, cfg: SearchConfig) -> None:
-    # branching bound and, for completed searches, visit-count conservation
+    # branching bound, distinct library indices among siblings and, for
+    # completed searches, visit-count conservation
     count, stack = 0, [root]
     while stack:
         node = stack.pop()
         count += 1
-        if len(node.children) > cfg.k:
+        protos = [child.proto for child in node.children]
+        if len(protos) > cfg.k or len(set(protos)) < len(protos):
             raise ContractViolationError(
                 f"_check_tree: node {node.node_id} at depth {node.depth} has "
-                f"{len(node.children)} children, more than k={cfg.k}"
+                f"{len(protos)} children with library indices {protos}; "
+                f"they must be distinct and at most k={cfg.k}"
             )
-        stack.extend(node.children.values())
+        stack.extend(node.children)
     if count > 1 + cfg.n_mc * cfg.k:
         raise ContractViolationError(
             f"_check_tree: tree has {count} nodes, more than "
             f"1 + n_mc*k = {1 + cfg.n_mc * cfg.k}"
         )
-    if outcome.kind == BEST_ROOT_MACRO and root.visit_counts is not None:
-        visits = int(root.visit_counts.sum())
+    if outcome.kind == BEST_ROOT_MACRO:
+        visits = sum(child.visits for child in root.children)
         if visits != outcome.iterations_used:
             raise ContractViolationError(
                 f"_check_tree: root visit counts sum to {visits}, "
@@ -466,7 +451,9 @@ def run_episode(
 ) -> EpisodeResult:
     """Receding-horizon episode: search, execute, observe, repeat.
 
-    With ``n_mc == 0`` the runner degenerates to executing a single prior
+    A goal plan is executed whole; if the true environment then misses the
+    goal (the model diverged from it), the runner searches again from the
+    reached state, as after a root macro.  With ``n_mc == 0`` the runner degenerates to executing a single prior
     rollout directly in the true environment (the prior-only baseline).
     """
     if streams is None:
@@ -492,17 +479,14 @@ def run_episode(
             break
         outcome = search_once(
             state, task, prior, lib, model, cfg,
-            streams=streams, dp=decision_points, meter=meter,
-            deadline=cfg.t_max, trace=trace,
+            streams=streams, dp=decision_points, meter=meter, trace=trace,
         )
         decision_points += 1
         search_iterations += outcome.iterations_used
         if outcome.kind == GOAL_PLAN:
             state, success, used = replay_plan(env, state, outcome.plan, task)
-            primitive_steps += used
-            meter.add_steps(used)
-            break
-        state, success, used = step_macro(env, state, outcome.best_macro, task)
+        else:
+            state, success, used = step_macro(env, state, outcome.best_macro, task)
         primitive_steps += used
         meter.add_steps(used)
     return EpisodeResult(

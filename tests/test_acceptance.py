@@ -122,21 +122,19 @@ def test_criterion_2_probability_vector_contract(trend_run):
 
 
 def test_criterion_3_prior_proportional_allocation():
-    from vlaps.search import _best_candidate
-    from vlaps.prior import CandidateSet
-    from vlaps.search import TreeNode
+    from vlaps.search import TreeNode, _best_candidate
     from vlaps.world import StateVec
 
     start = time.perf_counter()
     rng = np.random.default_rng(0)
     psi = rng.dirichlet(np.ones(10))
     node = TreeNode(StateVec(np.zeros(1)), 0, 0)
-    node.candidates = CandidateSet(tuple(range(10)))
-    node.psi = psi
-    node.visit_counts = np.zeros(10, dtype=np.int64)
+    node.children = [TreeNode(StateVec(np.zeros(1)), 1, i + 1, proto=i, psi=float(p))
+                     for i, p in enumerate(psi)]
     for _ in range(10_000):
-        node.visit_counts[_best_candidate(node)] += 1
-    freqs = node.visit_counts / node.visit_counts.sum()
+        node.children[_best_candidate(node)].visits += 1
+    visits = np.array([child.visits for child in node.children])
+    freqs = visits / visits.sum()
     corr = float(spearmanr(freqs, psi).statistic)
     gap = float(np.max(np.abs(freqs - psi)))
     elapsed = time.perf_counter() - start

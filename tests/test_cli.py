@@ -102,6 +102,30 @@ def test_bad_search_value_is_config_error(key, value, tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("seeds", ["x"]), ("seeds", [True]), ("library_size", "64"),
+    ("task_ids", "move_obj0_to_region0"), ("noise_levels", ["high"]),
+    ("library_seed", 1.5), ("library_path", 3), ("out_dir", None),
+    ("search", None), ("search", ["N_mc"]),
+])
+def test_bad_suite_value_type_is_config_error(key, value, tmp_path, monkeypatch, capsys):
+    # a value of the wrong type stops at the config, naming its key, before it
+    # reaches RngFactory or build_library or is iterated character by character
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps({"seeds": [0], key: value}))
+    monkeypatch.setenv("VLAPS_OUTPUT_ROOT", str(tmp_path))
+    assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err
+
+
+def test_suite_config_that_is_not_an_object_is_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text("[0]")
+    assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_missing_input_file_is_io_error(tmp_path, capsys):
     assert main([
         "build-library", "--input", str(tmp_path / "missing.jsonl"),
@@ -170,6 +194,17 @@ def test_ragged_trajectory_actions_are_config_error(second_id, tmp_path, capsys)
                  "--out", str(tmp_path / "lib.json")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "trajs.jsonl" in err and f"traj_id={second_id}" in err
+
+
+def test_mixed_traj_id_types_are_config_error(tmp_path, capsys):
+    path = tmp_path / "trajs.jsonl"
+    lines = [{"traj_id": traj_id, "success": True, "state": [0.0], "action": [0.0, 0.0, 1.0]}
+             for traj_id in (0, "a")]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    assert main(["build-library", "--input", str(path), "--size", "2",
+                 "--out", str(tmp_path / "lib.json")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "trajs.jsonl" in err and "traj_id" in err
 
 
 def test_trajectory_without_success_is_config_error(tmp_path, capsys):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from vlaps.errors import ConfigurationError, ContractViolationError
 from vlaps.macrolib import MacroLibrary
 from vlaps.prior import (
-    CandidateSet,
     LineProtocolPrior,
     UniformLibraryPrior,
     beta_distribution,
@@ -113,7 +112,7 @@ def test_sample_candidates_exhaustion():
     lib = identity_library([0.0, 1.0, 2.0, 3.0])
     probs = beta(lib, np.array([[0.0]]), alpha=5.0, epsilon=0.1)
     cands = sample_candidates(probs, 4, np.random.default_rng(0))
-    assert sorted(cands.indices) == [0, 1, 2, 3]
+    assert sorted(cands) == [0, 1, 2, 3]
 
 
 def test_sample_candidates_too_many():
@@ -126,15 +125,15 @@ def test_sample_candidates_deterministic():
     probs = np.array([0.5, 0.3, 0.1, 0.1])
     a = sample_candidates(probs, 2, np.random.default_rng(7))
     b = sample_candidates(probs, 2, np.random.default_rng(7))
-    assert a.indices == b.indices
+    assert a == b
 
 
 def test_sample_candidates_point_mass_fallback():
     # a near-degenerate distribution still yields k distinct indices
     probs = np.array([1.0 - 3e-12, 1e-12, 1e-12, 1e-12])
     cands = sample_candidates(probs, 3, np.random.default_rng(0))
-    assert len(set(cands.indices)) == 3
-    assert 0 in cands.indices
+    assert len(set(cands)) == 3
+    assert 0 in cands
 
 
 def test_nearest_prototype_frequency_grows_with_alpha():
@@ -150,37 +149,29 @@ def test_nearest_prototype_frequency_grows_with_alpha():
     sampler = np.random.default_rng(0)
     for _ in range(trials):
         cands = sample_candidates(probs, 3, sampler)
-        hits += nearest in cands.indices
+        hits += nearest in cands
     assert hits / trials >= 0.99
 
 
-def test_candidate_set_immutable():
-    cands = CandidateSet((0, 2))
-    with pytest.raises(AttributeError):
-        cands.indices = (1,)
-    with pytest.raises(ContractViolationError):
-        CandidateSet((0, 0))
-
-
 def psi(cands, lib, anchor, alpha_psi, epsilon_psi=0.0):
-    """The selection prior over ``cands``, as expand takes it."""
-    dists = lib.distances_to(anchor)[list(cands.indices)]
+    """The selection prior over the library indices ``cands``, as expand takes it."""
+    dists = lib.distances_to(anchor)[cands]
     return psi_prior(dists, alpha_psi, epsilon_psi)
 
 
 def test_psi_singleton_and_symmetry():
     lib = identity_library([0.0, 2.0, -2.0])
     anchor = np.array([[0.0]])
-    single = psi(CandidateSet((1,)), lib, anchor, alpha_psi=5.0)
+    single = psi([1], lib, anchor, alpha_psi=5.0)
     assert single == pytest.approx([1.0])
-    pair = psi(CandidateSet((1, 2)), lib, anchor, alpha_psi=5.0)
+    pair = psi([1, 2], lib, anchor, alpha_psi=5.0)
     assert np.allclose(pair, [0.5, 0.5])
 
 
 def test_psi_epsilon_flag():
     lib = identity_library([0.0, 1.0, 5.0])
     anchor = np.array([[0.0]])
-    cands = CandidateSet((0, 1, 2))
+    cands = [0, 1, 2]
     pure = psi(cands, lib, anchor, alpha_psi=10.0)
     mixed = psi(cands, lib, anchor, alpha_psi=10.0, epsilon_psi=0.3)
     assert pure[2] < 0.1 / 3
@@ -191,7 +182,7 @@ def test_psi_epsilon_flag():
 def test_psi_empty_candidates():
     lib = identity_library([0.0, 1.0])
     with pytest.raises(ContractViolationError):
-        psi(CandidateSet(()), lib, np.zeros((1, 1)), 5.0)
+        psi([], lib, np.zeros((1, 1)), 5.0)
 
 
 def test_uniform_library_prior(library, env, tasks):
@@ -269,7 +260,7 @@ def reference_sample_candidates(dist, k, rng):
                 chosen.append(idx)
             if len(chosen) == k:
                 break
-    return tuple(chosen)
+    return chosen
 
 
 def test_sample_candidates_matches_rng_choice_stream():
@@ -285,7 +276,7 @@ def test_sample_candidates_matches_rng_choice_stream():
         new_rng = np.random.default_rng(trial)
         expected = reference_sample_candidates(dist, k, ref_rng)
         got = sample_candidates(dist, k, new_rng)
-        assert got.indices == expected
+        assert got == expected
         assert new_rng.random() == ref_rng.random()
 
 
@@ -297,8 +288,8 @@ def test_sample_candidates_fallback_matches_rng_choice_stream():
     ref_rng, new_rng = np.random.default_rng(5), np.random.default_rng(5)
     expected = reference_sample_candidates(dist, 5, ref_rng)
     got = sample_candidates(dist, 5, new_rng)
-    assert got.indices == expected
-    assert sorted(got.indices[:3]) == [2, 4, 6] and got.indices[3:] == (0, 1)
+    assert got == expected
+    assert sorted(got[:3]) == [2, 4, 6] and got[3:] == [0, 1]
     assert new_rng.random() == ref_rng.random()
 
 
@@ -312,7 +303,7 @@ def test_sample_candidates_renormalises_like_rng_choice():
     dist[1] = total - dist[0]
     ref = reference_sample_candidates(dist, 1, np.random.default_rng(21))
     got = sample_candidates(dist, 1, np.random.default_rng(21))
-    assert got.indices == ref == (1,)
+    assert got == ref == [1]
 
 
 @pytest.mark.parametrize(
@@ -352,7 +343,7 @@ def reference_beta_distribution(lib, anchor, alpha, epsilon):
 
 
 def reference_psi_prior(candidates, lib, anchor, alpha_psi, epsilon_psi=0.0):
-    dists = lib.distances_to(np.asarray(anchor, dtype=float))[list(candidates.indices)]
+    dists = lib.distances_to(np.asarray(anchor, dtype=float))[candidates]
     probs = _reference_shifted_softmax(-alpha_psi * dists)
     if epsilon_psi > 0.0:
         probs = (1.0 - epsilon_psi) * probs + epsilon_psi / len(candidates)
@@ -379,7 +370,7 @@ def test_one_rule_matches_both_reference_priors_bitwise():
         expected = reference_beta_distribution(lib, anchor, alpha_beta, epsilon_beta)
         assert probs.tobytes() == expected.tobytes()
         cands = sample_candidates(probs, k, np.random.default_rng(trial))
-        got = psi_prior(dists[list(cands.indices)], alpha_psi, epsilon_psi)
+        got = psi_prior(dists[cands], alpha_psi, epsilon_psi)
         want = reference_psi_prior(cands, lib, anchor, alpha_psi, epsilon_psi)
         assert got.tobytes() == want.tobytes()
         seen["eps_psi_zero"] += epsilon_psi == 0.0
@@ -390,8 +381,9 @@ def test_one_rule_matches_both_reference_priors_bitwise():
 
 
 def test_expand_takes_both_reference_priors(model, tasks, library):
-    # the candidates and psi that expand sets are those of the two reference
-    # priors, each of which measured the anchor's distances itself
+    # the library indices and psi that expand gives the children are those of
+    # the two reference priors, each of which measured the anchor's distances
+    # itself
     from types import SimpleNamespace
 
     from vlaps.search import CostMeter, SearchConfig, TreeNode, expand
@@ -411,9 +403,9 @@ def test_expand_takes_both_reference_priors(model, tasks, library):
                np.random.default_rng(trial), CostMeter(cfg), 1)
         dist = reference_beta_distribution(library, anchor, cfg.alpha_beta, cfg.epsilon_beta)
         expected = sample_candidates(dist, cfg.k, np.random.default_rng(trial))
-        assert node.candidates == expected
+        assert [child.proto for child in node.children] == expected
         psi = reference_psi_prior(expected, library, anchor, cfg.alpha_psi, cfg.epsilon_psi)
-        assert node.psi.tobytes() == psi.tobytes()
+        assert np.array([child.psi for child in node.children]).tobytes() == psi.tobytes()
 
 
 def test_search_reports_bad_line_prior_macros(model, tasks, library):

@@ -9,7 +9,7 @@ import pytest
 
 from vlaps.errors import ConfigurationError, ContractViolationError, PriorQueryError
 from vlaps.macrolib import MacroLibrary
-from vlaps.prior import CandidateSet, UniformLibraryPrior
+from vlaps.prior import UniformLibraryPrior
 from vlaps.rngutil import CANDIDATES, PRIOR_QUERY, ROLLOUT, RngFactory
 from vlaps.search import (
     BEST_ROOT_MACRO,
@@ -27,7 +27,6 @@ from vlaps.search import (
     replay_plan,
     rollout,
     run_episode,
-    score,
     search_once,
     select_path,
 )
@@ -113,17 +112,31 @@ def test_config_json_round_trip_of_every_field():
 
 # -- score / selection / backprop ---------------------------------------------
 
-def _fake_node(psi, counts):
+def _fake_node(psi, counts, protos=None):
+    """An expanded root whose children carry the given edge stats."""
     node = TreeNode(StateVec(np.zeros(2)), depth=0, node_id=0)
-    node.candidates = CandidateSet(tuple(range(len(psi))))
-    node.psi = np.asarray(psi, dtype=float)
-    node.visit_counts = np.asarray(counts, dtype=np.int64)
+    protos = range(len(psi)) if protos is None else protos
+    node.children = [TreeNode(StateVec(np.zeros(2)), 1, i + 1, proto=proto, psi=float(p),
+                              visits=int(n))
+                     for i, (proto, p, n) in enumerate(zip(protos, psi, counts))]
     return node
+
+
+def numpy_score(psi, counts, i):
+    """The selection score as it was, on a node's numpy psi and count arrays."""
+    n_i = float(counts[i])
+    return float(psi[i]) * math.sqrt(float(counts.sum())) / (1.0 + n_i)
+
+
+def numpy_best_candidate(psi, counts):
+    """The selection as it was: ties to the higher psi, then the lower index."""
+    return max(range(len(psi)), key=lambda i: (numpy_score(psi, counts, i), float(psi[i]), -i))
 
 
 def test_score_zero_counts():
     node = _fake_node([0.2, 0.5, 0.3], [0, 0, 0])
-    assert [score(node, i) for i in range(3)] == [0.0, 0.0, 0.0]
+    counts = np.zeros(3, dtype=np.int64)
+    assert [numpy_score(np.array([0.2, 0.5, 0.3]), counts, i) for i in range(3)] == [0.0] * 3
     # tie broken by higher psi, then lower index
     assert _best_candidate(node) == 1
     tied = _fake_node([0.4, 0.4, 0.2], [0, 0, 0])
@@ -131,10 +144,10 @@ def test_score_zero_counts():
 
 
 def test_score_hand_example():
-    node = _fake_node([0.5, 0.5], [1, 0])
-    assert score(node, 0) == pytest.approx(0.25)
-    assert score(node, 1) == pytest.approx(0.5)
-    assert _best_candidate(node) == 1
+    # scores 0.5 * sqrt(1) / 2 = 0.25 and 0.5 * sqrt(1) / 1 = 0.5
+    psi, counts = np.array([0.5, 0.5]), np.array([1, 0])
+    assert [numpy_score(psi, counts, i) for i in range(2)] == [0.25, 0.5]
+    assert _best_candidate(_fake_node(psi, counts)) == 1
 
 
 def test_score_scaling_invariance():
@@ -143,10 +156,29 @@ def test_score_scaling_invariance():
     assert _best_candidate(a) == _best_candidate(b)
 
 
-def test_score_requires_expansion():
-    node = TreeNode(StateVec(np.zeros(2)), 0, 0)
-    with pytest.raises(ContractViolationError):
-        score(node, 0)
+def test_best_candidate_matches_numpy_reference():
+    # the list form takes the same IEEE steps on the same doubles as the numpy
+    # score did, so it picks the same child, exact ties included
+    gen = np.random.default_rng(17)
+    seen = collections.Counter()
+    for trial in range(3000):
+        k = int(gen.integers(1, 12))
+        if trial % 2:
+            psi = gen.dirichlet(np.ones(k))
+            counts = gen.integers(0, 50, size=k)
+        else:
+            # few distinct values: equal scores with equal psi (psi 0.25 and 1
+            # visit ties psi 0.25 and 1 visit) and with different psi (psi 0.25
+            # and no visit ties psi 0.5 and 1 visit)
+            psi = gen.choice([0.125, 0.25, 0.5], size=k)
+            counts = gen.integers(0, 4, size=k)
+        want = numpy_best_candidate(psi, counts)
+        assert _best_candidate(_fake_node(psi, counts)) == want, trial
+        scores = [numpy_score(psi, counts, i) for i in range(k)]
+        top = [i for i in range(k) if scores[i] == scores[want]]
+        seen["score_tie_equal_psi"] += any(psi[i] == psi[want] for i in top if i != want)
+        seen["score_tie_other_psi"] += any(psi[i] != psi[want] for i in top)
+    assert min(seen["score_tie_equal_psi"], seen["score_tie_other_psi"]) >= 100, seen
 
 
 def test_select_path_fresh_root():
@@ -159,15 +191,13 @@ def test_backpropagate_locality():
     a = _fake_node([0.5, 0.5], [0, 0])
     b = _fake_node([0.5, 0.5], [0, 0])
     backpropagate([(a, 1)])
-    assert list(a.visit_counts) == [0, 1]
-    assert list(b.visit_counts) == [0, 0]
+    assert [child.visits for child in a.children] == [0, 1]
+    assert [child.visits for child in b.children] == [0, 0]
 
 
 def test_select_path_deterministic():
     cfg = SearchConfig()
     root = _fake_node([0.3, 0.7], [2, 5])
-    for i in range(2):
-        root.children[i] = TreeNode(StateVec(np.zeros(2)), 1, i + 1)
     l1, p1 = select_path(root, cfg)
     l2, p2 = select_path(root, cfg)
     assert l1 is l2 and [i for _, i in p1] == [i for _, i in p2]
@@ -189,8 +219,10 @@ def test_expand_creates_k_children(env, model, tasks, library, search_setup):
     meter = CostMeter(cfg)
     children = expand(node, prior, library, model, task, cfg,
                       np.random.default_rng(0), np.random.default_rng(1), meter, 1)
-    assert len(children) == cfg.k
-    assert len(node.candidates) == cfg.k
+    assert len(children) == cfg.k and node.children == children
+    assert len({child.proto for child in children}) == cfg.k
+    assert sum(child.psi for child in children) == pytest.approx(1.0)
+    assert all(child.visits == 0 for child in children)
     assert meter.queries == 1  # exactly one prior query per expansion
     # expand charges the steps of every child's macro (step_macro charges none)
     assert meter.sim_steps == sum(c.sim_state.step_count - node.sim_state.step_count
@@ -216,7 +248,7 @@ def test_rollout_degenerate_start(env, model, tasks, library, search_setup):
     while not task.goal_predicate(state):
         state = env.step(state, _expert_values(env, state.values.tolist(), task))
     success, steps, macros = rollout(model, prior, state, task, cfg,
-                                     np.random.default_rng(0))
+                                     np.random.default_rng(0), CostMeter(cfg))
     assert success and steps == 0 and macros == []
 
 
@@ -225,7 +257,7 @@ def test_rollout_respects_step_cap(model, env, tasks, library):
     prior = UniformLibraryPrior(library)
     state = env.reset(0, tasks[2].task_id)
     success, steps, _ = rollout(model, prior, state, tasks[2], cfg,
-                                np.random.default_rng(0))
+                                np.random.default_rng(0), CostMeter(cfg))
     assert steps <= 17
     if not success:
         assert steps == 17
@@ -235,8 +267,8 @@ def test_rollout_deterministic(model, env, tasks, library):
     cfg = SearchConfig(d_sim_max=40, t_max=1e9)
     prior = ScriptedExpertPrior(model, cfg.horizon, 0.5)
     state = env.reset(1, tasks[0].task_id)
-    runs = [rollout(model, prior, state, tasks[0], cfg, np.random.default_rng(9))
-            for _ in range(2)]
+    runs = [rollout(model, prior, state, tasks[0], cfg, np.random.default_rng(9),
+                    CostMeter(cfg)) for _ in range(2)]
     assert runs[0][0] == runs[1][0] and runs[0][1] == runs[1][1]
     for m1, m2 in zip(runs[0][2], runs[1][2]):
         assert np.array_equal(m1, m2)
@@ -316,6 +348,25 @@ def test_search_deadline_cuts_iterations(env, model, tasks, library):
     assert out.iterations_used < 200
 
 
+def test_search_with_a_used_meter_stops_at_t_max(env, model, tasks, library):
+    # the budget is cfg.t_max on the meter: a meter that already reads half of
+    # it leaves the search what a fresh meter and half the budget leave it
+    cfg = SearchConfig(n_mc=200, d_sim_max=20, t_max=0.1)
+    half = dataclasses.replace(cfg, t_max=0.05)
+    prior = UniformLibraryPrior(library)
+    task = tasks[2]
+    state = env.reset(0, task.task_id)
+    used = CostMeter(cfg)
+    used.add_steps(500)  # 0.05 cost-model seconds
+    outs = [search_once(state, task, prior, library, model, c, streams=RngFactory(0),
+                        meter=meter)
+            for c, meter in ((cfg, CostMeter(cfg)), (cfg, used), (half, CostMeter(half)))]
+    assert [out.kind for out in outs] == [BEST_ROOT_MACRO] * 3
+    assert 1 < outs[1].iterations_used == outs[2].iterations_used < outs[0].iterations_used
+    assert np.array_equal(outs[1].best_macro, outs[2].best_macro)
+    assert used.elapsed() >= cfg.t_max
+
+
 def test_trace_export(env, model, tasks, library):
     cfg = SearchConfig(n_mc=5, d_sim_max=20, t_max=1e9)
     prior = UniformLibraryPrior(library)
@@ -337,8 +388,9 @@ def test_prior_proportional_allocation():
     psi = rng.dirichlet(np.ones(10))
     node = _fake_node(psi, np.zeros(10, dtype=int))
     for _ in range(5000):
-        node.visit_counts[_best_candidate(node)] += 1
-    freqs = node.visit_counts / node.visit_counts.sum()
+        node.children[_best_candidate(node)].visits += 1
+    visits = np.array([child.visits for child in node.children])
+    freqs = visits / visits.sum()
     assert spearmanr(freqs, psi).statistic >= 0.99
     assert np.max(np.abs(freqs - psi)) <= 0.05
 
@@ -443,6 +495,22 @@ def test_episode_receding_horizon_replans(env, model, tasks, library):
     assert result.decision_points > 1
 
 
+@pytest.mark.parametrize("field,seed,task_index", [("max_step", 0, 0), ("pick_radius", 3, 1)])
+def test_episode_replans_after_a_goal_plan_misses(field, seed, task_index, env, tasks, library):
+    # a model that moves or picks further than the environment makes goal
+    # plans that miss on it; the runner searches again from where it ended
+    model = BlockNavEnv.from_json({**env.to_json(), field: 0.7})
+    cfg = SearchConfig(n_mc=30, d_sim_max=80, t_max=1e6)
+    prior = ScriptedExpertPrior(model, cfg.horizon, 0.2)
+    task = tasks[task_index]
+    start = env.reset(seed, task.task_id)
+    first = search_once(start, task, prior, library, model, cfg, streams=RngFactory(seed))
+    assert first.kind == GOAL_PLAN and not replay_plan(env, start, first.plan, task)[1]
+    result = run_episode(env, model, task, prior, library, cfg,
+                         streams=RngFactory(seed), reset_seed=seed)
+    assert result.success and result.decision_points > 1
+
+
 def test_episode_requires_library_when_searching(env, model, tasks):
     cfg = SearchConfig()
     prior = ScriptedExpertPrior(model, cfg.horizon, 0.0)
@@ -452,23 +520,29 @@ def test_episode_requires_library_when_searching(env, model, tasks):
 
 def test_check_tree_rejects_too_many_children():
     cfg = SearchConfig(k=2, n_mc=5)
-    root = _fake_node([0.5, 0.5], [0, 0])
-    for i in range(3):
-        root.children[i] = TreeNode(StateVec(np.zeros(2)), 1, i + 1)
+    root = _fake_node([0.4, 0.3, 0.3], [0, 0, 0])
     outcome = SearchOutcome(GOAL_PLAN, plan=[])
     with pytest.raises(ContractViolationError, match="_check_tree: node 0 at depth 0 has 3"):
         _check_tree(root, outcome, cfg)
 
 
+def test_check_tree_rejects_duplicate_library_indices():
+    cfg = SearchConfig(k=3, n_mc=5)
+    root = _fake_node([0.4, 0.3, 0.3], [0, 0, 0], protos=[7, 2, 9])
+    _check_tree(root, SearchOutcome(GOAL_PLAN, plan=[]), cfg)
+    root.children[0].children = _fake_node([0.5, 0.5], [0, 0], protos=[4, 4]).children
+    with pytest.raises(ContractViolationError,
+                       match=r"_check_tree: node 1 at depth 1 .* indices \[4, 4\]"):
+        _check_tree(root, SearchOutcome(GOAL_PLAN, plan=[]), cfg)
+
+
 def test_check_tree_rejects_too_many_nodes_and_lost_visits():
     cfg = SearchConfig(k=2, n_mc=1)
     root = _fake_node([0.5, 0.5], [1, 0])
-    child = _fake_node([0.5, 0.5], [0, 0])
-    root.children = {0: child, 1: TreeNode(StateVec(np.zeros(2)), 1, 2)}
-    child.children = {0: TreeNode(StateVec(np.zeros(2)), 2, 3)}
+    root.children[0].children = [TreeNode(StateVec(np.zeros(2)), 2, 3)]
     with pytest.raises(ContractViolationError, match="_check_tree: tree has 4 nodes"):
         _check_tree(root, SearchOutcome(GOAL_PLAN, plan=[]), cfg)
-    root.children = {}
+    root.children[0].children = []
     _check_tree(root, SearchOutcome(BEST_ROOT_MACRO, iterations_used=1), cfg)
     with pytest.raises(ContractViolationError, match="_check_tree: root visit counts"):
         _check_tree(root, SearchOutcome(BEST_ROOT_MACRO, iterations_used=2), cfg)
@@ -535,7 +609,7 @@ def test_chain_world_takes_default_macro_loop():
     cfg = SearchConfig(d_sim_max=9, horizon=1, t_max=1e9)
     prior = UniformLibraryPrior(_chain_library())
     for seed in range(20):
-        runs = [fn(world, prior, start, task, cfg, np.random.default_rng(seed))
+        runs = [fn(world, prior, start, task, cfg, np.random.default_rng(seed), CostMeter(cfg))
                 for fn in (reference_rollout, rollout)]
         assert runs[0][:2] == runs[1][:2]
         assert [m.tobytes() for m in runs[0][2]] == [m.tobytes() for m in runs[1][2]]
@@ -544,18 +618,21 @@ def test_chain_world_takes_default_macro_loop():
 # -- search_once against the loop with three rollout paths -----------------------
 
 def reference_best_candidate(node, c_exp=1.4):
-    """Selection with the exploration constant the score used to carry."""
+    """Selection with the exploration constant the score used to carry, on
+    numpy arrays of the children's psi and visit counts."""
+    psi = np.array([child.psi for child in node.children])
+    counts = np.array([child.visits for child in node.children], dtype=np.int64)
+
     def reference_score(i):
-        n_i = float(node.visit_counts[i])
-        total = float(node.visit_counts.sum())
-        return c_exp * float(node.psi[i]) * math.sqrt(total) / (1.0 + n_i)
-    return max(range(len(node.candidates)),
-               key=lambda i: (reference_score(i), float(node.psi[i]), -i))
+        n_i = float(counts[i])
+        total = float(counts.sum())
+        return c_exp * float(psi[i]) * math.sqrt(total) / (1.0 + n_i)
+    return max(range(len(psi)), key=lambda i: (reference_score(i), float(psi[i]), -i))
 
 
 def reference_select_path(root, cfg):
     node, path = root, []
-    while node.candidates is not None and not node.is_goal and node.depth < cfg.d_max:
+    while node.children and not node.is_goal and node.depth < cfg.d_max:
         idx = reference_best_candidate(node)
         path.append((node, idx))
         node = node.children[idx]
@@ -563,15 +640,10 @@ def reference_select_path(root, cfg):
 
 
 def reference_search_once(root_state, task, prior, lib, model, cfg, streams,
-                          meter, deadline=None, trace=None):
+                          meter, trace=None):
     """search_once as it was with a separate root, post-expansion and
     depth-capped rollout; returns the outcome and the name of its exit."""
-    if deadline is None:
-        deadline = meter.elapsed() + cfg.t_max
-    start_time = meter.elapsed()
-
     def finish(outcome, exit_name):
-        outcome.wall_time = meter.elapsed() - start_time
         _check_tree(root, outcome, cfg)
         return outcome, exit_name
 
@@ -584,7 +656,7 @@ def reference_search_once(root_state, task, prior, lib, model, cfg, streams,
     rollouts_done = 0
     iterations = 0
     for it in range(1, cfg.n_mc + 1):
-        if meter.elapsed() >= deadline:
+        if meter.elapsed() >= cfg.t_max:
             break
         iterations = it
         record = {"iteration": it, "path": [], "expanded_node_id": None,
@@ -610,7 +682,7 @@ def reference_search_once(root_state, task, prior, lib, model, cfg, streams,
                                 iterations_used=it, nodes_created=nodes_created)
             return finish(out, "goal_leaf")
 
-        if leaf.candidates is None and leaf.depth < cfg.d_max:
+        if not leaf.children and leaf.depth < cfg.d_max:
             children = expand(
                 leaf, prior, lib, model, task, cfg,
                 streams.rng(PRIOR_QUERY, 0, leaf.node_id),
@@ -655,12 +727,13 @@ def reference_search_once(root_state, task, prior, lib, model, cfg, streams,
             backpropagate(path)
             _trace(trace, record, meter, rollout_result="fail")
 
-    if root.candidates is None:
+    if not root.children:
         raise ConfigurationError("search budget exhausted before the root could be expanded")
-    counts = root.visit_counts
+    counts = np.array([child.visits for child in root.children], dtype=np.int64)
+    psi = np.array([child.psi for child in root.children])
     best = max(range(len(counts)),
-               key=lambda i: (counts[i], float(root.psi[i]), -i))
-    macro = lib.prototypes[root.candidates.indices[best]].copy()
+               key=lambda i: (counts[i], float(psi[i]), -i))
+    macro = lib.prototypes[root.children[best].proto].copy()
     return finish(SearchOutcome(
         BEST_ROOT_MACRO, best_macro=macro, iterations_used=iterations,
         nodes_created=nodes_created),
@@ -671,7 +744,7 @@ def _search_fingerprint(outcome, meter, trace):
     plan = [m.tobytes() for m in outcome.plan] if outcome.plan is not None else None
     best = outcome.best_macro.tobytes() if outcome.best_macro is not None else None
     return (outcome.kind, plan, best, outcome.iterations_used, outcome.nodes_created,
-            outcome.wall_time, meter.queries, meter.sim_steps, trace.getvalue())
+            meter.queries, meter.sim_steps, trace.getvalue())
 
 
 def test_search_once_matches_reference_loop(env, model, tasks, library):
@@ -743,7 +816,8 @@ def test_rollout_rejects_bad_prior_output(name, model, tasks):
     task = tasks[0]
     start = model.reset(0, task.task_id)
     with pytest.raises(PriorQueryError, match="in rollout"):
-        rollout(model, prior, start, task, SearchConfig(), np.random.default_rng(0))
+        rollout(model, prior, start, task, SearchConfig(), np.random.default_rng(0),
+                CostMeter(SearchConfig()))
 
 
 @pytest.mark.parametrize("name", sorted(BAD_PRIOR_OUTPUTS))
@@ -754,7 +828,7 @@ def test_expand_rejects_bad_prior_output(name, model, tasks, library):
     with pytest.raises(PriorQueryError, match="in expand at depth 2"):
         expand(node, prior, library, model, tasks[0], cfg,
                np.random.default_rng(0), np.random.default_rng(1), CostMeter(cfg), 1)
-    assert node.candidates is None
+    assert node.children == []
 
 
 def test_prior_only_episode_rejects_nan_macro(env, model, tasks, library):
@@ -769,6 +843,6 @@ def test_prior_output_accepts_lists_and_one_row_macros(model, tasks):
     start = model.reset(0, task.task_id)
     cfg = SearchConfig(d_sim_max=5, t_max=1e9)
     success, steps, macros = rollout(model, _FixedPrior([[0.1, 0.0, -1.0]]), start, task,
-                                     cfg, np.random.default_rng(0))
+                                     cfg, np.random.default_rng(0), CostMeter(cfg))
     assert (success, steps, len(macros)) == (False, 5, 5)
     assert all(m.dtype == float and m.shape == (1, 3) for m in macros)

@@ -24,6 +24,16 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_all_is_exactly_what_the_package_imports():
+    # a name left in __all__ after its definition is gone, or an import that
+    # is not exported, fails here rather than at `from vlaps import *`
+    tree = ast.parse(Path(vlaps.__file__).read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(vlaps.__all__) == sorted(imported)
+    assert all(hasattr(vlaps, name) for name in vlaps.__all__)
+
+
 def test_readme_library_example_runs(capsys):
     blocks = re.findall(r"```python\n(.*?)```", README, flags=re.DOTALL)
     assert len(blocks) == 1
