@@ -44,7 +44,6 @@ from .world import (
     StateVec,
     TaskSpec,
     WorldModel,
-    make_blocknav_env,
     step_macro,
 )
 
@@ -76,7 +75,6 @@ __all__ = [
     "aggregate",
     "beta_distribution",
     "build_library",
-    "make_blocknav_env",
     "psi_prior",
     "render_report",
     "run_episode",

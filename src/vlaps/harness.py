@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_fields
 from .macrolib import MacroLibrary, Trajectory, build_library, segment_trajectories
 from .rngutil import RngFactory, stable_hash
 from .search import EpisodeResult, SearchConfig, run_episode
@@ -45,17 +45,7 @@ class SuiteConfig:
     out_dir: str = "."
 
     def __post_init__(self):
-        # each value has its field's JSON type (the search config checks its own)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type.startswith("list["):
-                ok = isinstance(value, list) and all(_is_json_type(x, f.type[5:-1])
-                                                     for x in value)
-            else:
-                ok = f.name == "search" or _is_json_type(value, f.type)
-            if not ok:
-                raise ConfigurationError(f"suite config: {f.name} must be {f.type}, "
-                                         f"got {value!r}")
+        check_fields(self)
         if len(self.seeds) < 1:
             raise ConfigurationError("at least one seed (episode per cell) required")
         if any(not 0.0 <= x <= 1.0 for x in self.noise_levels):
@@ -92,6 +82,9 @@ class RunRecord:
     decision_points: int = 0
     # never set; kept so records.jsonl stays byte-identical and old records load
     root_tie: bool = False
+
+    def __post_init__(self):
+        check_fields(self)
 
     def sort_key(self):
         return (self.noise_level, self.task_id, self.method, self.seed)
@@ -160,6 +153,10 @@ def run_suite(cfg: SuiteConfig, library: MacroLibrary | None = None) -> list[Run
         tasks = all_tasks
     if library is None:
         library = resolve_library(cfg, env, all_tasks)
+    if (library.horizon, library.action_dim) != (cfg.search.horizon, env.action_dim):
+        raise ConfigurationError(
+            f"the library's macros have shape ({library.horizon}, {library.action_dim}), "
+            f"but the search needs (H, n) = ({cfg.search.horizon}, {env.action_dim})")
 
     model = BlockNavEnv.from_json(env.to_json())  # planning clone, same dynamics
     prior_cfg = dataclasses.replace(cfg.search, n_mc=0)
@@ -189,7 +186,7 @@ def _to_record(
         task_id=task.task_id,
         noise_level=noise,
         method=method,
-        seed=seed,
+        seed=int(seed),
         success=result.success,
         wall_time=result.total_wall_time,
         iterations=result.total_search_iterations,
@@ -210,26 +207,11 @@ def load_records(path) -> list[RunRecord]:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                data = json.loads(line)
                 try:
-                    rec = RunRecord(**data)
-                except TypeError as exc:
+                    records.append(RunRecord(**json.loads(line)))
+                except (TypeError, ConfigurationError) as exc:
                     raise ConfigurationError(f"{path}:{lineno}: bad record ({exc})") from exc
-                for f in fields(rec):
-                    value = getattr(rec, f.name)
-                    if not _is_json_type(value, f.type):
-                        raise ConfigurationError(
-                            f"{path}:{lineno}: {f.name} must be {f.type}, got {value!r}")
-                records.append(rec)
     return records
-
-
-def _is_json_type(value, type_name: str) -> bool:
-    """Whether a JSON value has a record field's type: an int is also a
-    float, and a bool is no number."""
-    if type_name == "bool" or isinstance(value, bool):
-        return type_name == "bool" and isinstance(value, bool)
-    return isinstance(value, {"str": str, "int": int, "float": (int, float)}[type_name])
 
 
 def aggregate(records: list[RunRecord]) -> list[dict]:

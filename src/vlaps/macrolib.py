@@ -76,6 +76,9 @@ def load_trajectories(path) -> list[Trajectory]:
                 continue
             rec = json.loads(line)
             try:
+                if type(rec["traj_id"]) not in (int, str):
+                    raise TypeError(f"traj_id must be an integer or a string, "
+                                    f"got {rec['traj_id']!r}")
                 g = groups.setdefault(
                     rec["traj_id"],
                     {"states": [], "actions": [], "success": rec["success"],

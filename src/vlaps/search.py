@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError, PriorQueryError
+from .errors import ConfigurationError, ContractViolationError, PriorQueryError, check_fields
 from .macrolib import MacroLibrary
 from .prior import PriorPolicy, beta_distribution, psi_prior, sample_candidates
 from .rngutil import CANDIDATES, PRIOR_QUERY, ROLLOUT, RngFactory
@@ -61,16 +60,11 @@ class SearchConfig:
     sim_step_cost_s: float = 0.0001
 
     def __post_init__(self):
-        # integer fields first, then the real ones, each in declaration order
-        for f in sorted(fields(self), key=lambda fld: fld.type != "int"):
-            value = getattr(self, f.name)
-            if f.type == "int":
-                if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                    raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
-            elif (not isinstance(value, numbers.Real) or isinstance(value, bool)
-                    or not 0 <= value < math.inf):
-                raise ConfigurationError(
-                    f"{f.name} must be a finite non-negative number, got {value!r}")
+        check_fields(self)
+        for f in fields(self):
+            if f.type == "float" and getattr(self, f.name) < 0:
+                raise ConfigurationError(f"SearchConfig: {f.name} must not be negative, "
+                                         f"got {getattr(self, f.name)!r}")
         if self.n_mc < 0 or self.k < 1 or self.d_sim_max < 1 or self.horizon < 1:
             raise ConfigurationError("n_mc, k, d_sim_max, horizon must be positive")
         if self.d_max < 1 or self.t_max <= 0:
@@ -226,19 +220,22 @@ def expand(
 ) -> list[TreeNode]:
     """Create the node's k children, one per candidate macro.
 
-    Queries the prior exactly once for the anchor macro and measures the
-    library's distances to it once.  Samples k distinct library indices by
-    the prior rule over all of them, takes the selection prior over the
-    candidates' own, and steps the world model through each candidate macro,
-    charging its steps to ``meter``.
+    Queries the prior exactly once for the anchor macro, which must have the
+    library's H rows, and measures the library's distances to it once.
+    Samples k distinct library indices by the prior rule over all of them,
+    takes the selection prior over the candidates' own, and steps the world
+    model through each candidate macro, charging its steps to ``meter``.
     """
     if node.children:
         raise ContractViolationError("node is already expanded")
     if node.depth >= cfg.d_max:
         raise ContractViolationError("cannot expand a node at maximum depth")
     meter.add_query()
-    anchor = _query_prior(prior, model, node.sim_state, task, rng_query,
-                          f"in expand at depth {node.depth}")
+    where = f"in expand at depth {node.depth}"
+    anchor = _query_prior(prior, model, node.sim_state, task, rng_query, where)
+    if len(anchor) != lib.horizon:
+        raise PriorQueryError(f"prior returned a macro of {len(anchor)} rows {where}; "
+                              f"the library's macros have H = {lib.horizon}")
     dists = lib.distances_to(anchor)
     dist = beta_distribution(dists, cfg.alpha_beta, cfg.epsilon_beta)
     indices = sample_candidates(dist, cfg.k, rng_sample)

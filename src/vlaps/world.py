@@ -9,14 +9,13 @@ noise) flows through explicitly passed generators.
 from __future__ import annotations
 
 import math
-import numbers
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError
+from .errors import ConfigurationError, ContractViolationError, check_fields
 from .rngutil import RngFactory, stable_hash
 
 
@@ -109,45 +108,35 @@ _REGION_FRACTIONS = [(0.15, 0.15), (0.85, 0.85), (0.15, 0.85)]
 _GOAL_TIE_MARGIN = 1e-9
 
 
+@dataclass(eq=False)
 class BlockNavEnv(WorldModel):
     """Continuous 2D pick-and-place with a gripper bit.
 
     Primitive action: ``(dx, dy, g)`` with ``dx, dy`` clamped per component to
     ``max_step`` and ``g > 0`` closing the gripper, ``g <= 0`` opening it.
     Picking happens when the gripper closes within ``pick_radius`` of an
-    object; a carried object tracks the robot until dropped.
+    object; a carried object tracks the robot until dropped.  Every parameter
+    is positive, except the jitter, which may be 0.
     """
 
-    def __init__(
-        self,
-        extent: float = 10.0,
-        object_count: int = 2,
-        max_step: float = 0.5,
-        pick_radius: float = 0.35,
-        region_radius: float = 0.6,
-        jitter: float = 0.3,
-    ):
-        reals = {"extent": extent, "max_step": max_step, "pick_radius": pick_radius,
-                 "region_radius": region_radius, "jitter": jitter}
-        for name, value in reals.items():
-            # only the jitter may be 0; NaN fails the range test
-            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-                    or not 0 <= value < math.inf or (value == 0 and name != "jitter")):
-                bound = ">= 0" if name == "jitter" else "> 0"
-                raise ConfigurationError(
-                    f"{name} must be a finite number {bound}, got {value!r}")
-        if (not isinstance(object_count, numbers.Integral) or isinstance(object_count, bool)
-                or object_count < 1):
-            raise ConfigurationError(
-                f"object_count must be an integer >= 1, got {object_count!r}")
-        self.extent = float(extent)
-        self.object_count = int(object_count)
-        self.max_step = float(max_step)
-        self.pick_radius = float(pick_radius)
-        self.region_radius = float(region_radius)
-        self.jitter = float(jitter)
+    extent: float = 10.0
+    object_count: int = 2
+    max_step: float = 0.5
+    pick_radius: float = 0.35
+    region_radius: float = 0.6
+    jitter: float = 0.3
+
+    def __post_init__(self):
+        check_fields(self)
+        for f in fields(self):
+            # Python numbers, so numpy scalars given here still serialise
+            value = (int if f.type == "int" else float)(getattr(self, f.name))
+            setattr(self, f.name, value)
+            if value < 0 or (value == 0 and f.name != "jitter"):
+                raise ConfigurationError(f"BlockNavEnv: {f.name} must be positive "
+                                         f"(the jitter may also be 0), got {value!r}")
         self.regions = np.array(_REGION_FRACTIONS) * self.extent
-        base = [_OBJECT_FRACTIONS[i % len(_OBJECT_FRACTIONS)] for i in range(object_count)]
+        base = [_OBJECT_FRACTIONS[i % len(_OBJECT_FRACTIONS)] for i in range(self.object_count)]
         self.base_object_positions = np.array(base) * self.extent
         self.state_dim = 4 + 2 * self.object_count
 
@@ -306,34 +295,11 @@ class BlockNavEnv(WorldModel):
         )
 
     def to_json(self) -> dict:
-        return {
-            "name": "blocknav",
-            "extent": self.extent,
-            "object_count": self.object_count,
-            "max_step": self.max_step,
-            "pick_radius": self.pick_radius,
-            "region_radius": self.region_radius,
-            "jitter": self.jitter,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json(cls, data: dict) -> "BlockNavEnv":
-        return cls(
-            extent=data["extent"],
-            object_count=data["object_count"],
-            max_step=data["max_step"],
-            pick_radius=data["pick_radius"],
-            region_radius=data["region_radius"],
-            jitter=data["jitter"],
-        )
-
-
-def make_blocknav_env(
-    grid_extent: float = 10.0, object_count: int = 2
-) -> tuple[BlockNavEnv, list[TaskSpec]]:
-    """Build the desk-scale pick-and-place environment and its task list."""
-    env = BlockNavEnv(extent=grid_extent, object_count=object_count)
-    return env, env.tasks()
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
 def step_macro(

@@ -1,22 +1,17 @@
 import pytest
 
 from vlaps.harness import default_library
-from vlaps.world import BlockNavEnv, make_blocknav_env
+from vlaps.world import BlockNavEnv
 
 
 @pytest.fixture(scope="session")
-def env_and_tasks():
-    return make_blocknav_env(10.0, 2)
+def env():
+    return BlockNavEnv(extent=10.0, object_count=2)
 
 
 @pytest.fixture(scope="session")
-def env(env_and_tasks):
-    return env_and_tasks[0]
-
-
-@pytest.fixture(scope="session")
-def tasks(env_and_tasks):
-    return env_and_tasks[1]
+def tasks(env):
+    return env.tasks()
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from vlaps.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
@@ -163,13 +164,16 @@ _RECORD = {"task_id": "t", "noise_level": 0.0, "method": "vlaps", "seed": 0,
 @pytest.mark.parametrize("key,value", [
     ("noise_level", "high"), ("seed", 1.5), ("seed", True), ("wall_time", False),
     ("success", 1), ("task_id", 3), ("decision_points", None), ("root_tie", "no"),
+    ("wall_time", float("nan")), ("noise_level", float("inf")),
 ])
 def test_record_with_bad_value_type_is_config_error(key, value, tmp_path, capsys):
+    # json.loads reads a bare NaN or Infinity, which must not reach summary.csv
     lines = [json.dumps(_RECORD), json.dumps({**_RECORD, key: value})]
     (tmp_path / "records.jsonl").write_text("\n".join(lines) + "\n")
     assert main(["report", "--records", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "records.jsonl:2" in err and key in err
+    assert not (tmp_path / "summary.csv").exists()
 
 
 def test_old_records_and_integer_numbers_load(tmp_path, capsys):
@@ -207,6 +211,19 @@ def test_mixed_traj_id_types_are_config_error(tmp_path, capsys):
     assert "trajs.jsonl" in err and "traj_id" in err
 
 
+@pytest.mark.parametrize("alias", [True, 1.0])
+def test_traj_id_that_is_no_integer_or_string_is_config_error(alias, tmp_path, capsys):
+    # true and 1.0 equal 1 as dict keys, so they would merge into trajectory 1
+    path = tmp_path / "trajs.jsonl"
+    lines = [{"traj_id": traj_id, "success": True, "state": [0.0], "action": [0.0, 0.0, 1.0]}
+             for traj_id in (1, alias, 1, 2)]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    assert main(["build-library", "--input", str(path), "--size", "2",
+                 "--out", str(tmp_path / "lib.json")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "trajs.jsonl:2" in err and "traj_id must be an integer or a string" in err
+
+
 def test_trajectory_without_success_is_config_error(tmp_path, capsys):
     path = tmp_path / "trajs.jsonl"
     path.write_text(json.dumps({"traj_id": 0, "state": [0.0], "action": [0.0, 0.0, 1.0]}) + "\n")
@@ -235,3 +252,19 @@ def test_nan_extent_is_config_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("VLAPS_OUTPUT_ROOT", str(tmp_path))
     assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_CONFIG
     assert "extent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", [(16, 8, 3), (16, 4, 2)], ids=["H8", "n2"])
+def test_library_of_another_shape_is_config_error(shape, tmp_path, monkeypatch, capsys):
+    # an H=8 library under "H": 4, or macros of 2 columns for the 3-column
+    # BlockNav actions, used to fail deep in distances_to
+    lib_path = tmp_path / "lib.json"
+    prototypes = np.random.default_rng(0).normal(size=shape)
+    MacroLibrary(prototypes, np.zeros(shape[2]), np.ones(shape[2])).save(lib_path)
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps({"library_path": str(lib_path), "seeds": [0],
+                                    "search": {"N_mc": 5, "H": 4}}))
+    monkeypatch.setenv("VLAPS_OUTPUT_ROOT", str(tmp_path))
+    assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"({shape[1]}, {shape[2]})" in err and "(4, 3)" in err

@@ -1,7 +1,9 @@
 import csv
 import dataclasses
 import json
+import math
 
+import numpy as np
 import pytest
 
 from vlaps.errors import ConfigurationError
@@ -20,7 +22,7 @@ from vlaps.harness import (
     write_records,
 )
 from vlaps.search import SearchConfig
-from vlaps.world import make_blocknav_env
+from vlaps.world import BlockNavEnv
 
 
 def read_summary_csv(path):
@@ -165,9 +167,9 @@ def test_report_renders_missing_runtime_as_na(tmp_path):
 
 def test_resolve_library_missing_path_names_cli():
     cfg = _small_config(library_path="/nonexistent/lib.json")
-    env, tasks = make_blocknav_env(cfg.extent, cfg.object_count)
+    env = BlockNavEnv(extent=cfg.extent, object_count=cfg.object_count)
     with pytest.raises(ConfigurationError, match="build-library"):
-        resolve_library(cfg, env, tasks)
+        resolve_library(cfg, env, env.tasks())
 
 
 def test_suite_config_validation():
@@ -177,6 +179,37 @@ def test_suite_config_validation():
         SuiteConfig(noise_levels=[1.5])
     with pytest.raises(ConfigurationError):
         SuiteConfig.from_json({"bogus_key": 1})
+
+
+def test_suite_config_accepts_numpy_integer_seeds(library, tmp_path):
+    # the same rule as SearchConfig's: any integer counts
+    cfg = _small_config(task_ids=["move_obj0_to_region0"], noise_levels=[0.0],
+                        seeds=[np.int64(0)], search=SearchConfig(n_mc=5, d_sim_max=20))
+    records = run_suite(cfg, library=library)
+    write_records(records, tmp_path / "records.jsonl")
+    assert [r.seed for r in load_records(tmp_path / "records.jsonl")] == [0, 0]
+
+
+_RECORD = dict(task_id="t", noise_level=0.0, method="vlaps", seed=0, success=True,
+               wall_time=1.0, iterations=3, prior_queries=4)
+
+
+@pytest.mark.parametrize("cls,base,int_field,real_field", [
+    pytest.param(SearchConfig, {}, "k", "t_max", id="SearchConfig"),
+    pytest.param(SuiteConfig, {}, "library_size", "extent", id="SuiteConfig"),
+    pytest.param(RunRecord, _RECORD, "seed", "wall_time", id="RunRecord"),
+    pytest.param(BlockNavEnv, {}, "object_count", "pick_radius", id="BlockNavEnv"),
+])
+@pytest.mark.parametrize("value", [2.5, True, "3", math.nan, math.inf])
+def test_every_class_read_from_outside_rejects_bad_values_naming_the_field(
+        cls, base, int_field, real_field, value):
+    # one type rule: 2.5 is a number but no integer, and the rest are neither
+    for name in [int_field] + ([] if value == 2.5 else [real_field]):
+        with pytest.raises(ConfigurationError, match=f"{cls.__name__}: {name} must be"):
+            cls(**{**base, name: value})
+    if cls is SuiteConfig:
+        with pytest.raises(ConfigurationError, match="SuiteConfig: seeds must be"):
+            cls(seeds=[0, value])
 
 
 def test_suite_config_json_round_trip():

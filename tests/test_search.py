@@ -831,6 +831,26 @@ def test_expand_rejects_bad_prior_output(name, model, tasks, library):
     assert node.children == []
 
 
+# a rollout takes a macro of any length, but expansion measures the anchor's
+# distance to the library's H-row prototypes
+EXPAND_ONLY_BAD_OUTPUTS = {"three_rows": np.zeros((3, 3)), "five_rows": np.zeros((5, 3))}
+
+
+@pytest.mark.parametrize("name", sorted(EXPAND_ONLY_BAD_OUTPUTS))
+def test_expand_requires_library_horizon_rows(name, model, tasks, library):
+    prior = _FixedPrior(EXPAND_ONLY_BAD_OUTPUTS[name])
+    cfg = SearchConfig(k=5, d_sim_max=12, t_max=1e9)
+    node = TreeNode(model.reset(0, tasks[0].task_id), 2, 0)
+    rows = len(EXPAND_ONLY_BAD_OUTPUTS[name])
+    with pytest.raises(PriorQueryError, match=f"{rows} rows in expand at depth 2"):
+        expand(node, prior, library, model, tasks[0], cfg,
+               np.random.default_rng(0), np.random.default_rng(1), CostMeter(cfg), 1)
+    assert node.children == []
+    success, steps, _ = rollout(model, prior, node.sim_state, tasks[0], cfg,
+                                np.random.default_rng(0), CostMeter(cfg))
+    assert (success, steps) == (False, 12)
+
+
 def test_prior_only_episode_rejects_nan_macro(env, model, tasks, library):
     prior = _FixedPrior(BAD_PRIOR_OUTPUTS["nan"])
     with pytest.raises(PriorQueryError):

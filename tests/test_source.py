@@ -24,6 +24,21 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_only_errors_imports_numbers():
+    # the field-type rule is errors.check_fields; a module that imports
+    # numbers would be writing a second one
+    importers = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [node.module] if isinstance(node, ast.ImportFrom) else []
+            if "numbers" in names:
+                importers.append(path.name)
+    assert importers == ["errors.py"]
+
+
 def test_all_is_exactly_what_the_package_imports():
     # a name left in __all__ after its definition is gone, or an import that
     # is not exported, fails here rather than at `from vlaps import *`

@@ -15,7 +15,6 @@ from vlaps.world import (
     _expert_values,
     _fused_norm,
     _uniform,
-    make_blocknav_env,
     run_expert_episode,
     step_macro,
 )
@@ -35,7 +34,7 @@ def test_env_task_count(env, tasks):
 @pytest.mark.parametrize("extent,count", [(0.0, 2), (-1.0, 2), (10.0, 0)])
 def test_env_invalid_params(extent, count):
     with pytest.raises(ConfigurationError):
-        make_blocknav_env(extent, count)
+        BlockNavEnv(extent=extent, object_count=count)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -56,6 +55,19 @@ def test_env_accepts_zero_jitter_and_numpy_numbers():
     world = BlockNavEnv(extent=np.float64(8.0), object_count=np.int64(3), jitter=0)
     assert (world.extent, world.object_count, world.jitter) == (8.0, 3, 0.0)
     assert world.to_json()["object_count"] == 3
+
+
+def test_env_json_holds_exactly_its_fields_as_python_numbers():
+    world = BlockNavEnv(extent=np.float64(8.0), object_count=np.int64(3), max_step=1,
+                        pick_radius=np.float32(0.25), region_radius=2, jitter=0)
+    data = json.loads(json.dumps(world.to_json()))
+    assert list(data) == [f.name for f in dataclasses.fields(BlockNavEnv)]
+    clone = BlockNavEnv.from_json(data)
+    for f in dataclasses.fields(BlockNavEnv):
+        value = getattr(clone, f.name)
+        assert value == getattr(world, f.name) and type(value).__name__ == f.type
+    assert clone.to_json() == world.to_json()
+    assert np.array_equal(clone.regions, world.regions) and clone.state_dim == 10
 
 
 def test_expert_solves_every_task(env, tasks):
