@@ -36,6 +36,11 @@ def _holds(kind: str, value) -> bool:
             and (kind != "float" or math.isfinite(value)))
 
 
+def _python(number):
+    # a numpy scalar as the Python number of its kind
+    return int(number) if isinstance(number, numbers.Integral) else float(number)
+
+
 def check_fields(obj) -> None:
     """Check each field of a dataclass filled from outside against its type.
 
@@ -44,7 +49,9 @@ def check_fields(obj) -> None:
     is no number.  A ``list[T]`` field holds a list of ``T``.  Integer fields
     are checked first; a field of any other type checks itself.  Types are
     read as the strings ``from __future__ import annotations`` leaves.
-    Raises ``ConfigurationError`` naming the class and the field.
+    Raises ``ConfigurationError`` naming the class and the field.  Numbers
+    in ``int`` and ``float`` fields and lists are stored back as Python
+    numbers (an integer as an ``int``), so numpy scalars serialise to JSON.
     """
     for f in sorted(fields(obj), key=lambda fld: fld.type != "int"):
         value, kind = getattr(obj, f.name), f.type
@@ -56,3 +63,7 @@ def check_fields(obj) -> None:
             expected = _KINDS[kind][1] if kind in _KINDS else f"a {kind}"
             raise ConfigurationError(
                 f"{type(obj).__name__}: {f.name} must be {expected}, got {value!r}")
+        if kind in ("int", "float"):
+            setattr(obj, f.name, _python(value))
+        elif kind in ("list[int]", "list[float]"):
+            setattr(obj, f.name, [_python(x) for x in value])

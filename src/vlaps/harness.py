@@ -186,7 +186,7 @@ def _to_record(
         task_id=task.task_id,
         noise_level=noise,
         method=method,
-        seed=int(seed),
+        seed=seed,
         success=result.success,
         wall_time=result.total_wall_time,
         iterations=result.total_search_iterations,

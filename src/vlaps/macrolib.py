@@ -85,7 +85,10 @@ def load_trajectories(path) -> list[Trajectory]:
                      "task_id": rec.get("task_id", "")},
                 )
                 g["states"].append(np.asarray(rec["state"], dtype=float))
-                g["actions"].append(np.asarray(rec["action"], dtype=float))
+                action = np.asarray(rec["action"], dtype=float)
+                if not np.isfinite(action).all():
+                    raise ValueError(f"action {rec['action']!r} is not finite")
+                g["actions"].append(action)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigurationError(f"{path}:{lineno}: bad trajectory ({exc!r})") from exc
     try:
@@ -137,6 +140,8 @@ class MacroLibrary:
     def __post_init__(self):
         for name in ("prototypes", "per_dim_mean", "per_dim_std"):
             array = np.array(getattr(self, name), dtype=float)
+            if not np.isfinite(array).all():
+                raise ContractViolationError(f"{name} must be finite")
             array.setflags(write=False)
             object.__setattr__(self, name, array)
         if self.prototypes.ndim != 3:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, fields
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -21,9 +21,9 @@ from .rngutil import RngFactory, stable_hash
 
 @dataclass
 class StateVec:
-    """Environment state: a fixed-dimension value vector plus a step counter."""
+    """Environment state: a fixed-dimension list of floats plus a step counter."""
 
-    values: np.ndarray
+    values: list
     step_count: int = 0
 
     def copy(self) -> "StateVec":
@@ -39,18 +39,12 @@ class Observation:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """A task: natural-language label plus a decidable goal predicate.
-
-    ``goal_on_values`` is an optional form of the same predicate that takes
-    the state's values as a list of floats; a world model that steps on such
-    lists may use it in place of ``goal_predicate``, so the two must agree.
-    """
+    """A task: natural-language label plus a decidable goal predicate."""
 
     task_id: str
     instruction: str
     goal_predicate: Callable[[StateVec], bool]
     metadata: dict = field(default_factory=dict)
-    goal_on_values: Optional[Callable[[list], bool]] = None
 
 
 class WorldModel(ABC):
@@ -129,7 +123,7 @@ class BlockNavEnv(WorldModel):
     def __post_init__(self):
         check_fields(self)
         for f in fields(self):
-            # Python numbers, so numpy scalars given here still serialise
+            # float fields hold floats, so the dynamics' state stays a list of floats
             value = (int if f.type == "int" else float)(getattr(self, f.name))
             setattr(self, f.name, value)
             if value < 0 or (value == 0 and f.name != "jitter"):
@@ -155,7 +149,7 @@ class BlockNavEnv(WorldModel):
         offsets = rng.uniform(-self.jitter, self.jitter, size=(self.object_count, 2))
         positions = np.clip(self.base_object_positions + offsets, 0.0, self.extent)
         values[4:] = positions.ravel()
-        return StateVec(values, step_count=0)
+        return StateVec(values.tolist(), step_count=0)
 
     def step(self, state: StateVec, action: np.ndarray) -> StateVec:
         action = np.asarray(action, dtype=float)
@@ -163,28 +157,22 @@ class BlockNavEnv(WorldModel):
             raise ContractViolationError(
                 f"action shape {action.shape} != ({self.action_dim},)"
             )
-        v = state.values.tolist()
+        v = state.values.copy()
         self._advance(v, *action.tolist())
-        return StateVec(np.array(v, dtype=float), state.step_count + 1)
+        return StateVec(v, state.step_count + 1)
 
     def run_macro(
         self, state: StateVec, macro: np.ndarray, task: TaskSpec
     ) -> tuple[StateVec, bool, int]:
-        # steps the whole macro on one list of floats when the task has a
-        # list form of its goal; a task without one keeps its own predicate
-        on_values = task.goal_on_values
-        if on_values is None:
-            return super().run_macro(state, macro, task)
-        v = state.values.tolist()
-        advance = self._advance
-        steps, success = 0, False
+        # steps the result's own list in place, testing the goal after each row
+        out = StateVec(state.values.copy(), state.step_count)
+        v, advance, goal = out.values, self._advance, task.goal_predicate
         for ax, ay, g in macro.tolist():
             advance(v, ax, ay, g)
-            steps += 1
-            if on_values(v):
-                success = True
-                break
-        return StateVec(np.array(v, dtype=float), state.step_count + steps), success, steps
+            out.step_count += 1
+            if goal(out):
+                return out, True, out.step_count - state.step_count
+        return out, False, len(macro)
 
     def _advance(self, v: list, ax: float, ay: float, g: float) -> None:
         """Apply one primitive ``(ax, ay, g)`` to the state values ``v`` in place.
@@ -226,7 +214,7 @@ class BlockNavEnv(WorldModel):
             v[5 + 2 * carried] = v[_RY]
 
     def observe(self, state: StateVec) -> Observation:
-        return Observation(state.values.copy())
+        return Observation(np.array(state.values))
 
     def _nearest_object(self, values: list) -> int:
         """Index of the object nearest the robot if within ``pick_radius``, else -1.
@@ -267,7 +255,8 @@ class BlockNavEnv(WorldModel):
         ix = 4 + 2 * obj
         margin = _GOAL_TIE_MARGIN * max(1.0, radius)
 
-        def on_values(v: list) -> bool:
+        def goal(state: StateVec) -> bool:
+            v = state.values
             if int(v[_CARRIED]) == obj:
                 return False
             dx = v[ix] - cx
@@ -278,14 +267,10 @@ class BlockNavEnv(WorldModel):
             # near the boundary only the fused norm's rounding is bit-exact
             return _fused_norm(dx, dy) <= radius
 
-        def goal(state: StateVec) -> bool:
-            return on_values(state.values.tolist())
-
         return TaskSpec(
             task_id=f"move_obj{obj}_to_region{region}",
             instruction=f"move object {obj} to region {region}",
             goal_predicate=goal,
-            goal_on_values=on_values,
             metadata={
                 "object_index": obj,
                 "region_index": region,
@@ -327,6 +312,7 @@ def step_macro(
 # -- scripted expert ---------------------------------------------------------
 
 _DROP_FRACTION = 0.5  # drop once within this fraction of the region radius
+_DEMO_STEPS = 100  # steps of an expert demonstration before it counts as failed
 _TWO_53 = 9007199254740992.0  # 2**53 turns a frexp mantissa into a 53-bit integer
 
 
@@ -354,12 +340,12 @@ def _fused_norm(dx: float, dy: float) -> float:
     return float(np.linalg.norm(np.array([dx, dy])))
 
 
-def _expert_values(env: BlockNavEnv, v: list, task: TaskSpec) -> tuple[float, float, float]:
-    """The greedy BlockNav controller's ``(dx, dy, g)`` at state values ``v``;
-    a task without ``goal_on_values`` has its ``goal_predicate`` tested."""
-    goal = task.goal_on_values or (lambda w: task.goal_predicate(StateVec(np.array(w))))
-    if goal(v):
+def _expert_values(env: BlockNavEnv, state: StateVec,
+                   task: TaskSpec) -> tuple[float, float, float]:
+    """The greedy BlockNav controller's ``(dx, dy, g)`` at ``state``."""
+    if task.goal_predicate(state):
         return 0.0, 0.0, -1.0
+    v = state.values
     obj = task.metadata["object_index"]
     carried = int(v[_CARRIED])
     if carried == obj:
@@ -388,23 +374,14 @@ def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
     return lo + (hi - lo) * rng.random()
 
 
-def _noisy_expert_action(env: BlockNavEnv, v: list, task: TaskSpec, noise_level: float,
-                         rng: np.random.Generator) -> tuple[float, float, float]:
-    """The greedy action at state values ``v``, replaced with probability
-    ``noise_level`` by a uniformly random one.  Draws ``rng.random()`` and
-    then three uniforms, and nothing at noise 0."""
-    if noise_level > 0.0 and rng.random() < noise_level:
-        m = env.max_step
-        return _uniform(rng, -m, m), _uniform(rng, -m, m), _uniform(rng, -1.0, 1.0)
-    return _expert_values(env, v, task)
-
-
 class ScriptedExpertPrior:
     """Greedy BlockNav controller exposed through the prior-policy interface.
 
     ``noise_level`` independently replaces each primitive with a uniformly
-    random action; at 0 this is the deterministic expert.  The prior simulates
-    its own copy of the environment for the length of one macro-action.
+    random action: each row draws ``rng.random()`` and, when that falls below
+    the noise, three uniforms; at 0 it draws nothing and this is the
+    deterministic expert.  The prior simulates its own copy of the
+    environment for the length of one macro-action.
     """
 
     def __init__(self, env: BlockNavEnv, horizon: int, noise_level: float = 0.0):
@@ -417,39 +394,36 @@ class ScriptedExpertPrior:
     def sample_macro(
         self, obs: Observation, task: TaskSpec, rng: np.random.Generator
     ) -> np.ndarray:
-        env, noise_level = self.env, self.noise_level
-        v = np.asarray(obs.features, dtype=float).tolist()
+        env, noise_level, m = self.env, self.noise_level, self.env.max_step
+        state = StateVec(np.asarray(obs.features, dtype=float).tolist())
         rows = []
         for _ in range(self.horizon):
-            action = _noisy_expert_action(env, v, task, noise_level, rng)
-            env._advance(v, *action)
+            if noise_level > 0.0 and rng.random() < noise_level:
+                action = _uniform(rng, -m, m), _uniform(rng, -m, m), _uniform(rng, -1.0, 1.0)
+            else:
+                action = _expert_values(env, state, task)
+            env._advance(state.values, *action)
             rows.append(action)
         return np.array(rows)
 
 
 def run_expert_episode(
-    env: BlockNavEnv,
-    task: TaskSpec,
-    seed: int,
-    noise_level: float = 0.0,
-    max_steps: int = 100,
-    rng: Optional[np.random.Generator] = None,
-) -> tuple[list[np.ndarray], np.ndarray, bool]:
-    """Roll the (possibly noisy) expert in the true environment.
+    env: BlockNavEnv, task: TaskSpec, seed: int
+) -> tuple[list[list], np.ndarray, bool]:
+    """Roll the zero-noise expert in the true environment for a demonstration
+    of at most ``_DEMO_STEPS`` steps.
 
-    Returns (visited states' value vectors, action matrix, success flag);
-    states exclude the terminal state so that states[i] pairs with actions[i].
+    Returns (visited states' values, action matrix, success flag); states
+    exclude the terminal state so that states[i] pairs with actions[i].
     """
-    if rng is None:
-        rng = RngFactory(seed, stable_hash(task.task_id)).rng(9)
     state = env.reset(seed, task.task_id)
     states, actions = [], []
     success = task.goal_predicate(state)
-    for _ in range(max_steps):
+    for _ in range(_DEMO_STEPS):
         if success:
             break
-        action = _noisy_expert_action(env, state.values.tolist(), task, noise_level, rng)
-        states.append(state.values.copy())
+        action = _expert_values(env, state, task)
+        states.append(state.values)
         actions.append(action)
         state = env.step(state, action)
         success = task.goal_predicate(state)

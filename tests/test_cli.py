@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -268,3 +269,40 @@ def test_library_of_another_shape_is_config_error(shape, tmp_path, monkeypatch, 
     assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"({shape[1]}, {shape[2]})" in err and "(4, 3)" in err
+
+
+@pytest.mark.parametrize("name,bad", [("prototypes", math.nan), ("per_dim_std", math.inf),
+                                      ("per_dim_mean", -math.inf)])
+def test_non_finite_library_is_config_error(name, bad, tmp_path, monkeypatch, capsys):
+    # such a library used to reach the prior as a NaN probability vector and
+    # end the run with a traceback
+    data = MacroLibrary(np.random.default_rng(0).normal(size=(16, 4, 3)), np.zeros(3),
+                        np.ones(3)).to_json()
+    if name == "prototypes":
+        data[name][3][1][2] = bad
+    else:
+        data[name][1] = bad
+    lib_path = tmp_path / "lib.json"
+    lib_path.write_text(json.dumps(data))
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps({"library_path": str(lib_path), "seeds": [0],
+                                    "search": {"N_mc": 5}}))
+    monkeypatch.setenv("VLAPS_OUTPUT_ROOT", str(tmp_path))
+    assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "lib.json" in err and f"{name} must be finite" in err
+
+
+def test_non_finite_trajectory_action_is_config_error(traj_file, tmp_path, capsys):
+    # one NaN action used to give a library whose per_dim_mean is NaN
+    lines = traj_file.read_text().splitlines()
+    record = json.loads(lines[2])
+    record["action"][1] = math.nan
+    lines[2] = json.dumps(record)
+    path = tmp_path / "trajs.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "lib.json"
+    assert main(["build-library", "--input", str(path), "--size", "16",
+                 "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "trajs.jsonl:3" in err and "not finite" in err and not out.exists()

@@ -182,12 +182,17 @@ def test_suite_config_validation():
 
 
 def test_suite_config_accepts_numpy_integer_seeds(library, tmp_path):
-    # the same rule as SearchConfig's: any integer counts
-    cfg = _small_config(task_ids=["move_obj0_to_region0"], noise_levels=[0.0],
+    # the same rule as SearchConfig's: any integer counts; numpy numbers are
+    # stored as Python ones, so configs and records serialise to JSON
+    assert json.loads(json.dumps(SearchConfig(k=np.int64(4)).to_json()))["k"] == 4
+    cfg = _small_config(task_ids=["move_obj0_to_region0"], noise_levels=[np.float32(0.2)],
                         seeds=[np.int64(0)], search=SearchConfig(n_mc=5, d_sim_max=20))
+    assert json.loads(json.dumps(cfg.to_json()))["noise_levels"] == [float(np.float32(0.2))]
     records = run_suite(cfg, library=library)
     write_records(records, tmp_path / "records.jsonl")
-    assert [r.seed for r in load_records(tmp_path / "records.jsonl")] == [0, 0]
+    reloaded = load_records(tmp_path / "records.jsonl")
+    assert [r.to_json() for r in reloaded] == [r.to_json() for r in records]
+    assert [r.seed for r in reloaded] == [0, 0]
 
 
 _RECORD = dict(task_id="t", noise_level=0.0, method="vlaps", seed=0, success=True,

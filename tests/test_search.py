@@ -246,7 +246,7 @@ def test_rollout_degenerate_start(env, model, tasks, library, search_setup):
     # drive the expert to the goal first
     state = env.reset(0, task.task_id)
     while not task.goal_predicate(state):
-        state = env.step(state, _expert_values(env, state.values.tolist(), task))
+        state = env.step(state, _expert_values(env, state, task))
     success, steps, macros = rollout(model, prior, state, task, cfg,
                                      np.random.default_rng(0), CostMeter(cfg))
     assert success and steps == 0 and macros == []
@@ -261,6 +261,25 @@ def test_rollout_respects_step_cap(model, env, tasks, library):
     assert steps <= 17
     if not success:
         assert steps == 17
+
+
+def test_replaced_goal_predicate_sees_every_rollout_step(model, env, tasks, library):
+    # a counting predicate installed with dataclasses.replace, as a tracer
+    # wraps it, is the rollout's only goal test: once on entry, then after
+    # every simulated step of a rollout that misses the goal
+    task, calls = tasks[2], []
+
+    def counting(state):
+        calls.append(state.step_count)
+        return task.goal_predicate(state)
+
+    cfg = SearchConfig(d_sim_max=50, t_max=1e9)
+    state = env.reset(0, task.task_id)
+    success, steps, _ = rollout(model, UniformLibraryPrior(library), state,
+                                dataclasses.replace(task, goal_predicate=counting), cfg,
+                                np.random.default_rng(0), CostMeter(cfg))
+    assert (success, steps) == (False, 50)
+    assert calls == list(range(51))
 
 
 def test_rollout_deterministic(model, env, tasks, library):
@@ -303,7 +322,7 @@ def test_root_already_at_goal(env, model, tasks, library):
     task = tasks[0]
     state = env.reset(0, task.task_id)
     while not task.goal_predicate(state):
-        state = env.step(state, _expert_values(env, state.values.tolist(), task))
+        state = env.step(state, _expert_values(env, state, task))
     cfg = SearchConfig()
     prior = ScriptedExpertPrior(model, cfg.horizon, 0.0)
     out = search_once(state, task, prior, library, model, cfg, streams=RngFactory(0))
@@ -599,7 +618,7 @@ def test_chain_world_takes_default_macro_loop():
     # ChainWorld does not override run_macro: WorldModel's step-and-test loop
     world = ChainWorld(goal_pos=3)
     task = world.task()
-    assert task.goal_on_values is None
+    assert "run_macro" not in vars(ChainWorld)
     start = world.reset(0, "chain")
     macro = np.array([[1.0], [1.0], [1.0], [1.0]])
     state, ok, used = step_macro(world, start, macro, task)
@@ -767,7 +786,7 @@ def test_search_once_matches_reference_loop(env, model, tasks, library):
         state = env.reset(case, task.task_id)
         path = [state]
         while not task.goal_predicate(path[-1]):
-            path.append(env.step(path[-1], _expert_values(env, path[-1].values.tolist(), task)))
+            path.append(env.step(path[-1], _expert_values(env, path[-1], task)))
         state = path[max(0, len(path) - 1 - cfg.d_sim_max - int(rng.integers(0, 6)))]
         runs = []
         for fn in (reference_search_once, search_once):

@@ -24,6 +24,19 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_no_package_module_calls_tolist_on_values():
+    # BlockNav state values are a list of floats; a `.values.tolist()` would
+    # mean an array form of the state had come back, with a round trip per step
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and func.attr == "tolist"
+                    and isinstance(func.value, ast.Attribute) and func.value.attr == "values"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_only_errors_imports_numbers():
     # the field-type rule is errors.check_fields; a module that imports
     # numbers would be writing a second one
