@@ -550,6 +550,37 @@ def test_goal_radius_one_ulp_either_side(env):
     assert covered == {0, 1, 2}
 
 
+def test_goal_on_values_matches_goal_predicate_one_ulp_either_side(env):
+    # the goal BlockNavEnv.run_macro tests on the list it steps in place agrees
+    # with goal_predicate on a fresh state and with the reference, one ulp
+    # inside, on and outside the radius, carried or not
+    checked = 0
+    for world in (env, BlockNavEnv(extent=1.5)):
+        r = world.region_radius
+        for task in world.tasks():
+            obj = task.metadata["object_index"]
+            for t in (np.nextafter(r, 0.0), r, np.nextafter(r, 1.0)):
+                state = exact_offset_state(world, task, t)
+                if state is None:
+                    continue
+                # the robot holds still on the object, when it lies inside the
+                # extent, so a zero row leaves even a carried object in place
+                pos = state.values[4 + 2 * obj: 6 + 2 * obj]
+                cases = [(-1.0, -1.0)]
+                if all(0.0 <= x <= world.extent for x in pos):
+                    state.values[0:2] = pos
+                    cases.append((1.0, float(obj)))
+                for grip, carried in cases:
+                    state.values[2:4] = (grip, carried)
+                    expected = task.goal_predicate(StateVec(list(state.values)))
+                    assert expected is reference_goal(world, task, state)
+                    out, ok, used = world.run_macro(state, np.zeros((1, 3)), task)
+                    assert (ok, used) == (expected, 1)
+                    assert out.values[4:] == state.values[4:]
+                    checked += 1
+    assert checked >= 24
+
+
 def test_goal_matches_reference_near_boundary(env, tasks):
     # points within a few ulps of the region boundary in every direction,
     # where a plain scalar norm and numpy's fused BLAS dot can disagree
