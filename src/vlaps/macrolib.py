@@ -4,6 +4,13 @@ A macro-action is an ``(H, n)`` array of primitive actions.  The library is a
 finite prototype set extracted from demonstration trajectories by PAM-style
 K-Medoids (greedy BUILD initialization followed by best-improvement SWAP
 passes), run on per-dimension-normalized flattened macros.
+
+A SWAP pass prices every (medoid slot, candidate) swap at once with FastPAM1
+(Schubert & Rousseeuw, "Faster k-Medoids Clustering: Improving the PAM, CLARA,
+and CLARANS Algorithms", SISAP 2019).  Those costs only pick the contending
+slots, the ones within a relative margin of the lowest; each contender's costs
+are recomputed exactly and the slot-by-slot acceptance rule runs over them, so
+the medoids and the objective history are bit-identical to plain PAM's.
 """
 
 from __future__ import annotations
@@ -28,6 +35,9 @@ _STD_CLAMP = 1e-12  # dimensions with smaller spread are treated as constant
 _MAX_PAM_CANDIDATES = 1000
 _MAX_SWAP_PASSES = 100
 _PAM_RESTARTS = 8
+# a swap slot whose FastPAM1 cost is within this fraction of the lowest one
+# (at least this much in absolute terms) has its costs recomputed exactly
+_FASTPAM_MARGIN = 1e-8
 
 
 @dataclass
@@ -310,11 +320,29 @@ def _swap(
         nearest_d = med_dist[np.arange(n_points), nearest_pos]
         second_d = med_dist[np.arange(n_points), order[:, 1]]
         non_medoids = np.setdiff1d(np.arange(n_points), medoids)
+        cand = dist[:, non_medoids]
 
+        # FastPAM1: every (slot, candidate) cost at once, one shared column sum
+        # plus the loss of the points whose nearest medoid is the slot; one
+        # bincount over (slot, candidate) cells sums it with no BLAS thread pool
+        keep = np.minimum(cand, nearest_d[:, None])
+        loss = np.minimum(cand, second_d[:, None]) - keep
+        width = len(non_medoids)
+        cells = (nearest_pos[:, None] * width + np.arange(width)).ravel()
+        approx = np.bincount(cells, loss.ravel(), len(medoids) * width).reshape(-1, width)
+        approx += keep.sum(axis=0)
+        slot_low = approx.min(axis=1)
+        low = float(slot_low.min())
+        contenders = np.flatnonzero(slot_low <= low + _FASTPAM_MARGIN * max(abs(low), 1.0))
+
+        # FastPAM1 sums in another order, so its costs only pick the contenders:
+        # a slot outside the margin exceeds the lowest by more than rounding plus
+        # the 1e-12 step, so it can neither be taken nor change which slot is.
+        # Contenders are recomputed as plain PAM sums them, under its rule.
         best_cost, best_swap = cost, None
-        for pos, j in enumerate(medoids):
+        for pos in contenders.tolist():
             without_j = np.where(nearest_pos == pos, second_d, nearest_d)
-            cand_costs = np.minimum(dist[:, non_medoids], without_j[:, None]).sum(axis=0)
+            cand_costs = np.minimum(cand, without_j[:, None]).sum(axis=0)
             h = int(np.argmin(cand_costs))
             if cand_costs[h] < best_cost - 1e-12:
                 best_cost, best_swap = float(cand_costs[h]), (pos, int(non_medoids[h]))

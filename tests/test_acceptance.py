@@ -4,9 +4,12 @@ Each test prints one ``[PASS]``/``[FAIL]`` line (run pytest with ``-s`` to see
 them on success) and enforces its stated runtime budget.
 """
 
+import hashlib
 import itertools
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,8 @@ from vlaps.prior import UniformLibraryPrior, beta_distribution
 from vlaps.rngutil import RngFactory, stable_hash
 from vlaps.search import GOAL_PLAN, SearchConfig, replay_plan, search_once
 from vlaps.world import BlockNavEnv, ScriptedExpertPrior
+
+PINNED = Path(__file__).resolve().parents[1] / "bench" / "pinned.json"
 
 TREND_TASKS = [
     "move_obj0_to_region0",
@@ -258,6 +263,17 @@ def test_criterion_8_end_to_end_determinism(library, tmp_path):
         blobs.append(path.read_bytes())
     _report(8, "end-to-end determinism", blobs[0] == blobs[1],
             f"{len(blobs[0])} bytes per file")
+
+
+def test_pinned_fingerprints_are_unchanged(library, trend_run, tmp_path):
+    # the default library as JSON and the criterion-6 records are the bytes
+    # the benchmark pins; records must stay byte-identical for a fixed config
+    pinned = json.loads(PINNED.read_text())
+    library.save(tmp_path / "library.json")
+    write_records(trend_run[0], tmp_path / "records.jsonl")
+    shas = {name: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
+            for name, file in (("library", "library.json"), ("trend_suite", "records.jsonl"))}
+    assert shas == {name: pinned[name] for name in shas}
 
 
 def test_criterion_9_goal_plan_soundness(env, model, tasks, library):

@@ -14,10 +14,13 @@ from vlaps.errors import (
     DegenerateLibraryError,
 )
 from vlaps.macrolib import (
+    _MAX_SWAP_PASSES,
     MacroLibrary,
     Trajectory,
+    _swap,
     build_library,
     load_trajectories,
+    pam_objective,
     save_trajectories,
     segment_trajectories,
 )
@@ -147,6 +150,69 @@ def test_build_three_clusters_matches_brute_force():
         for combo in itertools.combinations(range(len(points)), 3)
     )
     assert pam_cost == pytest.approx(best)
+
+
+def reference_swap(dist, medoids, history):
+    """PAM's SWAP as one cost vector per medoid slot: the rule ``_swap`` must
+    reproduce bit for bit (the same medoids and the same history)."""
+    n_points = dist.shape[0]
+    cost = pam_objective(dist, medoids)
+    if history is not None:
+        history.append(cost)
+    for _ in range(_MAX_SWAP_PASSES):
+        med_dist = dist[:, medoids]
+        order = np.argsort(med_dist, axis=1)
+        nearest_pos = order[:, 0]
+        nearest_d = med_dist[np.arange(n_points), nearest_pos]
+        second_d = med_dist[np.arange(n_points), order[:, 1]]
+        non_medoids = np.setdiff1d(np.arange(n_points), medoids)
+
+        best_cost, best_swap = cost, None
+        for pos in range(len(medoids)):
+            without_j = np.where(nearest_pos == pos, second_d, nearest_d)
+            cand_costs = np.minimum(dist[:, non_medoids], without_j[:, None]).sum(axis=0)
+            h = int(np.argmin(cand_costs))
+            if cand_costs[h] < best_cost - 1e-12:
+                best_cost, best_swap = float(cand_costs[h]), (pos, int(non_medoids[h]))
+        if best_swap is None:
+            break
+        medoids = medoids.copy()
+        medoids[best_swap[0]] = best_swap[1]
+        medoids = np.sort(medoids)
+        cost = best_cost
+        if history is not None:
+            history.append(cost)
+    return medoids, cost
+
+
+def swap_cases(count=300, seed=0):
+    """Seeded (distance matrix, initial medoids) pairs; every third one holds
+    points on a small integer grid, where equal swap costs are common."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n_points = int(rng.integers(6, 40))
+        dim = int(rng.integers(1, 4))
+        if case % 3 == 0:
+            points = rng.integers(0, 4, size=(n_points, dim)).astype(float)
+        else:
+            points = rng.normal(size=(n_points, dim))
+        m = int(rng.integers(2, min(9, n_points)))
+        yield cdist(points, points), np.sort(rng.choice(n_points, size=m, replace=False))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e9, 1e6, 1e-6, 1e-11])
+def test_swap_matches_slot_by_slot_reference(scale):
+    # the contender margin scales with the cost, so it covers rounding at
+    # large scales (a fixed 1e-8 margin fails at 1e9), and it never falls
+    # below the fixed 1e-12 acceptance step (a purely relative one fails at 1e-11)
+    for dist, init in swap_cases():
+        dist = dist * scale
+        want_history, got_history = [], []
+        want, want_cost = reference_swap(dist, init, want_history)
+        got, got_cost = _swap(dist, init, got_history)
+        assert np.array_equal(got, want)
+        assert got_cost == want_cost
+        assert got_history == want_history
 
 
 def test_build_errors():
