@@ -143,16 +143,16 @@ def _episode_streams(cfg: SuiteConfig, task: TaskSpec, noise: float, seed: int) 
                       int(round(noise * 1000)))
 
 
-def run_suite(cfg: SuiteConfig, library: MacroLibrary | None = None) -> list[RunRecord]:
-    """Run every (noise, task, seed) cell with both methods on paired seeds."""
+def run_suite(cfg: SuiteConfig) -> list[RunRecord]:
+    """Run every (noise, task, seed) cell with both methods on paired seeds,
+    searching the library that ``resolve_library`` gives for ``cfg``."""
     env = BlockNavEnv(extent=cfg.extent, object_count=cfg.object_count)
     all_tasks = env.tasks()
     if cfg.task_ids:
         tasks = [env.task_by_id(tid) for tid in cfg.task_ids]
     else:
         tasks = all_tasks
-    if library is None:
-        library = resolve_library(cfg, env, all_tasks)
+    library = resolve_library(cfg, env, all_tasks)
     if (library.horizon, library.action_dim) != (cfg.search.horizon, env.action_dim):
         raise ConfigurationError(
             f"the library's macros have shape ({library.horizon}, {library.action_dim}), "

@@ -10,7 +10,7 @@ A SWAP pass prices every (medoid slot, candidate) swap at once with FastPAM1
 and CLARANS Algorithms", SISAP 2019).  Those costs only pick the contending
 slots, the ones within a relative margin of the lowest; each contender's costs
 are recomputed exactly and the slot-by-slot acceptance rule runs over them, so
-the medoids and the objective history are bit-identical to plain PAM's.
+the medoids and the objective after every swap are bit-identical to plain PAM's.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -226,18 +226,16 @@ class MacroLibrary:
             raise ConfigurationError(f"{path}: bad macro library ({exc!r})") from exc
 
 
-def build_library(
-    macros: list[np.ndarray],
-    m: int,
-    seed: int,
-    history: Optional[list] = None,
-) -> MacroLibrary:
+def build_library(macros: list[np.ndarray], m: int, seed: int) -> MacroLibrary:
     """Cluster a macro corpus into m medoid prototypes (PAM, deterministic).
 
     Normalization statistics are computed over all primitive actions of the
-    input corpus; clustering runs in those normalized coordinates.  ``seed``
-    only matters when the corpus is subsampled to ``_MAX_PAM_CANDIDATES``.
+    input corpus; clustering runs in those normalized coordinates.  ``seed``,
+    a non-negative integer, draws PAM's random restarts and the subsample of
+    a corpus larger than ``_MAX_PAM_CANDIDATES``.
     """
+    if seed < 0:
+        raise ConfigurationError(f"library seed {seed} must be a non-negative integer")
     if m < 2:
         raise ConfigurationError(f"library size must be >= 2, got {m}")
     if len(macros) < m:
@@ -268,7 +266,7 @@ def build_library(
         keep = np.sort(rng.choice(len(stack), size=_MAX_PAM_CANDIDATES, replace=False))
         stack, flat = stack[keep], flat[keep]
 
-    medoids = _pam(cdist(flat, flat), m, seed, history)
+    medoids = _pam(cdist(flat, flat), m, seed)
     return MacroLibrary(stack[medoids], per_dim_mean, per_dim_std)
 
 
@@ -277,7 +275,7 @@ def pam_objective(dist: np.ndarray, medoids: np.ndarray) -> float:
     return float(dist[:, medoids].min(axis=1).sum())
 
 
-def _pam(dist: np.ndarray, m: int, seed: int, history: Optional[list]) -> np.ndarray:
+def _pam(dist: np.ndarray, m: int, seed: int) -> np.ndarray:
     """Multi-start PAM: BUILD init plus seeded random restarts, best kept."""
     n_points = dist.shape[0]
     if m == n_points:
@@ -293,24 +291,24 @@ def _pam(dist: np.ndarray, m: int, seed: int, history: Optional[list]) -> np.nda
         medoids.append(best)
         nearest = np.minimum(nearest, dist[:, best])
 
-    best_medoids, best_cost = _swap(dist, np.array(sorted(medoids)), history)
+    best_medoids, costs = _swap(dist, np.array(sorted(medoids)))
+    best_cost = costs[-1]
 
     rng = np.random.default_rng(seed)
     for _ in range(_PAM_RESTARTS):
         init = np.sort(rng.choice(n_points, size=m, replace=False))
-        med, cost = _swap(dist, init, None)
-        if cost < best_cost - 1e-12:
-            best_medoids, best_cost = med, cost
+        med, costs = _swap(dist, init)
+        if costs[-1] < best_cost - 1e-12:
+            best_medoids, best_cost = med, costs[-1]
     return best_medoids
 
 
-def _swap(
-    dist: np.ndarray, medoids: np.ndarray, history: Optional[list]
-) -> tuple[np.ndarray, float]:
+def _swap(dist: np.ndarray, medoids: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Best-improvement SWAP passes until no swap lowers the objective; returns
+    the sorted medoids and the objective at the start and after each swap."""
     n_points = dist.shape[0]
     cost = pam_objective(dist, medoids)
-    if history is not None:
-        history.append(cost)
+    costs = [cost]
 
     # SWAP: best-improvement passes until convergence
     for _ in range(_MAX_SWAP_PASSES):
@@ -356,6 +354,5 @@ def _swap(
                 f"_swap: a PAM swap raised the objective from {cost} to {best_cost}"
             )
         cost = best_cost
-        if history is not None:
-            history.append(cost)
-    return medoids, cost
+        costs.append(cost)
+    return medoids, costs

@@ -21,7 +21,6 @@ byte-identical results; see ``CostMeter``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
@@ -298,7 +297,6 @@ def search_once(
     streams: Optional[RngFactory] = None,
     dp: int = 0,
     meter: Optional[CostMeter] = None,
-    trace=None,
 ) -> SearchOutcome:
     """Run one decision point's search.
 
@@ -308,7 +306,8 @@ def search_once(
     rolls the prior out from the root, so a prior that already solves the
     task returns its solution at once.  Returns a goal plan as soon as any
     simulated state satisfies the goal, otherwise the most-visited root macro
-    once the iteration budget is spent or ``meter`` reads ``cfg.t_max``.
+    once the iteration budget is spent or ``meter`` reads ``cfg.t_max``.  Its
+    cost is the outcome's iterations and nodes and what ``meter`` was charged.
     """
     if cfg.n_mc < 1:
         raise ConfigurationError("search_once requires n_mc >= 1")
@@ -336,8 +335,6 @@ def search_once(
             break
         iterations = it
         leaf, path = select_path(root, cfg) if it > 1 else (root, [])
-        record = {"iteration": it, "path": [node.node_id for node, _ in path],
-                  "expanded_node_id": None, "rollout_result": None}
         # iteration 1 rolls the prior out from the root before it expands the
         # root, with no deadline check in between
         for expand_leaf in ((False, True) if it == 1 else (True,)):
@@ -349,10 +346,8 @@ def search_once(
                     meter, nodes_created,
                 )
                 nodes_created += len(children)
-                record["expanded_node_id"] = leaf.node_id
                 for idx, child in enumerate(children):
                     if child.is_goal:
-                        _trace(trace, record, meter, rollout_result="goal_child")
                         plan = _path_macros(path + [(leaf, idx)], lib)
                         return finish(GOAL_PLAN, plan=plan)
                 best = _best_candidate(leaf)
@@ -364,10 +359,8 @@ def search_once(
             )
             rollouts += 1
             if success:
-                _trace(trace, record, meter, rollout_result="goal")
                 return finish(GOAL_PLAN, plan=_path_macros(path, lib) + macros)
         backpropagate(path)
-        _trace(trace, record, meter, rollout_result="fail")
 
     # budget exhausted: most-visited root macro
     if not root.children:
@@ -379,14 +372,6 @@ def search_once(
     # ties: higher psi, then the first drawn
     best = max(root.children, key=lambda child: (child.visits, child.psi))
     return finish(BEST_ROOT_MACRO, best_macro=lib.prototypes[best.proto].copy())
-
-
-def _trace(trace, record: dict, meter: CostMeter, rollout_result: str) -> None:
-    if trace is None:
-        return
-    record["rollout_result"] = rollout_result
-    record["elapsed"] = meter.elapsed()
-    trace.write(json.dumps(record) + "\n")
 
 
 def _check_tree(root: TreeNode, outcome: SearchOutcome, cfg: SearchConfig) -> None:
@@ -444,14 +429,14 @@ def run_episode(
     cfg: SearchConfig,
     streams: Optional[RngFactory] = None,
     reset_seed: int = 0,
-    trace=None,
 ) -> EpisodeResult:
     """Receding-horizon episode: search, execute, observe, repeat.
 
     A goal plan is executed whole; if the true environment then misses the
     goal (the model diverged from it), the runner searches again from the
-    reached state, as after a root macro.  With ``n_mc == 0`` the runner degenerates to executing a single prior
-    rollout directly in the true environment (the prior-only baseline).
+    reached state, as after a root macro.  With ``n_mc == 0`` the runner
+    executes a single prior rollout directly in the true environment (the
+    prior-only baseline).  The result holds the episode's whole cost.
     """
     if streams is None:
         streams = RngFactory(cfg.seed)
@@ -476,7 +461,7 @@ def run_episode(
             break
         outcome = search_once(
             state, task, prior, lib, model, cfg,
-            streams=streams, dp=decision_points, meter=meter, trace=trace,
+            streams=streams, dp=decision_points, meter=meter,
         )
         decision_points += 1
         search_iterations += outcome.iterations_used

@@ -342,9 +342,16 @@ def _fused_norm(dx: float, dy: float) -> float:
 
 def _expert_values(env: BlockNavEnv, state: StateVec,
                    task: TaskSpec) -> tuple[float, float, float]:
-    """The greedy BlockNav controller's ``(dx, dy, g)`` at ``state``."""
+    """The greedy BlockNav controller's ``(dx, dy, g)`` at ``state``: it
+    releases at the goal and steers by ``_steer_values`` elsewhere."""
     if task.goal_predicate(state):
         return 0.0, 0.0, -1.0
+    return _steer_values(env, state, task)
+
+
+def _steer_values(env: BlockNavEnv, state: StateVec,
+                  task: TaskSpec) -> tuple[float, float, float]:
+    """The controller's action at a state its caller knows is not a goal."""
     v = state.values
     obj = task.metadata["object_index"]
     carried = int(v[_CARRIED])
@@ -422,7 +429,7 @@ def run_expert_episode(
     for _ in range(_DEMO_STEPS):
         if success:
             break
-        action = _expert_values(env, state, task)
+        action = _steer_values(env, state, task)
         states.append(state.values)
         actions.append(action)
         state = env.step(state, action)

@@ -59,7 +59,7 @@ def _trend_config():
 
 
 @pytest.fixture(scope="module")
-def trend_run(library):
+def trend_run():
     # a spy on the package's vector check re-checks every probability vector
     # the trend suite produces: non-negative, normalized, and the eps floor
     checks = [0, 0]
@@ -76,7 +76,7 @@ def trend_run(library):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(prior_mod, "_validated", spy)
         start = time.perf_counter()
-        records = run_suite(_trend_config(), library=library)
+        records = run_suite(_trend_config())
         elapsed = time.perf_counter() - start
     return records, aggregate(records), elapsed, tuple(checks)
 
@@ -248,7 +248,7 @@ def test_criterion_7_search_space_tractability(env, model, library):
                 f"{elapsed:.1f}s")
 
 
-def test_criterion_8_end_to_end_determinism(library, tmp_path):
+def test_criterion_8_end_to_end_determinism(tmp_path):
     cfg = SuiteConfig(
         task_ids=["move_obj0_to_region0", "move_obj1_to_region2"],
         noise_levels=[0.0, 0.4],
@@ -257,7 +257,7 @@ def test_criterion_8_end_to_end_determinism(library, tmp_path):
     )
     blobs = []
     for name in ("first", "second"):
-        records = run_suite(cfg, library=library)
+        records = run_suite(cfg)
         path = tmp_path / f"{name}.jsonl"
         write_records(records, path)
         blobs.append(path.read_bytes())

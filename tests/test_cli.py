@@ -30,6 +30,13 @@ def test_build_library_command(traj_file, tmp_path, capsys):
     assert lib.m == 16 and lib.horizon == 4 and lib.action_dim == 3
 
 
+def test_negative_library_seed_is_config_error(traj_file, tmp_path, capsys):
+    # numpy's default_rng rejects a negative seed with a bare ValueError
+    assert main(["build-library", "--input", str(traj_file), "--size", "16",
+                 "--seed", "-1", "--out", str(tmp_path / "lib.json")]) == EXIT_CONFIG
+    assert "library seed -1" in capsys.readouterr().err
+
+
 def test_full_pipeline(traj_file, tmp_path, monkeypatch, capsys):
     lib_path = tmp_path / "lib.json"
     assert main([
@@ -119,6 +126,14 @@ def test_bad_suite_value_type_is_config_error(key, value, tmp_path, monkeypatch,
     assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "configuration error" in err and key in err
+
+
+def test_negative_suite_library_seed_is_config_error(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps({"seeds": [0], "library_seed": -1}))
+    monkeypatch.setenv("VLAPS_OUTPUT_ROOT", str(tmp_path))
+    assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert "library seed -1" in capsys.readouterr().err
 
 
 def test_suite_config_that_is_not_an_object_is_config_error(tmp_path, capsys):

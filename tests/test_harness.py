@@ -50,8 +50,8 @@ def _small_config(**kwargs):
 
 
 @pytest.fixture(scope="module")
-def small_records(library):
-    return run_suite(_small_config(), library=library)
+def small_records():
+    return run_suite(_small_config())
 
 
 def test_record_count_arithmetic(small_records):
@@ -80,8 +80,8 @@ def test_records_sorted(small_records):
     assert keys == sorted(keys)
 
 
-def test_suite_deterministic(library, small_records):
-    again = run_suite(_small_config(), library=library)
+def test_suite_deterministic(small_records):
+    again = run_suite(_small_config())
     assert again == small_records
 
 
@@ -118,7 +118,7 @@ def test_aggregate_runtime_none_without_successes():
     assert aggregate(recs)[0]["mean_runtime_s"] is None
 
 
-def test_failed_search_run_consumes_full_budget(library):
+def test_failed_search_run_consumes_full_budget():
     # noise 1.0 prior + minuscule budget: failures report at least the budget
     cfg = _small_config(
         task_ids=["move_obj0_to_region2"],
@@ -126,7 +126,7 @@ def test_failed_search_run_consumes_full_budget(library):
         seeds=[0],
         search=SearchConfig(n_mc=5, d_sim_max=10, d_max=2, t_max=0.001),
     )
-    records = run_suite(cfg, library=library)
+    records = run_suite(cfg)
     vlaps = [r for r in records if r.method == METHOD_VLAPS][0]
     assert not vlaps.success
     assert vlaps.wall_time >= cfg.search.t_max
@@ -181,14 +181,14 @@ def test_suite_config_validation():
         SuiteConfig.from_json({"bogus_key": 1})
 
 
-def test_suite_config_accepts_numpy_integer_seeds(library, tmp_path):
+def test_suite_config_accepts_numpy_integer_seeds(tmp_path):
     # the same rule as SearchConfig's: any integer counts; numpy numbers are
     # stored as Python ones, so configs and records serialise to JSON
     assert json.loads(json.dumps(SearchConfig(k=np.int64(4)).to_json()))["k"] == 4
     cfg = _small_config(task_ids=["move_obj0_to_region0"], noise_levels=[np.float32(0.2)],
                         seeds=[np.int64(0)], search=SearchConfig(n_mc=5, d_sim_max=20))
     assert json.loads(json.dumps(cfg.to_json()))["noise_levels"] == [float(np.float32(0.2))]
-    records = run_suite(cfg, library=library)
+    records = run_suite(cfg)
     write_records(records, tmp_path / "records.jsonl")
     reloaded = load_records(tmp_path / "records.jsonl")
     assert [r.to_json() for r in reloaded] == [r.to_json() for r in records]

@@ -124,12 +124,6 @@ def test_build_medoids_are_input_members():
         assert tuple(proto.ravel()) in flat_inputs
 
 
-def test_build_objective_non_increasing():
-    history = []
-    build_library(_random_macros(60, seed=4), 6, seed=0, history=history)
-    assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
-
-
 def test_build_three_clusters_matches_brute_force():
     # 3 well-separated 1-D clusters; PAM must find the exhaustive optimum
     rng = np.random.default_rng(1)
@@ -207,12 +201,13 @@ def test_swap_matches_slot_by_slot_reference(scale):
     # below the fixed 1e-12 acceptance step (a purely relative one fails at 1e-11)
     for dist, init in swap_cases():
         dist = dist * scale
-        want_history, got_history = [], []
+        want_history = []
         want, want_cost = reference_swap(dist, init, want_history)
-        got, got_cost = _swap(dist, init, got_history)
+        got, got_costs = _swap(dist, init)
         assert np.array_equal(got, want)
-        assert got_cost == want_cost
-        assert got_history == want_history
+        assert got_costs == want_history and got_costs[-1] == want_cost
+        # every accepted swap lowers the objective
+        assert all(b < a for a, b in zip(got_costs, got_costs[1:]))
 
 
 def test_build_errors():

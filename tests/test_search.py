@@ -1,12 +1,12 @@
 import collections
 import dataclasses
-import io
 import json
 import math
 
 import numpy as np
 import pytest
 
+import vlaps.search
 from vlaps.errors import ConfigurationError, ContractViolationError, PriorQueryError
 from vlaps.macrolib import MacroLibrary
 from vlaps.prior import UniformLibraryPrior
@@ -21,7 +21,6 @@ from vlaps.search import (
     _best_candidate,
     _check_tree,
     _path_macros,
-    _trace,
     backpropagate,
     expand,
     replay_plan,
@@ -386,20 +385,6 @@ def test_search_with_a_used_meter_stops_at_t_max(env, model, tasks, library):
     assert used.elapsed() >= cfg.t_max
 
 
-def test_trace_export(env, model, tasks, library):
-    cfg = SearchConfig(n_mc=5, d_sim_max=20, t_max=1e9)
-    prior = UniformLibraryPrior(library)
-    state = env.reset(0, tasks[2].task_id)
-    buf = io.StringIO()
-    search_once(state, tasks[2], prior, library, model, cfg,
-                streams=RngFactory(0), trace=buf)
-    lines = [json.loads(l) for l in buf.getvalue().splitlines()]
-    assert len(lines) == 5
-    for rec in lines:
-        assert set(rec) >= {"iteration", "path", "expanded_node_id",
-                            "rollout_result", "elapsed"}
-
-
 def test_prior_proportional_allocation():
     # single-node simulation: visit frequencies track the selection prior
     from scipy.stats import spearmanr
@@ -658,8 +643,7 @@ def reference_select_path(root, cfg):
     return node, path
 
 
-def reference_search_once(root_state, task, prior, lib, model, cfg, streams,
-                          meter, trace=None):
+def reference_search_once(root_state, task, prior, lib, model, cfg, streams, meter):
     """search_once as it was with a separate root, post-expansion and
     depth-capped rollout; returns the outcome and the name of its exit."""
     def finish(outcome, exit_name):
@@ -678,8 +662,6 @@ def reference_search_once(root_state, task, prior, lib, model, cfg, streams,
         if meter.elapsed() >= cfg.t_max:
             break
         iterations = it
-        record = {"iteration": it, "path": [], "expanded_node_id": None,
-                  "rollout_result": None}
         if it == 1:
             success, _, macros = rollout(
                 model, prior, root.sim_state, task, cfg,
@@ -689,12 +671,10 @@ def reference_search_once(root_state, task, prior, lib, model, cfg, streams,
             if success:
                 out = SearchOutcome(GOAL_PLAN, plan=macros, iterations_used=1,
                                     nodes_created=nodes_created)
-                _trace(trace, record, meter, rollout_result="goal")
                 return finish(out, "root_rollout_goal")
             leaf, path = root, []
         else:
             leaf, path = reference_select_path(root, cfg)
-        record["path"] = [node.node_id for node, _ in path]
 
         if leaf.is_goal:
             out = SearchOutcome(GOAL_PLAN, plan=_path_macros(path, lib),
@@ -709,11 +689,9 @@ def reference_search_once(root_state, task, prior, lib, model, cfg, streams,
                 meter, nodes_created,
             )
             nodes_created += len(children)
-            record["expanded_node_id"] = leaf.node_id
             for idx, child in enumerate(children):
                 if child.is_goal:
                     plan = _path_macros(path + [(leaf, idx)], lib)
-                    _trace(trace, record, meter, rollout_result="goal_child")
                     return finish(SearchOutcome(
                         GOAL_PLAN, plan=plan, iterations_used=it,
                         nodes_created=nodes_created), "goal_child")
@@ -725,12 +703,10 @@ def reference_search_once(root_state, task, prior, lib, model, cfg, streams,
             rollouts_done += 1
             if success:
                 plan = _path_macros(path + [(leaf, ci)], lib) + macros
-                _trace(trace, record, meter, rollout_result="goal")
                 return finish(SearchOutcome(
                     GOAL_PLAN, plan=plan, iterations_used=it,
                     nodes_created=nodes_created), "expansion_rollout_goal")
             backpropagate(path + [(leaf, ci)])
-            _trace(trace, record, meter, rollout_result="fail")
         else:
             success, _, macros = rollout(
                 model, prior, leaf.sim_state, task, cfg,
@@ -739,12 +715,10 @@ def reference_search_once(root_state, task, prior, lib, model, cfg, streams,
             rollouts_done += 1
             if success:
                 plan = _path_macros(path, lib) + macros
-                _trace(trace, record, meter, rollout_result="goal")
                 return finish(SearchOutcome(
                     GOAL_PLAN, plan=plan, iterations_used=it,
                     nodes_created=nodes_created), "depth_capped_goal")
             backpropagate(path)
-            _trace(trace, record, meter, rollout_result="fail")
 
     if not root.children:
         raise ConfigurationError("search budget exhausted before the root could be expanded")
@@ -759,17 +733,47 @@ def reference_search_once(root_state, task, prior, lib, model, cfg, streams,
         "budget_spent" if iterations == cfg.n_mc else "deadline_cut")
 
 
-def _search_fingerprint(outcome, meter, trace):
+def _search_fingerprint(outcome, meter, log):
     plan = [m.tobytes() for m in outcome.plan] if outcome.plan is not None else None
     best = outcome.best_macro.tobytes() if outcome.best_macro is not None else None
     return (outcome.kind, plan, best, outcome.iterations_used, outcome.nodes_created,
-            meter.queries, meter.sim_steps, trace.getvalue())
+            meter.queries, meter.sim_steps, log)
+
+
+def _record_calls(patch, namespace, meter):
+    """Wrap the expand, rollout and backpropagate that a search loop looks up
+    in ``namespace`` (a module's globals) so that each call logs the node ids
+    it touched or the rollout's start step, and ``meter``'s reading after it."""
+    log = []
+    expand_fn, rollout_fn, backpropagate_fn = (
+        namespace[name] for name in ("expand", "rollout", "backpropagate"))
+
+    def logged_expand(node, *args):
+        children = expand_fn(node, *args)
+        log.append(("expand", node.node_id, [child.node_id for child in children],
+                    meter.elapsed()))
+        return children
+
+    def logged_rollout(model, prior, start, *args):
+        result = rollout_fn(model, prior, start, *args)
+        log.append(("rollout", start.step_count, result[:2], meter.elapsed()))
+        return result
+
+    def logged_backpropagate(path):
+        log.append(("backpropagate", [(node.node_id, node.children[idx].node_id)
+                                      for node, idx in path], meter.elapsed()))
+        backpropagate_fn(path)
+
+    patch.setitem(namespace, "expand", logged_expand)
+    patch.setitem(namespace, "rollout", logged_rollout)
+    patch.setitem(namespace, "backpropagate", logged_backpropagate)
+    return log
 
 
 def test_search_once_matches_reference_loop(env, model, tasks, library):
     priors = [UniformLibraryPrior(library)] + [
         ScriptedExpertPrior(model, 4, noise) for noise in (0.0, 0.2, 0.3, 0.45, 0.6, 1.0)]
-    exits = collections.Counter()
+    exits, calls = collections.Counter(), collections.Counter()
     for case in range(400):
         rng = np.random.default_rng(case)
         cfg = SearchConfig(
@@ -789,15 +793,20 @@ def test_search_once_matches_reference_loop(env, model, tasks, library):
             path.append(env.step(path[-1], _expert_values(env, path[-1], task)))
         state = path[max(0, len(path) - 1 - cfg.d_sim_max - int(rng.integers(0, 6)))]
         runs = []
-        for fn in (reference_search_once, search_once):
-            meter, trace = CostMeter(cfg), io.StringIO()
-            outcome = fn(state, task, prior, library, model, cfg,
-                         streams=RngFactory(case), meter=meter, trace=trace)
+        for fn, namespace in ((reference_search_once, globals()),
+                              (search_once, vars(vlaps.search))):
+            meter = CostMeter(cfg)
+            with pytest.MonkeyPatch.context() as patch:
+                log = _record_calls(patch, namespace, meter)
+                outcome = fn(state, task, prior, library, model, cfg,
+                             streams=RngFactory(case), meter=meter)
             if fn is reference_search_once:
                 outcome, exit_name = outcome
-            runs.append(_search_fingerprint(outcome, meter, trace))
+            runs.append(_search_fingerprint(outcome, meter, log))
         assert runs[0] == runs[1], (case, exit_name)
         exits[exit_name] += 1
+        calls.update(entry[0] for entry in log)
+    assert min(calls[name] for name in ("expand", "rollout", "backpropagate")) >= 100, calls
     assert "goal_leaf" not in exits
     for name in ("root_rollout_goal", "goal_child", "expansion_rollout_goal",
                  "depth_capped_goal", "budget_spent", "deadline_cut"):

@@ -157,3 +157,59 @@ def test_every_public_definition_has_a_user_outside_the_tests():
                 unused.append(f"{module}: {name}")
     assert checked >= 50
     assert unused == []
+
+
+def _defaulted_parameters(tree):
+    """(call name, parameter name, positional index or None) for each
+    defaulted parameter of a top-level function or method; a method's calls
+    are matched by its name, ``__init__``'s by its class's name."""
+    defs = [(None, stmt) for stmt in tree.body if isinstance(stmt, ast.FunctionDef)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            defs += [(cls, stmt) for stmt in cls.body if isinstance(stmt, ast.FunctionDef)]
+    for cls, func in defs:
+        args = func.args
+        positional = args.posonlyargs + args.args
+        if cls is not None:
+            positional = positional[1:]  # self or cls, never written at the call
+        name = cls.name if func.name == "__init__" else func.name
+        for index, arg in enumerate(positional):
+            if index >= len(positional) - len(args.defaults):
+                yield name, arg.arg, index
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def _passes(call, parameter, index):
+    """Whether a call sets the parameter by keyword, by position or by unpacking."""
+    for keyword in call.keywords:
+        if keyword.arg in (parameter, None):
+            return True
+    for position, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred) or position == index:
+            return True
+    return False
+
+
+def test_every_defaulted_parameter_is_set_outside_the_tests():
+    # an option that only tests set is a second code path that no run of
+    # the program takes; a defaulted parameter of the package must be passed
+    # by some call in the package or the benchmark
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in SOURCES + sorted((REPO / "bench").glob("*.py"))]
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    checked, unset = 0, []
+    for tree in trees[:len(SOURCES)]:
+        for name, parameter, index in _defaulted_parameters(tree):
+            checked += 1
+            if not any(_passes(call, parameter, index) for call in calls.get(name, [])):
+                unset.append(f"{name}.{parameter}")
+    assert checked >= 5
+    assert unset == []
