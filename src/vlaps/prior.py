@@ -41,13 +41,15 @@ class PriorPolicy(Protocol):
 
 
 def _validated(probs: np.ndarray, epsilon: float) -> np.ndarray:
+    # a NaN minimum fails both tests on it
+    low = float(probs.min())
     if not (
-        np.all(probs >= 0.0)
+        low >= 0.0
         and abs(float(probs.sum()) - 1.0) <= _SUM_TOL
-        and (epsilon <= 0.0 or float(probs.min()) >= epsilon / len(probs) - _FLOOR_TOL)
+        and (epsilon <= 0.0 or low >= epsilon / len(probs) - _FLOOR_TOL)
     ):
         raise ContractViolationError(
-            f"invalid probability vector: sum={probs.sum()}, min={probs.min()}"
+            f"invalid probability vector: sum={probs.sum()}, min={low}"
         )
     return probs
 

@@ -12,6 +12,8 @@ import zlib
 
 import numpy as np
 
+from .errors import ContractViolationError
+
 # stream purpose codes (first key element)
 RESET = 0
 ROLLOUT = 1
@@ -31,5 +33,10 @@ class RngFactory:
         self.entropy = tuple(int(e) & 0xFFFFFFFF for e in entropy)
 
     def rng(self, *key: int) -> np.random.Generator:
-        seq = np.random.SeedSequence(list(self.entropy) + [int(k) for k in key])
-        return np.random.default_rng(seq)
+        """``SeedSequence``'s generator over the entropy, then the key words in [0, 2**32)."""
+        try:
+            words = np.array(self.entropy + tuple(map(int, key)), dtype=np.uint32)
+        except OverflowError:
+            raise ContractViolationError(
+                f"stream key {key} has an element outside [0, 2**32)") from None
+        return np.random.default_rng(np.random.SeedSequence(words))

@@ -102,7 +102,7 @@ class CostMeter:
         return self.queries * self.query_cost + self.sim_steps * self.step_cost
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     """A simulated state and the edge that reached it from its parent: the
     library index of the macro taken (-1 at the root), that macro's selection
@@ -149,8 +149,12 @@ def _best_candidate(node: TreeNode) -> int:
     """
     children = node.children
     root = math.sqrt(sum(child.visits for child in children))
-    return max(range(len(children)), key=lambda i: (
-        children[i].psi * root / (1 + children[i].visits), children[i].psi, -i))
+    best, best_score, best_psi = 0, -math.inf, -math.inf
+    for i, child in enumerate(children):
+        score = child.psi * root / (1 + child.visits)
+        if score > best_score or (score == best_score and child.psi > best_psi):
+            best, best_score, best_psi = i, score, child.psi
+    return best
 
 
 def select_path(root: TreeNode, cfg: SearchConfig) -> tuple[TreeNode, list]:
@@ -224,11 +228,14 @@ def expand(
     Samples k distinct library indices by the prior rule over all of them,
     takes the selection prior over the candidates' own, and steps the world
     model through each candidate macro, charging its steps to ``meter``.
+    The node must be unexpanded, shallower than ``d_max`` and not a goal.
     """
     if node.children:
         raise ContractViolationError("node is already expanded")
     if node.depth >= cfg.d_max:
         raise ContractViolationError("cannot expand a node at maximum depth")
+    if node.is_goal:
+        raise ContractViolationError("cannot expand a goal node")
     meter.add_query()
     where = f"in expand at depth {node.depth}"
     anchor = _query_prior(prior, model, node.sim_state, task, rng_query, where)
@@ -239,9 +246,11 @@ def expand(
     dist = beta_distribution(dists, cfg.alpha_beta, cfg.epsilon_beta)
     indices = sample_candidates(dist, cfg.k, rng_sample)
     psi = psi_prior(dists[indices], cfg.alpha_psi, cfg.epsilon_psi).tolist()
+    # the anchor checks above prove the prototypes' shape, and a node that is
+    # not a goal node fails the goal, so step_macro's two tests are skipped
     for slot, (proto, weight) in enumerate(zip(indices, psi)):
-        state, success, used = step_macro(model, node.sim_state.copy(),
-                                          lib.prototypes[proto], task)
+        state, success, used = model.run_macro(node.sim_state.copy(),
+                                               lib.prototypes[proto], task)
         meter.add_steps(used)
         node.children.append(TreeNode(state, node.depth + 1, next_id + slot,
                                       success, proto, weight))

@@ -9,7 +9,7 @@ import pytest
 import vlaps.search
 from vlaps.errors import ConfigurationError, ContractViolationError, PriorQueryError
 from vlaps.macrolib import MacroLibrary
-from vlaps.prior import UniformLibraryPrior
+from vlaps.prior import UniformLibraryPrior, beta_distribution, psi_prior, sample_candidates
 from vlaps.rngutil import CANDIDATES, PRIOR_QUERY, ROLLOUT, RngFactory
 from vlaps.search import (
     BEST_ROOT_MACRO,
@@ -21,6 +21,7 @@ from vlaps.search import (
     _best_candidate,
     _check_tree,
     _path_macros,
+    _query_prior,
     backpropagate,
     expand,
     replay_plan,
@@ -171,13 +172,20 @@ def test_best_candidate_matches_numpy_reference():
             # and no visit ties psi 0.5 and 1 visit)
             psi = gen.choice([0.125, 0.25, 0.5], size=k)
             counts = gen.integers(0, 4, size=k)
+        if trial % 4 == 2:
+            # psi 0 and, in about half of these nodes, no visits at all
+            psi = np.where(gen.random(k) < 0.5, 0.0, psi)
+            counts = counts * gen.integers(0, 2)
         want = numpy_best_candidate(psi, counts)
         assert _best_candidate(_fake_node(psi, counts)) == want, trial
         scores = [numpy_score(psi, counts, i) for i in range(k)]
         top = [i for i in range(k) if scores[i] == scores[want]]
         seen["score_tie_equal_psi"] += any(psi[i] == psi[want] for i in top if i != want)
         seen["score_tie_other_psi"] += any(psi[i] != psi[want] for i in top)
+        seen["no_visits"] += not counts.any()
+        seen["psi_zero_chosen"] += float(psi[want]) == 0.0
     assert min(seen["score_tie_equal_psi"], seen["score_tie_other_psi"]) >= 100, seen
+    assert min(seen["no_visits"], seen["psi_zero_chosen"]) >= 50, seen
 
 
 def test_select_path_fresh_root():
@@ -237,6 +245,69 @@ def test_expand_depth_cap(env, model, tasks, library, search_setup):
     with pytest.raises(ContractViolationError):
         expand(node, prior, library, model, tasks[0], cfg,
                np.random.default_rng(0), np.random.default_rng(1), CostMeter(cfg), 1)
+
+
+def reference_expand(node, prior, lib, model, task, cfg, rng_query, rng_sample, meter,
+                     next_id):
+    """expand as it was: each candidate stepped by step_macro, which checks the
+    macro's shape and tests the goal on the start state before stepping."""
+    meter.add_query()
+    where = f"in expand at depth {node.depth}"
+    anchor = _query_prior(prior, model, node.sim_state, task, rng_query, where)
+    dists = lib.distances_to(anchor)
+    dist = beta_distribution(dists, cfg.alpha_beta, cfg.epsilon_beta)
+    indices = sample_candidates(dist, cfg.k, rng_sample)
+    psi = psi_prior(dists[indices], cfg.alpha_psi, cfg.epsilon_psi).tolist()
+    for slot, (proto, weight) in enumerate(zip(indices, psi)):
+        state, success, used = step_macro(model, node.sim_state.copy(),
+                                          lib.prototypes[proto], task)
+        meter.add_steps(used)
+        node.children.append(TreeNode(state, node.depth + 1, next_id + slot,
+                                      success, proto, weight))
+    return node.children
+
+
+def test_expand_matches_step_macro_reference(env, model, tasks, library):
+    # random non-goal nodes, many a few steps from the goal on the expert's
+    # path so that candidates reach it in mid-macro
+    gen = np.random.default_rng(31)
+    seen = collections.Counter()
+    for trial in range(300):
+        task = tasks[trial % len(tasks)]
+        cfg = SearchConfig(k=int(gen.integers(1, 12)), alpha_beta=float(gen.uniform(0, 20)),
+                           epsilon_beta=float(gen.uniform()), t_max=1e9)
+        prior = ScriptedExpertPrior(model, cfg.horizon, float(gen.choice([0.0, 0.3, 1.0])))
+        path = [env.reset(trial, task.task_id)]
+        while not task.goal_predicate(path[-1]):
+            path.append(env.step(path[-1], _expert_values(env, path[-1], task)))
+        back = int(gen.integers(1, 4)) if trial % 3 else int(gen.integers(1, len(path)))
+        start = path[len(path) - 1 - back]
+        depth = int(gen.integers(0, 5))
+        children = []
+        for fn in (reference_expand, expand):
+            meter = CostMeter(cfg)
+            node = TreeNode(start.copy(), depth, 7)
+            fn(node, prior, library, model, task, cfg, RngFactory(trial).rng(PRIOR_QUERY),
+               RngFactory(trial).rng(CANDIDATES), meter, 8)
+            children.append(([(c.sim_state.values, c.sim_state.step_count, c.depth,
+                               c.node_id, c.is_goal, c.proto, c.psi, c.visits)
+                              for c in node.children], meter.queries, meter.sim_steps))
+        assert children[0] == children[1], trial
+        for _, step_count, _, _, is_goal, _, _, _ in children[1][0]:
+            steps = step_count - start.step_count
+            seen["goal_mid_macro" if is_goal and steps < cfg.horizon
+                 else "goal_last_step" if is_goal else "no_goal"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_expand_rejects_a_goal_node(env, model, tasks, library, search_setup):
+    # the search stops at a goal node; expanding one is a caller's error
+    cfg, prior = search_setup
+    node = TreeNode(env.reset(0, tasks[0].task_id), 0, 0, is_goal=True)
+    with pytest.raises(ContractViolationError, match="goal node"):
+        expand(node, prior, library, model, tasks[0], cfg,
+               np.random.default_rng(0), np.random.default_rng(1), CostMeter(cfg), 1)
+    assert node.children == []
 
 
 def test_rollout_degenerate_start(env, model, tasks, library, search_setup):

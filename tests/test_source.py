@@ -62,6 +62,18 @@ def test_all_is_exactly_what_the_package_imports():
     assert all(hasattr(vlaps, name) for name in vlaps.__all__)
 
 
+def test_only_rngutil_builds_seed_sequences():
+    # every stream is RngFactory.rng's SeedSequence over the entropy and key
+    # words; a SeedSequence built elsewhere would be a second derivation rule
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name == "SeedSequence":
+                found.append(path.name)
+    assert found == ["rngutil.py"]
+
+
 def test_readme_library_example_runs(capsys):
     blocks = re.findall(r"```python\n(.*?)```", README, flags=re.DOTALL)
     assert len(blocks) == 1
