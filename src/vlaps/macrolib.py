@@ -3,7 +3,8 @@
 A macro-action is an ``(H, n)`` array of primitive actions.  The library is a
 finite prototype set extracted from demonstration trajectories by PAM-style
 K-Medoids (greedy BUILD initialization followed by best-improvement SWAP
-passes), run on per-dimension-normalized flattened macros.
+passes), run on per-dimension-normalized flattened macros.  Their distances
+are summed column by column, in order, as SciPy's ``cdist`` sums them, bit for bit.
 
 A SWAP pass prices every (medoid slot, candidate) swap at once with FastPAM1
 (Schubert & Rousseeuw, "Faster k-Medoids Clustering: Improving the PAM, CLARA,
@@ -21,7 +22,6 @@ from pathlib import Path
 from typing import Iterable
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import (
     ConfigurationError,
@@ -266,8 +266,18 @@ def build_library(macros: list[np.ndarray], m: int, seed: int) -> MacroLibrary:
         keep = np.sort(rng.choice(len(stack), size=_MAX_PAM_CANDIDATES, replace=False))
         stack, flat = stack[keep], flat[keep]
 
-    medoids = _pam(cdist(flat, flat), m, seed)
+    medoids = _pam(_pairwise_distances(flat), m, seed)
     return MacroLibrary(stack[medoids], per_dim_mean, per_dim_std)
+
+
+def _pairwise_distances(flat: np.ndarray) -> np.ndarray:
+    """Row-to-row Euclidean distances, summed in column order (``cdist``'s, bit for bit)."""
+    total = np.zeros((len(flat), len(flat)))
+    diff = np.empty_like(total)
+    for column in flat.T:
+        np.subtract(column[:, None], column, out=diff)
+        total += np.multiply(diff, diff, out=diff)
+    return np.sqrt(total, out=total)
 
 
 def pam_objective(dist: np.ndarray, medoids: np.ndarray) -> float:
@@ -312,12 +322,12 @@ def _swap(dist: np.ndarray, medoids: np.ndarray) -> tuple[np.ndarray, list[float
 
     # SWAP: best-improvement passes until convergence
     for _ in range(_MAX_SWAP_PASSES):
+        # a point with two nearest medoids has nearest_d == second_d, so either
+        # slot may be its nearest_pos: its loss is 0 and without_j the same
         med_dist = dist[:, medoids]
-        order = np.argsort(med_dist, axis=1)
-        nearest_pos = order[:, 0]
-        nearest_d = med_dist[np.arange(n_points), nearest_pos]
-        second_d = med_dist[np.arange(n_points), order[:, 1]]
-        non_medoids = np.setdiff1d(np.arange(n_points), medoids)
+        nearest_pos = med_dist.argmin(axis=1)
+        nearest_d, second_d = np.partition(med_dist, 1, axis=1)[:, :2].T
+        non_medoids = np.delete(np.arange(n_points), medoids)  # ascending: ties go low
         cand = dist[:, non_medoids]
 
         # FastPAM1: every (slot, candidate) cost at once, one shared column sum

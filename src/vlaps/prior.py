@@ -171,8 +171,11 @@ class LineProtocolPrior:
         if not line:
             raise PriorQueryError("external prior closed the stream")
         try:
-            return np.asarray(json.loads(line)["macro"], dtype=float)
-        except (KeyError, ValueError, json.JSONDecodeError) as exc:
+            macro = json.loads(line)["macro"]  # a TypeError unless an object
+            if macro is None:
+                raise TypeError("macro is null")
+            return np.asarray(macro, dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
             raise PriorQueryError(f"malformed prior response: {line!r}") from exc
 
 

@@ -17,6 +17,7 @@ from vlaps.macrolib import (
     _MAX_SWAP_PASSES,
     MacroLibrary,
     Trajectory,
+    _pairwise_distances,
     _swap,
     build_library,
     load_trajectories,
@@ -194,13 +195,28 @@ def swap_cases(count=300, seed=0):
         yield cdist(points, points), np.sort(rng.choice(n_points, size=m, replace=False))
 
 
+def tie_cases(count=100, seed=1):
+    """Seeded pairs on 1-D or 2-D coordinates rounded to quarters, which are
+    exact in binary: many points lie at one distance from two medoids."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n_points = int(rng.integers(6, 40))
+        points = np.round(rng.normal(size=(n_points, int(rng.integers(1, 3)))) * 4) / 4
+        m = int(rng.integers(2, min(9, n_points)))
+        yield cdist(points, points), np.sort(rng.choice(n_points, size=m, replace=False))
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e9, 1e6, 1e-6, 1e-11])
 def test_swap_matches_slot_by_slot_reference(scale):
     # the contender margin scales with the cost, so it covers rounding at
     # large scales (a fixed 1e-8 margin fails at 1e9), and it never falls
-    # below the fixed 1e-12 acceptance step (a purely relative one fails at 1e-11)
-    for dist, init in swap_cases():
+    # below the fixed 1e-12 acceptance step (a purely relative one fails at 1e-11);
+    # a point whose two nearest medoids tie may have either as its nearest
+    tied = 0
+    for dist, init in itertools.chain(swap_cases(), tie_cases()):
         dist = dist * scale
+        nearest = np.partition(dist[:, init], 1, axis=1)
+        tied += bool(((nearest[:, 0] == nearest[:, 1]) & (nearest[:, 0] > 0)).any())
         want_history = []
         want, want_cost = reference_swap(dist, init, want_history)
         got, got_costs = _swap(dist, init)
@@ -208,6 +224,22 @@ def test_swap_matches_slot_by_slot_reference(scale):
         assert got_costs == want_history and got_costs[-1] == want_cost
         # every accepted swap lowers the objective
         assert all(b < a for a, b in zip(got_costs, got_costs[1:]))
+    assert tied >= 50
+
+
+@pytest.mark.parametrize("n_rows, n_cols, scale", [
+    (1, 5, 1.0), (40, 1, 1.0), (30, 7, 1e-3), (30, 7, 1e3),
+    (50, 12, 1e-150), (50, 12, 1e150), (1000, 12, 1.0),
+])
+def test_pairwise_distances_match_cdist_bytes(n_rows, n_cols, scale):
+    # PAM's medoids hang on exact ties and sums, so the library's distance
+    # matrix must be cdist's to the last bit; the second half of the rows
+    # repeats the first
+    rng = np.random.default_rng(n_rows * 31 + n_cols)
+    points = rng.normal(size=(n_rows, n_cols)) * scale
+    points[n_rows // 2:] = points[:n_rows - n_rows // 2]
+    for flat in (points, np.round(points / scale, 1) * scale):
+        assert _pairwise_distances(flat).tobytes() == cdist(flat, flat).tobytes()
 
 
 def test_build_errors():

@@ -238,9 +238,14 @@ def test_line_protocol_prior_errors(env, tasks):
     closed = LineProtocolPrior(_ListIO([]), _ListIO([]))
     with pytest.raises(errors.PriorQueryError):
         closed.sample_macro(obs, tasks[0], np.random.default_rng(0))
-    garbled = LineProtocolPrior(_ListIO([]), _ListIO(['{"nope": 1}\n']))
-    with pytest.raises(errors.PriorQueryError):
-        garbled.sample_macro(obs, tasks[0], np.random.default_rng(0))
+    # valid JSON without a macro: unchecked, a reply that is not an object
+    # escapes as a bare TypeError and a null macro parses as a 0-d NaN array
+    for reply in ['{"nope": 1}', "[1]", '"x"', "3", '{"macro": null}']:
+        line = reply + "\n"
+        garbled = LineProtocolPrior(_ListIO([]), _ListIO([line]))
+        with pytest.raises(errors.PriorQueryError) as info:
+            garbled.sample_macro(obs, tasks[0], np.random.default_rng(0))
+        assert str(info.value) == f"malformed prior response: {line!r}"
 
 
 def reference_sample_candidates(dist, k, rng):

@@ -1,6 +1,9 @@
 import ast
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import vlaps
@@ -37,19 +40,40 @@ def test_no_package_module_calls_tolist_on_values():
     assert found == []
 
 
+def _imports(path):
+    """(top-level module, line) for each module an import statement names."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+        yield from ((name.split(".")[0], node.lineno) for name in names)
+
+
 def test_only_errors_imports_numbers():
     # the field-type rule is errors.check_fields; a module that imports
     # numbers would be writing a second one
-    importers = []
-    for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            else:
-                names = [node.module] if isinstance(node, ast.ImportFrom) else []
-            if "numbers" in names:
-                importers.append(path.name)
+    importers = [path.name for path in SOURCES for name, _ in _imports(path)
+                 if name == "numbers"]
     assert importers == ["errors.py"]
+
+
+def test_no_package_module_imports_scipy():
+    # the library's distances are computed in numpy to cdist's bytes; SciPy
+    # is a test dependency only, and its import costs a process about 36 MB
+    importers = [f"{path.name}:{line}" for path in SOURCES for name, line in _imports(path)
+                 if name == "scipy"]
+    assert importers == []
+
+
+def test_cli_import_loads_no_scipy_module():
+    # a fresh interpreter, since this test process has SciPy loaded already
+    script = ("import sys, vlaps.cli; "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_all_is_exactly_what_the_package_imports():
