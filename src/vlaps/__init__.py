@@ -39,7 +39,6 @@ from .search import (
 )
 from .world import (
     BlockNavEnv,
-    Observation,
     ScriptedExpertPrior,
     StateVec,
     TaskSpec,
@@ -57,7 +56,6 @@ __all__ = [
     "EpisodeResult",
     "LineProtocolPrior",
     "MacroLibrary",
-    "Observation",
     "PriorPolicy",
     "PriorQueryError",
     "RunRecord",

@@ -46,8 +46,13 @@ class SuiteConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if len(self.seeds) < 1:
-            raise ConfigurationError("at least one seed (episode per cell) required")
+        for name in ("task_ids", "noise_levels", "seeds"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigurationError(f"SuiteConfig: {name} repeats an entry, which "
+                                         f"would count its episodes twice: {values!r}")
+            if not values and name != "task_ids":  # empty task_ids means all tasks
+                raise ConfigurationError(f"SuiteConfig: {name} needs at least one entry")
         if any(not 0.0 <= x <= 1.0 for x in self.noise_levels):
             raise ConfigurationError("noise levels must lie in [0,1]")
 
@@ -148,10 +153,7 @@ def run_suite(cfg: SuiteConfig) -> list[RunRecord]:
     searching the library that ``resolve_library`` gives for ``cfg``."""
     env = BlockNavEnv(extent=cfg.extent, object_count=cfg.object_count)
     all_tasks = env.tasks()
-    if cfg.task_ids:
-        tasks = [env.task_by_id(tid) for tid in cfg.task_ids]
-    else:
-        tasks = all_tasks
+    tasks = [env.task_by_id(tid) for tid in cfg.task_ids] or all_tasks
     library = resolve_library(cfg, env, all_tasks)
     if (library.horizon, library.action_dim) != (cfg.search.horizon, env.action_dim):
         raise ConfigurationError(

@@ -34,6 +34,8 @@ LIBRARY_FORMAT_VERSION = 1
 _STD_CLAMP = 1e-12  # dimensions with smaller spread are treated as constant
 _MAX_PAM_CANDIDATES = 1000
 _MAX_SWAP_PASSES = 100
+# most of a default build, but without them acceptance criterion 4 finds 15 of
+# 20 brute-force optima, worst ratio 1.0428, where it asks >= 18 and <= 1.05
 _PAM_RESTARTS = 8
 # a swap slot whose FastPAM1 cost is within this fraction of the lowest one
 # (at least this much in absolute terms) has its costs recomputed exactly
@@ -330,14 +332,14 @@ def _swap(dist: np.ndarray, medoids: np.ndarray) -> tuple[np.ndarray, list[float
         non_medoids = np.delete(np.arange(n_points), medoids)  # ascending: ties go low
         cand = dist[:, non_medoids]
 
-        # FastPAM1: every (slot, candidate) cost at once, one shared column sum
-        # plus the loss of the points whose nearest medoid is the slot; one
-        # bincount over (slot, candidate) cells sums it with no BLAS thread pool
+        # FastPAM1: every (slot, candidate) cost at once, one shared column sum plus
+        # each slot's loss over its nearest points, summed per cell in index order
+        # by one bincount (no BLAS pool); loss is Fortran-ordered: loss.T.ravel() is a view
         keep = np.minimum(cand, nearest_d[:, None])
         loss = np.minimum(cand, second_d[:, None]) - keep
         width = len(non_medoids)
-        cells = (nearest_pos[:, None] * width + np.arange(width)).ravel()
-        approx = np.bincount(cells, loss.ravel(), len(medoids) * width).reshape(-1, width)
+        cells = (np.arange(width)[:, None] + nearest_pos * width).ravel()
+        approx = np.bincount(cells, loss.T.ravel(), len(medoids) * width).reshape(-1, width)
         approx += keep.sum(axis=0)
         slot_low = approx.min(axis=1)
         low = float(slot_low.min())

@@ -13,13 +13,13 @@ import json
 import math
 import subprocess
 from bisect import bisect_right
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, PriorQueryError
 from .macrolib import MacroLibrary
-from .world import Observation, TaskSpec
+from .world import TaskSpec
 
 _SUM_TOL = 1e-9
 _FLOOR_TOL = 1e-12
@@ -27,16 +27,16 @@ _MAX_SAMPLE_ATTEMPTS = 1000
 _DIST_SUM_TOL = 1e-8  # sample_candidates input; rng.choice allowed about 1.5e-8
 
 
-@runtime_checkable
 class PriorPolicy(Protocol):
     """Anything that maps (observation, task) to a sampled macro-action.
 
-    The search rejects, with ``PriorQueryError``, a macro that is not a
-    finite 2-D array with at least one row and ``action_dim`` columns.
+    The observation is what ``WorldModel.observe`` returns.  The search
+    rejects, with ``PriorQueryError``, a macro that is not a finite 2-D
+    array with at least one row and ``action_dim`` columns.
     """
 
     def sample_macro(
-        self, obs: Observation, task: TaskSpec, rng: np.random.Generator
+        self, obs, task: TaskSpec, rng: np.random.Generator
     ) -> np.ndarray: ...
 
 
@@ -142,7 +142,7 @@ class UniformLibraryPrior:
         self.lib = lib
 
     def sample_macro(
-        self, obs: Observation, task: TaskSpec, rng: np.random.Generator
+        self, obs, task: TaskSpec, rng: np.random.Generator
     ) -> np.ndarray:
         return self.lib.prototypes[int(rng.integers(self.lib.m))].copy()
 
@@ -159,10 +159,10 @@ class LineProtocolPrior:
         self._reader = reader
 
     def sample_macro(
-        self, obs: Observation, task: TaskSpec, rng: np.random.Generator
+        self, obs, task: TaskSpec, rng: np.random.Generator
     ) -> np.ndarray:
         request = {
-            "observation": np.asarray(obs.features, dtype=float).tolist(),
+            "observation": np.asarray(obs, dtype=float).tolist(),
             "instruction": task.instruction,
         }
         self._writer.write(json.dumps(request) + "\n")

@@ -31,13 +31,6 @@ class StateVec:
 
 
 @dataclass(frozen=True)
-class Observation:
-    """Feature vector derived deterministically from a StateVec."""
-
-    features: np.ndarray
-
-
-@dataclass(frozen=True)
 class TaskSpec:
     """A task: natural-language label plus a decidable goal predicate."""
 
@@ -61,7 +54,7 @@ class WorldModel(ABC):
     def step(self, state: StateVec, action: np.ndarray) -> StateVec: ...
 
     @abstractmethod
-    def observe(self, state: StateVec) -> Observation: ...
+    def observe(self, state: StateVec): ...
 
     def run_macro(
         self, state: StateVec, macro: np.ndarray, task: TaskSpec
@@ -154,11 +147,13 @@ class BlockNavEnv(WorldModel):
     def step(self, state: StateVec, action: np.ndarray) -> StateVec:
         action = np.asarray(action, dtype=float)
         if action.shape != (self.action_dim,):
-            raise ContractViolationError(
-                f"action shape {action.shape} != ({self.action_dim},)"
-            )
+            raise ContractViolationError(f"BlockNavEnv.step: action shape {action.shape} "
+                                         f"!= ({self.action_dim},)")
+        row = action.tolist()
+        if not all(map(math.isfinite, row)):
+            raise ContractViolationError(f"BlockNavEnv.step: action {row} is not finite")
         v = state.values.copy()
-        self._advance(v, *action.tolist())
+        self._advance(v, *row)
         return StateVec(v, state.step_count + 1)
 
     def run_macro(
@@ -213,8 +208,8 @@ class BlockNavEnv(WorldModel):
             v[4 + 2 * carried] = v[_RX]
             v[5 + 2 * carried] = v[_RY]
 
-    def observe(self, state: StateVec) -> Observation:
-        return Observation(np.array(state.values))
+    def observe(self, state: StateVec) -> tuple:
+        return tuple(state.values)
 
     def _nearest_object(self, values: list) -> int:
         """Index of the object nearest the robot if within ``pick_radius``, else -1.
@@ -301,9 +296,11 @@ def step_macro(
     """
     macro = np.asarray(macro, dtype=float)
     if macro.ndim != 2 or macro.shape[1] != model.action_dim:
-        raise ContractViolationError(
-            f"macro shape {macro.shape} incompatible with action_dim {model.action_dim}"
-        )
+        raise ContractViolationError(f"step_macro: macro shape {macro.shape} "
+                                     f"incompatible with action_dim {model.action_dim}")
+    if not np.isfinite(macro).all():
+        row = int(np.isfinite(macro).all(axis=1).argmin())
+        raise ContractViolationError(f"step_macro: macro row {row} is not finite")
     if task.goal_predicate(state):
         return state, True, 0
     return model.run_macro(state, macro, task)
@@ -399,10 +396,10 @@ class ScriptedExpertPrior:
         self.noise_level = float(noise_level)
 
     def sample_macro(
-        self, obs: Observation, task: TaskSpec, rng: np.random.Generator
+        self, obs: tuple, task: TaskSpec, rng: np.random.Generator
     ) -> np.ndarray:
         env, noise_level, m = self.env, self.noise_level, self.env.max_step
-        state = StateVec(np.asarray(obs.features, dtype=float).tolist())
+        state = StateVec(list(obs))
         rows = []
         for _ in range(self.horizon):
             if noise_level > 0.0 and rng.random() < noise_level:

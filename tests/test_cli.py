@@ -128,6 +128,17 @@ def test_bad_suite_value_type_is_config_error(key, value, tmp_path, monkeypatch,
     assert "configuration error" in err and key in err
 
 
+@pytest.mark.parametrize("key,value", [("seeds", [0, 0, 1]), ("noise_levels", [])])
+def test_repeated_or_missing_suite_entries_are_config_error(key, value, tmp_path,
+                                                            monkeypatch, capsys):
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps({"seeds": [0], key: value}))
+    monkeypatch.setenv("VLAPS_OUTPUT_ROOT", str(tmp_path))
+    assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert f"configuration error: SuiteConfig: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "records.jsonl").exists()
+
+
 def test_negative_suite_library_seed_is_config_error(tmp_path, monkeypatch, capsys):
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text(json.dumps({"seeds": [0], "library_seed": -1}))

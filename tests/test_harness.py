@@ -181,6 +181,29 @@ def test_suite_config_validation():
         SuiteConfig.from_json({"bogus_key": 1})
 
 
+@pytest.mark.parametrize("field,values", [
+    ("seeds", [0, 0, 1]),
+    ("seeds", [np.int64(2), 2]),
+    ("noise_levels", [0.4, 0.4]),
+    ("noise_levels", [0, 0.0]),
+    ("task_ids", ["move_obj0_to_region0", "move_obj0_to_region0"]),
+])
+def test_suite_config_rejects_a_repeated_entry_naming_the_field(field, values):
+    # a repeat would run the same paired episodes again and count them twice
+    # in the success rates
+    with pytest.raises(ConfigurationError, match=f"SuiteConfig: {field} repeats an entry"):
+        SuiteConfig(**{field: values})
+
+
+@pytest.mark.parametrize("field", ["seeds", "noise_levels"])
+def test_suite_config_rejects_an_empty_list_naming_the_field(field):
+    # an empty seeds or noise_levels would run no episode at all; an empty
+    # task_ids means every task
+    with pytest.raises(ConfigurationError, match=f"SuiteConfig: {field} needs at least one"):
+        SuiteConfig(**{field: []})
+    assert SuiteConfig(task_ids=[]).task_ids == []
+
+
 def test_suite_config_accepts_numpy_integer_seeds(tmp_path):
     # the same rule as SearchConfig's: any integer counts; numpy numbers are
     # stored as Python ones, so configs and records serialise to JSON

@@ -18,7 +18,6 @@ from vlaps.prior import (
     sample_candidates,
     subprocess_prior,
 )
-from vlaps.world import Observation
 
 
 def identity_library(values):

@@ -490,8 +490,7 @@ class ChainWorld(WorldModel):
         return StateVec(np.array([pos]), state.step_count + 1)
 
     def observe(self, state):
-        from vlaps.world import Observation
-        return Observation(state.values.copy())
+        return state.values.copy()
 
     def task(self):
         goal = self.goal_pos

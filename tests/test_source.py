@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import json
 import os
 import re
@@ -7,8 +8,9 @@ import sys
 from pathlib import Path
 
 import vlaps
-from vlaps.harness import SuiteConfig
+from vlaps.harness import SuiteConfig, default_library
 from vlaps.search import SearchConfig
+from vlaps.world import BlockNavEnv
 
 SOURCES = sorted(Path(vlaps.__file__).parent.glob("*.py"))
 REPO = Path(__file__).resolve().parents[1]
@@ -96,6 +98,26 @@ def test_only_rngutil_builds_seed_sequences():
             if name == "SeedSequence":
                 found.append(path.name)
     assert found == ["rngutil.py"]
+
+
+def test_bench_tracer_still_finds_every_traced_name():
+    # the bench's tracer wraps package callables by name; a rename should fail
+    # here, not only in a traced bench run.  Its layer table divides by the
+    # world.step calls of the library build, so default_library must make some
+    spec = importlib.util.spec_from_file_location("bench_tracer", REPO / "bench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        env = BlockNavEnv()
+        default_library(env, env.tasks(), 4, 8, 7)
+    finally:
+        tracer.uninstall()
+    calls = {name: row[0] for name, row in tracer.totals()[0].items()}
+    assert calls["world.step"] > 0 and calls["macrolib.build_library"] == 1
+    assert BlockNavEnv.step is vars(BlockNavEnv)["step"] and not hasattr(
+        BlockNavEnv.step, "__wrapped__")
 
 
 def test_readme_library_example_runs(capsys):

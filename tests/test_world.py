@@ -88,7 +88,7 @@ def test_zero_action_is_identity(env, tasks):
 
 def test_states_hold_lists_of_floats(env, tasks):
     # reset, step and run_macro return lists of Python floats and leave the
-    # state they start from as it was; observe hands the prior an array
+    # state they start from as it was; observe hands the prior a tuple of them
     state = env.reset(0, tasks[0].task_id)
     before = list(state.values)
     stepped = env.step(state, np.array([0.2, 0.1, 1.0]))
@@ -96,7 +96,7 @@ def test_states_hold_lists_of_floats(env, tasks):
     for got in (state, stepped, ran):
         assert type(got.values) is list and {type(x) for x in got.values} == {float}
     assert state.values == before and (stepped.step_count, ran.step_count, used) == (1, 3, 3)
-    assert env.observe(state).features.tolist() == before
+    assert env.observe(state) == tuple(before)
 
 
 def test_step_determinism(env, tasks):
@@ -155,7 +155,7 @@ def object_position(state, index):
 
 
 def state_from_observation(obs):
-    return StateVec(np.asarray(obs.features, dtype=float).tolist(), step_count=0)
+    return StateVec(np.asarray(obs, dtype=float).tolist(), step_count=0)
 
 
 def reference_clip_step(delta, max_step):
@@ -292,6 +292,45 @@ def test_step_macro_shape_mismatch(env, tasks):
         step_macro(env, state, np.zeros((4, 2)), tasks[0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_step_rejects_a_non_finite_action(env, tasks, bad):
+    # a NaN or infinite action would otherwise give a NaN state without a word
+    state = env.reset(0, tasks[0].task_id)
+    before = list(state.values)
+    with pytest.raises(ContractViolationError, match=r"BlockNavEnv.step: action \[") as info:
+        env.step(state, np.array([0.1, bad, 1.0]))
+    assert repr(bad) in str(info.value) and state.values == before
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_step_macro_rejects_a_non_finite_row_naming_it(env, tasks, bad):
+    # checked before the goal test and before any row is applied
+    state = env.reset(0, tasks[0].task_id)
+    macro = np.zeros((4, 3))
+    macro[2, 1] = macro[3, 0] = bad
+    with pytest.raises(ContractViolationError, match="step_macro: macro row 2 is not finite"):
+        step_macro(env, state, macro, tasks[0])
+    goal = dataclasses.replace(tasks[0], goal_predicate=lambda s: True)
+    with pytest.raises(ContractViolationError, match="row 0"):
+        step_macro(env, state, np.full((4, 3), bad), goal)
+
+
+def test_expert_prior_leaves_the_observed_state_unchanged(env, tasks):
+    # observe hands the prior a tuple of the state's floats, which JSON can
+    # encode; the prior simulates its own list, not the state's
+    for noise in (0.0, 1.0):
+        state = env.reset(0, tasks[0].task_id)
+        before = list(state.values)
+        obs = env.observe(state)
+        assert type(obs) is tuple and obs == tuple(state.values)
+        assert json.loads(json.dumps(obs)) == before
+        prior = ScriptedExpertPrior(env, 8, noise)
+        macro = prior.sample_macro(obs, tasks[0], np.random.default_rng(3))
+        assert np.abs(macro[:, :2]).max() > 0.1
+        assert state.values == before and state.step_count == 0
+        assert obs == tuple(before)
+
+
 def test_expert_prior_shapes_and_noise(env, tasks):
     clean = ScriptedExpertPrior(env, horizon=4, noise_level=0.0)
     obs = env.observe(env.reset(0, tasks[0].task_id))
@@ -377,7 +416,15 @@ def reference_goal(env, task, state):
 def assert_same_step(env, values, action, step_count=0):
     values = np.asarray(values, dtype=float).tolist()
     ref = reference_step(env, StateVec(values, step_count), action)
-    got = env.step(StateVec(values, step_count), action)
+    if all(map(math.isfinite, action)):
+        got = env.step(StateVec(values, step_count), action)
+    else:
+        # step rejects a non-finite action; run_macro applies rows unchecked
+        # (the search checks each macro first) and must still match the reference
+        with pytest.raises(ContractViolationError, match="BlockNavEnv.step"):
+            env.step(StateVec(values, step_count), action)
+        never = TaskSpec("never", "never done", lambda state: False)
+        got, _, _ = env.run_macro(StateVec(values, step_count), np.array([action]), never)
     assert {type(x) for x in got.values} == {float}
     assert np.array(got.values).tobytes() == ref.values.tobytes(), (values, action)
     assert got.step_count == ref.step_count
