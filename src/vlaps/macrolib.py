@@ -187,8 +187,9 @@ class MacroLibrary:
             raise ContractViolationError(
                 f"macro shape {macro.shape} != {self.prototypes.shape[1:]}"
             )
-        target = self.normalize(macro).ravel()
-        return np.linalg.norm(self._normalized_flat - target, axis=1)
+        # the bits np.linalg.norm(diff, axis=1) computes, without its conj copy
+        diff = self._normalized_flat - self.normalize(macro).ravel()
+        return np.sqrt(np.add.reduce(diff * diff, axis=1))
 
     def to_json(self) -> dict:
         return {

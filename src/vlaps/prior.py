@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import subprocess
-from bisect import bisect_right
 from typing import Protocol
 
 import numpy as np
@@ -24,6 +23,7 @@ from .world import TaskSpec
 _SUM_TOL = 1e-9
 _FLOOR_TOL = 1e-12
 _MAX_SAMPLE_ATTEMPTS = 1000
+_DRAW_BLOCK = 3  # candidate draws per block, per candidate asked for
 _DIST_SUM_TOL = 1e-8  # sample_candidates input; rng.choice allowed about 1.5e-8
 
 
@@ -90,11 +90,13 @@ def sample_candidates(dist: np.ndarray, k: int, rng: np.random.Generator) -> lis
     index).  Returns the indices in draw order.
 
     A draw is the inverse-CDF step of ``rng.choice(m, p=dist)``: one
-    ``rng.random()`` looked up with ``bisect_right`` in the normalised
-    cumulative sum.  It yields the same indices and consumes ``rng`` exactly
-    as ``rng.choice`` does.  Raises ``ContractViolationError`` unless ``dist``
-    is a 1-D, finite, non-negative vector summing to 1 within
-    ``_DIST_SUM_TOL``, and ``ConfigurationError`` if ``k`` exceeds its length.
+    ``rng.random()`` looked up, side right, in the normalised cumulative sum.
+    Draws come a block at a time through one ``np.searchsorted``; then the
+    generator's saved state is restored and only the draws used are redrawn,
+    so ``rng`` ends where one ``rng.choice`` per draw leaves it.  Raises
+    ``ContractViolationError`` unless ``dist`` is a 1-D, finite, non-negative
+    vector summing to 1 within ``_DIST_SUM_TOL``, and ``ConfigurationError``
+    if ``k`` exceeds its length.
     """
     dist = np.asarray(dist, dtype=float)
     if dist.ndim != 1 or dist.size == 0:
@@ -114,16 +116,22 @@ def sample_candidates(dist: np.ndarray, k: int, rng: np.random.Generator) -> lis
         )
     cdf = dist.cumsum()
     cdf /= cdf[-1]
-    cdf = cdf.tolist()
     chosen: list[int] = []
     seen = set()
-    attempts = 0
-    while len(chosen) < k and attempts < _MAX_SAMPLE_ATTEMPTS:
-        idx = bisect_right(cdf, rng.random())
-        attempts += 1
-        if idx not in seen:
-            seen.add(idx)
-            chosen.append(idx)
+    saved = rng.bit_generator.state
+    drawn = used = 0
+    while len(chosen) < k and drawn < _MAX_SAMPLE_ATTEMPTS:
+        block = min(_DRAW_BLOCK * k, _MAX_SAMPLE_ATTEMPTS - drawn)
+        drawn += block
+        for idx in np.searchsorted(cdf, rng.random(block), side="right").tolist():
+            used += 1
+            if idx not in seen:
+                seen.add(idx)
+                chosen.append(idx)
+                if len(chosen) == k:
+                    break
+    rng.bit_generator.state = saved
+    rng.random(used)
     if len(chosen) < k:
         # fall back on probability order (then index) for the remainder
         for idx in sorted(range(m), key=lambda i: (-probs[i], i)):

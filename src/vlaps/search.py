@@ -249,8 +249,7 @@ def expand(
     # the anchor checks above prove the prototypes' shape, and a node that is
     # not a goal node fails the goal, so step_macro's two tests are skipped
     for slot, (proto, weight) in enumerate(zip(indices, psi)):
-        state, success, used = model.run_macro(node.sim_state.copy(),
-                                               lib.prototypes[proto], task)
+        state, success, used = model.run_macro(node.sim_state, lib.prototypes[proto], task)
         meter.add_steps(used)
         node.children.append(TreeNode(state, node.depth + 1, next_id + slot,
                                       success, proto, weight))

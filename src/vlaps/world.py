@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, fields
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -145,68 +145,57 @@ class BlockNavEnv(WorldModel):
         return StateVec(values.tolist(), step_count=0)
 
     def step(self, state: StateVec, action: np.ndarray) -> StateVec:
-        action = np.asarray(action, dtype=float)
+        action = _float_array(action, "BlockNavEnv.step: action")
         if action.shape != (self.action_dim,):
             raise ContractViolationError(f"BlockNavEnv.step: action shape {action.shape} "
                                          f"!= ({self.action_dim},)")
         row = action.tolist()
         if not all(map(math.isfinite, row)):
             raise ContractViolationError(f"BlockNavEnv.step: action {row} is not finite")
-        v = state.values.copy()
-        self._advance(v, *row)
-        return StateVec(v, state.step_count + 1)
+        out = StateVec(state.values.copy(), state.step_count)
+        self._step_rows(out, (row,), None)
+        return out
 
     def run_macro(
         self, state: StateVec, macro: np.ndarray, task: TaskSpec
     ) -> tuple[StateVec, bool, int]:
-        # steps the result's own list in place, testing the goal after each row
         out = StateVec(state.values.copy(), state.step_count)
-        v, advance, goal = out.values, self._advance, task.goal_predicate
-        for ax, ay, g in macro.tolist():
-            advance(v, ax, ay, g)
-            out.step_count += 1
-            if goal(out):
-                return out, True, out.step_count - state.step_count
-        return out, False, len(macro)
+        done = self._step_rows(out, macro.tolist(), task.goal_predicate)
+        return out, done, out.step_count - state.step_count
 
-    def _advance(self, v: list, ax: float, ay: float, g: float) -> None:
-        """Apply one primitive ``(ax, ay, g)`` to the state values ``v`` in place.
+    def _step_rows(self, state: StateVec, rows: Sequence, goal: Callable | None) -> bool:
+        """Apply the primitives ``(ax, ay, g)`` of ``rows`` to ``state`` in
+        place, adding 1 to its ``step_count`` for each; with a ``goal``, stop
+        after the first row at which it holds.  Returns whether one did.
 
-        Scalar arithmetic on Python floats: the same IEEE operations as the
-        numpy form without per-element array overhead.  Each clip is
-        min(max(x, lo), hi) written as two conditionals (much faster than the
-        builtins): x is kept on ties and NaN passes, as in np.clip.
+        Scalar arithmetic on Python floats, the same IEEE operations as the
+        numpy form.  Each clip is min(max(x, lo), hi) written as conditionals,
+        much faster than the builtins: x is kept on ties and NaN passes.
         """
-        max_step, extent = self.max_step, self.extent
-        dx = -max_step if ax < -max_step else ax
-        dx = max_step if dx > max_step else dx
-        dy = -max_step if ay < -max_step else ay
-        dy = max_step if dy > max_step else dy
-        rx = v[_RX] + dx
-        rx = 0.0 if rx < 0.0 else rx
-        v[_RX] = extent if rx > extent else rx
-        ry = v[_RY] + dy
-        ry = 0.0 if ry < 0.0 else ry
-        v[_RY] = extent if ry > extent else ry
-
-        if g > 0:
-            v[_GRIP] = 1.0
-        elif g < 0:
-            v[_GRIP] = -1.0
-        # g == 0 holds the current gripper setting
-
-        carried = int(v[_CARRIED])
-        if v[_GRIP] > 0 and carried < 0:
-            idx = self._nearest_object(v)
-            if idx >= 0:
-                carried = idx
-                v[_CARRIED] = float(idx)
-        elif v[_GRIP] < 0 and carried >= 0:
-            v[_CARRIED] = -1.0
-            carried = -1
-        if carried >= 0:
-            v[4 + 2 * carried] = v[_RX]
-            v[5 + 2 * carried] = v[_RY]
+        v, low, max_step, extent = state.values, -self.max_step, self.max_step, self.extent
+        for ax, ay, g in rows:
+            dx = low if ax < low else max_step if ax > max_step else ax
+            dy = low if ay < low else max_step if ay > max_step else ay
+            rx, ry = v[_RX] + dx, v[_RY] + dy
+            v[_RX] = rx = 0.0 if rx < 0.0 else extent if rx > extent else rx
+            v[_RY] = ry = 0.0 if ry < 0.0 else extent if ry > extent else ry
+            # g == 0 holds the current gripper setting
+            v[_GRIP] = grip = 1.0 if g > 0 else -1.0 if g < 0 else v[_GRIP]
+            carried = int(v[_CARRIED])
+            if grip > 0 and carried < 0:
+                carried = self._nearest_object(v)
+                if carried >= 0:
+                    v[_CARRIED] = float(carried)
+            elif grip < 0 and carried >= 0:
+                v[_CARRIED] = -1.0
+                carried = -1
+            if carried >= 0:
+                v[4 + 2 * carried] = rx
+                v[5 + 2 * carried] = ry
+            state.step_count += 1
+            if goal is not None and goal(state):
+                return True
+        return False
 
     def observe(self, state: StateVec) -> tuple:
         return tuple(state.values)
@@ -216,18 +205,21 @@ class BlockNavEnv(WorldModel):
 
         Bit-exact with ``np.argmin`` over ``np.linalg.norm(objects - pos,
         axis=1)``: the lowest index wins a tie and a NaN distance yields -1.
-        """
-        rx, ry = values[_RX], values[_RY]
+        An object beyond the radius on either axis is beyond it in norm unless
+        its square underflows, so above that radius it is skipped unsquared."""
+        rx, ry, radius = values[_RX], values[_RY], self.pick_radius
+        reach = radius if radius > 1e-150 else math.inf
         best, best_d = -1, math.inf
         for i in range(self.object_count):
             dx = values[4 + 2 * i] - rx
             dy = values[5 + 2 * i] - ry
-            d = math.sqrt(dx * dx + dy * dy)
-            if d < best_d:
-                best, best_d = i, d
-            elif d != d:
+            if -reach <= dx <= reach and -reach <= dy <= reach:
+                d = math.sqrt(dx * dx + dy * dy)
+                if d < best_d:
+                    best, best_d = i, d
+            elif dx != dx or dy != dy:
                 return -1
-        return best if best_d <= self.pick_radius else -1
+        return best if best_d <= radius else -1
 
     # -- tasks --------------------------------------------------------------
 
@@ -282,6 +274,13 @@ class BlockNavEnv(WorldModel):
         return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
+def _float_array(x, what: str) -> np.ndarray:
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ContractViolationError(f"{what} {x!r} is not numeric") from exc
+
+
 def step_macro(
     model: WorldModel,
     state: StateVec,
@@ -294,10 +293,10 @@ def step_macro(
     number of primitives actually applied.  It charges no cost model; the
     search charges the steps it reports.
     """
-    macro = np.asarray(macro, dtype=float)
-    if macro.ndim != 2 or macro.shape[1] != model.action_dim:
-        raise ContractViolationError(f"step_macro: macro shape {macro.shape} "
-                                     f"incompatible with action_dim {model.action_dim}")
+    macro = _float_array(macro, "step_macro: macro")
+    if macro.ndim != 2 or macro.shape[0] < 1 or macro.shape[1] != model.action_dim:
+        raise ContractViolationError(f"step_macro: macro shape {macro.shape} is not "
+                                     f"(H, {model.action_dim}) with H >= 1")
     if not np.isfinite(macro).all():
         row = int(np.isfinite(macro).all(axis=1).argmin())
         raise ContractViolationError(f"step_macro: macro row {row} is not finite")
@@ -310,7 +309,6 @@ def step_macro(
 
 _DROP_FRACTION = 0.5  # drop once within this fraction of the region radius
 _DEMO_STEPS = 100  # steps of an expert demonstration before it counts as failed
-_TWO_53 = 9007199254740992.0  # 2**53 turns a frexp mantissa into a 53-bit integer
 
 
 def _fused_norm(dx: float, dy: float) -> float:
@@ -318,64 +316,58 @@ def _fused_norm(dx: float, dy: float) -> float:
 
     numpy's 1-D norm is ``sqrt(x.dot(x))``, and the BLAS dot fuses its second
     multiply-add, so ``math.sqrt(dx*dx + dy*dy)`` and ``math.hypot`` differ
-    from it in the last bit for about 8% of inputs.  Here ``dx*dx`` and the
-    exact ``dy*dy`` are summed as one integer over their mantissas, rounded
-    once by ``float(int)`` and scaled exactly by ``ldexp``; non-finite inputs,
-    and exponents at which the sum could leave the normal range, defer to
-    numpy.
+    from it in the last bit for about 8% of inputs.  Dekker's split gives
+    ``hi + lo == dy*dy`` exactly, and ``math.fsum`` adds them to ``dx*dx``
+    with the fma's one correct rounding.  Non-finite inputs, and magnitudes
+    at which the split could overflow or ``lo`` underflow, defer to numpy.
     """
     p = dx * dx
-    mp, ep = math.frexp(p)
-    my, ey = math.frexp(dy)
-    if -400 < ep < 400 and -200 < ey < 200 and math.isfinite(p) and math.isfinite(dy):
-        # p == ip * 2**(ep - 53) and dy*dy == iy*iy * 2**(2*ey - 106) exactly
-        ip, iy = int(mp * _TWO_53), int(my * _TWO_53)
-        shift = ep - 2 * ey + 53
-        if shift >= 0:
-            return math.sqrt(math.ldexp(float(iy * iy + (ip << shift)), 2 * ey - 106))
-        return math.sqrt(math.ldexp(float((iy * iy << -shift) + ip), ep - 53))
+    if p <= 1e300 and (1e-140 < abs(dy) < 1e150 or dy == 0.0):
+        t = 134217729.0 * dy  # 2**27 + 1: Dekker's split into two 26-bit halves
+        yh = t - (t - dy)
+        yl, hi = dy - yh, dy * dy
+        lo = ((yh * yh - hi) + 2.0 * yh * yl) + yl * yl
+        return math.sqrt(math.fsum((p, hi, lo)))
     return float(np.linalg.norm(np.array([dx, dy])))
 
 
-def _expert_values(env: BlockNavEnv, state: StateVec,
-                   task: TaskSpec) -> tuple[float, float, float]:
-    """The greedy BlockNav controller's ``(dx, dy, g)`` at ``state``: it
-    releases at the goal and steers by ``_steer_values`` elsewhere."""
-    if task.goal_predicate(state):
-        return 0.0, 0.0, -1.0
-    return _steer_values(env, state, task)
+def _expert_values(env: BlockNavEnv, task: TaskSpec) -> Callable[[StateVec], tuple]:
+    """The greedy BlockNav controller for ``task``: a function from a state to its
+    ``(dx, dy, g)``, which releases at the goal and steers by ``_steer_values``."""
+    goal, steer = task.goal_predicate, _steer_values(env, task)
+    return lambda state: (0.0, 0.0, -1.0) if goal(state) else steer(state.values)
 
 
-def _steer_values(env: BlockNavEnv, state: StateVec,
-                  task: TaskSpec) -> tuple[float, float, float]:
-    """The controller's action at a state its caller knows is not a goal."""
-    v = state.values
+def _steer_values(env: BlockNavEnv, task: TaskSpec) -> Callable[[list], tuple]:
+    """The controller's steering rule for ``task``: a function from the values
+    of a state its caller knows is not a goal to the action there.  The task's
+    and the environment's constants are read once, when the rule is built."""
     obj = task.metadata["object_index"]
-    carried = int(v[_CARRIED])
-    if carried == obj:
-        cx, cy = task.metadata["region_center"]
-        dx, dy = cx - v[_RX], cy - v[_RY]
-        reach, grip = env.region_radius * _DROP_FRACTION, 1.0
-    elif carried >= 0:
-        # holding the wrong object: release it
-        return 0.0, 0.0, -1.0
-    else:
-        dx, dy = v[4 + 2 * obj] - v[_RX], v[5 + 2 * obj] - v[_RY]
-        reach, grip = env.pick_radius * 0.8, -1.0
-    norm = _fused_norm(dx, dy)
-    if norm <= reach:
-        # at the region: drop; at the object: close the gripper
-        return 0.0, 0.0, -grip
-    if norm > env.max_step:
-        scale = env.max_step / norm
-        return dx * scale, dy * scale, grip
-    return dx, dy, grip
+    cx, cy = task.metadata["region_center"]
+    drop_reach, pick_reach = env.region_radius * _DROP_FRACTION, env.pick_radius * 0.8
+    max_step = env.max_step
 
+    def steer(v: list) -> tuple[float, float, float]:
+        carried = int(v[_CARRIED])
+        if carried == obj:
+            dx, dy = cx - v[_RX], cy - v[_RY]
+            reach, grip = drop_reach, 1.0
+        elif carried >= 0:
+            # holding the wrong object: release it
+            return 0.0, 0.0, -1.0
+        else:
+            dx, dy = v[4 + 2 * obj] - v[_RX], v[5 + 2 * obj] - v[_RY]
+            reach, grip = pick_reach, -1.0
+        norm = _fused_norm(dx, dy)
+        if norm <= reach:
+            # at the region: drop; at the object: close the gripper
+            return 0.0, 0.0, -grip
+        if norm > max_step:
+            scale = max_step / norm
+            return dx * scale, dy * scale, grip
+        return dx, dy, grip
 
-def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    # the arithmetic of rng.uniform(lo, hi) on the same draw, at a quarter of
-    # its call cost
-    return lo + (hi - lo) * rng.random()
+    return steer
 
 
 class ScriptedExpertPrior:
@@ -398,15 +390,18 @@ class ScriptedExpertPrior:
     def sample_macro(
         self, obs: tuple, task: TaskSpec, rng: np.random.Generator
     ) -> np.ndarray:
-        env, noise_level, m = self.env, self.noise_level, self.env.max_step
-        state = StateVec(list(obs))
+        env, noise_level, high = self.env, self.noise_level, self.env.max_step
+        act, state = _expert_values(env, task), StateVec(list(obs))
         rows = []
         for _ in range(self.horizon):
             if noise_level > 0.0 and rng.random() < noise_level:
-                action = _uniform(rng, -m, m), _uniform(rng, -m, m), _uniform(rng, -1.0, 1.0)
+                # rng.uniform(-high, high) twice, then rng.uniform(-1, 1): numpy's
+                # arithmetic, low + (high - low) * u, on the same three draws
+                ux, uy, ug = rng.random(3).tolist()
+                action = -high + (high + high) * ux, -high + (high + high) * uy, -1.0 + 2.0 * ug
             else:
-                action = _expert_values(env, state, task)
-            env._advance(state.values, *action)
+                action = act(state)
+            env._step_rows(state, (action,), None)
             rows.append(action)
         return np.array(rows)
 
@@ -420,13 +415,13 @@ def run_expert_episode(
     Returns (visited states' values, action matrix, success flag); states
     exclude the terminal state so that states[i] pairs with actions[i].
     """
-    state = env.reset(seed, task.task_id)
+    state, steer = env.reset(seed, task.task_id), _steer_values(env, task)
     states, actions = [], []
     success = task.goal_predicate(state)
     for _ in range(_DEMO_STEPS):
         if success:
             break
-        action = _steer_values(env, state, task)
+        action = steer(state.values)
         states.append(state.values)
         actions.append(action)
         state = env.step(state, action)

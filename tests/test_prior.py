@@ -297,6 +297,35 @@ def test_sample_candidates_fallback_matches_rng_choice_stream():
     assert new_rng.random() == ref_rng.random()
 
 
+@pytest.mark.parametrize("bit_generator", ["PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64"])
+def test_sample_candidates_block_draws_rewind_every_bit_generator(bit_generator):
+    # the block draws restore the generator's saved state and redraw only the
+    # draws used: the indices and every later draw (a buffered 32-bit half
+    # included) are those of the rng.choice loop, under each of numpy's bit
+    # generators, for k < m, k = m and the 1000-attempt fallback
+    make = getattr(np.random, bit_generator)
+    gen = np.random.default_rng(13)
+    fallback = np.zeros(8)
+    fallback[[6, 2, 4]] = [0.5, 0.3, 0.2]
+    cases = [(fallback, 5), (fallback, 3), (np.full(4, 0.25), 4)]
+    for _ in range(200):
+        m = int(gen.integers(1, 70))
+        k = m if gen.random() < 0.3 else int(gen.integers(1, min(m, 12) + 1))
+        logits = gen.normal(scale=gen.uniform(0.0, 3.0), size=m)
+        dist = np.exp(logits - logits.max())
+        cases.append((dist / dist.sum(), k))
+    for trial, (dist, k) in enumerate(cases):
+        ref_rng = np.random.Generator(make(trial))
+        new_rng = np.random.Generator(make(trial))
+        if trial % 2:
+            # leaves half of a 64-bit draw buffered in the bit generator
+            assert ref_rng.random(dtype=np.float32) == new_rng.random(dtype=np.float32)
+        assert sample_candidates(dist, k, new_rng) == reference_sample_candidates(dist, k, ref_rng)
+        assert new_rng.random(dtype=np.float32) == ref_rng.random(dtype=np.float32)
+        assert new_rng.random() == ref_rng.random()
+        assert new_rng.integers(2**40) == ref_rng.integers(2**40)
+
+
 def test_sample_candidates_renormalises_like_rng_choice():
     # a dist summing to 1 + 5e-9 is accepted; rng.choice divides the cumulative
     # sum by its last entry, which moves the first bin edge from just above the

@@ -279,7 +279,7 @@ def test_expand_matches_step_macro_reference(env, model, tasks, library):
         prior = ScriptedExpertPrior(model, cfg.horizon, float(gen.choice([0.0, 0.3, 1.0])))
         path = [env.reset(trial, task.task_id)]
         while not task.goal_predicate(path[-1]):
-            path.append(env.step(path[-1], _expert_values(env, path[-1], task)))
+            path.append(env.step(path[-1], _expert_values(env, task)(path[-1])))
         back = int(gen.integers(1, 4)) if trial % 3 else int(gen.integers(1, len(path)))
         start = path[len(path) - 1 - back]
         depth = int(gen.integers(0, 5))
@@ -316,7 +316,7 @@ def test_rollout_degenerate_start(env, model, tasks, library, search_setup):
     # drive the expert to the goal first
     state = env.reset(0, task.task_id)
     while not task.goal_predicate(state):
-        state = env.step(state, _expert_values(env, state, task))
+        state = env.step(state, _expert_values(env, task)(state))
     success, steps, macros = rollout(model, prior, state, task, cfg,
                                      np.random.default_rng(0), CostMeter(cfg))
     assert success and steps == 0 and macros == []
@@ -392,7 +392,7 @@ def test_root_already_at_goal(env, model, tasks, library):
     task = tasks[0]
     state = env.reset(0, task.task_id)
     while not task.goal_predicate(state):
-        state = env.step(state, _expert_values(env, state, task))
+        state = env.step(state, _expert_values(env, task)(state))
     cfg = SearchConfig()
     prior = ScriptedExpertPrior(model, cfg.horizon, 0.0)
     out = search_once(state, task, prior, library, model, cfg, streams=RngFactory(0))
@@ -860,7 +860,7 @@ def test_search_once_matches_reference_loop(env, model, tasks, library):
         state = env.reset(case, task.task_id)
         path = [state]
         while not task.goal_predicate(path[-1]):
-            path.append(env.step(path[-1], _expert_values(env, path[-1], task)))
+            path.append(env.step(path[-1], _expert_values(env, task)(path[-1])))
         state = path[max(0, len(path) - 1 - cfg.d_sim_max - int(rng.integers(0, 6)))]
         runs = []
         for fn, namespace in ((reference_search_once, globals()),

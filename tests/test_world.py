@@ -14,7 +14,6 @@ from vlaps.world import (
     TaskSpec,
     _expert_values,
     _fused_norm,
-    _uniform,
     run_expert_episode,
     step_macro,
 )
@@ -22,7 +21,7 @@ from vlaps.world import (
 
 def greedy_expert_action(env, state, task):
     """The list-state expert's action at ``state`` as a numpy array."""
-    return np.array(_expert_values(env, state, task))
+    return np.array(_expert_values(env, task)(state))
 
 
 def test_env_task_count(env, tasks):
@@ -241,6 +240,41 @@ def test_noisy_expert_keeps_draw_order(env, tasks, noise):
         assert rng.random() == ref_rng.random()
 
 
+def test_nearest_object_skips_out_of_reach_objects_exactly(env):
+    # objects more than pick_radius away on one axis are skipped before the
+    # square root; the picks, misses and NaN rule stay those of the reference
+    r = env.pick_radius
+    three = BlockNavEnv(object_count=3)
+    cases = [
+        # exactly pick_radius away on one axis (0.6 - r and the difference
+        # back are exact), the other offset 0: picks
+        (env, [0.6, 5.0, -1.0, -1.0, 0.6 - r, 5.0, 9.0, 9.0], 0),
+        (env, [0.6 - r, 5.0, -1.0, -1.0, 0.6, 5.0, 9.0, 9.0], 0),
+        (env, [5.0, 0.6, -1.0, -1.0, 9.0, 9.0, 5.0, 0.6 - r], 1),
+        (env, [5.0, 0.6 - r, -1.0, -1.0, 9.0, 9.0, 5.0, 0.6], 1),
+        # both axes within pick_radius, the distance beyond it: no pick
+        (env, [5.0, 5.0, -1.0, -1.0, 5.0 + 0.3, 5.0 - 0.3, 9.0, 9.0], -1),
+        # a skipped object, then one in reach
+        (env, [5.0, 5.0, -1.0, -1.0, 5.0 + 2 * r, 5.0, 5.1, 5.0], 1),
+        # a skipped object before a NaN one: a NaN distance blocks the pick
+        (three, [5.0, 5.0, -1.0, -1.0, 9.0, 9.0, math.nan, 5.0, 5.1, 5.0], -1),
+        # NaN on one axis while the other is out of reach is still NaN
+        (three, [5.0, 5.0, -1.0, -1.0, 5.1, 5.0, 9.0, math.nan, 5.2, 5.0], -1),
+        (three, [5.0, 5.0, -1.0, -1.0, math.nan, 9.0, 5.1, 5.0, 5.2, 5.0], -1),
+        # an infinite offset is out of reach, not NaN
+        (three, [5.0, 5.0, -1.0, -1.0, math.inf, 5.0, 5.0, -math.inf, 5.0, 5.2], 2),
+        # a radius so small that a square beyond it underflows to 0: picks
+        (BlockNavEnv(pick_radius=1e-170), [0.0, 0.0, -1.0, -1.0, 2e-170, 0.0, 9.0, 9.0], 0),
+    ]
+    offsets = [values[4 + 2 * expected] - values[0] for _, values, expected in cases[:2]]
+    offsets += [values[5 + 2 * expected] - values[1] for _, values, expected in cases[2:4]]
+    assert offsets == [-r, r, -r, r]
+    for world, values, expected in cases:
+        assert reference_nearest_object(world, np.array(values)) == expected, values
+        assert world._nearest_object(values) == expected, values
+        assert_same_step(world, values, (0.0, 0.0, 1.0))
+
+
 def test_pick_and_carry(env, tasks):
     task = tasks[0]
     state = env.reset(0, task.task_id)
@@ -300,6 +334,27 @@ def test_step_rejects_a_non_finite_action(env, tasks, bad):
     with pytest.raises(ContractViolationError, match=r"BlockNavEnv.step: action \[") as info:
         env.step(state, np.array([0.1, bad, 1.0]))
     assert repr(bad) in str(info.value) and state.values == before
+
+
+def test_step_and_step_macro_reject_non_numeric_entries_naming_the_function(env, tasks):
+    # numpy's own ValueError ("could not convert string to float") would not
+    # say which call was handed the bad action
+    state = env.reset(0, tasks[0].task_id)
+    for action in (["a", 0, 0], [[0.0, 0.0], [0.0]], [object(), 0.0, 0.0]):
+        with pytest.raises(ContractViolationError, match="BlockNavEnv.step: action .* not numeric"):
+            env.step(state, action)
+    for macro in ([["a", 0, 0]], [[0.0, 0.0, 0.0], [0.0, "b", 0.0]], [[0.0, 0.0, 0.0], [0.0]]):
+        with pytest.raises(ContractViolationError, match="step_macro: macro .* not numeric"):
+            step_macro(env, state, macro, tasks[0])
+
+
+def test_step_macro_rejects_an_empty_macro(env, tasks):
+    # a macro of no rows would return (False, 0), and a caller looping on it
+    # would make no progress
+    state = env.reset(0, tasks[0].task_id)
+    for macro in (np.zeros((0, 3)), [], [[]]):
+        with pytest.raises(ContractViolationError, match="step_macro: macro shape"):
+            step_macro(env, state, macro, tasks[0])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -748,6 +803,36 @@ def test_step_macro_matches_row_by_row_reference_random():
     assert min(seen.values()) >= 20, seen
 
 
+def test_run_macro_equals_step_folded_row_by_row():
+    # BlockNavEnv.run_macro and BlockNavEnv.step share one stepping kernel;
+    # run_macro must give the state, flag and count of step applied row by
+    # row with the goal tested after each, and leave its argument unchanged
+    rng = np.random.default_rng(41)
+    seen = {"goal": 0, "goal_mid_macro": 0, "pick": 0}
+    for count in (2, 3, 4):
+        world = BlockNavEnv(object_count=count)
+        world_tasks = world.tasks()
+        for _ in range(1_500):
+            task = world_tasks[int(rng.integers(len(world_tasks)))]
+            state, macro = random_macro_case(world, task, rng)
+            before = list(state.values)
+            ref, ref_ok, ref_used = state, False, 0
+            for row in macro:
+                ref = world.step(ref, row)
+                ref_used += 1
+                if task.goal_predicate(ref):
+                    ref_ok = True
+                    break
+            got, ok, used = world.run_macro(state, macro, task)
+            assert np.array(got.values).tobytes() == np.array(ref.values).tobytes()
+            assert (got.step_count, ok, used) == (ref.step_count, ref_ok, ref_used)
+            assert state.values == before and got.values is not state.values
+            seen["goal"] += ok
+            seen["goal_mid_macro"] += ok and used < len(macro)
+            seen["pick"] += got.values[3] >= 0 > before[3]
+    assert min(seen.values()) >= 20, seen
+
+
 def test_replaced_goal_predicate_decides_where_run_macro_stops(env, tasks):
     # a BlockNav task whose goal is "robot x >= 6", new or made from a region
     # task with dataclasses.replace: BlockNavEnv.run_macro tests it, not the
@@ -1010,11 +1095,19 @@ def test_expert_on_custom_tasks_matches_reference(env, tasks):
 
 @pytest.mark.parametrize("lo,hi", [(-0.5, 0.5), (-0.37, 0.37), (-1.0, 1.0), (-0.35, 0.35)])
 def test_uniform_matches_rng_uniform_stream(lo, hi):
-    # the expert's noise draws replace rng.uniform(lo, hi) with its own
-    # arithmetic on rng.random(); both must give the same values and leave
-    # the generator in the same place
+    # at noise 1 every row of the expert's macro is rng.random() (the noise
+    # draw), then rng.uniform(lo, hi) twice and rng.uniform(-1, 1), which it
+    # computes from one rng.random(3); the values and the generator's next
+    # draw must match rng.uniform's
+    world = BlockNavEnv(max_step=hi)
+    prior, task = ScriptedExpertPrior(world, 50, 1.0), world.tasks()[0]
     draws, ref_draws = np.random.default_rng(77), np.random.default_rng(77)
-    got = [_uniform(draws, lo, hi) for _ in range(100_000)]
-    ref = [ref_draws.uniform(lo, hi) for _ in range(100_000)]
-    assert got == ref
+    obs = world.observe(world.reset(0, task.task_id))
+    got = np.concatenate([prior.sample_macro(obs, task, draws) for _ in range(500)])
+    ref = []
+    for _ in range(len(got)):
+        assert ref_draws.random() < 1.0
+        ref.append([ref_draws.uniform(lo, hi), ref_draws.uniform(lo, hi),
+                    ref_draws.uniform(-1.0, 1.0)])
+    assert got.tobytes() == np.array(ref).tobytes()
     assert draws.random() == ref_draws.random()
