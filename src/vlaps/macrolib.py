@@ -91,11 +91,12 @@ def load_trajectories(path) -> list[Trajectory]:
                 if type(rec["traj_id"]) not in (int, str):
                     raise TypeError(f"traj_id must be an integer or a string, "
                                     f"got {rec['traj_id']!r}")
-                g = groups.setdefault(
-                    rec["traj_id"],
-                    {"states": [], "actions": [], "success": rec["success"],
-                     "task_id": rec.get("task_id", "")},
-                )
+                g = groups.setdefault(rec["traj_id"], {
+                    "states": [], "actions": [], "success": rec["success"],
+                    "task_id": rec.get("task_id", "")})
+                if type(rec["success"]) is not bool or rec["success"] != g["success"]:
+                    raise TypeError(f"success must be true or false, and the same on every "
+                                    f"record of a trajectory; got {rec['success']!r}")
                 g["states"].append(np.asarray(rec["state"], dtype=float))
                 action = np.asarray(rec["action"], dtype=float)
                 if not np.isfinite(action).all():

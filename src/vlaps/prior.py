@@ -30,9 +30,9 @@ _DIST_SUM_TOL = 1e-8  # sample_candidates input; rng.choice allowed about 1.5e-8
 class PriorPolicy(Protocol):
     """Anything that maps (observation, task) to a sampled macro-action.
 
-    The observation is what ``WorldModel.observe`` returns.  The search
-    rejects, with ``PriorQueryError``, a macro that is not a finite 2-D
-    array with at least one row and ``action_dim`` columns.
+    The observation is what ``WorldModel.observe`` returns.  The macro may be
+    any ``(H, action_dim)`` array-like; the search rejects, with
+    ``PriorQueryError``, one that fails ``world.check_macro``.
     """
 
     def sample_macro(

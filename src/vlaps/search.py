@@ -31,7 +31,7 @@ from .errors import ConfigurationError, ContractViolationError, PriorQueryError,
 from .macrolib import MacroLibrary
 from .prior import PriorPolicy, beta_distribution, psi_prior, sample_candidates
 from .rngutil import CANDIDATES, PRIOR_QUERY, ROLLOUT, RngFactory
-from .world import StateVec, TaskSpec, WorldModel, step_macro
+from .world import StateVec, TaskSpec, WorldModel, check_macro, step_macro
 
 GOAL_PLAN = "goal_plan"
 BEST_ROOT_MACRO = "best_root_macro"
@@ -186,27 +186,13 @@ def _query_prior(
     rng: np.random.Generator,
     where: str,
 ) -> np.ndarray:
-    """Ask the prior for a macro at ``state`` and check what it returns.
-
-    Raises ``PriorQueryError``, naming ``where``, if the prior raises or its
-    macro is not a finite 2-D float array with at least one row and
-    ``model.action_dim`` columns.
-    """
+    """The prior's macro at ``state`` as ``check_macro`` returns it; a prior that
+    raises, or a macro that fails the check, is a ``PriorQueryError`` naming ``where``."""
     obs = model.observe(state)
     try:
-        macro = np.asarray(prior.sample_macro(obs, task, rng), dtype=float)
+        return check_macro(prior.sample_macro(obs, task, rng), model.action_dim, "macro")
     except Exception as exc:  # noqa: BLE001 - surface with search context
         raise PriorQueryError(f"prior query failed {where}: {exc}") from exc
-    if macro.ndim != 2 or macro.shape[0] < 1 or macro.shape[1] != model.action_dim:
-        raise PriorQueryError(
-            f"prior returned a macro of shape {macro.shape} {where}; expected "
-            f"(H, {model.action_dim}) with H >= 1"
-        )
-    # a Python check over the floats is about twice as fast as np.isfinite
-    # on an H x 3 macro, and the rollout loop queries the prior every H steps
-    if not all(map(math.isfinite, macro.ravel().tolist())):
-        raise PriorQueryError(f"prior returned a non-finite macro {where}")
-    return macro
 
 
 def expand(

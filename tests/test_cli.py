@@ -251,13 +251,31 @@ def test_traj_id_that_is_no_integer_or_string_is_config_error(alias, tmp_path, c
     assert "trajs.jsonl:2" in err and "traj_id must be an integer or a string" in err
 
 
-def test_trajectory_without_success_is_config_error(tmp_path, capsys):
+# one trajectory's "success" values as JSON text, one per record (None leaves
+# the key out), and the line that is refused
+BAD_SUCCESS_FLAGS = {
+    "missing": ([None], 1),
+    "string": (['"false"'] * 4, 1),
+    "null": (["true", "true", "null"], 3),
+    "list": (["[1]"] * 4, 1),
+    "number": (["1"] * 4, 1),
+    "disagreeing": (["true", "true", "false", "true"], 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SUCCESS_FLAGS))
+def test_trajectory_without_a_boolean_success_is_config_error(case, tmp_path, capsys):
+    # a truthy "false" or [1] used to count a failed trajectory as a success and
+    # put its macros into the library; records that disagree let the first win
+    flags, line = BAD_SUCCESS_FLAGS[case]
+    step = '"traj_id": 0, "state": [0.0], "action": [0.0, 0.0, 1.0]'
     path = tmp_path / "trajs.jsonl"
-    path.write_text(json.dumps({"traj_id": 0, "state": [0.0], "action": [0.0, 0.0, 1.0]}) + "\n")
+    path.write_text("".join("{" + step + (f', "success": {flag}' if flag else "") + "}\n"
+                            for flag in flags))
     assert main(["build-library", "--input", str(path), "--size", "2",
                  "--out", str(tmp_path / "lib.json")]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "trajs.jsonl:1" in err and "success" in err
+    assert f"trajs.jsonl:{line}:" in err and "success" in err
 
 
 def test_library_without_prototypes_is_config_error(tmp_path, monkeypatch, capsys):

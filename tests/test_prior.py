@@ -449,9 +449,9 @@ def test_search_reports_bad_line_prior_macros(model, tasks, library):
 
     good = json.dumps({"macro": [[0.0, 0.0, -1.0]] * 4}) + "\n"
     bad = {
-        "one_dimensional": ([0.1, 0.0, -1.0], r"of shape \(3,\)"),
-        "two_columns": ([[0.1, 0.0]] * 4, r"of shape \(4, 2\)"),
-        "nan": ([[0.1, 0.0, -1.0], [math.nan, 0.0, -1.0]], "non-finite macro"),
+        "one_dimensional": ([0.1, 0.0, -1.0], r"macro shape \(3,\)"),
+        "two_columns": ([[0.1, 0.0]] * 4, r"macro shape \(4, 2\)"),
+        "nan": ([[0.1, 0.0, -1.0], [math.nan, 0.0, -1.0]], r"macro row 1 \[nan, .* not finite"),
     }
     cfg = SearchConfig(n_mc=5, k=4, d_sim_max=4, t_max=1e9)
     task = tasks[0]
@@ -462,5 +462,5 @@ def test_search_reports_bad_line_prior_macros(model, tasks, library):
         # its 4-step cap, so the next query is the root expansion's
         for lines, where in (([reply], "in rollout"), ([good, reply], "in expand at depth 0")):
             prior = LineProtocolPrior(_ListIO([]), _ListIO(lines))
-            with pytest.raises(PriorQueryError, match=f"{error} {where}"):
+            with pytest.raises(PriorQueryError, match=f"{where}: {error}"):
                 search_once(start, task, prior, library, model, cfg)

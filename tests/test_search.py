@@ -37,6 +37,7 @@ from vlaps.world import (
     TaskSpec,
     WorldModel,
     _expert_values,
+    check_macro,
     step_macro,
 )
 
@@ -895,38 +896,104 @@ class _FixedPrior:
         return self.output
 
 
+# each bad prior reply, and what its error says: the test of check_macro that
+# failed (naming the first non-finite row), or the prior's own message
 BAD_PRIOR_OUTPUTS = {
-    "empty": np.zeros((0, 3)),
-    "nan": np.array([[0.1, 0.0, 1.0], [np.nan, 0.0, 1.0]]),
-    "inf": np.array([[0.1, -np.inf, 1.0]]),
-    "wrong_columns": np.zeros((4, 2)),
-    "one_dimensional": np.zeros(3),
-    "three_dimensional": np.zeros((1, 4, 3)),
-    "not_numeric": [["a", "b", "c"]],
-    "raises": ValueError("prior crashed"),
+    "empty": (np.zeros((0, 3)), r"shape \(0, 3\) is not \(H, 3\) with H >= 1"),
+    "nan": (np.array([[0.1, 0.0, 1.0], [np.nan, 0.0, 1.0]]),
+            r"row 1 \[nan, 0.0, 1.0\] is not finite"),
+    "inf": (np.array([[0.1, -np.inf, 1.0]]), r"row 0 \[0.1, -inf, 1.0\] is not finite"),
+    "plus_inf": (np.array([[0.1, 0.0, 1.0], [0.1, 0.0, 1.0], [0.2, 0.0, np.inf]]),
+                 r"row 2 \[0.2, 0.0, inf\] is not finite"),
+    "wrong_columns": (np.zeros((4, 2)), r"shape \(4, 2\) is not \(H, 3\)"),
+    "one_row_wrong_columns": ([[0.1, 0.0, 1.0, 0.0]], r"shape \(1, 4\) is not \(H, 3\)"),
+    "zero_dimensional": (0.5, r"shape \(\) is not \(H, 3\)"),
+    "one_dimensional": (np.zeros(3), r"shape \(3,\) is not \(H, 3\)"),
+    "three_dimensional": (np.zeros((1, 4, 3)), r"shape \(1, 4, 3\) is not \(H, 3\)"),
+    "not_numeric": ([["a", "b", "c"]], r"\[\['a', 'b', 'c'\]\] is not numeric"),
+    "ragged": ([[0.1, 0.0, 1.0], [0.1, 0.0]], "is not numeric"),
+    "raises": (ValueError("prior crashed"), "prior crashed"),
 }
+# the bad macros of one row: BlockNavEnv.step, handed that row as its action,
+# checks it as this macro of one row and says the same of it
+ONE_ROW_BAD_OUTPUTS = ("inf", "not_numeric", "one_row_wrong_columns", "three_dimensional")
 
 
 @pytest.mark.parametrize("name", sorted(BAD_PRIOR_OUTPUTS))
 def test_rollout_rejects_bad_prior_output(name, model, tasks):
     # an empty macro used to loop forever and a NaN one to drive the state to NaN
-    prior = _FixedPrior(BAD_PRIOR_OUTPUTS[name])
+    output, reason = BAD_PRIOR_OUTPUTS[name]
     task = tasks[0]
     start = model.reset(0, task.task_id)
-    with pytest.raises(PriorQueryError, match="in rollout"):
-        rollout(model, prior, start, task, SearchConfig(), np.random.default_rng(0),
-                CostMeter(SearchConfig()))
+    with pytest.raises(PriorQueryError, match=f"in rollout: .*{reason}"):
+        rollout(model, _FixedPrior(output), start, task, SearchConfig(),
+                np.random.default_rng(0), CostMeter(SearchConfig()))
 
 
 @pytest.mark.parametrize("name", sorted(BAD_PRIOR_OUTPUTS))
 def test_expand_rejects_bad_prior_output(name, model, tasks, library):
-    prior = _FixedPrior(BAD_PRIOR_OUTPUTS[name])
+    output, reason = BAD_PRIOR_OUTPUTS[name]
     cfg = SearchConfig(k=5, t_max=1e9)
     node = TreeNode(model.reset(0, tasks[0].task_id), 2, 0)
-    with pytest.raises(PriorQueryError, match="in expand at depth 2"):
-        expand(node, prior, library, model, tasks[0], cfg,
+    with pytest.raises(PriorQueryError, match=f"in expand at depth 2: .*{reason}"):
+        expand(node, _FixedPrior(output), library, model, tasks[0], cfg,
                np.random.default_rng(0), np.random.default_rng(1), CostMeter(cfg), 1)
     assert node.children == []
+
+
+@pytest.mark.parametrize("name", sorted(set(BAD_PRIOR_OUTPUTS) - {"raises"}))
+def test_step_macro_rejects_each_bad_macro_naming_itself(name, env, tasks):
+    # the same rule as for a prior's reply, with step_macro's own name and
+    # error type, before any row is applied
+    output, reason = BAD_PRIOR_OUTPUTS[name]
+    state = env.reset(0, tasks[0].task_id)
+    before = state.copy()
+    with pytest.raises(ContractViolationError, match=f"^step_macro: macro .*{reason}"):
+        step_macro(env, state, output, tasks[0])
+    assert state == before
+
+
+@pytest.mark.parametrize("name", ONE_ROW_BAD_OUTPUTS)
+def test_step_rejects_each_bad_one_row_macro_as_an_action(name, env, tasks):
+    output, reason = BAD_PRIOR_OUTPUTS[name]
+    assert len(output) == 1
+    state = env.reset(0, tasks[0].task_id)
+    before = state.copy()
+    with pytest.raises(ContractViolationError, match=f"^BlockNavEnv.step: action .*{reason}"):
+        env.step(state, output[0])
+    assert state == before
+
+
+ARRAY_LIKE_MACROS = {
+    "list": [[0.1, 0.0, -1.0], [0.2, -0.3, 1.0]],
+    "tuple_rows": [(0.1, 0.0, -1.0), (0.2, -0.3, 1.0)],
+    "int_array": np.array([[1, 0, -1], [0, -1, 1]]),
+    "one_row": [[0.1, 0.0, -1.0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_LIKE_MACROS))
+def test_check_macro_accepts_array_likes_as_their_float_arrays(name, env, tasks):
+    # a prior may reply with any H x n array-like; every entry point takes it
+    # as the float array numpy makes of it, bit for bit
+    macro = ARRAY_LIKE_MACROS[name]
+    expected = np.asarray(macro, dtype=float)
+    checked = check_macro(macro, env.action_dim, "macro")
+    assert checked.dtype == float and checked.tobytes() == expected.tobytes()
+    assert checked.shape == expected.shape
+    task = tasks[0]
+    start = env.reset(0, task.task_id)
+    cfg = SearchConfig(d_sim_max=2 * len(expected), t_max=1e9)
+    _, _, macros = rollout(env, _FixedPrior(macro), start, task, cfg,
+                           np.random.default_rng(0), CostMeter(cfg))
+    assert [m.tobytes() for m in macros] == [expected.tobytes()] * 2
+    assert all(m.dtype == float and m.shape == expected.shape for m in macros)
+    never = dataclasses.replace(task, goal_predicate=lambda state: False)
+    got, want = step_macro(env, start, macro, never), step_macro(env, start, expected, never)
+    assert (got[0].values, got[0].step_count, got[1:]) == (
+        want[0].values, want[0].step_count, want[1:])
+    for row, float_row in zip(macro, expected):
+        assert env.step(start, row) == env.step(start, float_row)
 
 
 # a rollout takes a macro of any length, but expansion measures the anchor's
@@ -950,7 +1017,7 @@ def test_expand_requires_library_horizon_rows(name, model, tasks, library):
 
 
 def test_prior_only_episode_rejects_nan_macro(env, model, tasks, library):
-    prior = _FixedPrior(BAD_PRIOR_OUTPUTS["nan"])
+    prior = _FixedPrior(BAD_PRIOR_OUTPUTS["nan"][0])
     with pytest.raises(PriorQueryError):
         run_episode(env, model, tasks[0], prior, library, SearchConfig(n_mc=0),
                     streams=RngFactory(0))

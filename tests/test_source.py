@@ -100,6 +100,18 @@ def test_only_rngutil_builds_seed_sequences():
     assert found == ["rngutil.py"]
 
 
+def test_the_macro_rule_lives_in_check_macro():
+    # a macro, or an action as a macro of one row, is valid by world.check_macro
+    # alone; a finiteness test elsewhere in the world or the search would be a
+    # second copy of that rule
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in SOURCES if path.name in ("world.py", "search.py")}
+    found = sorted((module, owner) for module, tree in trees.items()
+                   for owner, ident in _identifiers(tree) if ident == "isfinite")
+    assert found == [("world.py", "check_macro")]
+    assert [path.name for path in SOURCES if "_float_array" in path.read_text()] == []
+
+
 def test_bench_tracer_still_finds_every_traced_name():
     # the bench's tracer wraps package callables by name; a rename should fail
     # here, not only in a traced bench run.  Its layer table divides by the
