@@ -142,8 +142,8 @@ def segment_trajectories(trajs: Iterable[Trajectory], horizon: int) -> list[np.n
 class MacroLibrary:
     """Finite prototype set with its normalization statistics.
 
-    The library owns read-only copies of its arrays, so the normalized,
-    flattened prototype matrix cached for ``distances_to`` cannot go stale.
+    It owns read-only copies of its arrays, so neither the normalized, flattened
+    prototypes cached for ``distances_to`` nor ``rows`` (each as H tuples of floats) go stale.
     """
 
     prototypes: np.ndarray  # (m, H, n), raw action units
@@ -164,6 +164,8 @@ class MacroLibrary:
         flat = self.normalize(self.prototypes).reshape(self.m, -1)
         flat.setflags(write=False)
         object.__setattr__(self, "_normalized_flat", flat)
+        rows = tuple(tuple(map(tuple, proto)) for proto in self.prototypes.tolist())
+        object.__setattr__(self, "rows", rows)
 
     @property
     def m(self) -> int:

@@ -32,12 +32,12 @@ class PriorPolicy(Protocol):
 
     The observation is what ``WorldModel.observe`` returns.  The macro may be
     any ``(H, action_dim)`` array-like; the search rejects, with
-    ``PriorQueryError``, one that fails ``world.check_macro``.
+    ``PriorQueryError``, one that fails ``world.check_macro``.  Rows of Python
+    floats, which the built-in priors reply with, reach the dynamics as they
+    are; anything else is converted to them once.
     """
 
-    def sample_macro(
-        self, obs, task: TaskSpec, rng: np.random.Generator
-    ) -> np.ndarray: ...
+    def sample_macro(self, obs, task: TaskSpec, rng: np.random.Generator): ...
 
 
 def _validated(probs: np.ndarray, epsilon: float) -> np.ndarray:
@@ -149,26 +149,22 @@ class UniformLibraryPrior:
     def __init__(self, lib: MacroLibrary):
         self.lib = lib
 
-    def sample_macro(
-        self, obs, task: TaskSpec, rng: np.random.Generator
-    ) -> np.ndarray:
-        return self.lib.prototypes[int(rng.integers(self.lib.m))].copy()
+    def sample_macro(self, obs, task: TaskSpec, rng: np.random.Generator) -> tuple:
+        return self.lib.rows[int(rng.integers(self.lib.m))]
 
 
 class LineProtocolPrior:
     """Process-external prior speaking line-delimited JSON.
 
     Request:  ``{"observation": [...], "instruction": "..."}``
-    Response: ``{"macro": [[...], ...]}`` (an H x n array)
+    Response: ``{"macro": [[...], ...]}`` (an H x n array), returned as parsed
     """
 
     def __init__(self, writer, reader):
         self._writer = writer
         self._reader = reader
 
-    def sample_macro(
-        self, obs, task: TaskSpec, rng: np.random.Generator
-    ) -> np.ndarray:
+    def sample_macro(self, obs, task: TaskSpec, rng: np.random.Generator):
         request = {
             "observation": np.asarray(obs, dtype=float).tolist(),
             "instruction": task.instruction,
@@ -182,7 +178,7 @@ class LineProtocolPrior:
             macro = json.loads(line)["macro"]  # a TypeError unless an object
             if macro is None:
                 raise TypeError("macro is null")
-            return np.asarray(macro, dtype=float)
+            return macro
         except (KeyError, TypeError, ValueError) as exc:
             raise PriorQueryError(f"malformed prior response: {line!r}") from exc
 

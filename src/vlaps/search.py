@@ -185,7 +185,7 @@ def _query_prior(
     task: TaskSpec,
     rng: np.random.Generator,
     where: str,
-) -> np.ndarray:
+) -> list | tuple:
     """The prior's macro at ``state`` as ``check_macro`` returns it; a prior that
     raises, or a macro that fails the check, is a ``PriorQueryError`` naming ``where``."""
     obs = model.observe(state)
@@ -235,7 +235,7 @@ def expand(
     # the anchor checks above prove the prototypes' shape, and a node that is
     # not a goal node fails the goal, so step_macro's two tests are skipped
     for slot, (proto, weight) in enumerate(zip(indices, psi)):
-        state, success, used = model.run_macro(node.sim_state, lib.prototypes[proto], task)
+        state, success, used = model.run_macro(node.sim_state, lib.rows[proto], task)
         meter.add_steps(used)
         node.children.append(TreeNode(state, node.depth + 1, next_id + slot,
                                       success, proto, weight))
@@ -253,15 +253,15 @@ def rollout(
 ) -> tuple[bool, int, list]:
     """Simulate the prior policy from a state until goal or the step cap.
 
-    Returns (success, primitive steps used, macro sequence queried); the last
-    macro may have been cut short by the cap or by reaching the goal.  Raises
+    Returns (success, primitive steps used, ``check_macro``'s rows of each macro
+    queried); the last may have been cut short by the cap or by the goal.  Raises
     ``PriorQueryError`` if the prior fails or returns a malformed macro.
     """
     state = start.copy()
     if task.goal_predicate(state):
         return True, 0, []
     steps = 0
-    macros: list[np.ndarray] = []
+    macros = []
     while steps < cfg.d_sim_max:
         meter.add_query()
         macro = _query_prior(prior, model, state, task, rng, "in rollout")
@@ -353,7 +353,8 @@ def search_once(
             )
             rollouts += 1
             if success:
-                return finish(GOAL_PLAN, plan=_path_macros(path, lib) + macros)
+                plan = _path_macros(path, lib) + [np.array(macro) for macro in macros]
+                return finish(GOAL_PLAN, plan=plan)
         backpropagate(path)
 
     # budget exhausted: most-visited root macro

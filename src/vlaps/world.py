@@ -57,9 +57,9 @@ class WorldModel(ABC):
     def observe(self, state: StateVec): ...
 
     def run_macro(
-        self, state: StateVec, macro: np.ndarray, task: TaskSpec
+        self, state: StateVec, macro: Sequence, task: TaskSpec
     ) -> tuple[StateVec, bool, int]:
-        """Step the rows of a macro that passed ``check_macro`` until the goal holds.
+        """Step the rows of Python floats ``check_macro`` returns until the goal holds.
 
         Returns the resulting state, whether the goal predicate held, and the
         number of primitives applied.  The goal is checked after each step;
@@ -145,16 +145,17 @@ class BlockNavEnv(WorldModel):
         return StateVec(values.tolist(), step_count=0)
 
     def step(self, state: StateVec, action: np.ndarray) -> StateVec:
-        rows = check_macro([action], self.action_dim, "BlockNavEnv.step: action").tolist()
+        rows = check_macro([action], self.action_dim, "BlockNavEnv.step: action")
         out = StateVec(state.values.copy(), state.step_count)
         self._step_rows(out, rows, None)
         return out
 
     def run_macro(
-        self, state: StateVec, macro: np.ndarray, task: TaskSpec
+        self, state: StateVec, macro: Sequence, task: TaskSpec
     ) -> tuple[StateVec, bool, int]:
+        rows = macro if type(macro[0][0]) is float else np.asarray(macro, dtype=float).tolist()
         out = StateVec(state.values.copy(), state.step_count)
-        done = self._step_rows(out, macro.tolist(), task.goal_predicate)
+        done = self._step_rows(out, rows, task.goal_predicate)
         return out, done, out.step_count - state.step_count
 
     def _step_rows(self, state: StateVec, rows: Sequence, goal: Callable | None) -> bool:
@@ -268,23 +269,40 @@ class BlockNavEnv(WorldModel):
         return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
-def check_macro(macro, action_dim: int, what: str) -> np.ndarray:
-    """``macro`` as a float array if it is numeric, of shape ``(H, action_dim)``
-    with ``H >= 1``, and finite; otherwise raises ``ContractViolationError`` naming
-    ``what`` and the failed test.  The one rule for a macro, and for an action."""
+def _float_rows(macro, action_dim: int) -> bool:
+    """Whether ``macro`` is H >= 1 lists or tuples of ``action_dim`` finite Python floats,
+    in one Python pass: numpy takes twice as long, and rollouts query every H steps."""
+    if type(macro) not in (list, tuple) or not macro:
+        return False
+    for row in macro:
+        if type(row) not in (list, tuple) or len(row) != action_dim:
+            return False
+        for x in row:
+            if type(x) is not float or x - x != 0.0:  # NaN for an infinity or a NaN
+                return False
+    return True
+
+
+def check_macro(macro, action_dim: int, what: str) -> list | tuple:
+    """``macro`` as rows of Python floats (unchanged if it is such rows) if it is numeric,
+    of shape ``(H, action_dim)`` with ``H >= 1``, and finite; otherwise raises
+    ``ContractViolationError`` naming ``what`` and the failed test.  The rule for any macro."""
+    if _float_rows(macro, action_dim):
+        return macro
     try:
         array = np.asarray(macro, dtype=float)
+        if not (isinstance(macro, np.ndarray) and macro.dtype.kind in "iuf") and any(
+                isinstance(x, (str, bytes, bool, np.bool_)) for x in np.array(macro, object).flat):
+            raise TypeError("a string or a bool is not a number")
     except (TypeError, ValueError) as exc:
         raise ContractViolationError(f"{what} {macro!r} is not numeric") from exc
     if array.ndim != 2 or array.shape[0] < 1 or array.shape[1] != action_dim:
         raise ContractViolationError(f"{what} shape {array.shape} is not "
                                      f"(H, {action_dim}) with H >= 1")
-    # one Python pass over the floats is about twice as fast as np.isfinite on
-    # an H x 3 macro, and a rollout queries the prior every H steps
     if not all(map(math.isfinite, array.ravel().tolist())):
         row = int(np.isfinite(array).all(axis=1).argmin())
         raise ContractViolationError(f"{what} row {row} {array[row].tolist()} is not finite")
-    return array
+    return array.tolist()
 
 
 def step_macro(
@@ -387,9 +405,7 @@ class ScriptedExpertPrior:
         self.horizon = int(horizon)
         self.noise_level = float(noise_level)
 
-    def sample_macro(
-        self, obs: tuple, task: TaskSpec, rng: np.random.Generator
-    ) -> np.ndarray:
+    def sample_macro(self, obs: tuple, task: TaskSpec, rng: np.random.Generator) -> list[tuple]:
         env, noise_level, high = self.env, self.noise_level, self.env.max_step
         act, state = _expert_values(env, task), StateVec(list(obs))
         rows = []
@@ -403,7 +419,7 @@ class ScriptedExpertPrior:
                 action = act(state)
             env._step_rows(state, (action,), None)
             rows.append(action)
-        return np.array(rows)
+        return rows
 
 
 def run_expert_episode(

@@ -277,6 +277,25 @@ def test_library_json_round_trip(library, tmp_path):
     assert np.array_equal(loaded.per_dim_std, library.per_dim_std)
 
 
+def test_library_rows_are_immutable_tuples_of_python_floats(library, tmp_path):
+    # the search steps lib.rows and the uniform prior replies with them, so
+    # they are the prototypes' floats and nobody can change them
+    path = tmp_path / "lib.json"
+    library.save(path)
+    for lib in (library, MacroLibrary.load(path)):
+        assert lib.rows == tuple(tuple(map(tuple, p)) for p in lib.prototypes.tolist())
+        assert len(lib.rows) == lib.m and all(type(p) is tuple for p in lib.rows)
+        assert all(type(row) is tuple and len(row) == lib.action_dim
+                   for p in lib.rows for row in p)
+        assert {type(x) for p in lib.rows for row in p for x in row} == {float}
+        with pytest.raises(TypeError):
+            lib.rows[0][0][0] = 1.0
+        with pytest.raises(TypeError):
+            lib.rows[0][0] = (0.0, 0.0, 0.0)
+        with pytest.raises(TypeError):
+            lib.rows[0] = lib.rows[1]
+
+
 def test_library_version_check(library, tmp_path):
     data = library.to_json()
     data["format_version"] = 99

@@ -18,6 +18,7 @@ from vlaps.prior import (
     sample_candidates,
     subprocess_prior,
 )
+from vlaps.world import ScriptedExpertPrior, check_macro
 
 
 def identity_library(values):
@@ -188,9 +189,9 @@ def test_uniform_library_prior(library, env, tasks):
     prior = UniformLibraryPrior(library)
     obs = env.observe(env.reset(0, tasks[0].task_id))
     macro = prior.sample_macro(obs, tasks[0], np.random.default_rng(0))
-    assert macro.shape == (library.horizon, library.action_dim)
+    assert np.shape(macro) == (library.horizon, library.action_dim)
     flat_protos = {tuple(p.ravel()) for p in library.prototypes}
-    assert tuple(macro.ravel()) in flat_protos
+    assert tuple(np.ravel(macro)) in flat_protos
 
 
 ECHO_PRIOR = textwrap.dedent("""
@@ -208,8 +209,8 @@ def test_line_protocol_prior_subprocess(env, tasks):
     try:
         obs = env.observe(env.reset(0, tasks[0].task_id))
         macro = prior.sample_macro(obs, tasks[0], np.random.default_rng(0))
-        assert macro.shape == (4, 3)
-        assert macro[0, 0] == pytest.approx(0.1)
+        assert np.shape(macro) == (4, 3)
+        assert macro[0][0] == pytest.approx(0.1)
     finally:
         proc.stdin.close()
         proc.wait(timeout=10)
@@ -228,6 +229,22 @@ class _ListIO:
 
     def readline(self):
         return self.lines.pop(0) if self.lines else ""
+
+
+def test_built_in_replies_pass_check_macro_as_they_are(library, env, tasks):
+    # the built-in priors reply with rows of Python floats, which the check
+    # returns unconverted: no numpy type reaches the dynamics
+    priors = [UniformLibraryPrior(library)] + [
+        ScriptedExpertPrior(env, 4, noise) for noise in (0.0, 0.6)]
+    for prior in priors:
+        for seed in range(30):
+            task = tasks[seed % len(tasks)]
+            obs = env.observe(env.reset(seed, task.task_id))
+            reply = prior.sample_macro(obs, task, np.random.default_rng(seed))
+            assert check_macro(reply, 3, "m") is reply
+            assert type(reply) in (list, tuple) and len(reply) == 4
+            assert all(type(row) in (list, tuple) for row in reply)
+            assert {type(x) for row in reply for x in row} == {float}
 
 
 def test_line_protocol_prior_errors(env, tasks):
@@ -452,6 +469,9 @@ def test_search_reports_bad_line_prior_macros(model, tasks, library):
         "one_dimensional": ([0.1, 0.0, -1.0], r"macro shape \(3,\)"),
         "two_columns": ([[0.1, 0.0]] * 4, r"macro shape \(4, 2\)"),
         "nan": ([[0.1, 0.0, -1.0], [math.nan, 0.0, -1.0]], r"macro row 1 \[nan, .* not finite"),
+        # JSON strings and booleans are not numbers, though numpy reads them so
+        "strings": ([["0.1", 0, 0]] * 4, r"macro \[\['0.1', 0, 0\], .* is not numeric"),
+        "booleans": ([[True, False, True]] * 4, r"macro \[\[True, False, True\], .* is not numeric"),
     }
     cfg = SearchConfig(n_mc=5, k=4, d_sim_max=4, t_max=1e9)
     task = tasks[0]

@@ -1,7 +1,9 @@
 import collections
 import dataclasses
+import io
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +11,13 @@ import pytest
 import vlaps.search
 from vlaps.errors import ConfigurationError, ContractViolationError, PriorQueryError
 from vlaps.macrolib import MacroLibrary
-from vlaps.prior import UniformLibraryPrior, beta_distribution, psi_prior, sample_candidates
+from vlaps.prior import (
+    LineProtocolPrior,
+    UniformLibraryPrior,
+    beta_distribution,
+    psi_prior,
+    sample_candidates,
+)
 from vlaps.rngutil import CANDIDATES, PRIOR_QUERY, ROLLOUT, RngFactory
 from vlaps.search import (
     BEST_ROOT_MACRO,
@@ -474,7 +482,8 @@ def test_prior_proportional_allocation():
 # -- tiny discrete optimality oracle ------------------------------------------
 
 class ChainWorld(WorldModel):
-    """1-D integer line in [0, 5]; one action dim, moves round(a)."""
+    """1-D integer line in [0, 5]; one action dim, moves round(a).  Its state's
+    values are a list of one Python float."""
 
     def __init__(self, goal_pos):
         self.goal_pos = goal_pos
@@ -484,11 +493,11 @@ class ChainWorld(WorldModel):
         return 1
 
     def reset(self, seed, task_id):
-        return StateVec(np.zeros(1))
+        return StateVec([0.0])
 
     def step(self, state, action):
         pos = float(np.clip(state.values[0] + round(float(action[0])), 0, 5))
-        return StateVec(np.array([pos]), state.step_count + 1)
+        return StateVec([pos], state.step_count + 1)
 
     def observe(self, state):
         return state.values.copy()
@@ -662,7 +671,7 @@ def test_rollout_matches_reference_loop(model, tasks, library):
         for fn in (reference_rollout, rollout):
             meter, rng = CostMeter(cfg), np.random.default_rng(seed)
             success, steps, macros = fn(model, prior, start, task, cfg, rng, meter)
-            runs.append((success, steps, [m.tobytes() for m in macros],
+            runs.append((success, steps, [np.asarray(m, dtype=float).tobytes() for m in macros],
                          meter.queries, meter.sim_steps, rng.random()))
         assert runs[0] == runs[1], seed
         success, steps = runs[1][:2]
@@ -681,13 +690,21 @@ def test_chain_world_takes_default_macro_loop():
     assert (state.values[0], state.step_count, ok, used) == (3.0, 3, True, 3)
     state, ok, used = step_macro(world, start, macro[:2], task)
     assert (state.values[0], ok, used) == (2.0, False, 2)
+    # it hands each row to step, whatever its type, so an array, its rows or
+    # rows of numpy scalars leave the Python floats step makes in the state
+    for rows in (macro[:2], list(macro[:2]), [[np.float64(1.0)], [np.float64(1.0)]]):
+        state, ok, used = world.run_macro(start, rows, task)
+        assert (state.values, state.step_count, ok, used) == ([2.0], 2, False, 2)
+        assert type(state.values) is list and all(type(x) is float for x in state.values)
+    assert start.values == [0.0]
     cfg = SearchConfig(d_sim_max=9, horizon=1, t_max=1e9)
     prior = UniformLibraryPrior(_chain_library())
     for seed in range(20):
         runs = [fn(world, prior, start, task, cfg, np.random.default_rng(seed), CostMeter(cfg))
                 for fn in (reference_rollout, rollout)]
         assert runs[0][:2] == runs[1][:2]
-        assert [m.tobytes() for m in runs[0][2]] == [m.tobytes() for m in runs[1][2]]
+        assert [np.asarray(m, dtype=float).tobytes() for m in runs[0][2]] == [
+            np.asarray(m, dtype=float).tobytes() for m in runs[1][2]]
 
 
 # -- search_once against the loop with three rollout paths -----------------------
@@ -805,7 +822,9 @@ def reference_search_once(root_state, task, prior, lib, model, cfg, streams, met
 
 
 def _search_fingerprint(outcome, meter, log):
-    plan = [m.tobytes() for m in outcome.plan] if outcome.plan is not None else None
+    # the reference loop's plans end in the rows rollout returns
+    plan = ([np.asarray(m, dtype=float).tobytes() for m in outcome.plan]
+            if outcome.plan is not None else None)
     best = outcome.best_macro.tobytes() if outcome.best_macro is not None else None
     return (outcome.kind, plan, best, outcome.iterations_used, outcome.nodes_created,
             meter.queries, meter.sim_steps, log)
@@ -873,6 +892,12 @@ def test_search_once_matches_reference_loop(env, model, tasks, library):
                              streams=RngFactory(case), meter=meter)
             if fn is reference_search_once:
                 outcome, exit_name = outcome
+            else:
+                # search_once hands out float arrays, rollout macros included:
+                # the three exits by a rollout's goal are each counted below
+                public = (outcome.plan or []) + [outcome.best_macro] * (outcome.plan is None)
+                assert public and all(type(m) is np.ndarray and m.dtype == np.float64
+                                      for m in public), case
             runs.append(_search_fingerprint(outcome, meter, log))
         assert runs[0] == runs[1], (case, exit_name)
         exits[exit_name] += 1
@@ -896,10 +921,18 @@ class _FixedPrior:
         return self.output
 
 
+def _line_reply(line):
+    """What LineProtocolPrior hands the search for the reply ``line``."""
+    prior = LineProtocolPrior(io.StringIO(), io.StringIO(line + "\n"))
+    return prior.sample_macro((), SimpleNamespace(instruction=""), None)
+
+
 # each bad prior reply, and what its error says: the test of check_macro that
-# failed (naming the first non-finite row), or the prior's own message
+# failed (naming the first non-finite row), or the prior's own message; numpy
+# reads a numeric string or a bool as a number, but neither is one
 BAD_PRIOR_OUTPUTS = {
     "empty": (np.zeros((0, 3)), r"shape \(0, 3\) is not \(H, 3\) with H >= 1"),
+    "empty_list": ([], r"shape \(0,\) is not \(H, 3\) with H >= 1"),
     "nan": (np.array([[0.1, 0.0, 1.0], [np.nan, 0.0, 1.0]]),
             r"row 1 \[nan, 0.0, 1.0\] is not finite"),
     "inf": (np.array([[0.1, -np.inf, 1.0]]), r"row 0 \[0.1, -inf, 1.0\] is not finite"),
@@ -912,11 +945,19 @@ BAD_PRIOR_OUTPUTS = {
     "three_dimensional": (np.zeros((1, 4, 3)), r"shape \(1, 4, 3\) is not \(H, 3\)"),
     "not_numeric": ([["a", "b", "c"]], r"\[\['a', 'b', 'c'\]\] is not numeric"),
     "ragged": ([[0.1, 0.0, 1.0], [0.1, 0.0]], "is not numeric"),
+    "numeric_strings": ([["0.1", "0", "-1"]], r"\[\['0.1', '0', '-1'\]\] is not numeric"),
+    "bools": ([[True, False, True]], r"\[\[True, False, True\]\] is not numeric"),
+    "bool_among_floats": ([[True, 0.5, 1.0]], r"\[\[True, 0.5, 1.0\]\] is not numeric"),
+    "bool_array": (np.array([[True, False, True]]),
+                   r"array\(\[\[ True, False,  True\]\]\) is not numeric"),
+    "line_reply_strings": (_line_reply('{"macro": [["0.1", 0, 0], [0.0, 0.0, 1.0]]}'),
+                           r"\[\['0.1', 0, 0\], \[0.0, 0.0, 1.0\]\] is not numeric"),
     "raises": (ValueError("prior crashed"), "prior crashed"),
 }
 # the bad macros of one row: BlockNavEnv.step, handed that row as its action,
 # checks it as this macro of one row and says the same of it
-ONE_ROW_BAD_OUTPUTS = ("inf", "not_numeric", "one_row_wrong_columns", "three_dimensional")
+ONE_ROW_BAD_OUTPUTS = ("inf", "not_numeric", "one_row_wrong_columns", "three_dimensional",
+                       "numeric_strings", "bools", "bool_among_floats")
 
 
 @pytest.mark.parametrize("name", sorted(BAD_PRIOR_OUTPUTS))
@@ -979,15 +1020,16 @@ def test_check_macro_accepts_array_likes_as_their_float_arrays(name, env, tasks)
     macro = ARRAY_LIKE_MACROS[name]
     expected = np.asarray(macro, dtype=float)
     checked = check_macro(macro, env.action_dim, "macro")
-    assert checked.dtype == float and checked.tobytes() == expected.tobytes()
-    assert checked.shape == expected.shape
+    assert np.asarray(checked, dtype=float).tobytes() == expected.tobytes()
+    assert np.shape(checked) == expected.shape
+    assert {type(x) for row in checked for x in row} == {float}
     task = tasks[0]
     start = env.reset(0, task.task_id)
     cfg = SearchConfig(d_sim_max=2 * len(expected), t_max=1e9)
     _, _, macros = rollout(env, _FixedPrior(macro), start, task, cfg,
                            np.random.default_rng(0), CostMeter(cfg))
-    assert [m.tobytes() for m in macros] == [expected.tobytes()] * 2
-    assert all(m.dtype == float and m.shape == expected.shape for m in macros)
+    assert [np.asarray(m, dtype=float).tobytes() for m in macros] == [expected.tobytes()] * 2
+    assert all(np.shape(m) == expected.shape for m in macros)
     never = dataclasses.replace(task, goal_predicate=lambda state: False)
     got, want = step_macro(env, start, macro, never), step_macro(env, start, expected, never)
     assert (got[0].values, got[0].step_count, got[1:]) == (
@@ -1030,4 +1072,4 @@ def test_prior_output_accepts_lists_and_one_row_macros(model, tasks):
     success, steps, macros = rollout(model, _FixedPrior([[0.1, 0.0, -1.0]]), start, task,
                                      cfg, np.random.default_rng(0), CostMeter(cfg))
     assert (success, steps, len(macros)) == (False, 5, 5)
-    assert all(m.dtype == float and m.shape == (1, 3) for m in macros)
+    assert all(np.asarray(m).dtype == float and np.shape(m) == (1, 3) for m in macros)

@@ -91,10 +91,16 @@ def test_states_hold_lists_of_floats(env, tasks):
     state = env.reset(0, tasks[0].task_id)
     before = list(state.values)
     stepped = env.step(state, np.array([0.2, 0.1, 1.0]))
-    ran, _, used = env.run_macro(state, np.tile([0.5, 0.0, 1.0], (3, 1)), tasks[0])
-    for got in (state, stepped, ran):
-        assert type(got.values) is list and {type(x) for x in got.values} == {float}
-    assert state.values == before and (stepped.step_count, ran.step_count, used) == (1, 3, 3)
+    array = np.tile([0.5, 0.0, 1.0], (3, 1))
+    # run_macro takes rows of Python floats, but an array, its rows or rows of
+    # numpy scalars still leave Python floats in the state
+    for macro in (array, list(array), [list(map(np.float64, row)) for row in array.tolist()]):
+        ran, _, used = env.run_macro(state, macro, tasks[0])
+        for got in (state, stepped, ran):
+            assert type(got.values) is list and {type(x) for x in got.values} == {float}
+        assert ran.values == env.run_macro(state, array.tolist(), tasks[0])[0].values
+        assert (stepped.step_count, ran.step_count, used) == (1, 3, 3)
+    assert state.values == before
     assert env.observe(state) == tuple(before)
 
 
@@ -236,7 +242,7 @@ def test_noisy_expert_keeps_draw_order(env, tasks, noise):
             for _ in range(20):
                 ref_rows.append(_reference_noisy_action(env, state, task, noise, ref_rng))
                 state = env.step(state, ref_rows[-1])
-            assert np.array(ref_rows).tobytes() == macro.tobytes()
+            assert np.array(ref_rows).tobytes() == np.asarray(macro, dtype=float).tobytes()
         assert rng.random() == ref_rng.random()
 
 
@@ -382,7 +388,7 @@ def test_expert_prior_leaves_the_observed_state_unchanged(env, tasks):
         assert json.loads(json.dumps(obs)) == before
         prior = ScriptedExpertPrior(env, 8, noise)
         macro = prior.sample_macro(obs, tasks[0], np.random.default_rng(3))
-        assert np.abs(macro[:, :2]).max() > 0.1
+        assert np.abs(np.asarray(macro)[:, :2]).max() > 0.1
         assert state.values == before and state.step_count == 0
         assert obs == tuple(before)
 
@@ -392,7 +398,7 @@ def test_expert_prior_shapes_and_noise(env, tasks):
     obs = env.observe(env.reset(0, tasks[0].task_id))
     rng = np.random.default_rng(0)
     macro = clean.sample_macro(obs, tasks[0], rng)
-    assert macro.shape == (4, 3)
+    assert np.shape(macro) == (4, 3)
     # zero noise is deterministic regardless of rng state
     macro2 = clean.sample_macro(obs, tasks[0], np.random.default_rng(99))
     assert np.array_equal(macro, macro2)
@@ -1050,8 +1056,8 @@ def test_sample_macro_matches_numpy_reference(noise):
                 draws, ref_draws = (np.random.default_rng(case) for _ in range(2))
                 got = prior.sample_macro(obs, task, draws)
                 ref = reference_sample_macro(world, horizon, noise, obs, task, ref_draws)
-                assert got.shape == ref.shape == (horizon, 3)
-                assert got.tobytes() == ref.tobytes()
+                assert np.shape(got) == ref.shape == (horizon, 3)
+                assert np.asarray(got, dtype=float).tobytes() == ref.tobytes()
                 assert draws.random() == ref_draws.random()
 
 
@@ -1088,7 +1094,7 @@ def test_expert_on_custom_tasks_matches_reference(env, tasks):
         draws, ref_draws = np.random.default_rng(i), np.random.default_rng(i)
         obs = env.observe(state)
         got = ScriptedExpertPrior(env, 4, noise).sample_macro(obs, task, draws)
-        assert got.tobytes() == reference_sample_macro(
+        assert np.asarray(got, dtype=float).tobytes() == reference_sample_macro(
             env, 4, noise, obs, task, ref_draws).tobytes()
         assert draws.random() == ref_draws.random()
     assert goals >= 50
