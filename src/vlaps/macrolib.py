@@ -29,6 +29,7 @@ from .errors import (
     DegenerateLibraryError,
     VlapsError,
 )
+from .world import CheckedMacro
 
 LIBRARY_FORMAT_VERSION = 1
 _STD_CLAMP = 1e-12  # dimensions with smaller spread are treated as constant
@@ -143,7 +144,7 @@ class MacroLibrary:
     """Finite prototype set with its normalization statistics.
 
     It owns read-only copies of its arrays, so neither the normalized, flattened
-    prototypes cached for ``distances_to`` nor ``rows`` (each as H tuples of floats) go stale.
+    prototypes cached for ``distances_to`` nor ``rows`` (each a ``CheckedMacro``) go stale.
     """
 
     prototypes: np.ndarray  # (m, H, n), raw action units
@@ -164,7 +165,8 @@ class MacroLibrary:
         flat = self.normalize(self.prototypes).reshape(self.m, -1)
         flat.setflags(write=False)
         object.__setattr__(self, "_normalized_flat", flat)
-        rows = tuple(tuple(map(tuple, proto)) for proto in self.prototypes.tolist())
+        rows = tuple(CheckedMacro(proto, self.action_dim, "MacroLibrary: prototype")
+                     for proto in self.prototypes.tolist())
         object.__setattr__(self, "rows", rows)
 
     @property

@@ -34,7 +34,9 @@ class PriorPolicy(Protocol):
     any ``(H, action_dim)`` array-like; the search rejects, with
     ``PriorQueryError``, one that fails ``world.check_macro``.  Rows of Python
     floats, which the built-in priors reply with, reach the dynamics as they
-    are; anything else is converted to them once.
+    are; anything else is converted to them once.  The uniform prior replies
+    with the library's rows, ``CheckedMacro``s checked once when the library
+    was built, which the check passes without reading them again.
     """
 
     def sample_macro(self, obs, task: TaskSpec, rng: np.random.Generator): ...
@@ -150,7 +152,7 @@ class UniformLibraryPrior:
         self.lib = lib
 
     def sample_macro(self, obs, task: TaskSpec, rng: np.random.Generator) -> tuple:
-        return self.lib.rows[int(rng.integers(self.lib.m))]
+        return self.lib.rows[rng.integers(len(self.lib.rows))]
 
 
 class LineProtocolPrior:

@@ -268,8 +268,9 @@ def rollout(
         macros.append(macro)
         # the goal was tested on ``state`` by the check above or after the
         # previous macro's last step, so this skips step_macro's start test
+        left = cfg.d_sim_max - steps
         state, success, used = model.run_macro(
-            state, macro[:cfg.d_sim_max - steps], task)
+            state, macro[:left] if len(macro) > left else macro, task)
         meter.add_steps(used)
         steps += used
         if success:

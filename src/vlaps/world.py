@@ -19,7 +19,7 @@ from .errors import ConfigurationError, ContractViolationError, check_fields
 from .rngutil import RngFactory, stable_hash
 
 
-@dataclass
+@dataclass(slots=True)
 class StateVec:
     """Environment state: a fixed-dimension list of floats plus a step counter."""
 
@@ -89,9 +89,9 @@ _OBJECT_FRACTIONS = [
     (0.40, 0.15),
 ]
 _REGION_FRACTIONS = [(0.15, 0.15), (0.85, 0.85), (0.15, 0.85)]
-# a scalar goal distance decides the predicate when it lies farther than this
-# (times the radius, if above 1) from the region radius; a closer one, which
-# may differ from numpy's fused norm in the last bit, defers to _fused_norm
+# a scalar squared goal distance decides the predicate when its root lies farther
+# than this (times the radius, if above 1) from the region radius; a closer one,
+# which may differ from numpy's fused norm in the last bit, defers to _fused_norm
 _GOAL_TIE_MARGIN = 1e-9
 
 
@@ -165,28 +165,32 @@ class BlockNavEnv(WorldModel):
 
         Scalar arithmetic on Python floats, the same IEEE operations as the
         numpy form.  Each clip is min(max(x, lo), hi) written as conditionals,
-        much faster than the builtins: x is kept on ties and NaN passes.
+        much faster than the builtins: x is kept on ties and NaN passes.  The
+        robot, gripper and carried index stay in locals, but each row writes
+        what it changes, so ``goal`` sees the whole state after every row.
         """
         v, low, max_step, extent = state.values, -self.max_step, self.max_step, self.extent
+        rx, ry, grip, carried = v[_RX], v[_RY], v[_GRIP], int(v[_CARRIED])
         for ax, ay, g in rows:
-            dx = low if ax < low else max_step if ax > max_step else ax
-            dy = low if ay < low else max_step if ay > max_step else ay
-            rx, ry = v[_RX] + dx, v[_RY] + dy
+            rx += low if ax < low else max_step if ax > max_step else ax
+            ry += low if ay < low else max_step if ay > max_step else ay
             v[_RX] = rx = 0.0 if rx < 0.0 else extent if rx > extent else rx
             v[_RY] = ry = 0.0 if ry < 0.0 else extent if ry > extent else ry
             # g == 0 holds the current gripper setting
-            v[_GRIP] = grip = 1.0 if g > 0 else -1.0 if g < 0 else v[_GRIP]
-            carried = int(v[_CARRIED])
-            if grip > 0 and carried < 0:
+            if g > 0:
+                v[_GRIP] = grip = 1.0
+            elif g < 0:
+                v[_GRIP] = grip = -1.0
+            if carried >= 0:
+                if grip < 0:
+                    v[_CARRIED], carried = -1.0, -1
+                else:
+                    v[4 + 2 * carried], v[5 + 2 * carried] = rx, ry
+            elif grip > 0:
                 carried = self._nearest_object(v)
                 if carried >= 0:
                     v[_CARRIED] = float(carried)
-            elif grip < 0 and carried >= 0:
-                v[_CARRIED] = -1.0
-                carried = -1
-            if carried >= 0:
-                v[4 + 2 * carried] = rx
-                v[5 + 2 * carried] = ry
+                    v[4 + 2 * carried], v[5 + 2 * carried] = rx, ry
             state.step_count += 1
             if goal is not None and goal(state):
                 return True
@@ -236,6 +240,9 @@ class BlockNavEnv(WorldModel):
         cx, cy = self.regions[region].tolist()
         ix = 4 + 2 * obj
         margin = _GOAL_TIE_MARGIN * max(1.0, radius)
+        # squared distances below inside or above outside decide the goal; the
+        # max leaves a radius below the margin no inside at all
+        inside, outside = max(radius - margin, 0.0) ** 2, (radius + margin) ** 2
 
         def goal(state: StateVec) -> bool:
             v = state.values
@@ -243,9 +250,11 @@ class BlockNavEnv(WorldModel):
                 return False
             dx = v[ix] - cx
             dy = v[ix + 1] - cy
-            d = math.sqrt(dx * dx + dy * dy)
-            if abs(d - radius) > margin:
-                return d <= radius
+            s = dx * dx + dy * dy
+            if s < inside:
+                return True
+            if s > outside:
+                return False
             # near the boundary only the fused norm's rounding is bit-exact
             return _fused_norm(dx, dy) <= radius
 
@@ -286,8 +295,10 @@ def _float_rows(macro, action_dim: int) -> bool:
 def check_macro(macro, action_dim: int, what: str) -> list | tuple:
     """``macro`` as rows of Python floats (unchanged if it is such rows) if it is numeric,
     of shape ``(H, action_dim)`` with ``H >= 1``, and finite; otherwise raises
-    ``ContractViolationError`` naming ``what`` and the failed test.  The rule for any macro."""
-    if _float_rows(macro, action_dim):
+    ``ContractViolationError`` naming ``what`` and the failed test.  The rule for any macro;
+    a ``CheckedMacro`` of rows ``action_dim`` wide passed it when it was built."""
+    if (type(macro) is CheckedMacro and len(macro[0]) == action_dim) or _float_rows(
+            macro, action_dim):
         return macro
     try:
         array = np.asarray(macro, dtype=float)
@@ -303,6 +314,19 @@ def check_macro(macro, action_dim: int, what: str) -> list | tuple:
         row = int(np.isfinite(array).all(axis=1).argmin())
         raise ContractViolationError(f"{what} row {row} {array[row].tolist()} is not finite")
     return array.tolist()
+
+
+class CheckedMacro(tuple):
+    """A macro that passed ``check_macro``, as an immutable tuple of row tuples
+    of Python floats; ``check_macro`` returns it unchecked at its width."""
+
+    __slots__ = ()
+
+    def __new__(cls, macro, action_dim: int, what: str) -> "CheckedMacro":
+        return super().__new__(cls, map(tuple, check_macro(macro, action_dim, what)))
+
+    def __getnewargs__(self) -> tuple:  # pickle and copy build it through the check
+        return tuple(self), len(self[0]), "CheckedMacro"
 
 
 def step_macro(

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -23,3 +24,24 @@ def test_bench_workload_runs_and_matches_its_pins(workload):
     pinned = [line for line in lines
               if line.startswith(("setup:", f"fingerprint {workload} seed 0:"))]
     assert len(pinned) == 2 and all(line.endswith("(unchanged)") for line in pinned), pinned
+
+
+def test_search_digests_match_their_pins_on_more_seeds(tmp_path, monkeypatch):
+    # the runs above check the search digests of seed 0 only; the searches of
+    # seeds 1-3 of both search workloads must match their pins too
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  REPO / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    pinned = json.loads((REPO / "bench" / "pinned.json").read_text())
+    env, library_path, library_sha = workloads.set_up(tmp_path)
+    assert library_sha == pinned["library"]
+    for name in ("uniform_deep", "expand_heavy"):
+        for seed in (1, 2, 3):
+            workload = workloads.SearchWorkload(name, seed, env, library_path)
+            workload.prepare()
+            calls = [workload.call(index) for index in range(workloads.FIXED_CALLS[name])]
+            assert all(workload.check(call) for call in calls), (name, seed)
+            assert workload.fingerprint(calls) == pinned[name][str(seed)], (name, seed)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from vlaps.macrolib import (
     save_trajectories,
     segment_trajectories,
 )
+from vlaps.world import CheckedMacro
 
 
 def _traj(n_steps, success=True, task_id="t"):
@@ -279,12 +281,12 @@ def test_library_json_round_trip(library, tmp_path):
 
 def test_library_rows_are_immutable_tuples_of_python_floats(library, tmp_path):
     # the search steps lib.rows and the uniform prior replies with them, so
-    # they are the prototypes' floats and nobody can change them
+    # they are the prototypes' floats, checked once, and nobody can change them
     path = tmp_path / "lib.json"
     library.save(path)
-    for lib in (library, MacroLibrary.load(path)):
+    for lib in (library, MacroLibrary.load(path), pickle.loads(pickle.dumps(library))):
         assert lib.rows == tuple(tuple(map(tuple, p)) for p in lib.prototypes.tolist())
-        assert len(lib.rows) == lib.m and all(type(p) is tuple for p in lib.rows)
+        assert len(lib.rows) == lib.m and all(type(p) is CheckedMacro for p in lib.rows)
         assert all(type(row) is tuple and len(row) == lib.action_dim
                    for p in lib.rows for row in p)
         assert {type(x) for p in lib.rows for row in p for x in row} == {float}

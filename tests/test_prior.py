@@ -18,7 +18,7 @@ from vlaps.prior import (
     sample_candidates,
     subprocess_prior,
 )
-from vlaps.world import ScriptedExpertPrior, check_macro
+from vlaps.world import CheckedMacro, ScriptedExpertPrior, check_macro
 
 
 def identity_library(values):
@@ -233,7 +233,8 @@ class _ListIO:
 
 def test_built_in_replies_pass_check_macro_as_they_are(library, env, tasks):
     # the built-in priors reply with rows of Python floats, which the check
-    # returns unconverted: no numpy type reaches the dynamics
+    # returns unconverted: no numpy type reaches the dynamics; the uniform
+    # prior's are the library's CheckedMacros
     priors = [UniformLibraryPrior(library)] + [
         ScriptedExpertPrior(env, 4, noise) for noise in (0.0, 0.6)]
     for prior in priors:
@@ -242,7 +243,7 @@ def test_built_in_replies_pass_check_macro_as_they_are(library, env, tasks):
             obs = env.observe(env.reset(seed, task.task_id))
             reply = prior.sample_macro(obs, task, np.random.default_rng(seed))
             assert check_macro(reply, 3, "m") is reply
-            assert type(reply) in (list, tuple) and len(reply) == 4
+            assert type(reply) in (list, tuple, CheckedMacro) and len(reply) == 4
             assert all(type(row) in (list, tuple) for row in reply)
             assert {type(x) for row in reply for x in row} == {float}
 

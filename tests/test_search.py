@@ -1,14 +1,17 @@
 import collections
+import copy
 import dataclasses
 import io
 import json
 import math
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import vlaps.search
+import vlaps.world
 from vlaps.errors import ConfigurationError, ContractViolationError, PriorQueryError
 from vlaps.macrolib import MacroLibrary
 from vlaps.prior import (
@@ -40,6 +43,7 @@ from vlaps.search import (
 )
 from vlaps.world import (
     BlockNavEnv,
+    CheckedMacro,
     ScriptedExpertPrior,
     StateVec,
     TaskSpec,
@@ -1003,6 +1007,47 @@ def test_step_rejects_each_bad_one_row_macro_as_an_action(name, env, tasks):
     with pytest.raises(ContractViolationError, match=f"^BlockNavEnv.step: action .*{reason}"):
         env.step(state, output[0])
     assert state == before
+
+
+@pytest.mark.parametrize("name", ["nan", "not_numeric", "wrong_columns", "empty_list"])
+def test_checked_macro_is_built_only_from_a_macro_that_passes_check_macro(name):
+    output, reason = BAD_PRIOR_OUTPUTS[name]
+    with pytest.raises(ContractViolationError, match=f"^library row .*{reason}"):
+        CheckedMacro(output, 3, "library row")
+
+
+def test_check_macro_reads_a_checked_macro_only_at_another_width(monkeypatch):
+    # a CheckedMacro is an immutable tuple of float row tuples that check_macro
+    # passes as it is at its width; anything else is read row by row, even a
+    # plain tuple of the same rows
+    rows = [[0.1, 0.0, -1.0], [0.2, -0.3, 1.0]]
+    checked = CheckedMacro(np.array(rows), 3, "m")
+    assert checked == tuple(map(tuple, rows)) and all(type(row) is tuple for row in checked)
+    assert {type(x) for row in checked for x in row} == {float}
+    with pytest.raises(TypeError):
+        checked[0] = (0.0, 0.0, 0.0)
+    with pytest.raises(TypeError):
+        checked[0][0] = 1.0
+    with pytest.raises(AttributeError):
+        checked.rows = rows
+    for copied in (pickle.loads(pickle.dumps(checked)), copy.deepcopy(checked)):
+        assert type(copied) is CheckedMacro and copied == checked
+    original, read = vlaps.world._float_rows, []
+
+    def reading(macro, action_dim):
+        read.append(macro)
+        return original(macro, action_dim)
+
+    monkeypatch.setattr(vlaps.world, "_float_rows", reading)
+    assert check_macro(checked, 3, "m") is checked and read == []
+    with pytest.raises(ContractViolationError, match=r"^m shape \(2, 3\) is not \(H, 4\)"):
+        check_macro(checked, 4, "m")
+    plain = tuple(checked)
+    assert check_macro(plain, 3, "m") is plain
+    nan = (checked[0], (math.nan, 0.0, 1.0))
+    with pytest.raises(ContractViolationError, match=r"^m row 1 \[nan, 0.0, 1.0\] is not finite"):
+        check_macro(nan, 3, "m")
+    assert read == [checked, plain, nan]
 
 
 ARRAY_LIKE_MACROS = {

@@ -736,6 +736,38 @@ def test_goal_near_boundary_calls_no_numpy_norm(env, tasks, monkeypatch):
     assert {expected for _, _, expected in cases} == {True, False}
 
 
+def test_goal_matches_numpy_norm_at_every_radius_scale():
+    # the squared-distance bands that decide most goals agree with numpy's norm
+    # at any radius, including ones below the tie margin (1e-9 up to a radius
+    # of 1), where a band without its floor at 0 would take near points for goals
+    angles = [0.0, math.pi / 2, math.pi, 0.3, 1.1, 2.9, 4.0, 5.5]
+    factors = [0.5, 1 - 1e-6, 1 - 1e-9, 1.0, 1 + 1e-9, 1 + 1e-6, 2.0]
+    cases = 0
+    for radius in (1e-300, 1e-12, 5e-10, 1e-9, 2e-9, 1e-6, 0.6, 3.0, 1e6):
+        margin = 1e-9 * max(1.0, radius)
+        outcomes = set()
+        # region centres at the default extent and at the radius's own scale
+        for world in (BlockNavEnv(region_radius=radius),
+                      BlockNavEnv(extent=10 * radius, region_radius=radius)):
+            for task in world.tasks():
+                obj = task.metadata["object_index"]
+                cx, cy = task.metadata["region_center"]
+                points = [(cx + r * f * math.cos(theta), cy + r * f * math.sin(theta))
+                          for r in (radius, margin, 2 * margin) for f in factors
+                          for theta in angles]
+                points += [(math.nan, cy), (cx, math.nan), (math.inf, cy), (cx, -math.inf)]
+                for x, y in points:
+                    values = [5.0, 5.0, -1.0, -1.0, 9.0, 9.0, 9.0, 9.0]
+                    values[4 + 2 * obj: 6 + 2 * obj] = (x, y)
+                    state = StateVec(values)
+                    expected = reference_goal(world, task, state)
+                    assert task.goal_predicate(state) is expected, (radius, x, y)
+                    outcomes.add(expected)
+                    cases += 1
+        assert outcomes == {True, False}, radius
+    assert cases == 9 * 2 * 6 * (3 * 7 * 8 + 4)
+
+
 def test_goal_false_while_carried_and_on_nan(env, tasks):
     task = tasks[0]
     obj = task.metadata["object_index"]
@@ -774,12 +806,25 @@ def random_macro_case(world, task, rng):
     """A state and a macro; often near the task's goal region or an object."""
     values = random_state_values(world, rng)
     obj = task.metadata["object_index"]
-    if rng.random() < 0.4:
+    where = rng.random()
+    if where < 0.4:
         # the robot near the region centre, carrying the task's object or not
         center = world.regions[task.metadata["region_index"]]
         values[0:2] = center + rng.normal(0.0, 0.5, size=2)
         values[4 + 2 * obj: 6 + 2 * obj] = values[0:2]
         values[2:4] = (1.0, float(obj)) if rng.random() < 0.7 else (-1.0, -1.0)
+    elif where < 0.55:
+        # a state the kernel carries across rows as it finds it: a gripper at
+        # 0, an object held by an open gripper, or a NaN object coordinate
+        # beside a closed gripper
+        odd = int(rng.integers(3))
+        if odd == 0:
+            values[2] = 0.0
+        elif odd == 1:
+            values[2:4] = (-1.0, float(rng.integers(world.object_count)))
+        else:
+            values[2] = 1.0
+            values[4 + int(rng.integers(2 * world.object_count))] = math.nan
     horizon = int(rng.integers(1, 7))
     macro = rng.uniform(-0.6, 0.6, size=(horizon, 3))
     macro[:, 2] = rng.choice([-1.0, 0.0, 1.0, 0.5, -0.5], size=horizon)
@@ -788,7 +833,8 @@ def random_macro_case(world, task, rng):
 
 def test_step_macro_matches_row_by_row_reference_random():
     rng = np.random.default_rng(31)
-    seen = {"goal_mid_macro": 0, "pick_and_drop": 0, "goal": 0}
+    seen = {"goal_mid_macro": 0, "pick_and_drop": 0, "goal": 0,
+            "grip_zero": 0, "held_open": 0, "nan_gripping": 0}
     for world in (BlockNavEnv(), BlockNavEnv(object_count=3)):
         world_tasks = world.tasks()
         for _ in range(3_000):
@@ -807,6 +853,10 @@ def test_step_macro_matches_row_by_row_reference_random():
             held = [c >= 0 for c in [int(state.values[3])] + carried]
             pick = next((i for i in range(1, len(held)) if held[i] and not held[i - 1]), None)
             seen["pick_and_drop"] += pick is not None and not all(held[pick:])
+            grip, held_index = state.values[2:4]
+            seen["grip_zero"] += grip == 0.0
+            seen["held_open"] += grip < 0 <= held_index
+            seen["nan_gripping"] += grip > 0 and any(map(math.isnan, state.values))
     assert min(seen.values()) >= 20, seen
 
 
