@@ -211,7 +211,7 @@ def load_records(path) -> list[RunRecord]:
             if line:
                 try:
                     records.append(RunRecord(**json.loads(line)))
-                except (TypeError, ConfigurationError) as exc:
+                except (TypeError, ValueError, ConfigurationError) as exc:
                     raise ConfigurationError(f"{path}:{lineno}: bad record ({exc})") from exc
     return records
 

@@ -87,8 +87,8 @@ def load_trajectories(path) -> list[Trajectory]:
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
             try:
+                rec = json.loads(line)
                 if type(rec["traj_id"]) not in (int, str):
                     raise TypeError(f"traj_id must be an integer or a string, "
                                     f"got {rec['traj_id']!r}")

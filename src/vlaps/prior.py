@@ -36,7 +36,9 @@ class PriorPolicy(Protocol):
     floats, which the built-in priors reply with, reach the dynamics as they
     are; anything else is converted to them once.  The uniform prior replies
     with the library's rows, ``CheckedMacro``s checked once when the library
-    was built, which the check passes without reading them again.
+    was built, which the check passes without reading them again.  The search
+    keeps a reply as it is, in a goal plan too, so a prior must not change a
+    macro after returning it.
     """
 
     def sample_macro(self, obs, task: TaskSpec, rng: np.random.Generator): ...
@@ -93,9 +95,8 @@ def sample_candidates(dist: np.ndarray, k: int, rng: np.random.Generator) -> lis
 
     A draw is the inverse-CDF step of ``rng.choice(m, p=dist)``: one
     ``rng.random()`` looked up, side right, in the normalised cumulative sum.
-    Draws come a block at a time through one ``np.searchsorted``; then the
-    generator's saved state is restored and only the draws used are redrawn,
-    so ``rng`` ends where one ``rng.choice`` per draw leaves it.  Raises
+    Draws come a block at a time through one ``np.searchsorted``; the rest of
+    the last block is dropped, as the caller draws no more from ``rng``.  Raises
     ``ContractViolationError`` unless ``dist`` is a 1-D, finite, non-negative
     vector summing to 1 within ``_DIST_SUM_TOL``, and ``ConfigurationError``
     if ``k`` exceeds its length.
@@ -120,20 +121,16 @@ def sample_candidates(dist: np.ndarray, k: int, rng: np.random.Generator) -> lis
     cdf /= cdf[-1]
     chosen: list[int] = []
     seen = set()
-    saved = rng.bit_generator.state
-    drawn = used = 0
+    drawn = 0
     while len(chosen) < k and drawn < _MAX_SAMPLE_ATTEMPTS:
         block = min(_DRAW_BLOCK * k, _MAX_SAMPLE_ATTEMPTS - drawn)
         drawn += block
         for idx in np.searchsorted(cdf, rng.random(block), side="right").tolist():
-            used += 1
             if idx not in seen:
                 seen.add(idx)
                 chosen.append(idx)
                 if len(chosen) == k:
                     break
-    rng.bit_generator.state = saved
-    rng.random(used)
     if len(chosen) < k:
         # fall back on probability order (then index) for the remainder
         for idx in sorted(range(m), key=lambda i: (-probs[i], i)):

@@ -31,7 +31,7 @@ from .errors import ConfigurationError, ContractViolationError, PriorQueryError,
 from .macrolib import MacroLibrary
 from .prior import PriorPolicy, beta_distribution, psi_prior, sample_candidates
 from .rngutil import CANDIDATES, PRIOR_QUERY, ROLLOUT, RngFactory
-from .world import StateVec, TaskSpec, WorldModel, check_macro, step_macro
+from .world import CheckedMacro, StateVec, TaskSpec, WorldModel, check_macro, step_macro
 
 GOAL_PLAN = "goal_plan"
 BEST_ROOT_MACRO = "best_root_macro"
@@ -121,9 +121,11 @@ class TreeNode:
 
 @dataclass
 class SearchOutcome:
+    """The rows the search stepped, uncopied: tree edges and a best root macro are the
+    library's ``CheckedMacro``s, a rollout's part of a plan ``check_macro``'s rows."""
     kind: str  # GOAL_PLAN or BEST_ROOT_MACRO
-    plan: Optional[list] = None        # macro sequence root -> goal
-    best_macro: Optional[np.ndarray] = None
+    plan: Optional[list] = None        # macro rows root -> goal
+    best_macro: Optional[CheckedMacro] = None
     iterations_used: int = 0
     nodes_created: int = 1
 
@@ -254,14 +256,13 @@ def rollout(
     """Simulate the prior policy from a state until goal or the step cap.
 
     Returns (success, primitive steps used, ``check_macro``'s rows of each macro
-    queried); the last may have been cut short by the cap or by the goal.  Raises
+    queried, uncopied); the last may have been cut short by the cap or by the
+    goal.  Each step makes a new state, so ``start`` is not copied.  Raises
     ``PriorQueryError`` if the prior fails or returns a malformed macro.
     """
-    state = start.copy()
-    if task.goal_predicate(state):
+    if task.goal_predicate(start):
         return True, 0, []
-    steps = 0
-    macros = []
+    state, steps, macros = start, 0, []
     while steps < cfg.d_sim_max:
         meter.add_query()
         macro = _query_prior(prior, model, state, task, rng, "in rollout")
@@ -279,7 +280,7 @@ def rollout(
 
 
 def _path_macros(path: list, lib: MacroLibrary) -> list:
-    return [lib.prototypes[node.children[idx].proto].copy() for node, idx in path]
+    return [lib.rows[node.children[idx].proto] for node, idx in path]
 
 
 def search_once(
@@ -319,8 +320,7 @@ def search_once(
         _check_tree(root, outcome, cfg)
         return outcome
 
-    root = TreeNode(root_state.copy(), 0, 0,
-                    is_goal=task.goal_predicate(root_state))
+    root = TreeNode(root_state, 0, 0, is_goal=task.goal_predicate(root_state))
     if root.is_goal:
         return finish(GOAL_PLAN, plan=[])
 
@@ -354,7 +354,7 @@ def search_once(
             )
             rollouts += 1
             if success:
-                plan = _path_macros(path, lib) + [np.array(macro) for macro in macros]
+                plan = _path_macros(path, lib) + macros
                 return finish(GOAL_PLAN, plan=plan)
         backpropagate(path)
 
@@ -367,7 +367,7 @@ def search_once(
         )
     # ties: higher psi, then the first drawn
     best = max(root.children, key=lambda child: (child.visits, child.psi))
-    return finish(BEST_ROOT_MACRO, best_macro=lib.prototypes[best.proto].copy())
+    return finish(BEST_ROOT_MACRO, best_macro=lib.rows[best.proto])
 
 
 def _check_tree(root: TreeNode, outcome: SearchOutcome, cfg: SearchConfig) -> None:
@@ -406,8 +406,7 @@ def replay_plan(
     task: TaskSpec,
 ) -> tuple[StateVec, bool, int]:
     """Execute a macro plan from a state with per-primitive goal early stop."""
-    state = start.copy()
-    total = 0
+    state, total = start, 0
     for macro in plan:
         state, success, used = step_macro(model, state, macro, task)
         total += used

@@ -172,6 +172,24 @@ def test_report_missing_records_is_config_error(tmp_path, capsys):
     assert main(["report", "--records", str(tmp_path)]) == EXIT_CONFIG
 
 
+def test_unparseable_records_line_is_config_error_naming_the_line(tmp_path, capsys):
+    (tmp_path / "records.jsonl").write_text(json.dumps(_RECORD) + "\nnot json\n")
+    assert main(["report", "--records", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "records.jsonl:2" in err
+    assert not (tmp_path / "summary.csv").exists()
+
+
+def test_unparseable_trajectory_line_is_config_error_naming_the_line(traj_file, tmp_path,
+                                                                    capsys):
+    path = tmp_path / "trajs.jsonl"
+    path.write_text(traj_file.read_text().splitlines()[0] + "\nnot json\n")
+    assert main(["build-library", "--input", str(path), "--size", "2",
+                 "--out", str(tmp_path / "lib.json")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "trajs.jsonl:2" in err
+
+
 # -- malformed input files -------------------------------------------------------
 
 def test_record_with_unknown_key_is_config_error(tmp_path, capsys):

@@ -420,7 +420,7 @@ def test_budget_exhaustion_returns_most_visited(env, model, tasks, library):
     out = search_once(state, task, prior, library, model, cfg, streams=RngFactory(3))
     assert out.kind == BEST_ROOT_MACRO
     assert out.iterations_used == cfg.n_mc
-    assert out.best_macro.shape == (library.horizon, library.action_dim)
+    assert np.shape(out.best_macro) == (library.horizon, library.action_dim)
     assert out.nodes_created <= 1 + cfg.n_mc * cfg.k
 
 
@@ -604,6 +604,55 @@ def test_episode_requires_library_when_searching(env, model, tasks):
     prior = ScriptedExpertPrior(model, cfg.horizon, 0.0)
     with pytest.raises(ConfigurationError):
         run_episode(env, model, tasks[0], prior, None, cfg, streams=RngFactory(0))
+
+
+# -- the search writes no state it is given ---------------------------------------
+
+def _snapshot(state):
+    return list(state.values), state.step_count
+
+
+def _no_write_cases(world_name, env, tasks, library):
+    """(world, task, library, prior, config, the search's exit) for a search that
+    finds a goal plan and one that spends its budget; ChainWorld steps macros
+    through the step-and-test loop of WorldModel.run_macro."""
+    if world_name == "blocknav":
+        return [(env, tasks[2], library, prior, cfg, kind) for prior, cfg, kind in (
+            (ScriptedExpertPrior(env, 4, 0.0), SearchConfig(d_sim_max=80, t_max=1e9), GOAL_PLAN),
+            (UniformLibraryPrior(library), SearchConfig(n_mc=15, d_sim_max=20, t_max=1e9),
+             BEST_ROOT_MACRO))]
+    lib = _chain_library()
+    cfg = SearchConfig(n_mc=60, k=4, d_max=3, d_sim_max=3, horizon=1,
+                       epsilon_beta=1.0, alpha_psi=0.0, t_max=1e9)
+    return [(world, world.task(), lib, UniformLibraryPrior(lib), cfg, kind)
+            for world, kind in ((ChainWorld(5.0), GOAL_PLAN), (ChainWorld(4.5), BEST_ROOT_MACRO))]
+
+
+@pytest.mark.parametrize("world_name", ["blocknav", "chain"])
+def test_search_writes_no_state_it_is_given(world_name, env, tasks, library):
+    # nothing copies a state on the way in, so each call must leave the values
+    # and step count of the state it is handed as they were
+    for world, task, lib, prior, cfg, kind in _no_write_cases(world_name, env, tasks, library):
+        start = world.reset(0, task.task_id)
+        before = _snapshot(start)
+        out = search_once(start, task, prior, lib, world, cfg, streams=RngFactory(0))
+        assert out.kind == kind and _snapshot(start) == before
+        plan = out.plan if kind == GOAL_PLAN else [out.best_macro]
+        assert replay_plan(world, start, plan, task)[2] > 0 and _snapshot(start) == before
+        assert step_macro(world, start, plan[0], task)[2] > 0 and _snapshot(start) == before
+        rollout(world, prior, start, task, cfg, np.random.default_rng(0), CostMeter(cfg))
+        assert _snapshot(start) == before
+        handed, reset = [], world.reset
+
+        def kept_reset(*args):
+            handed.append(reset(*args))
+            return handed[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(world, "reset", kept_reset)
+            result = run_episode(world, world, task, prior, lib,
+                                 dataclasses.replace(cfg, d_max=3), streams=RngFactory(0))
+        assert result.decision_points > 0 and [_snapshot(s) for s in handed] == [before]
 
 
 def test_check_tree_rejects_too_many_children():
@@ -829,7 +878,8 @@ def _search_fingerprint(outcome, meter, log):
     # the reference loop's plans end in the rows rollout returns
     plan = ([np.asarray(m, dtype=float).tobytes() for m in outcome.plan]
             if outcome.plan is not None else None)
-    best = outcome.best_macro.tobytes() if outcome.best_macro is not None else None
+    best = (np.asarray(outcome.best_macro, dtype=float).tobytes()
+            if outcome.best_macro is not None else None)
     return (outcome.kind, plan, best, outcome.iterations_used, outcome.nodes_created,
             meter.queries, meter.sim_steps, log)
 
@@ -889,19 +939,32 @@ def test_search_once_matches_reference_loop(env, model, tasks, library):
         runs = []
         for fn, namespace in ((reference_search_once, globals()),
                               (search_once, vars(vlaps.search))):
-            meter = CostMeter(cfg)
+            meter, rolled = CostMeter(cfg), []
             with pytest.MonkeyPatch.context() as patch:
                 log = _record_calls(patch, namespace, meter)
+                logged_rollout = namespace["rollout"]
+
+                def kept_rollout(*args):
+                    rolled.append(logged_rollout(*args))
+                    return rolled[-1]
+
+                patch.setitem(namespace, "rollout", kept_rollout)
                 outcome = fn(state, task, prior, library, model, cfg,
                              streams=RngFactory(case), meter=meter)
             if fn is reference_search_once:
                 outcome, exit_name = outcome
+            elif outcome.plan is None:
+                assert any(outcome.best_macro is row for row in library.rows), case
             else:
-                # search_once hands out float arrays, rollout macros included:
-                # the three exits by a rollout's goal are each counted below
-                public = (outcome.plan or []) + [outcome.best_macro] * (outcome.plan is None)
-                assert public and all(type(m) is np.ndarray and m.dtype == np.float64
-                                      for m in public), case
+                # search_once hands out the rows it stepped: each edge is the
+                # library's own row, and a plan that a rollout's goal ends (the
+                # three such exits are each counted below) ends in the very rows
+                # check_macro returned for the prior's replies
+                tail = rolled[-1][2] if rolled and rolled[-1][0] else []
+                edges = outcome.plan[:len(outcome.plan) - len(tail)]
+                assert all(any(m is row for row in library.rows) for m in edges), case
+                assert all(m is t for m, t in zip(outcome.plan[len(edges):], tail)), case
+                assert all(check_macro(m, model.action_dim, "m") is m for m in tail), case
             runs.append(_search_fingerprint(outcome, meter, log))
         assert runs[0] == runs[1], (case, exit_name)
         exits[exit_name] += 1

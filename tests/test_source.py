@@ -100,6 +100,15 @@ def test_only_rngutil_builds_seed_sequences():
     assert found == ["rngutil.py"]
 
 
+def test_no_package_module_reads_bit_generator():
+    # rngutil builds the generators and each consumer draws from its own, so
+    # nothing saves, restores or rewinds a generator's state
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "bit_generator"]
+    assert found == []
+
+
 def test_the_macro_rule_lives_in_check_macro():
     # a macro, or an action as a macro of one row, is valid by world.check_macro
     # alone; a finiteness test elsewhere in the world or the search would be a
