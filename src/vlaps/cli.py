@@ -37,7 +37,11 @@ def _cmd_build_library(args) -> int:
 
 
 def _cmd_run_suite(args) -> int:
-    cfg = SuiteConfig.from_json(json.loads(Path(args.config).read_text()))
+    try:
+        data = json.loads(Path(args.config).read_text())
+    except ValueError as exc:
+        raise ConfigurationError(f"{args.config}: suite config is not JSON ({exc})") from exc
+    cfg = SuiteConfig.from_json(data)
     records, summary = run_and_report(cfg)
     out_dir = output_root() / cfg.out_dir
     print(f"wrote {len(records)} records and report files to {out_dir}")
@@ -93,7 +97,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -227,9 +227,8 @@ class MacroLibrary:
 
     @classmethod
     def load(cls, path) -> "MacroLibrary":
-        data = json.loads(Path(path).read_text())
         try:
-            return cls.from_json(data)
+            return cls.from_json(json.loads(Path(path).read_text()))
         except (AttributeError, KeyError, TypeError, ValueError, VlapsError) as exc:
             raise ConfigurationError(f"{path}: bad macro library ({exc!r})") from exc
 

@@ -62,8 +62,8 @@ class WorldModel(ABC):
         """Step the rows of Python floats ``check_macro`` returns until the goal holds.
 
         Returns the resulting state, whether the goal predicate held, and the
-        number of primitives applied.  The goal is checked after each step;
-        checking it on ``state`` itself is the caller's job.  Models may
+        number of primitives applied, as if the goal were tested after each
+        step; testing it on ``state`` itself is the caller's job.  Models may
         override this with a faster loop that gives the same results.
         """
         steps = 0
@@ -147,7 +147,10 @@ class BlockNavEnv(WorldModel):
     def step(self, state: StateVec, action: np.ndarray) -> StateVec:
         rows = check_macro([action], self.action_dim, "BlockNavEnv.step: action")
         out = StateVec(state.values.copy(), state.step_count)
-        self._step_rows(out, rows, None)
+        try:
+            self._step_rows(out, rows, None)
+        except (ValueError, IndexError, OverflowError) as exc:
+            raise self._kernel_error(state, exc, "BlockNavEnv.step")
         return out
 
     def run_macro(
@@ -155,22 +158,44 @@ class BlockNavEnv(WorldModel):
     ) -> tuple[StateVec, bool, int]:
         rows = macro if type(macro[0][0]) is float else np.asarray(macro, dtype=float).tolist()
         out = StateVec(state.values.copy(), state.step_count)
-        done = self._step_rows(out, rows, task.goal_predicate)
+        try:
+            done = self._step_rows(out, rows, task.goal_predicate)
+        except (ValueError, IndexError, OverflowError) as exc:
+            raise self._kernel_error(state, exc, "BlockNavEnv.run_macro")
         return out, done, out.step_count - state.step_count
+
+    def _kernel_error(self, state: StateVec, exc: Exception, what: str) -> Exception:
+        """What to raise for ``exc`` from ``_step_rows`` on a copy of ``state``: a
+        ``ContractViolationError`` naming ``what`` if the state is too short or
+        its carried slot names no object, else ``exc``, such as a goal's own."""
+        v, count = state.values, self.object_count
+        if len(v) < self.state_dim:
+            return ContractViolationError(
+                f"{what}: the state has {len(v)} values, not {self.state_dim}")
+        if -math.inf < v[_CARRIED] < count:  # neither NaN, infinite nor too big for int()
+            return exc
+        return ContractViolationError(
+            f"{what}: the state's carried slot (index {_CARRIED}) holds {v[_CARRIED]!r}, "
+            f"neither negative (none) nor an object index below {count}")
 
     def _step_rows(self, state: StateVec, rows: Sequence, goal: Callable | None) -> bool:
         """Apply the primitives ``(ax, ay, g)`` of ``rows`` to ``state`` in
         place, adding 1 to its ``step_count`` for each; with a ``goal``, stop
-        after the first row at which it holds.  Returns whether one did.
+        after the first row at which it holds.  Returns whether one did.  A
+        custom goal is tested after every row; a built-in one only after the
+        first row and each pick or drop, since it reads only the carried index
+        and its object, which moves only while carried, when the goal is false.
 
         Scalar arithmetic on Python floats, the same IEEE operations as the
         numpy form.  Each clip is min(max(x, lo), hi) written as conditionals,
         much faster than the builtins: x is kept on ties and NaN passes.  The
         robot, gripper and carried index stay in locals, but each row writes
-        what it changes, so ``goal`` sees the whole state after every row.
+        what it changes, so ``goal`` sees the whole state wherever it is tested.
         """
         v, low, max_step, extent = state.values, -self.max_step, self.max_step, self.extent
         rx, ry, grip, carried = v[_RX], v[_RY], v[_GRIP], int(v[_CARRIED])
+        test = check = goal is not None
+        every = getattr(goal, "__code__", None) is not _REGION_GOAL
         for ax, ay, g in rows:
             rx += low if ax < low else max_step if ax > max_step else ax
             ry += low if ay < low else max_step if ay > max_step else ay
@@ -183,17 +208,19 @@ class BlockNavEnv(WorldModel):
                 v[_GRIP] = grip = -1.0
             if carried >= 0:
                 if grip < 0:
-                    v[_CARRIED], carried = -1.0, -1
+                    v[_CARRIED], carried, test = -1.0, -1, check
                 else:
                     v[4 + 2 * carried], v[5 + 2 * carried] = rx, ry
             elif grip > 0:
                 carried = self._nearest_object(v)
                 if carried >= 0:
-                    v[_CARRIED] = float(carried)
+                    v[_CARRIED], test = float(carried), check
                     v[4 + 2 * carried], v[5 + 2 * carried] = rx, ry
             state.step_count += 1
-            if goal is not None and goal(state):
-                return True
+            if test:
+                if goal(state):
+                    return True
+                test = every
         return False
 
     def observe(self, state: StateVec) -> tuple:
@@ -351,6 +378,9 @@ def step_macro(
 
 _DROP_FRACTION = 0.5  # drop once within this fraction of the region radius
 _DEMO_STEPS = 100  # steps of an expert demonstration before it counts as failed
+# the code of the goal closure _make_task builds: a built-in goal is known by it,
+# and any wrapper, even one made by functools.wraps, has code of its own
+_REGION_GOAL = next(c for c in BlockNavEnv._make_task.__code__.co_consts if hasattr(c, "co_code"))
 
 
 def _fused_norm(dx: float, dy: float) -> float:
@@ -371,13 +401,6 @@ def _fused_norm(dx: float, dy: float) -> float:
         lo = ((yh * yh - hi) + 2.0 * yh * yl) + yl * yl
         return math.sqrt(math.fsum((p, hi, lo)))
     return float(np.linalg.norm(np.array([dx, dy])))
-
-
-def _expert_values(env: BlockNavEnv, task: TaskSpec) -> Callable[[StateVec], tuple]:
-    """The greedy BlockNav controller for ``task``: a function from a state to its
-    ``(dx, dy, g)``, which releases at the goal and steers by ``_steer_values``."""
-    goal, steer = task.goal_predicate, _steer_values(env, task)
-    return lambda state: (0.0, 0.0, -1.0) if goal(state) else steer(state.values)
 
 
 def _steer_values(env: BlockNavEnv, task: TaskSpec) -> Callable[[list], tuple]:
@@ -431,8 +454,8 @@ class ScriptedExpertPrior:
 
     def sample_macro(self, obs: tuple, task: TaskSpec, rng: np.random.Generator) -> list[tuple]:
         env, noise_level, high = self.env, self.noise_level, self.env.max_step
-        act, state = _expert_values(env, task), StateVec(list(obs))
-        rows = []
+        goal, steer, state = task.goal_predicate, _steer_values(env, task), StateVec(list(obs))
+        every, done, rows = getattr(goal, "__code__", None) is not _REGION_GOAL, None, []
         for _ in range(self.horizon):
             if noise_level > 0.0 and rng.random() < noise_level:
                 # rng.uniform(-high, high) twice, then rng.uniform(-1, 1): numpy's
@@ -440,8 +463,13 @@ class ScriptedExpertPrior:
                 ux, uy, ug = rng.random(3).tolist()
                 action = -high + (high + high) * ux, -high + (high + high) * uy, -1.0 + 2.0 * ug
             else:
-                action = act(state)
+                if done is None:
+                    done = goal(state)
+                action = (0.0, 0.0, -1.0) if done else steer(state.values)
+            carried = state.values[_CARRIED]
             env._step_rows(state, (action,), None)
+            if every or state.values[_CARRIED] != carried:  # the goal may have changed
+                done = None
             rows.append(action)
         return rows
 

@@ -162,10 +162,29 @@ def test_missing_input_file_is_io_error(tmp_path, capsys):
     assert "I/O error" in capsys.readouterr().err
 
 
-def test_malformed_config_json_is_io_error(tmp_path, capsys):
+def test_malformed_config_json_is_config_error_naming_the_path(tmp_path, capsys):
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text("{not json")
-    assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_IO
+    assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and str(cfg_path) in err
+    # a config that cannot be read is still an I/O error
+    assert main(["run-suite", "--config", str(tmp_path / "missing.json")]) == EXIT_IO
+
+
+def test_unparseable_library_json_is_config_error_naming_the_path(tmp_path, monkeypatch,
+                                                                  capsys):
+    # a valid config whose library file does not parse: the error names the
+    # library, not only the decoder's position in some file
+    lib_path = tmp_path / "lib.json"
+    lib_path.write_text('{"prototypes": [}')
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps({"library_path": str(lib_path), "seeds": [0]}))
+    monkeypatch.setenv("VLAPS_OUTPUT_ROOT", str(tmp_path))
+    assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and str(lib_path) in err
+    assert str(cfg_path) not in err
 
 
 def test_report_missing_records_is_config_error(tmp_path, capsys):

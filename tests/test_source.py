@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import vlaps
+import vlaps.world as world_module
 from vlaps.harness import SuiteConfig, default_library
 from vlaps.search import SearchConfig
 from vlaps.world import BlockNavEnv
@@ -119,6 +120,26 @@ def test_the_macro_rule_lives_in_check_macro():
                    for owner, ident in _identifiers(tree) if ident == "isfinite")
     assert found == [("world.py", "check_macro")]
     assert [path.name for path in SOURCES if "_float_array" in path.read_text()] == []
+
+
+def test_only_the_kernel_and_the_expert_test_for_a_built_in_goal():
+    # a built-in goal is the closure _make_task builds, known by its code
+    # object alone; only _step_rows and sample_macro test a goal for it, since
+    # only they skip rows at which its answer cannot change
+    functions = [(path.name, node) for path in SOURCES
+                 for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                 if isinstance(node, ast.FunctionDef)]
+    readers = sorted((module, func.name) for module, func in functions if any(
+        isinstance(node, ast.Name) and node.id == "_REGION_GOAL" for node in ast.walk(func)))
+    assert readers == [("world.py", "_step_rows"), ("world.py", "sample_macro")]
+    builders = [(module, func.name) for module, func in functions if any(
+        isinstance(node, ast.FunctionDef) and node.name == "goal" and node is not func
+        for node in ast.walk(func))]
+    assert builders == [("world.py", "_make_task")]
+    assert world_module._REGION_GOAL in BlockNavEnv._make_task.__code__.co_consts
+    env = BlockNavEnv(object_count=3)
+    assert all(task.goal_predicate.__code__ is world_module._REGION_GOAL for task in env.tasks())
+    assert [path.name for path in SOURCES if "__code__" in path.read_text()] == ["world.py"]
 
 
 def test_bench_tracer_still_finds_every_traced_name():

@@ -1,27 +1,38 @@
 import dataclasses
+import functools
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import vlaps.world as world_module
 from vlaps.errors import ConfigurationError, ContractViolationError
 from vlaps.world import (
     BlockNavEnv,
     ScriptedExpertPrior,
     StateVec,
     TaskSpec,
-    _expert_values,
     _fused_norm,
+    _steer_values,
     run_expert_episode,
     step_macro,
 )
 
 
+def expert_values(env, task):
+    """The per-row greedy BlockNav controller for ``task``: a function from a
+    state to its ``(dx, dy, g)``, which tests the goal at every state, releases
+    there, and otherwise steers by ``_steer_values``."""
+    goal, steer = task.goal_predicate, _steer_values(env, task)
+    return lambda state: (0.0, 0.0, -1.0) if goal(state) else steer(state.values)
+
+
 def greedy_expert_action(env, state, task):
     """The list-state expert's action at ``state`` as a numpy array."""
-    return np.array(_expert_values(env, task)(state))
+    return np.array(expert_values(env, task)(state))
 
 
 def test_env_task_count(env, tasks):
@@ -375,6 +386,40 @@ def test_step_macro_rejects_a_non_finite_row_naming_it(env, tasks, bad):
     goal = dataclasses.replace(tasks[0], goal_predicate=lambda s: True)
     with pytest.raises(ContractViolationError, match="row 0"):
         step_macro(env, state, np.full((4, 3), bad), goal)
+
+
+@pytest.mark.parametrize("method", ["step", "run_macro"])
+@pytest.mark.parametrize("case", ["nan", "inf", "-inf", "object_count", "no_carried_slot",
+                                  "one_value_short"])
+def test_bad_state_is_a_contract_violation_naming_the_method(env, tasks, method, case):
+    # a closed gripper beside object 0, so each bad state reaches the kernel's
+    # int() of the carried slot, a carried object's write or the pick search
+    values = [5.0, 5.0, 1.0, -1.0, 5.1, 5.0, 9.0, 9.0]
+    if case == "no_carried_slot":
+        values, fault = values[:3], "the state has 3 values, not 8"
+    elif case == "one_value_short":
+        values, fault = values[:-1], "the state has 7 values, not 8"
+    else:
+        values[3] = float(env.object_count) if case == "object_count" else float(case)
+        fault = rf"the state's carried slot \(index 3\) holds {values[3]!r}, neither"
+    state, before = StateVec(values, 4), repr(values)
+    with pytest.raises(ContractViolationError, match=rf"^BlockNavEnv\.{method}: {fault}"):
+        if method == "step":
+            env.step(state, (0.1, 0.0, 1.0))
+        else:
+            env.run_macro(state, [(0.1, 0.0, 1.0)] * 3, tasks[0])
+    assert repr(state.values) == before and state.step_count == 4
+
+
+@pytest.mark.parametrize("error", [ValueError, IndexError])
+def test_a_custom_goal_error_passes_run_macro_unchanged(env, tasks, error):
+    # on a good state, an error is the predicate's own and is not relabelled
+    def broken(state):
+        raise error("the predicate's own")
+
+    task = dataclasses.replace(tasks[0], goal_predicate=broken)
+    with pytest.raises(error, match="^the predicate's own$"):
+        env.run_macro(env.reset(0, task.task_id), [(0.1, 0.0, 1.0)] * 3, task)
 
 
 def test_expert_prior_leaves_the_observed_state_unchanged(env, tasks):
@@ -1148,6 +1193,224 @@ def test_expert_on_custom_tasks_matches_reference(env, tasks):
             env, 4, noise, obs, task, ref_draws).tobytes()
         assert draws.random() == ref_draws.random()
     assert goals >= 50
+
+
+# -- where a goal is tested ----------------------------------------------------
+#
+# A built-in goal reads only the carried index and its object's position, and
+# that object moves only while carried, when the goal is false.  So the kernel
+# tests one only after the first row and after each pick or drop, and the expert
+# keeps its last answer until a row changes the carried slot.  A custom goal,
+# including one wrapped or installed with dataclasses.replace, is tested at
+# every row.  The per-row references below test the goal at every row.
+
+def region_goal_calls(run):
+    """``run()``'s result and the step counts of the states on which a
+    built-in goal was called while it ran."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is world_module._REGION_GOAL:
+            calls.append(frame.f_locals["state"].step_count)
+
+    sys.setprofile(profile)
+    try:
+        return run(), calls
+    finally:
+        sys.setprofile(None)
+
+
+def wandering_macro(world, task, state, rng, length):
+    """``length`` rows that head for objects and regions in turn, closing the
+    gripper at an object and opening it at a region, with some random rows:
+    picks, drops and re-picks of the same or another object in mid-macro."""
+    obj, region = task.metadata["object_index"], task.metadata["region_index"]
+    rows, target = [], None
+    for _ in range(length):
+        v = state.values
+        if target is None or rng.random() < 0.03:
+            if rng.random() < 0.5:
+                kind = "object"
+                index = obj if rng.random() < 0.5 else int(rng.integers(world.object_count))
+            else:
+                kind = "region"
+                index = region if rng.random() < 0.5 else int(rng.integers(len(world.regions)))
+        if rng.random() < 0.15:
+            dx, dy = rng.uniform(-0.6, 0.6, size=2).tolist()
+            row = (dx, dy, float(rng.choice([-1.0, 0.0, 1.0, 0.5, -0.5])))
+        else:
+            tx, ty = (v[4 + 2 * index: 6 + 2 * index] if kind == "object"
+                      else world.regions[index].tolist())
+            dx, dy = tx - v[0], ty - v[1]
+            near = math.hypot(dx, dy) <= 0.3
+            grip = (1.0 if near else -1.0) if kind == "object" else (-1.0 if near else 0.0)
+            row = (float(np.clip(dx, -0.5, 0.5)), float(np.clip(dy, -0.5, 0.5)), grip)
+            target = None if near and rng.random() < 0.7 else target
+        rows.append(row)
+        state = world.step(state, row)
+    return rows
+
+
+def start_for(world, task, rng):
+    """A random state, in a third of cases with the task's object in its region."""
+    values = random_state_values(world, rng)
+    if rng.random() < 0.35:
+        obj = task.metadata["object_index"]
+        centre = np.array(task.metadata["region_center"])
+        values[4 + 2 * obj: 6 + 2 * obj] = centre + rng.uniform(-0.4, 0.4, size=2)
+        values[3] = float(rng.choice([-1.0] + [i for i in range(world.object_count) if i != obj]))
+    return StateVec(values.tolist(), int(rng.integers(50)))
+
+
+def test_run_macro_tests_a_built_in_goal_only_where_it_can_change():
+    # for every built-in task with 2 to 4 objects, from goal and non-goal
+    # starts, on macros of 1 to 300 rows: run_macro gives the state, flag and
+    # count of step folded row by row with the goal tested after each, and
+    # calls the goal only after the first row and after each pick or drop
+    rng = np.random.default_rng(47)
+    seen = dict.fromkeys(["goal_start", "non_goal_start", "goal_after_row_1", "goal_at_drop",
+                          "one_row", "300_rows", "pick", "drop", "re_pick", "other_pick"], 0)
+    for count in (2, 3, 4):
+        world = BlockNavEnv(object_count=count)
+        for task in world.tasks() * 25:
+            state = start_for(world, task, rng)
+            length = int(rng.choice([1, 2, 4, 7, 20, 60, 150, 300]))
+            macro = wandering_macro(world, task, state, rng, length)
+            before = list(state.values)
+            ref, ref_ok, carried = state, False, [int(state.values[3])]
+            for row in macro:
+                ref = world.step(ref, row)
+                carried.append(int(ref.values[3]))
+                if task.goal_predicate(ref):
+                    ref_ok = True
+                    break
+            used = len(carried) - 1
+            (got, ok, got_used), calls = region_goal_calls(
+                lambda: world.run_macro(state, macro, task))
+            assert np.array(got.values).tobytes() == np.array(ref.values).tobytes()
+            assert (got.step_count, ok, got_used) == (ref.step_count, ref_ok, used)
+            assert state.values == before
+            changed = [i for i in range(1, used + 1) if i == 1 or carried[i] != carried[i - 1]]
+            assert calls == [state.step_count + i for i in changed]
+            seen["goal_start" if task.goal_predicate(state) else "non_goal_start"] += 1
+            seen["goal_after_row_1"] += ok and used > 1
+            seen["goal_at_drop"] += ok and carried[-2] >= 0 > carried[-1]
+            seen["one_row"] += length == 1
+            seen["300_rows"] += length == 300
+            held = [c for c in carried if c >= 0]
+            picks = [i for i in range(1, used + 1) if carried[i] >= 0 > carried[i - 1]]
+            seen["pick"] += bool(picks)
+            seen["drop"] += any(carried[i] < 0 <= carried[i - 1] for i in range(1, used + 1))
+            seen["re_pick"] += len(picks) > 1
+            seen["other_pick"] += len(set(held)) > 1
+    assert min(seen.values()) >= 20, seen
+
+
+def per_row_sample_macro(env, horizon, noise, obs, task, rng):
+    """The expert's macro with the goal tested before every non-noise row, and
+    for each row whether it was noise and the carried index after it."""
+    act, state, rows, noisy, carried = expert_values(env, task), StateVec(list(obs)), [], [], []
+    high = env.max_step
+    for _ in range(horizon):
+        noisy.append(noise > 0.0 and rng.random() < noise)
+        if noisy[-1]:
+            ux, uy, ug = rng.random(3).tolist()
+            action = -high + (high + high) * ux, -high + (high + high) * uy, -1.0 + 2.0 * ug
+        else:
+            action = act(state)
+        state = env.step(state, action)
+        rows.append(action)
+        carried.append(state.values[3])
+    return rows, noisy, carried
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3, 1.0])
+def test_sample_macro_tests_a_built_in_goal_only_where_it_can_change(noise):
+    # the expert gives the rows of the per-row controller bit for bit and
+    # leaves the generator where it does, but calls a built-in goal only
+    # before its first non-noise row and the first after each pick or drop
+    rng = np.random.default_rng(int(noise * 10) + 60)
+    seen = dict.fromkeys(["release", "pick", "drop", "retested"], 0)
+    for count in (2, 3, 4):
+        world = BlockNavEnv(object_count=count)
+        world_tasks = world.tasks()
+        for case in range(240):
+            task = world_tasks[case % len(world_tasks)]
+            horizon = (1, 4, 12, 40)[case % 4]
+            obs = world.observe(StateVec(random_expert_values(world, task, rng).tolist()))
+            draws, ref_draws = (np.random.default_rng(case) for _ in range(2))
+            prior = ScriptedExpertPrior(world, horizon, noise)
+            got, calls = region_goal_calls(lambda: prior.sample_macro(obs, task, draws))
+            ref, noisy, carried = per_row_sample_macro(world, horizon, noise, obs, task, ref_draws)
+            assert np.array(got).tobytes() == np.array(ref).tobytes()
+            assert draws.bit_generator.state == ref_draws.bit_generator.state
+            expected, stale, before = [], True, [obs[3]] + carried
+            for i in range(horizon):
+                if stale and not noisy[i]:
+                    expected.append(i)
+                    stale = False
+                stale = stale or before[i + 1] != before[i]
+            assert calls == expected
+            seen["release"] += (0.0, 0.0, -1.0) in got
+            seen["pick"] += any(c < 0 <= d for c, d in zip(before, before[1:]))
+            seen["drop"] += any(d < 0 <= c for c, d in zip(before, before[1:]))
+            seen["retested"] += len(calls) > 1
+    if noise == 1.0:  # every row is noise, so the goal is never called
+        seen.pop("release"), seen.pop("retested")
+    assert min(seen.values()) >= 20, seen
+
+
+def test_a_wrapped_or_replaced_goal_is_tested_at_every_row(env, tasks):
+    # the built-in goal is known by its code, which no wrapper has: a goal
+    # installed with dataclasses.replace, a plain wrapper of the built-in
+    # goal and a functools.wraps wrapper that changes its meaning are each
+    # tested after every row of run_macro and before every non-noise row of
+    # sample_macro
+    task = tasks[0]
+    built_in, calls = task.goal_predicate, []
+
+    def robot_right(state):
+        calls.append(state.step_count)
+        return bool(state.values[0] >= 6.0)
+
+    def plain(state):
+        calls.append(state.step_count)
+        return built_in(state)
+
+    @functools.wraps(built_in)
+    def built_in_or_right(state):
+        calls.append(state.step_count)
+        return bool(state.values[0] >= 6.0) or built_in(state)
+
+    assert built_in_or_right.__wrapped__ is built_in
+    assert built_in_or_right.__qualname__ == built_in.__qualname__
+    start = env.reset(0, task.task_id)
+    macro = [(0.5, 0.0, -1.0)] * 6
+    for goal, stop in ((robot_right, 2), (plain, None), (built_in_or_right, 2)):
+        replaced = dataclasses.replace(task, goal_predicate=goal)
+        ref, ref_ok, ref_used, _ = reference_step_macro(
+            lambda s, a: reference_step(env, s, a), goal, start, macro)
+        assert (ref_ok, ref_used) == ((True, stop) if stop else (False, 6))
+        calls.clear()
+        got, ok, used = env.run_macro(start, macro, replaced)
+        assert (ok, used) == (ref_ok, ref_used)
+        assert np.array(got.values).tobytes() == np.array(ref.values).tobytes()
+        assert calls == list(range(1, used + 1))
+        for noise, seed in ((0.0, 0), (0.5, 1), (0.5, 2)):
+            twin, non_noise = np.random.default_rng(seed), []
+            for row in range(8):
+                if twin.random() < noise:
+                    twin.random(3)
+                else:
+                    non_noise.append(row)
+            calls.clear()
+            got = ScriptedExpertPrior(env, 8, noise).sample_macro(
+                env.observe(start), replaced, np.random.default_rng(seed))
+            assert calls == non_noise
+            assert len(non_noise) == 8 if noise == 0.0 else 0 < len(non_noise) < 8
+            ref, _, _ = per_row_sample_macro(env, 8, noise, env.observe(start), replaced,
+                                             np.random.default_rng(seed))
+            assert np.array(got).tobytes() == np.array(ref).tobytes()
 
 
 @pytest.mark.parametrize("lo,hi", [(-0.5, 0.5), (-0.37, 0.37), (-1.0, 1.0), (-0.35, 0.35)])
