@@ -15,7 +15,6 @@ from .harness import (
     SuiteConfig,
     aggregate,
     load_records,
-    output_root,
     render_report,
     run_and_report,
 )
@@ -43,8 +42,7 @@ def _cmd_run_suite(args) -> int:
         raise ConfigurationError(f"{args.config}: suite config is not JSON ({exc})") from exc
     cfg = SuiteConfig.from_json(data)
     records, summary = run_and_report(cfg)
-    out_dir = output_root() / cfg.out_dir
-    print(f"wrote {len(records)} records and report files to {out_dir}")
+    print(f"wrote {len(records)} records and report files to {cfg.out_dir}")
     for row in summary:
         runtime = row["mean_runtime_s"]
         runtime_str = f"{runtime:.3f}s" if runtime is not None else "N/A"

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigurationError, check_fields
 from .macrolib import MacroLibrary, Trajectory, build_library, segment_trajectories
 from .rngutil import RngFactory, stable_hash
-from .search import EpisodeResult, SearchConfig, run_episode
+from .search import SearchConfig, run_episode
 from .world import BlockNavEnv, ScriptedExpertPrior, TaskSpec, run_expert_episode
 
 METHOD_VLAPS = "vlaps"
@@ -55,6 +54,10 @@ class SuiteConfig:
                 raise ConfigurationError(f"SuiteConfig: {name} needs at least one entry")
         if any(not 0.0 <= x <= 1.0 for x in self.noise_levels):
             raise ConfigurationError("noise levels must lie in [0,1]")
+        if not isinstance(self.search, SearchConfig) or self.search.n_mc < 1:
+            # at N_mc 0 the vlaps arm would be a second prior-only arm, labelled vlaps
+            raise ConfigurationError("SuiteConfig: search must be a SearchConfig with N_mc "
+                                     f"at least 1, got {self.search!r}")
 
     def to_json(self) -> dict:
         data = dataclasses.asdict(self)
@@ -143,11 +146,6 @@ def resolve_library(cfg: SuiteConfig, env: BlockNavEnv, tasks: list[TaskSpec]) -
     )
 
 
-def _episode_streams(cfg: SuiteConfig, task: TaskSpec, noise: float, seed: int) -> RngFactory:
-    return RngFactory(cfg.search.seed, seed, stable_hash(task.task_id),
-                      int(round(noise * 1000)))
-
-
 def run_suite(cfg: SuiteConfig) -> list[RunRecord]:
     """Run every (noise, task, seed) cell with both methods on paired seeds,
     searching the library that ``resolve_library`` gives for ``cfg``."""
@@ -159,6 +157,9 @@ def run_suite(cfg: SuiteConfig) -> list[RunRecord]:
         raise ConfigurationError(
             f"the library's macros have shape ({library.horizon}, {library.action_dim}), "
             f"but the search needs (H, n) = ({cfg.search.horizon}, {env.action_dim})")
+    if cfg.search.k > library.m:
+        raise ConfigurationError(f"search.k = {cfg.search.k} candidates per expansion, but "
+                                 f"the library holds only {library.m} macros")
 
     model = BlockNavEnv.from_json(env.to_json())  # planning clone, same dynamics
     prior_cfg = dataclasses.replace(cfg.search, n_mc=0)
@@ -171,30 +172,18 @@ def run_suite(cfg: SuiteConfig) -> list[RunRecord]:
                     (METHOD_PRIOR_ONLY, prior_cfg),
                     (METHOD_VLAPS, cfg.search),
                 ):
-                    result = run_episode(
-                        env, model, task, prior, library, search_cfg,
-                        streams=_episode_streams(cfg, task, noise, seed),
-                        reset_seed=seed,
-                    )
-                    records.append(_to_record(task, noise, method, seed, result))
+                    streams = RngFactory(cfg.search.seed, seed, stable_hash(task.task_id),
+                                         int(round(noise * 1000)))
+                    result = run_episode(env, model, task, prior, library, search_cfg,
+                                         streams=streams, reset_seed=seed)
+                    records.append(RunRecord(
+                        task_id=task.task_id, noise_level=noise, method=method, seed=seed,
+                        success=result.success, wall_time=result.total_wall_time,
+                        iterations=result.total_search_iterations,
+                        prior_queries=result.total_prior_queries,
+                        decision_points=result.decision_points))
     records.sort(key=RunRecord.sort_key)
     return records
-
-
-def _to_record(
-    task: TaskSpec, noise: float, method: str, seed: int, result: EpisodeResult
-) -> RunRecord:
-    return RunRecord(
-        task_id=task.task_id,
-        noise_level=noise,
-        method=method,
-        seed=seed,
-        success=result.success,
-        wall_time=result.total_wall_time,
-        iterations=result.total_search_iterations,
-        prior_queries=result.total_prior_queries,
-        decision_points=result.decision_points,
-    )
 
 
 def write_records(records: list[RunRecord], path) -> None:
@@ -329,13 +318,9 @@ def _bar_chart_svg(summary: list[dict], key: str, title: str, upper=None) -> str
     return "\n".join(parts) + "\n"
 
 
-def output_root() -> Path:
-    return Path(os.environ.get("VLAPS_OUTPUT_ROOT", "."))
-
-
 def run_and_report(cfg: SuiteConfig) -> tuple[list[RunRecord], list[dict]]:
     """Full pipeline: run the suite, persist records, aggregate, render."""
-    out_dir = output_root() / cfg.out_dir
+    out_dir = Path(cfg.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -29,7 +29,7 @@ from .errors import (
     DegenerateLibraryError,
     VlapsError,
 )
-from .world import CheckedMacro
+from .world import CheckedMacro, check_macro
 
 LIBRARY_FORMAT_VERSION = 1
 _STD_CLAMP = 1e-12  # dimensions with smaller spread are treated as constant
@@ -81,7 +81,10 @@ def save_trajectories(trajs: Iterable[Trajectory], path) -> None:
 
 
 def load_trajectories(path) -> list[Trajectory]:
+    """Read the JSON lines ``save_trajectories`` writes; each action must pass
+    ``check_macro`` as a macro of one row, as wide as the file's first action."""
     groups: dict[int, dict] = {}
+    width = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -99,26 +102,18 @@ def load_trajectories(path) -> list[Trajectory]:
                     raise TypeError(f"success must be true or false, and the same on every "
                                     f"record of a trajectory; got {rec['success']!r}")
                 g["states"].append(np.asarray(rec["state"], dtype=float))
-                action = np.asarray(rec["action"], dtype=float)
-                if not np.isfinite(action).all():
-                    raise ValueError(f"action {rec['action']!r} is not finite")
-                g["actions"].append(action)
-            except (KeyError, TypeError, ValueError) as exc:
+                if width is None:
+                    width = len(rec["action"])
+                g["actions"].append(check_macro([rec["action"]], width,
+                                                f"traj_id={rec['traj_id']!r}: action")[0])
+            except (KeyError, TypeError, ValueError, ContractViolationError) as exc:
                 raise ConfigurationError(f"{path}:{lineno}: bad trajectory ({exc!r})") from exc
     try:
         ordered = sorted(groups.items())
     except TypeError as exc:
         raise ConfigurationError(f"{path}: traj_id values cannot be ordered ({exc})") from exc
-    trajs, shapes = [], set()
-    for traj_id, g in ordered:
-        shapes.update(a.shape for a in g["actions"])
-        if len(shapes) != 1 or len(next(iter(shapes))) != 1:
-            raise ConfigurationError(
-                f"{path}: up to trajectory traj_id={traj_id!r} the actions have shapes "
-                f"{sorted(shapes)}; all must be lists of one length")
-        trajs.append(Trajectory(g["states"], np.array(g["actions"]), g["success"],
-                                g["task_id"]))
-    return trajs
+    return [Trajectory(g["states"], np.array(g["actions"]), g["success"], g["task_id"])
+            for _, g in ordered]
 
 
 def segment_trajectories(trajs: Iterable[Trajectory], horizon: int) -> list[np.ndarray]:
@@ -213,12 +208,15 @@ class MacroLibrary:
             raise ConfigurationError(
                 f"unsupported library format_version {data.get('format_version')}"
             )
+        # check_macro's rule for every number read: prototypes, and the statistics as one row
+        n = data["n"]
         lib = cls(
-            prototypes=np.asarray(data["prototypes"], dtype=float),
-            per_dim_mean=np.asarray(data["per_dim_mean"], dtype=float),
-            per_dim_std=np.asarray(data["per_dim_std"], dtype=float),
+            prototypes=np.array([check_macro(proto, n, f"prototypes[{i}]")
+                                 for i, proto in enumerate(data["prototypes"])]),
+            per_dim_mean=np.array(check_macro([data["per_dim_mean"]], n, "per_dim_mean")[0]),
+            per_dim_std=np.array(check_macro([data["per_dim_std"]], n, "per_dim_std")[0]),
         )
-        if lib.m != data["m"] or lib.horizon != data["H"] or lib.action_dim != data["n"]:
+        if lib.m != data["m"] or lib.horizon != data["H"] or lib.action_dim != n:
             raise ConfigurationError("library header does not match prototype array")
         return lib
 

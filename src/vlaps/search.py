@@ -10,9 +10,9 @@ count, all plain Python numbers; a node's children are a list in draw order.
 candidates sampled around the prior's macro, roll the prior out from the
 best-prior child, backpropagate.  The episode runner replans in a
 receding-horizon loop, executing either the returned goal plan or the
-most-visited root macro.  A goal plan that misses the goal on the true
-environment (the model diverged) is followed by a new search from the
-reached state while decision points and budget remain.
+most-visited root macro as a plan of one macro.  A goal plan that misses the
+goal on the true environment (the model diverged) is followed by a new search
+from the reached state while decision points and budget remain.
 
 Time accounting is a deterministic cost model (a fixed charge per prior query
 and per simulated primitive step) so that identical configurations produce
@@ -91,12 +91,6 @@ class CostMeter:
         self.step_cost = cfg.sim_step_cost_s
         self.queries = 0
         self.sim_steps = 0
-
-    def add_query(self) -> None:
-        self.queries += 1
-
-    def add_steps(self, n: int) -> None:
-        self.sim_steps += n
 
     def elapsed(self) -> float:
         return self.queries * self.query_cost + self.sim_steps * self.step_cost
@@ -224,7 +218,7 @@ def expand(
         raise ContractViolationError("cannot expand a node at maximum depth")
     if node.is_goal:
         raise ContractViolationError("cannot expand a goal node")
-    meter.add_query()
+    meter.queries += 1
     where = f"in expand at depth {node.depth}"
     anchor = _query_prior(prior, model, node.sim_state, task, rng_query, where)
     if len(anchor) != lib.horizon:
@@ -238,7 +232,7 @@ def expand(
     # not a goal node fails the goal, so step_macro's two tests are skipped
     for slot, (proto, weight) in enumerate(zip(indices, psi)):
         state, success, used = model.run_macro(node.sim_state, lib.rows[proto], task)
-        meter.add_steps(used)
+        meter.sim_steps += used
         node.children.append(TreeNode(state, node.depth + 1, next_id + slot,
                                       success, proto, weight))
     return node.children
@@ -264,7 +258,7 @@ def rollout(
         return True, 0, []
     state, steps, macros = start, 0, []
     while steps < cfg.d_sim_max:
-        meter.add_query()
+        meter.queries += 1
         macro = _query_prior(prior, model, state, task, rng, "in rollout")
         macros.append(macro)
         # the goal was tested on ``state`` by the check above or after the
@@ -272,7 +266,7 @@ def rollout(
         left = cfg.d_sim_max - steps
         state, success, used = model.run_macro(
             state, macro[:left] if len(macro) > left else macro, task)
-        meter.add_steps(used)
+        meter.sim_steps += used
         steps += used
         if success:
             return True, steps, macros
@@ -290,9 +284,9 @@ def search_once(
     lib: MacroLibrary,
     model: WorldModel,
     cfg: SearchConfig,
-    streams: Optional[RngFactory] = None,
+    streams: RngFactory,
+    meter: CostMeter,
     dp: int = 0,
-    meter: Optional[CostMeter] = None,
 ) -> SearchOutcome:
     """Run one decision point's search.
 
@@ -307,10 +301,6 @@ def search_once(
     """
     if cfg.n_mc < 1:
         raise ConfigurationError("search_once requires n_mc >= 1")
-    if streams is None:
-        streams = RngFactory(cfg.seed)
-    if meter is None:
-        meter = CostMeter(cfg)
     nodes_created = 1
     iterations = 0
 
@@ -422,19 +412,18 @@ def run_episode(
     prior: PriorPolicy,
     lib: Optional[MacroLibrary],
     cfg: SearchConfig,
-    streams: Optional[RngFactory] = None,
+    streams: RngFactory,
     reset_seed: int = 0,
 ) -> EpisodeResult:
     """Receding-horizon episode: search, execute, observe, repeat.
 
-    A goal plan is executed whole; if the true environment then misses the
-    goal (the model diverged from it), the runner searches again from the
-    reached state, as after a root macro.  With ``n_mc == 0`` the runner
-    executes a single prior rollout directly in the true environment (the
-    prior-only baseline).  The result holds the episode's whole cost.
+    A goal plan is executed whole, and a best root macro as a plan of one
+    macro; if the true environment then misses the goal (after a goal plan,
+    the model diverged from it), the runner searches again from the reached
+    state.  With ``n_mc == 0`` the runner executes a single prior rollout
+    directly in the true environment (the prior-only baseline).  The result
+    holds the episode's whole cost.
     """
-    if streams is None:
-        streams = RngFactory(cfg.seed)
     meter = CostMeter(cfg)
     state = env.reset(reset_seed, task.task_id)
 
@@ -456,16 +445,14 @@ def run_episode(
             break
         outcome = search_once(
             state, task, prior, lib, model, cfg,
-            streams=streams, dp=decision_points, meter=meter,
+            streams=streams, meter=meter, dp=decision_points,
         )
         decision_points += 1
         search_iterations += outcome.iterations_used
-        if outcome.kind == GOAL_PLAN:
-            state, success, used = replay_plan(env, state, outcome.plan, task)
-        else:
-            state, success, used = step_macro(env, state, outcome.best_macro, task)
+        plan = outcome.plan if outcome.kind == GOAL_PLAN else [outcome.best_macro]
+        state, success, used = replay_plan(env, state, plan, task)
         primitive_steps += used
-        meter.add_steps(used)
+        meter.sim_steps += used
     return EpisodeResult(
         success, primitive_steps, decision_points, meter.elapsed(),
         meter.queries, search_iterations,

@@ -146,26 +146,20 @@ class BlockNavEnv(WorldModel):
 
     def step(self, state: StateVec, action: np.ndarray) -> StateVec:
         rows = check_macro([action], self.action_dim, "BlockNavEnv.step: action")
-        out = StateVec(state.values.copy(), state.step_count)
-        try:
-            self._step_rows(out, rows, None)
-        except (ValueError, IndexError, OverflowError) as exc:
-            raise self._kernel_error(state, exc, "BlockNavEnv.step")
+        out = state.copy()
+        self._step_rows(out, rows, None, "BlockNavEnv.step")
         return out
 
     def run_macro(
         self, state: StateVec, macro: Sequence, task: TaskSpec
     ) -> tuple[StateVec, bool, int]:
         rows = macro if type(macro[0][0]) is float else np.asarray(macro, dtype=float).tolist()
-        out = StateVec(state.values.copy(), state.step_count)
-        try:
-            done = self._step_rows(out, rows, task.goal_predicate)
-        except (ValueError, IndexError, OverflowError) as exc:
-            raise self._kernel_error(state, exc, "BlockNavEnv.run_macro")
+        out = state.copy()
+        done = self._step_rows(out, rows, task.goal_predicate, "BlockNavEnv.run_macro")
         return out, done, out.step_count - state.step_count
 
     def _kernel_error(self, state: StateVec, exc: Exception, what: str) -> Exception:
-        """What to raise for ``exc`` from ``_step_rows`` on a copy of ``state``: a
+        """What to raise for ``exc`` from ``_step_rows`` on ``state``: a
         ``ContractViolationError`` naming ``what`` if the state is too short or
         its carried slot names no object, else ``exc``, such as a goal's own."""
         v, count = state.values, self.object_count
@@ -178,13 +172,15 @@ class BlockNavEnv(WorldModel):
             f"{what}: the state's carried slot (index {_CARRIED}) holds {v[_CARRIED]!r}, "
             f"neither negative (none) nor an object index below {count}")
 
-    def _step_rows(self, state: StateVec, rows: Sequence, goal: Callable | None) -> bool:
+    def _step_rows(self, state: StateVec, rows: Sequence, goal: Callable | None,
+                   what: str) -> bool:
         """Apply the primitives ``(ax, ay, g)`` of ``rows`` to ``state`` in
         place, adding 1 to its ``step_count`` for each; with a ``goal``, stop
         after the first row at which it holds.  Returns whether one did.  A
         custom goal is tested after every row; a built-in one only after the
         first row and each pick or drop, since it reads only the carried index
         and its object, which moves only while carried, when the goal is false.
+        A state it cannot step raises what ``_kernel_error`` gives for ``what``.
 
         Scalar arithmetic on Python floats, the same IEEE operations as the
         numpy form.  Each clip is min(max(x, lo), hi) written as conditionals,
@@ -193,34 +189,37 @@ class BlockNavEnv(WorldModel):
         what it changes, so ``goal`` sees the whole state wherever it is tested.
         """
         v, low, max_step, extent = state.values, -self.max_step, self.max_step, self.extent
-        rx, ry, grip, carried = v[_RX], v[_RY], v[_GRIP], int(v[_CARRIED])
         test = check = goal is not None
         every = getattr(goal, "__code__", None) is not _REGION_GOAL
-        for ax, ay, g in rows:
-            rx += low if ax < low else max_step if ax > max_step else ax
-            ry += low if ay < low else max_step if ay > max_step else ay
-            v[_RX] = rx = 0.0 if rx < 0.0 else extent if rx > extent else rx
-            v[_RY] = ry = 0.0 if ry < 0.0 else extent if ry > extent else ry
-            # g == 0 holds the current gripper setting
-            if g > 0:
-                v[_GRIP] = grip = 1.0
-            elif g < 0:
-                v[_GRIP] = grip = -1.0
-            if carried >= 0:
-                if grip < 0:
-                    v[_CARRIED], carried, test = -1.0, -1, check
-                else:
-                    v[4 + 2 * carried], v[5 + 2 * carried] = rx, ry
-            elif grip > 0:
-                carried = self._nearest_object(v)
+        try:
+            rx, ry, grip, carried = v[_RX], v[_RY], v[_GRIP], int(v[_CARRIED])
+            for ax, ay, g in rows:
+                rx += low if ax < low else max_step if ax > max_step else ax
+                ry += low if ay < low else max_step if ay > max_step else ay
+                v[_RX] = rx = 0.0 if rx < 0.0 else extent if rx > extent else rx
+                v[_RY] = ry = 0.0 if ry < 0.0 else extent if ry > extent else ry
+                # g == 0 holds the current gripper setting
+                if g > 0:
+                    v[_GRIP] = grip = 1.0
+                elif g < 0:
+                    v[_GRIP] = grip = -1.0
                 if carried >= 0:
-                    v[_CARRIED], test = float(carried), check
-                    v[4 + 2 * carried], v[5 + 2 * carried] = rx, ry
-            state.step_count += 1
-            if test:
-                if goal(state):
-                    return True
-                test = every
+                    if grip < 0:
+                        v[_CARRIED], carried, test = -1.0, -1, check
+                    else:
+                        v[4 + 2 * carried], v[5 + 2 * carried] = rx, ry
+                elif grip > 0:
+                    carried = self._nearest_object(v)
+                    if carried >= 0:
+                        v[_CARRIED], test = float(carried), check
+                        v[4 + 2 * carried], v[5 + 2 * carried] = rx, ry
+                state.step_count += 1
+                if test:
+                    if goal(state):
+                        return True
+                    test = every
+        except (ValueError, IndexError, OverflowError) as exc:
+            raise self._kernel_error(state, exc, what)
         return False
 
     def observe(self, state: StateVec) -> tuple:
@@ -265,7 +264,7 @@ class BlockNavEnv(WorldModel):
     def _make_task(self, obj: int, region: int) -> TaskSpec:
         radius = self.region_radius
         cx, cy = self.regions[region].tolist()
-        ix = 4 + 2 * obj
+        ix, task_id = 4 + 2 * obj, f"move_obj{obj}_to_region{region}"
         margin = _GOAL_TIE_MARGIN * max(1.0, radius)
         # squared distances below inside or above outside decide the goal; the
         # max leaves a radius below the margin no inside at all
@@ -273,8 +272,13 @@ class BlockNavEnv(WorldModel):
 
         def goal(state: StateVec) -> bool:
             v = state.values
-            if int(v[_CARRIED]) == obj:
-                return False
+            try:
+                if int(v[_CARRIED]) == obj:
+                    return False
+            except (ValueError, OverflowError):
+                raise ContractViolationError(
+                    f"goal of {task_id}: the state's carried slot (index {_CARRIED}) "
+                    f"holds {v[_CARRIED]!r}, not an object index") from None
             dx = v[ix] - cx
             dy = v[ix + 1] - cy
             s = dx * dx + dy * dy
@@ -286,7 +290,7 @@ class BlockNavEnv(WorldModel):
             return _fused_norm(dx, dy) <= radius
 
         return TaskSpec(
-            task_id=f"move_obj{obj}_to_region{region}",
+            task_id=task_id,
             instruction=f"move object {obj} to region {region}",
             goal_predicate=goal,
             metadata={
@@ -467,7 +471,7 @@ class ScriptedExpertPrior:
                     done = goal(state)
                 action = (0.0, 0.0, -1.0) if done else steer(state.values)
             carried = state.values[_CARRIED]
-            env._step_rows(state, (action,), None)
+            env._step_rows(state, (action,), None, "ScriptedExpertPrior.sample_macro")
             if every or state.values[_CARRIED] != carried:  # the goal may have changed
                 done = None
             rows.append(action)

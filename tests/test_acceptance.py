@@ -28,7 +28,7 @@ from vlaps.harness import (
 from vlaps.macrolib import MacroLibrary, build_library
 from vlaps.prior import UniformLibraryPrior, beta_distribution
 from vlaps.rngutil import RngFactory, stable_hash
-from vlaps.search import GOAL_PLAN, SearchConfig, replay_plan, search_once
+from vlaps.search import GOAL_PLAN, CostMeter, SearchConfig, replay_plan, search_once
 from vlaps.world import BlockNavEnv, ScriptedExpertPrior
 
 PINNED = Path(__file__).resolve().parents[1] / "bench" / "pinned.json"
@@ -188,7 +188,8 @@ def test_criterion_5_perfect_prior_shortcut(env, model, tasks, library):
     for seed, task in trials:
         state = env.reset(seed, task.task_id)
         out = search_once(state, task, prior, library, model, cfg,
-                          streams=RngFactory(seed, stable_hash(task.task_id)))
+                          streams=RngFactory(seed, stable_hash(task.task_id)),
+                          meter=CostMeter(cfg))
         hits += out.kind == GOAL_PLAN and out.iterations_used == 1
     elapsed = time.perf_counter() - start
     _report(5, "perfect-prior immediate solution",
@@ -234,12 +235,13 @@ def test_criterion_7_search_space_tractability(env, model, library):
         state = env.reset(seed, task.task_id)
         prior = ScriptedExpertPrior(model, guided_cfg.horizon, 0.4)
         out = search_once(state, task, prior, library, model, guided_cfg,
-                          streams=streams)
+                          streams=streams, meter=CostMeter(guided_cfg))
         guided_hits += out.kind == GOAL_PLAN
 
         state = env.reset(seed, task.task_id)
         out = search_once(state, task, UniformLibraryPrior(library), library,
-                          model, uniform_cfg, streams=streams)
+                          model, uniform_cfg, streams=streams,
+                          meter=CostMeter(uniform_cfg))
         uniform_hits += out.kind == GOAL_PLAN
     elapsed = time.perf_counter() - start
     ok = (guided_hits >= 16 and uniform_hits <= 4 and elapsed < 300.0)
@@ -289,6 +291,7 @@ def test_criterion_9_goal_plan_soundness(env, model, tasks, library):
                     state, task, prior, library, model, cfg,
                     streams=RngFactory(seed, stable_hash(task.task_id),
                                        int(noise * 1000)),
+                    meter=CostMeter(cfg),
                 )
                 if out.kind != GOAL_PLAN:
                     continue

@@ -37,7 +37,7 @@ def test_negative_library_seed_is_config_error(traj_file, tmp_path, capsys):
     assert "library seed -1" in capsys.readouterr().err
 
 
-def test_full_pipeline(traj_file, tmp_path, monkeypatch, capsys):
+def test_full_pipeline(traj_file, tmp_path, capsys):
     lib_path = tmp_path / "lib.json"
     assert main([
         "build-library", "--input", str(traj_file), "--size", "32",
@@ -50,11 +50,10 @@ def test_full_pipeline(traj_file, tmp_path, monkeypatch, capsys):
         "seeds": [0, 1],
         "search": SearchConfig(n_mc=10, d_sim_max=60, t_max=5.0).to_json(),
         "library_path": str(lib_path),
-        "out_dir": "results",
+        "out_dir": str(tmp_path / "results"),
     }
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text(json.dumps(cfg))
-    monkeypatch.setenv("VLAPS_OUTPUT_ROOT", str(tmp_path))
 
     assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_OK
     out = capsys.readouterr().out
@@ -122,7 +121,7 @@ def test_bad_suite_value_type_is_config_error(key, value, tmp_path, monkeypatch,
     # reaches RngFactory or build_library or is iterated character by character
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text(json.dumps({"seeds": [0], key: value}))
-    monkeypatch.setenv("VLAPS_OUTPUT_ROOT", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
     assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "configuration error" in err and key in err
@@ -133,16 +132,25 @@ def test_repeated_or_missing_suite_entries_are_config_error(key, value, tmp_path
                                                             monkeypatch, capsys):
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text(json.dumps({"seeds": [0], key: value}))
-    monkeypatch.setenv("VLAPS_OUTPUT_ROOT", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
     assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_CONFIG
     assert f"configuration error: SuiteConfig: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "records.jsonl").exists()
+
+
+def test_suite_without_search_iterations_is_config_error(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps({"seeds": [0], "search": {"N_mc": 0}}))
+    monkeypatch.chdir(tmp_path)
+    assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert "with N_mc at least 1, got SearchConfig(n_mc=0" in capsys.readouterr().err
     assert not (tmp_path / "records.jsonl").exists()
 
 
 def test_negative_suite_library_seed_is_config_error(tmp_path, monkeypatch, capsys):
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text(json.dumps({"seeds": [0], "library_seed": -1}))
-    monkeypatch.setenv("VLAPS_OUTPUT_ROOT", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
     assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_CONFIG
     assert "library seed -1" in capsys.readouterr().err
 
@@ -180,7 +188,7 @@ def test_unparseable_library_json_is_config_error_naming_the_path(tmp_path, monk
     lib_path.write_text('{"prototypes": [}')
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text(json.dumps({"library_path": str(lib_path), "seeds": [0]}))
-    monkeypatch.setenv("VLAPS_OUTPUT_ROOT", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
     assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and str(lib_path) in err
@@ -321,7 +329,7 @@ def test_library_without_prototypes_is_config_error(tmp_path, monkeypatch, capsy
                                     "per_dim_mean": [0.0] * 3, "per_dim_std": [1.0] * 3}))
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text(json.dumps({"library_path": str(lib_path), "seeds": [0]}))
-    monkeypatch.setenv("VLAPS_OUTPUT_ROOT", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
     assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "lib.json" in err and "prototypes" in err
@@ -331,7 +339,7 @@ def test_nan_extent_is_config_error(tmp_path, monkeypatch, capsys):
     # a NaN extent would otherwise surface as a bad prior or too few macros
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text(json.dumps({"extent": float("nan"), "seeds": [0]}))
-    monkeypatch.setenv("VLAPS_OUTPUT_ROOT", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
     assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_CONFIG
     assert "extent" in capsys.readouterr().err
 
@@ -346,7 +354,7 @@ def test_library_of_another_shape_is_config_error(shape, tmp_path, monkeypatch, 
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text(json.dumps({"library_path": str(lib_path), "seeds": [0],
                                     "search": {"N_mc": 5, "H": 4}}))
-    monkeypatch.setenv("VLAPS_OUTPUT_ROOT", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
     assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"({shape[1]}, {shape[2]})" in err and "(4, 3)" in err
@@ -368,10 +376,10 @@ def test_non_finite_library_is_config_error(name, bad, tmp_path, monkeypatch, ca
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text(json.dumps({"library_path": str(lib_path), "seeds": [0],
                                     "search": {"N_mc": 5}}))
-    monkeypatch.setenv("VLAPS_OUTPUT_ROOT", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
     assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "lib.json" in err and f"{name} must be finite" in err
+    assert "lib.json" in err and name in err and "is not finite" in err
 
 
 def test_non_finite_trajectory_action_is_config_error(traj_file, tmp_path, capsys):

@@ -21,7 +21,7 @@ from vlaps.harness import (
     run_suite,
     write_records,
 )
-from vlaps.search import SearchConfig
+from vlaps.search import EpisodeResult, SearchConfig
 from vlaps.world import BlockNavEnv
 
 
@@ -172,6 +172,32 @@ def test_resolve_library_missing_path_names_cli():
         resolve_library(cfg, env, env.tasks())
 
 
+def test_suite_config_rejects_a_search_without_iterations():
+    # at N_mc 0 the vlaps arm would be a second prior-only arm, labelled vlaps
+    message = "SuiteConfig: search must be a SearchConfig with N_mc at least 1"
+    with pytest.raises(ConfigurationError, match=message):
+        SuiteConfig(search=SearchConfig(n_mc=0))
+    with pytest.raises(ConfigurationError, match=message):
+        SuiteConfig.from_json({"search": {"N_mc": 0}})
+    with pytest.raises(ConfigurationError, match=message):
+        SuiteConfig(search={"N_mc": 5})  # from Python: a dict is no SearchConfig
+    assert SearchConfig(n_mc=0).n_mc == 0  # the prior-only arm's run_episode config
+
+
+def test_run_suite_rejects_more_candidates_than_macros_before_any_episode(monkeypatch):
+    # k = 10 with 5 macros used to fail only in the first expansion, after the
+    # first prior-only episode had run
+    episodes = []
+    monkeypatch.setattr("vlaps.harness.run_episode",
+                        lambda *a, **kw: episodes.append(a) or EpisodeResult(False, 0, 0, 0.0, 0))
+    cfg = _small_config(library_size=5, search=SearchConfig(n_mc=5, k=10, d_sim_max=20))
+    with pytest.raises(ConfigurationError, match="search.k = 10 .* only 5 macros"):
+        run_suite(cfg)
+    assert episodes == []
+    run_suite(dataclasses.replace(cfg, search=SearchConfig(n_mc=5, k=5, d_sim_max=20)))
+    assert len(episodes) == 2 * 2 * 2 * 3  # k == m is allowed
+
+
 def test_suite_config_validation():
     with pytest.raises(ConfigurationError):
         SuiteConfig(seeds=[])
@@ -245,14 +271,13 @@ def test_suite_config_json_round_trip():
     assert SuiteConfig.from_json(cfg.to_json()) == cfg
 
 
-def test_run_and_report_outputs(tmp_path, monkeypatch):
-    monkeypatch.setenv("VLAPS_OUTPUT_ROOT", str(tmp_path))
+def test_run_and_report_outputs(tmp_path):
     cfg = _small_config(
         task_ids=["move_obj0_to_region0"],
         noise_levels=[0.0],
         seeds=[0],
         search=SearchConfig(n_mc=10, d_sim_max=60, t_max=5.0),
-        out_dir="sweep",
+        out_dir=str(tmp_path / "sweep"),
     )
     records, summary = run_and_report(cfg)
     out = tmp_path / "sweep"
@@ -265,7 +290,7 @@ def test_run_and_report_outputs(tmp_path, monkeypatch):
     assert len(records) == 2 and len(summary) == 2
 
 
-def test_run_and_report_byte_identical(tmp_path, monkeypatch):
+def test_run_and_report_byte_identical(tmp_path):
     cfg_kwargs = dict(
         task_ids=["move_obj0_to_region0"],
         noise_levels=[0.4],
@@ -274,7 +299,6 @@ def test_run_and_report_byte_identical(tmp_path, monkeypatch):
     )
     blobs = []
     for name in ("a", "b"):
-        monkeypatch.setenv("VLAPS_OUTPUT_ROOT", str(tmp_path / name))
-        run_and_report(_small_config(**cfg_kwargs))
+        run_and_report(_small_config(**cfg_kwargs, out_dir=str(tmp_path / name)))
         blobs.append((tmp_path / name / "records.jsonl").read_bytes())
     assert blobs[0] == blobs[1]

@@ -321,6 +321,34 @@ def test_trajectory_jsonl_round_trip(tmp_path):
         assert orig.task_id == back.task_id
 
 
+@pytest.mark.parametrize("action", [["0.5", 0.0, 1.0], [0.5, True, 1.0], [0.5, 0.0, False]])
+def test_trajectory_action_of_strings_or_bools_is_config_error(action, tmp_path):
+    # check_macro's rule: numpy would read "0.5" and true as numbers
+    path = tmp_path / "trajs.jsonl"
+    save_trajectories([_traj(3)], path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    record["action"] = action
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError, match=r"trajs\.jsonl:2: .*not numeric"):
+        load_trajectories(path)
+
+
+@pytest.mark.parametrize("name", ["prototypes", "per_dim_mean", "per_dim_std"])
+@pytest.mark.parametrize("bad", ["0", False, True, "1"])
+def test_library_numbers_of_strings_or_bools_are_config_error(library, tmp_path, name, bad):
+    data = library.to_json()
+    if name == "prototypes":
+        data[name][2][1][0] = bad
+    else:
+        data[name][1] = bad
+    path = tmp_path / "lib.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigurationError, match=rf"lib\.json: .*{name}.* is not numeric"):
+        MacroLibrary.load(path)
+
+
 def test_library_arrays_are_frozen_copies(library):
     with pytest.raises(ValueError):
         library.prototypes[0, 0, 0] = 1.0

@@ -458,7 +458,8 @@ def test_search_reports_bad_line_prior_macros(model, tasks, library):
     # LineProtocolPrior passes on any array it parses; the search checks
     # what it returns, at whichever of its two query sites asked
     from vlaps.errors import PriorQueryError
-    from vlaps.search import SearchConfig, search_once
+    from vlaps.rngutil import RngFactory
+    from vlaps.search import CostMeter, SearchConfig, search_once
 
     good = json.dumps({"macro": [[0.0, 0.0, -1.0]] * 4}) + "\n"
     bad = {
@@ -479,4 +480,5 @@ def test_search_reports_bad_line_prior_macros(model, tasks, library):
         for lines, where in (([reply], "in rollout"), ([good, reply], "in expand at depth 0")):
             prior = LineProtocolPrior(_ListIO([]), _ListIO(lines))
             with pytest.raises(PriorQueryError, match=f"{where}: {error}"):
-                search_once(start, task, prior, library, model, cfg)
+                search_once(start, task, prior, library, model, cfg,
+                            streams=RngFactory(0), meter=CostMeter(cfg))

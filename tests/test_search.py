@@ -5,10 +5,13 @@ import io
 import json
 import math
 import pickle
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vlaps.search
 import vlaps.world
@@ -264,7 +267,7 @@ def reference_expand(node, prior, lib, model, task, cfg, rng_query, rng_sample, 
                      next_id):
     """expand as it was: each candidate stepped by step_macro, which checks the
     macro's shape and tests the goal on the start state before stepping."""
-    meter.add_query()
+    meter.queries += 1
     where = f"in expand at depth {node.depth}"
     anchor = _query_prior(prior, model, node.sim_state, task, rng_query, where)
     dists = lib.distances_to(anchor)
@@ -274,7 +277,7 @@ def reference_expand(node, prior, lib, model, task, cfg, rng_query, rng_sample, 
     for slot, (proto, weight) in enumerate(zip(indices, psi)):
         state, success, used = step_macro(model, node.sim_state.copy(),
                                           lib.prototypes[proto], task)
-        meter.add_steps(used)
+        meter.sim_steps += used
         node.children.append(TreeNode(state, node.depth + 1, next_id + slot,
                                       success, proto, weight))
     return node.children
@@ -383,7 +386,7 @@ def test_perfect_prior_returns_plan_in_one_iteration(env, model, tasks, library)
     prior = ScriptedExpertPrior(model, cfg.horizon, 0.0)
     state = env.reset(0, tasks[0].task_id)
     out = search_once(state, tasks[0], prior, library, model, cfg,
-                      streams=RngFactory(0))
+                      streams=RngFactory(0), meter=CostMeter(cfg))
     assert out.kind == GOAL_PLAN and out.iterations_used == 1
 
 
@@ -394,7 +397,7 @@ def test_goal_plans_replay_to_goal(env, model, tasks, library):
         task = tasks[2]
         state = env.reset(seed, task.task_id)
         out = search_once(state, task, prior, library, model, cfg,
-                          streams=RngFactory(seed))
+                          streams=RngFactory(seed), meter=CostMeter(cfg))
         if out.kind == GOAL_PLAN:
             final, ok, _ = replay_plan(BlockNavEnv.from_json(env.to_json()),
                                        state, out.plan, task)
@@ -408,7 +411,8 @@ def test_root_already_at_goal(env, model, tasks, library):
         state = env.step(state, _steer_values(env, task)(state.values))
     cfg = SearchConfig()
     prior = ScriptedExpertPrior(model, cfg.horizon, 0.0)
-    out = search_once(state, task, prior, library, model, cfg, streams=RngFactory(0))
+    out = search_once(state, task, prior, library, model, cfg, streams=RngFactory(0),
+                      meter=CostMeter(cfg))
     assert out.kind == GOAL_PLAN and out.plan == [] and out.iterations_used == 0
 
 
@@ -417,7 +421,8 @@ def test_budget_exhaustion_returns_most_visited(env, model, tasks, library):
     prior = UniformLibraryPrior(library)
     task = tasks[2]
     state = env.reset(0, task.task_id)
-    out = search_once(state, task, prior, library, model, cfg, streams=RngFactory(3))
+    out = search_once(state, task, prior, library, model, cfg, streams=RngFactory(3),
+                      meter=CostMeter(cfg))
     assert out.kind == BEST_ROOT_MACRO
     assert out.iterations_used == cfg.n_mc
     assert np.shape(out.best_macro) == (library.horizon, library.action_dim)
@@ -430,7 +435,7 @@ def test_search_deterministic(env, model, tasks, library):
     task = tasks[1]
     state = env.reset(5, task.task_id)
     outs = [search_once(state, task, prior, library, model, cfg,
-                        streams=RngFactory(5)) for _ in range(2)]
+                        streams=RngFactory(5), meter=CostMeter(cfg)) for _ in range(2)]
     assert outs[0].kind == outs[1].kind
     assert outs[0].iterations_used == outs[1].iterations_used
     if outs[0].kind == GOAL_PLAN:
@@ -445,7 +450,7 @@ def test_search_deadline_cuts_iterations(env, model, tasks, library):
     prior = UniformLibraryPrior(library)
     state = env.reset(0, tasks[2].task_id)
     out = search_once(state, tasks[2], prior, library, model, cfg,
-                      streams=RngFactory(0))
+                      streams=RngFactory(0), meter=CostMeter(cfg))
     assert out.kind == BEST_ROOT_MACRO
     assert out.iterations_used < 200
 
@@ -459,7 +464,7 @@ def test_search_with_a_used_meter_stops_at_t_max(env, model, tasks, library):
     task = tasks[2]
     state = env.reset(0, task.task_id)
     used = CostMeter(cfg)
-    used.add_steps(500)  # 0.05 cost-model seconds
+    used.sim_steps += 500  # 0.05 cost-model seconds
     outs = [search_once(state, task, prior, library, model, c, streams=RngFactory(0),
                         meter=meter)
             for c, meter in ((cfg, CostMeter(cfg)), (cfg, used), (half, CostMeter(half)))]
@@ -542,7 +547,7 @@ def test_small_instance_optimality(goal_pos, reachable):
                        epsilon_beta=1.0, alpha_psi=0.0, t_max=1e9)
     prior = UniformLibraryPrior(lib)
     out = search_once(world.reset(0, "chain"), task, prior, lib, world, cfg,
-                      streams=RngFactory(0))
+                      streams=RngFactory(0), meter=CostMeter(cfg))
     assert (out.kind == GOAL_PLAN) == reachable
 
 
@@ -592,7 +597,8 @@ def test_episode_replans_after_a_goal_plan_misses(field, seed, task_index, env, 
     prior = ScriptedExpertPrior(model, cfg.horizon, 0.2)
     task = tasks[task_index]
     start = env.reset(seed, task.task_id)
-    first = search_once(start, task, prior, library, model, cfg, streams=RngFactory(seed))
+    first = search_once(start, task, prior, library, model, cfg, streams=RngFactory(seed),
+                        meter=CostMeter(cfg))
     assert first.kind == GOAL_PLAN and not replay_plan(env, start, first.plan, task)[1]
     result = run_episode(env, model, task, prior, library, cfg,
                          streams=RngFactory(seed), reset_seed=seed)
@@ -635,7 +641,8 @@ def test_search_writes_no_state_it_is_given(world_name, env, tasks, library):
     for world, task, lib, prior, cfg, kind in _no_write_cases(world_name, env, tasks, library):
         start = world.reset(0, task.task_id)
         before = _snapshot(start)
-        out = search_once(start, task, prior, lib, world, cfg, streams=RngFactory(0))
+        out = search_once(start, task, prior, lib, world, cfg, streams=RngFactory(0),
+                          meter=CostMeter(cfg))
         assert out.kind == kind and _snapshot(start) == before
         plan = out.plan if kind == GOAL_PLAN else [out.best_macro]
         assert replay_plan(world, start, plan, task)[2] > 0 and _snapshot(start) == before
@@ -685,6 +692,48 @@ def test_check_tree_rejects_too_many_nodes_and_lost_visits():
         _check_tree(root, SearchOutcome(BEST_ROOT_MACRO, iterations_used=2), cfg)
 
 
+# -- a state whose carried slot is not a number --------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(carried=st.sampled_from([math.nan, math.inf, -math.inf]),
+       values=st.lists(st.floats(0.0, 10.0), min_size=6, max_size=6),
+       grip=st.sampled_from([-1.0, 0.0, 1.0]), which=st.integers(0, 5))
+def test_a_non_number_carried_slot_is_a_contract_violation_naming_the_site(
+        env, model, tasks, library, carried, values, grip, which):
+    # the goal, the kernel's door for step and run_macro, and the expert's own
+    # kernel steps each name where the state was refused; step_macro and the
+    # search test the goal on it first, and none of them changes it
+    rx, ry, *objects = values
+    state = StateVec([rx, ry, grip, carried, *objects], 2)
+    before = repr(state.values)
+    task = tasks[which]
+    cfg = SearchConfig(n_mc=2, k=4, d_sim_max=8)
+    expert = ScriptedExpertPrior(model, cfg.horizon, 0.0)
+    macro = [(0.1, 0.0, 1.0)] * 4
+    goal_site = f"goal of {task.task_id}"
+    sites = [
+        (goal_site, lambda: task.goal_predicate(state)),
+        (goal_site, lambda: step_macro(env, state, macro, task)),
+        (goal_site, lambda: search_once(state, task, expert, library, model, cfg,
+                                        streams=RngFactory(0), meter=CostMeter(cfg))),
+        (goal_site, lambda: expert.sample_macro(model.observe(state), task,
+                                                np.random.default_rng(0))),
+        ("BlockNavEnv.step", lambda: env.step(state, macro[0])),
+        ("BlockNavEnv.run_macro", lambda: env.run_macro(state, macro, task)),
+        # at noise 1 the expert steps a random first row without asking the goal
+        ("ScriptedExpertPrior.sample_macro", lambda: ScriptedExpertPrior(
+            model, cfg.horizon, 1.0).sample_macro(model.observe(state), task,
+                                                  np.random.default_rng(0))),
+    ]
+    for site, call in sites:
+        with pytest.raises(ContractViolationError, match=(
+                rf"^{re.escape(site)}: the state's carried slot \(index 3\) holds "
+                rf"{re.escape(repr(carried))}")):
+            call()
+        assert repr(state.values) == before and state.step_count == 2
+
+
 # -- rollout against the row-by-row loop ----------------------------------------
 
 def reference_rollout(model, prior, start, task, cfg, rng, meter=None):
@@ -696,14 +745,14 @@ def reference_rollout(model, prior, start, task, cfg, rng, meter=None):
     macros = []
     while steps < cfg.d_sim_max:
         if meter is not None:
-            meter.add_query()
+            meter.queries += 1
         macro = prior.sample_macro(model.observe(state), task, rng)
         macros.append(macro)
         for row in macro:
             state = model.step(state, row)
             steps += 1
             if meter is not None:
-                meter.add_steps(1)
+                meter.sim_steps += 1
             if task.goal_predicate(state):
                 return True, steps, macros
             if steps >= cfg.d_sim_max:

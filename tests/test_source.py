@@ -89,6 +89,18 @@ def test_all_is_exactly_what_the_package_imports():
     assert all(hasattr(vlaps, name) for name in vlaps.__all__)
 
 
+def test_no_package_module_reads_the_environment():
+    # a run is set by its config and arguments alone; a setting read from the
+    # process environment is a global one that no config records
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in ("environ", "environb", "getenv", "getenvb", "putenv"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_only_rngutil_builds_seed_sequences():
     # every stream is RngFactory.rng's SeedSequence over the entropy and key
     # words; a SeedSequence built elsewhere would be a second derivation rule
