@@ -81,10 +81,10 @@ def save_trajectories(trajs: Iterable[Trajectory], path) -> None:
 
 
 def load_trajectories(path) -> list[Trajectory]:
-    """Read the JSON lines ``save_trajectories`` writes; each action must pass
-    ``check_macro`` as a macro of one row, as wide as the file's first action."""
+    """Read the JSON lines ``save_trajectories`` writes; each state and each action
+    must pass ``check_macro`` as a macro of one row, as wide as the file's first."""
     groups: dict[int, dict] = {}
-    width = None
+    widths = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -101,11 +101,11 @@ def load_trajectories(path) -> list[Trajectory]:
                 if type(rec["success"]) is not bool or rec["success"] != g["success"]:
                     raise TypeError(f"success must be true or false, and the same on every "
                                     f"record of a trajectory; got {rec['success']!r}")
-                g["states"].append(np.asarray(rec["state"], dtype=float))
-                if width is None:
-                    width = len(rec["action"])
-                g["actions"].append(check_macro([rec["action"]], width,
-                                                f"traj_id={rec['traj_id']!r}: action")[0])
+                if widths is None:
+                    widths = len(rec["state"]), len(rec["action"])
+                what = f"traj_id={rec['traj_id']!r}:"
+                g["states"].append(check_macro([rec["state"]], widths[0], f"{what} state")[0])
+                g["actions"].append(check_macro([rec["action"]], widths[1], f"{what} action")[0])
             except (KeyError, TypeError, ValueError, ContractViolationError) as exc:
                 raise ConfigurationError(f"{path}:{lineno}: bad trajectory ({exc!r})") from exc
     try:

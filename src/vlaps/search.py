@@ -314,38 +314,38 @@ def search_once(
     if root.is_goal:
         return finish(GOAL_PLAN, plan=[])
 
-    rollouts = 0
     for it in range(1, cfg.n_mc + 1):
         if meter.elapsed() >= cfg.t_max:
             break
         iterations = it
         leaf, path = select_path(root, cfg) if it > 1 else (root, [])
-        # iteration 1 rolls the prior out from the root before it expands the
-        # root, with no deadline check in between
-        for expand_leaf in ((False, True) if it == 1 else (True,)):
-            if expand_leaf and leaf.depth < cfg.d_max:
-                children = expand(
-                    leaf, prior, lib, model, task, cfg,
-                    streams.rng(PRIOR_QUERY, dp, leaf.node_id),
-                    streams.rng(CANDIDATES, dp, leaf.node_id),
-                    meter, nodes_created,
-                )
-                nodes_created += len(children)
-                for idx, child in enumerate(children):
-                    if child.is_goal:
-                        plan = _path_macros(path + [(leaf, idx)], lib)
-                        return finish(GOAL_PLAN, plan=plan)
-                best = _best_candidate(leaf)
-                path.append((leaf, best))
-                leaf = children[best]
-            success, _, macros = rollout(
-                model, prior, leaf.sim_state, task, cfg,
-                streams.rng(ROLLOUT, dp, rollouts), meter,
-            )
-            rollouts += 1
+        if it == 1:
+            # first roll the prior out from the root, with no deadline check
+            # before the root is expanded
+            success, _, macros = rollout(model, prior, root_state, task, cfg,
+                                         streams.rng(ROLLOUT, dp, 0), meter)
             if success:
-                plan = _path_macros(path, lib) + macros
-                return finish(GOAL_PLAN, plan=plan)
+                return finish(GOAL_PLAN, plan=macros)
+        if leaf.depth < cfg.d_max:
+            children = expand(
+                leaf, prior, lib, model, task, cfg,
+                streams.rng(PRIOR_QUERY, dp, leaf.node_id),
+                streams.rng(CANDIDATES, dp, leaf.node_id),
+                meter, nodes_created,
+            )
+            nodes_created += len(children)
+            for idx, child in enumerate(children):
+                if child.is_goal:
+                    plan = _path_macros(path + [(leaf, idx)], lib)
+                    return finish(GOAL_PLAN, plan=plan)
+            best = _best_candidate(leaf)
+            path.append((leaf, best))
+            leaf = children[best]
+        success, _, macros = rollout(model, prior, leaf.sim_state, task, cfg,
+                                     streams.rng(ROLLOUT, dp, it), meter)
+        if success:
+            plan = _path_macros(path, lib) + macros
+            return finish(GOAL_PLAN, plan=plan)
         backpropagate(path)
 
     # budget exhausted: most-visited root macro
@@ -410,7 +410,7 @@ def run_episode(
     model: WorldModel,
     task: TaskSpec,
     prior: PriorPolicy,
-    lib: Optional[MacroLibrary],
+    lib: MacroLibrary,
     cfg: SearchConfig,
     streams: RngFactory,
     reset_seed: int = 0,
@@ -432,9 +432,6 @@ def run_episode(
             env, prior, state, task, cfg, streams.rng(ROLLOUT, 0, 0), meter
         )
         return EpisodeResult(success, steps, 0, meter.elapsed(), meter.queries)
-
-    if lib is None:
-        raise ConfigurationError("run_episode requires a macro library when n_mc > 0")
 
     primitive_steps = 0
     decision_points = 0

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, check_fields
-from .rngutil import RngFactory, stable_hash
+from .rngutil import RESET, RngFactory, stable_hash
 
 
 @dataclass(slots=True)
@@ -126,6 +126,8 @@ class BlockNavEnv(WorldModel):
         base = [_OBJECT_FRACTIONS[i % len(_OBJECT_FRACTIONS)] for i in range(self.object_count)]
         self.base_object_positions = np.array(base) * self.extent
         self.state_dim = 4 + 2 * self.object_count
+        # the carried slot's valid values, -1 (none) and each object index; NaN is in none
+        self.carried_slots = frozenset(map(float, range(-1, self.object_count)))
 
     # -- interface ---------------------------------------------------------
 
@@ -134,7 +136,7 @@ class BlockNavEnv(WorldModel):
         return 3
 
     def reset(self, seed: int, task_id: str) -> StateVec:
-        rng = RngFactory(seed, stable_hash(task_id)).rng(0)
+        rng = RngFactory(seed, stable_hash(task_id)).rng(RESET)
         values = np.zeros(self.state_dim)
         values[_RX] = values[_RY] = self.extent / 2.0
         values[_GRIP] = -1.0
@@ -158,20 +160,6 @@ class BlockNavEnv(WorldModel):
         done = self._step_rows(out, rows, task.goal_predicate, "BlockNavEnv.run_macro")
         return out, done, out.step_count - state.step_count
 
-    def _kernel_error(self, state: StateVec, exc: Exception, what: str) -> Exception:
-        """What to raise for ``exc`` from ``_step_rows`` on ``state``: a
-        ``ContractViolationError`` naming ``what`` if the state is too short or
-        its carried slot names no object, else ``exc``, such as a goal's own."""
-        v, count = state.values, self.object_count
-        if len(v) < self.state_dim:
-            return ContractViolationError(
-                f"{what}: the state has {len(v)} values, not {self.state_dim}")
-        if -math.inf < v[_CARRIED] < count:  # neither NaN, infinite nor too big for int()
-            return exc
-        return ContractViolationError(
-            f"{what}: the state's carried slot (index {_CARRIED}) holds {v[_CARRIED]!r}, "
-            f"neither negative (none) nor an object index below {count}")
-
     def _step_rows(self, state: StateVec, rows: Sequence, goal: Callable | None,
                    what: str) -> bool:
         """Apply the primitives ``(ax, ay, g)`` of ``rows`` to ``state`` in
@@ -180,7 +168,9 @@ class BlockNavEnv(WorldModel):
         custom goal is tested after every row; a built-in one only after the
         first row and each pick or drop, since it reads only the carried index
         and its object, which moves only while carried, when the goal is false.
-        A state it cannot step raises what ``_kernel_error`` gives for ``what``.
+        Before any row, a state of the wrong length, or whose carried slot is
+        neither -1 nor an object index, raises ``ContractViolationError``
+        naming ``what``; a goal's own error passes through unchanged.
 
         Scalar arithmetic on Python floats, the same IEEE operations as the
         numpy form.  Each clip is min(max(x, lo), hi) written as conditionals,
@@ -189,37 +179,41 @@ class BlockNavEnv(WorldModel):
         what it changes, so ``goal`` sees the whole state wherever it is tested.
         """
         v, low, max_step, extent = state.values, -self.max_step, self.max_step, self.extent
+        if len(v) != self.state_dim:
+            raise ContractViolationError(
+                f"{what}: the state has {len(v)} values, not {self.state_dim}")
+        if v[_CARRIED] not in self.carried_slots:
+            raise ContractViolationError(
+                f"{what}: the state's carried slot (index {_CARRIED}) holds {v[_CARRIED]!r}, "
+                f"neither -1 (none) nor an object index below {self.object_count}")
         test = check = goal is not None
         every = getattr(goal, "__code__", None) is not _REGION_GOAL
-        try:
-            rx, ry, grip, carried = v[_RX], v[_RY], v[_GRIP], int(v[_CARRIED])
-            for ax, ay, g in rows:
-                rx += low if ax < low else max_step if ax > max_step else ax
-                ry += low if ay < low else max_step if ay > max_step else ay
-                v[_RX] = rx = 0.0 if rx < 0.0 else extent if rx > extent else rx
-                v[_RY] = ry = 0.0 if ry < 0.0 else extent if ry > extent else ry
-                # g == 0 holds the current gripper setting
-                if g > 0:
-                    v[_GRIP] = grip = 1.0
-                elif g < 0:
-                    v[_GRIP] = grip = -1.0
+        rx, ry, grip, carried = v[_RX], v[_RY], v[_GRIP], int(v[_CARRIED])
+        for ax, ay, g in rows:
+            rx += low if ax < low else max_step if ax > max_step else ax
+            ry += low if ay < low else max_step if ay > max_step else ay
+            v[_RX] = rx = 0.0 if rx < 0.0 else extent if rx > extent else rx
+            v[_RY] = ry = 0.0 if ry < 0.0 else extent if ry > extent else ry
+            # g == 0 holds the current gripper setting
+            if g > 0:
+                v[_GRIP] = grip = 1.0
+            elif g < 0:
+                v[_GRIP] = grip = -1.0
+            if carried >= 0:
+                if grip < 0:
+                    v[_CARRIED], carried, test = -1.0, -1, check
+                else:
+                    v[4 + 2 * carried], v[5 + 2 * carried] = rx, ry
+            elif grip > 0:
+                carried = self._nearest_object(v)
                 if carried >= 0:
-                    if grip < 0:
-                        v[_CARRIED], carried, test = -1.0, -1, check
-                    else:
-                        v[4 + 2 * carried], v[5 + 2 * carried] = rx, ry
-                elif grip > 0:
-                    carried = self._nearest_object(v)
-                    if carried >= 0:
-                        v[_CARRIED], test = float(carried), check
-                        v[4 + 2 * carried], v[5 + 2 * carried] = rx, ry
-                state.step_count += 1
-                if test:
-                    if goal(state):
-                        return True
-                    test = every
-        except (ValueError, IndexError, OverflowError) as exc:
-            raise self._kernel_error(state, exc, what)
+                    v[_CARRIED], test = float(carried), check
+                    v[4 + 2 * carried], v[5 + 2 * carried] = rx, ry
+            state.step_count += 1
+            if test:
+                if goal(state):
+                    return True
+                test = every
         return False
 
     def observe(self, state: StateVec) -> tuple:

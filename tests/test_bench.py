@@ -9,13 +9,11 @@ import pytest
 REPO = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["trend_suite", "uniform_deep", "expand_heavy"])
-def test_bench_workload_runs_and_matches_its_pins(workload):
-    # the other tests reach none of the bench's imports, its set-up, its clock
-    # hooks, its checks or its search digests; one short run of each workload
-    # does, and an exception escaping its per-op guard exits 1
+def _run_and_check_pins(workload, trace):
+    """The standard output lines of one short seed-0 run of ``workload``, after
+    checking that it exits 0, is correct and matches its setup and seed-0 pins."""
     command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", "0",
-               "--seconds", "0.01", "--trace", "0"]
+               "--seconds", "0.01", "--trace", str(trace)]
     run = subprocess.run(command, cwd=REPO, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
@@ -24,6 +22,21 @@ def test_bench_workload_runs_and_matches_its_pins(workload):
     pinned = [line for line in lines
               if line.startswith(("setup:", f"fingerprint {workload} seed 0:"))]
     assert len(pinned) == 2 and all(line.endswith("(unchanged)") for line in pinned), pinned
+    return lines
+
+
+@pytest.mark.parametrize("workload", ["trend_suite", "uniform_deep", "expand_heavy"])
+def test_bench_workload_runs_and_matches_its_pins(workload):
+    # the other tests reach none of the bench's imports, its set-up, its clock
+    # hooks, its checks or its search digests; one short run of each workload
+    # does, and an exception escaping its per-op guard exits 1
+    _run_and_check_pins(workload, 0)
+
+
+def test_traced_trend_suite_counts_match_the_cost_meter():
+    # a traced run also reaches the tracer's counters and the layer table
+    lines = _run_and_check_pins("trend_suite", 1)
+    assert any(line.startswith("traced counts match the CostMeter:") for line in lines), lines
 
 
 def test_search_digests_match_their_pins_on_more_seeds(tmp_path, monkeypatch):

@@ -335,6 +335,15 @@ def test_trajectory_action_of_strings_or_bools_is_config_error(action, tmp_path)
         load_trajectories(path)
 
 
+def test_trajectory_state_of_strings_or_bools_is_config_error(tmp_path):
+    # a state is read by the same rule, as a row as wide as the file's first state
+    path = tmp_path / "trajs.jsonl"
+    path.write_text(json.dumps({"traj_id": 0, "success": True, "state": ["1", True, 2],
+                                "action": [0.0, 0.0, 1.0]}) + "\n")
+    with pytest.raises(ConfigurationError, match=r"trajs\.jsonl:1: .*state .*not numeric"):
+        load_trajectories(path)
+
+
 @pytest.mark.parametrize("name", ["prototypes", "per_dim_mean", "per_dim_std"])
 @pytest.mark.parametrize("bad", ["0", False, True, "1"])
 def test_library_numbers_of_strings_or_bools_are_config_error(library, tmp_path, name, bad):

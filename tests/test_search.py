@@ -605,13 +605,6 @@ def test_episode_replans_after_a_goal_plan_misses(field, seed, task_index, env, 
     assert result.success and result.decision_points > 1
 
 
-def test_episode_requires_library_when_searching(env, model, tasks):
-    cfg = SearchConfig()
-    prior = ScriptedExpertPrior(model, cfg.horizon, 0.0)
-    with pytest.raises(ConfigurationError):
-        run_episode(env, model, tasks[0], prior, None, cfg, streams=RngFactory(0))
-
-
 # -- the search writes no state it is given ---------------------------------------
 
 def _snapshot(state):
@@ -701,7 +694,7 @@ def test_check_tree_rejects_too_many_nodes_and_lost_visits():
        grip=st.sampled_from([-1.0, 0.0, 1.0]), which=st.integers(0, 5))
 def test_a_non_number_carried_slot_is_a_contract_violation_naming_the_site(
         env, model, tasks, library, carried, values, grip, which):
-    # the goal, the kernel's door for step and run_macro, and the expert's own
+    # the goal, the kernel's entry check for step and run_macro, and the expert's own
     # kernel steps each name where the state was refused; step_macro and the
     # search test the goal on it first, and none of them changes it
     rx, ry, *objects = values

@@ -389,26 +389,42 @@ def test_step_macro_rejects_a_non_finite_row_naming_it(env, tasks, bad):
 
 
 @pytest.mark.parametrize("method", ["step", "run_macro"])
-@pytest.mark.parametrize("case", ["nan", "inf", "-inf", "object_count", "no_carried_slot",
-                                  "one_value_short"])
+@pytest.mark.parametrize("case", ["nan", "inf", "-inf", "-2.0", "object_count",
+                                  "dropped_slot", "no_carried_slot", "one_value_short",
+                                  "one_value_long"])
 def test_bad_state_is_a_contract_violation_naming_the_method(env, tasks, method, case):
-    # a closed gripper beside object 0, so each bad state reaches the kernel's
-    # int() of the carried slot, a carried object's write or the pick search
-    values = [5.0, 5.0, 1.0, -1.0, 5.1, 5.0, 9.0, 9.0]
+    # the kernel checks the state before its first row: a closed gripper beside
+    # object 0 would pick it or move a carried one, and an open gripper would
+    # drop the carried slot 5 without reading it
+    values, action = [5.0, 5.0, 1.0, -1.0, 5.1, 5.0, 9.0, 9.0], (0.1, 0.0, 1.0)
     if case == "no_carried_slot":
         values, fault = values[:3], "the state has 3 values, not 8"
     elif case == "one_value_short":
         values, fault = values[:-1], "the state has 7 values, not 8"
+    elif case == "one_value_long":
+        values, fault = values + [0.0], "the state has 9 values, not 8"
     else:
-        values[3] = float(env.object_count) if case == "object_count" else float(case)
+        if case == "dropped_slot":
+            values, action = [5, 5, 1, 5.0, 1, 1, 2, 2], (0, 0, -1)
+        else:
+            values[3] = float(env.object_count) if case == "object_count" else float(case)
         fault = rf"the state's carried slot \(index 3\) holds {values[3]!r}, neither"
     state, before = StateVec(values, 4), repr(values)
     with pytest.raises(ContractViolationError, match=rf"^BlockNavEnv\.{method}: {fault}"):
         if method == "step":
-            env.step(state, (0.1, 0.0, 1.0))
+            env.step(state, action)
         else:
-            env.run_macro(state, [(0.1, 0.0, 1.0)] * 3, tasks[0])
+            env.run_macro(state, [action] * 3, tasks[0])
     assert repr(state.values) == before and state.step_count == 4
+
+
+def test_noisy_expert_refuses_a_state_one_value_too_long(env, tasks):
+    # at noise 1 the expert asks neither the goal nor the steering rule, so
+    # its own kernel step is the first to see the observation
+    obs = env.observe(env.reset(0, tasks[0].task_id)) + (0.0,)
+    with pytest.raises(ContractViolationError, match=(
+            r"^ScriptedExpertPrior\.sample_macro: the state has 9 values, not 8")):
+        ScriptedExpertPrior(env, 4, 1.0).sample_macro(obs, tasks[0], np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("error", [ValueError, IndexError])
