@@ -1,6 +1,7 @@
 """Command-line entry points: build-library, run-suite, report.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 run failed (any other
+package error, such as a failed prior query or a broken contract).
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, VlapsError
 from .harness import (
     SuiteConfig,
     aggregate,
@@ -23,6 +24,7 @@ from .macrolib import build_library, load_trajectories, segment_trajectories
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
+EXIT_RUN = 4
 
 
 def _cmd_build_library(args) -> int:
@@ -98,6 +100,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except VlapsError as exc:
+        print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_RUN
 
 
 if __name__ == "__main__":

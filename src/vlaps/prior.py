@@ -58,9 +58,14 @@ def _validated(probs: np.ndarray, epsilon: float) -> np.ndarray:
     return probs
 
 
-def _shifted_softmax(neg_scaled: np.ndarray) -> np.ndarray:
-    shifted = neg_scaled - neg_scaled.max()
-    weights = np.exp(shifted)
+def _shifted_softmax(neg_scaled: np.ndarray, dists: np.ndarray) -> np.ndarray:
+    top = neg_scaled.max()
+    if top == -math.inf:
+        # every scaled distance overflowed: the softmax's limit as alpha grows,
+        # uniform over the nearest macros
+        weights = (dists == dists.min()).astype(float)
+    else:
+        weights = np.exp(neg_scaled - top)
     return weights / weights.sum()
 
 
@@ -69,7 +74,9 @@ def beta_distribution(dists: np.ndarray, alpha: float, epsilon: float) -> np.nda
 
     ``probs[i] = (1-eps) * softmax_i(-alpha * dists[i]) + eps/len(dists)``,
     with the softmax computed under a max-shift for stability.  At
-    ``eps = 0`` this is the softmax itself, bit for bit.
+    ``eps = 0`` this is the softmax itself, bit for bit.  If ``alpha`` is so
+    large that every ``-alpha * dists[i]`` is -inf, the softmax is its limit,
+    uniform over the indices of the smallest distance.
     """
     if alpha < 0:
         raise ConfigurationError(f"alpha must be >= 0, got {alpha}")
@@ -77,7 +84,7 @@ def beta_distribution(dists: np.ndarray, alpha: float, epsilon: float) -> np.nda
         raise ConfigurationError(f"epsilon must be in [0,1], got {epsilon}")
     if len(dists) == 0:
         raise ContractViolationError("cannot build a prior over no macros")
-    probs = (1.0 - epsilon) * _shifted_softmax(-alpha * dists) + epsilon / len(dists)
+    probs = (1.0 - epsilon) * _shifted_softmax(-alpha * dists, dists) + epsilon / len(dists)
     return _validated(probs, epsilon)
 
 

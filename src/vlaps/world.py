@@ -32,12 +32,13 @@ class StateVec:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """A task: natural-language label plus a decidable goal predicate."""
+    """A task: natural-language label plus a decidable goal predicate, and for a built-in
+    task its ``target``, which the scripted expert steers for even if the predicate is replaced."""
 
     task_id: str
     instruction: str
     goal_predicate: Callable[[StateVec], bool]
-    metadata: dict = field(default_factory=dict)
+    target: RegionGoal | None = None
 
 
 class WorldModel(ABC):
@@ -93,6 +94,47 @@ _REGION_FRACTIONS = [(0.15, 0.15), (0.85, 0.85), (0.15, 0.85)]
 # than this (times the radius, if above 1) from the region radius; a closer one,
 # which may differ from numpy's fused norm in the last bit, defers to _fused_norm
 _GOAL_TIE_MARGIN = 1e-9
+
+
+@dataclass(frozen=True, slots=True)
+class RegionGoal:
+    """BlockNav's goal: object ``obj`` is not carried and lies within ``radius`` of the
+    centre ``(cx, cy)`` of region ``region``.  ``reached`` is a built-in task's predicate;
+    the kernel and the expert know it by its ``__self__`` and test it only where it can change."""
+
+    obj: int
+    region: int
+    cx: float
+    cy: float
+    radius: float
+    # squared distances below inside or above outside decide the goal; the
+    # max leaves a radius below the margin no inside at all
+    inside: float = field(init=False)
+    outside: float = field(init=False)
+
+    def __post_init__(self):
+        margin = _GOAL_TIE_MARGIN * max(1.0, self.radius)
+        object.__setattr__(self, "inside", max(self.radius - margin, 0.0) ** 2)
+        object.__setattr__(self, "outside", (self.radius + margin) ** 2)
+
+    def reached(self, state: StateVec) -> bool:
+        v, obj = state.values, self.obj
+        try:
+            if int(v[_CARRIED]) == obj:
+                return False
+        except (ValueError, OverflowError):
+            raise ContractViolationError(
+                f"goal of move_obj{obj}_to_region{self.region}: the state's carried slot "
+                f"(index {_CARRIED}) holds {v[_CARRIED]!r}, not an object index") from None
+        dx = v[4 + 2 * obj] - self.cx
+        dy = v[5 + 2 * obj] - self.cy
+        s = dx * dx + dy * dy
+        if s < self.inside:
+            return True
+        if s > self.outside:
+            return False
+        # near the boundary only the fused norm's rounding is bit-exact
+        return _fused_norm(dx, dy) <= self.radius
 
 
 @dataclass(eq=False)
@@ -187,7 +229,7 @@ class BlockNavEnv(WorldModel):
                 f"{what}: the state's carried slot (index {_CARRIED}) holds {v[_CARRIED]!r}, "
                 f"neither -1 (none) nor an object index below {self.object_count}")
         test = check = goal is not None
-        every = getattr(goal, "__code__", None) is not _REGION_GOAL
+        every = type(getattr(goal, "__self__", None)) is not RegionGoal
         rx, ry, grip, carried = v[_RX], v[_RY], v[_GRIP], int(v[_CARRIED])
         for ax, ay, g in rows:
             rx += low if ax < low else max_step if ax > max_step else ax
@@ -243,57 +285,18 @@ class BlockNavEnv(WorldModel):
     # -- tasks --------------------------------------------------------------
 
     def tasks(self) -> list[TaskSpec]:
-        out = []
-        for i in range(self.object_count):
-            for j in range(len(self.regions)):
-                out.append(self._make_task(i, j))
-        return out
+        goals = [RegionGoal(obj, region, cx, cy, self.region_radius)
+                 for obj in range(self.object_count)
+                 for region, (cx, cy) in enumerate(self.regions.tolist())]
+        return [TaskSpec(f"move_obj{g.obj}_to_region{g.region}",
+                         f"move object {g.obj} to region {g.region}", g.reached, target=g)
+                for g in goals]
 
     def task_by_id(self, task_id: str) -> TaskSpec:
         for task in self.tasks():
             if task.task_id == task_id:
                 return task
         raise ConfigurationError(f"unknown task_id {task_id!r}")
-
-    def _make_task(self, obj: int, region: int) -> TaskSpec:
-        radius = self.region_radius
-        cx, cy = self.regions[region].tolist()
-        ix, task_id = 4 + 2 * obj, f"move_obj{obj}_to_region{region}"
-        margin = _GOAL_TIE_MARGIN * max(1.0, radius)
-        # squared distances below inside or above outside decide the goal; the
-        # max leaves a radius below the margin no inside at all
-        inside, outside = max(radius - margin, 0.0) ** 2, (radius + margin) ** 2
-
-        def goal(state: StateVec) -> bool:
-            v = state.values
-            try:
-                if int(v[_CARRIED]) == obj:
-                    return False
-            except (ValueError, OverflowError):
-                raise ContractViolationError(
-                    f"goal of {task_id}: the state's carried slot (index {_CARRIED}) "
-                    f"holds {v[_CARRIED]!r}, not an object index") from None
-            dx = v[ix] - cx
-            dy = v[ix + 1] - cy
-            s = dx * dx + dy * dy
-            if s < inside:
-                return True
-            if s > outside:
-                return False
-            # near the boundary only the fused norm's rounding is bit-exact
-            return _fused_norm(dx, dy) <= radius
-
-        return TaskSpec(
-            task_id=task_id,
-            instruction=f"move object {obj} to region {region}",
-            goal_predicate=goal,
-            metadata={
-                "object_index": obj,
-                "region_index": region,
-                "region_center": [cx, cy],
-                "region_radius": radius,
-            },
-        )
 
     def to_json(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -376,9 +379,6 @@ def step_macro(
 
 _DROP_FRACTION = 0.5  # drop once within this fraction of the region radius
 _DEMO_STEPS = 100  # steps of an expert demonstration before it counts as failed
-# the code of the goal closure _make_task builds: a built-in goal is known by it,
-# and any wrapper, even one made by functools.wraps, has code of its own
-_REGION_GOAL = next(c for c in BlockNavEnv._make_task.__code__.co_consts if hasattr(c, "co_code"))
 
 
 def _fused_norm(dx: float, dy: float) -> float:
@@ -405,8 +405,10 @@ def _steer_values(env: BlockNavEnv, task: TaskSpec) -> Callable[[list], tuple]:
     """The controller's steering rule for ``task``: a function from the values
     of a state its caller knows is not a goal to the action there.  The task's
     and the environment's constants are read once, when the rule is built."""
-    obj = task.metadata["object_index"]
-    cx, cy = task.metadata["region_center"]
+    if task.target is None:
+        raise ContractViolationError(
+            f"ScriptedExpertPrior: task {task.task_id!r} has no target to steer for")
+    obj, cx, cy = task.target.obj, task.target.cx, task.target.cy
     drop_reach, pick_reach = env.region_radius * _DROP_FRACTION, env.pick_radius * 0.8
     max_step = env.max_step
 
@@ -453,7 +455,7 @@ class ScriptedExpertPrior:
     def sample_macro(self, obs: tuple, task: TaskSpec, rng: np.random.Generator) -> list[tuple]:
         env, noise_level, high = self.env, self.noise_level, self.env.max_step
         goal, steer, state = task.goal_predicate, _steer_values(env, task), StateVec(list(obs))
-        every, done, rows = getattr(goal, "__code__", None) is not _REGION_GOAL, None, []
+        every, done, rows = type(getattr(goal, "__self__", None)) is not RegionGoal, None, []
         for _ in range(self.horizon):
             if noise_level > 0.0 and rng.random() < noise_level:
                 # rng.uniform(-high, high) twice, then rng.uniform(-1, 1): numpy's

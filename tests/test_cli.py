@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from vlaps.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from vlaps.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUN, main
 from vlaps.harness import collect_expert_trajectories
 from vlaps.macrolib import MacroLibrary, save_trajectories
 from vlaps.search import SearchConfig
+from vlaps.world import ScriptedExpertPrior
 
 
 @pytest.fixture(scope="module")
@@ -395,3 +396,33 @@ def test_non_finite_trajectory_action_is_config_error(traj_file, tmp_path, capsy
                  "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "trajs.jsonl:3" in err and "not finite" in err and not out.exists()
+
+
+def test_failed_run_is_exit_4_with_one_line(tmp_path, monkeypatch, capsys):
+    # a package error other than configuration or I/O, here the search's
+    # PriorQueryError around a failing expert, is reported, not raised
+    def broken(self, obs, task, rng):
+        raise RuntimeError("expert broke")
+
+    monkeypatch.setattr(ScriptedExpertPrior, "sample_macro", broken)
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps({"task_ids": ["move_obj0_to_region2"], "seeds": [0],
+                                    "noise_levels": [0.0], "search": {"N_mc": 5}}))
+    monkeypatch.chdir(tmp_path)
+    assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_RUN
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: PriorQueryError: ") and "expert broke" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_an_alpha_at_which_every_scaled_distance_overflows_runs(tmp_path, monkeypatch, capsys):
+    # -alpha * dists is -inf for every macro, where the softmax's max-shift
+    # alone would give NaN; the prior is then uniform over the nearest macros
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps({"task_ids": ["move_obj0_to_region2"], "seeds": [0],
+                                    "noise_levels": [1.0],
+                                    "search": {"N_mc": 5, "alpha_beta": 1e308}}))
+    monkeypatch.chdir(tmp_path)
+    with np.errstate(over="ignore"):
+        assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_OK
+    assert "2 records" in capsys.readouterr().out

@@ -82,6 +82,20 @@ def test_beta_invalid_params():
         beta_distribution(np.zeros(0), alpha=1.0, epsilon=0.0)
 
 
+def test_beta_at_an_alpha_that_overflows_is_the_softmax_limit():
+    # every -alpha * dists[i] is -inf, so the max-shift alone gives NaN; the
+    # limit as alpha grows is uniform over the nearest macros, then mixed with
+    # epsilon as at any alpha; an alpha short of the overflow gives the same
+    dists = np.array([2.0, 3.0, 2.0, 5.0])
+    with np.errstate(over="ignore"):
+        probs = beta_distribution(dists, 1e308, 0.1)
+        assert np.allclose(probs, 0.9 * np.array([0.5, 0.0, 0.5, 0.0]) + 0.1 / 4,
+                           rtol=0.0, atol=1e-15)
+        assert np.array_equal(psi_prior(dists, 1e308, 0.0), [0.5, 0.0, 0.5, 0.0])
+    assert np.array_equal(beta_distribution(dists, 300.0, 0.1),
+                          0.9 * np.array([0.5, 0.0, 0.5, 0.0]) + 0.1 / 4)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.floats(-5, 5), min_size=2, max_size=12),

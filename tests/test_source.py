@@ -8,10 +8,9 @@ import sys
 from pathlib import Path
 
 import vlaps
-import vlaps.world as world_module
 from vlaps.harness import SuiteConfig, default_library
 from vlaps.search import SearchConfig
-from vlaps.world import BlockNavEnv
+from vlaps.world import BlockNavEnv, RegionGoal
 
 SOURCES = sorted(Path(vlaps.__file__).parent.glob("*.py"))
 REPO = Path(__file__).resolve().parents[1]
@@ -135,23 +134,24 @@ def test_the_macro_rule_lives_in_check_macro():
 
 
 def test_only_the_kernel_and_the_expert_test_for_a_built_in_goal():
-    # a built-in goal is the closure _make_task builds, known by its code
-    # object alone; only _step_rows and sample_macro test a goal for it, since
-    # only they skip rows at which its answer cannot change
+    # a built-in goal is the bound RegionGoal.reached of its task's target,
+    # known by its __self__, not by a code object; only _step_rows and
+    # sample_macro test a goal for it, since only they skip rows at which its
+    # answer cannot change.  Any other use of the name builds one.
+    assert [path.name for path in SOURCES
+            if "__code__" in path.read_text() or "co_consts" in path.read_text()] == []
     functions = [(path.name, node) for path in SOURCES
                  for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
                  if isinstance(node, ast.FunctionDef)]
+    builds = {id(node.func) for _, func in functions for node in ast.walk(func)
+              if isinstance(node, ast.Call)}
     readers = sorted((module, func.name) for module, func in functions if any(
-        isinstance(node, ast.Name) and node.id == "_REGION_GOAL" for node in ast.walk(func)))
+        isinstance(node, ast.Name) and node.id == "RegionGoal" and id(node) not in builds
+        for node in ast.walk(func)))
     assert readers == [("world.py", "_step_rows"), ("world.py", "sample_macro")]
-    builders = [(module, func.name) for module, func in functions if any(
-        isinstance(node, ast.FunctionDef) and node.name == "goal" and node is not func
-        for node in ast.walk(func))]
-    assert builders == [("world.py", "_make_task")]
-    assert world_module._REGION_GOAL in BlockNavEnv._make_task.__code__.co_consts
     env = BlockNavEnv(object_count=3)
-    assert all(task.goal_predicate.__code__ is world_module._REGION_GOAL for task in env.tasks())
-    assert [path.name for path in SOURCES if "__code__" in path.read_text()] == ["world.py"]
+    assert all(type(task.target) is RegionGoal and task.goal_predicate.__self__ is task.target
+               for task in env.tasks())
 
 
 def test_bench_tracer_still_finds_every_traced_name():

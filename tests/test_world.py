@@ -8,10 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import vlaps.world as world_module
 from vlaps.errors import ConfigurationError, ContractViolationError
 from vlaps.world import (
     BlockNavEnv,
+    RegionGoal,
     ScriptedExpertPrior,
     StateVec,
     TaskSpec,
@@ -184,8 +184,8 @@ def reference_clip_step(delta, max_step):
 def reference_greedy_expert_action(env, state, task):
     if task.goal_predicate(state):
         return np.array([0.0, 0.0, -1.0])
-    obj = task.metadata["object_index"]
-    center = np.asarray(task.metadata["region_center"])
+    obj = task.target.obj
+    center = np.array([task.target.cx, task.target.cy])
     carried = carried_index(state)
     robot = robot_position(state)
     if carried == obj:
@@ -295,7 +295,7 @@ def test_nearest_object_skips_out_of_reach_objects_exactly(env):
 def test_pick_and_carry(env, tasks):
     task = tasks[0]
     state = env.reset(0, task.task_id)
-    obj = task.metadata["object_index"]
+    obj = task.target.obj
     # walk the expert until it has picked up the target object
     for _ in range(100):
         if carried_index(state) == obj:
@@ -528,8 +528,8 @@ def reference_step(env, state, action):
 
 def reference_goal(env, task, state):
     values = np.asarray(state.values)
-    obj = task.metadata["object_index"]
-    center = env.regions[task.metadata["region_index"]]
+    obj = task.target.obj
+    center = env.regions[task.target.region]
     if int(values[3]) == obj:
         return False
     pos = values[4 + 2 * obj: 6 + 2 * obj]
@@ -687,8 +687,8 @@ def exact_offset_state(world, task, t):
     Tries both axes and both signs; an offset is exact only where the object
     coordinate falls in a binade at least as fine as t's.
     """
-    obj = task.metadata["object_index"]
-    center = world.regions[task.metadata["region_index"]]
+    obj = task.target.obj
+    center = world.regions[task.target.region]
     for axis in (0, 1):
         for sign in (-1.0, 1.0):
             pos = center.copy()
@@ -714,9 +714,9 @@ def test_goal_radius_one_ulp_either_side(env):
             for state, inside in states:
                 assert reference_goal(world, task, state) is inside
                 assert task.goal_predicate(state) is inside
-                state.values[3] = float(task.metadata["object_index"])
+                state.values[3] = float(task.target.obj)
                 assert task.goal_predicate(state) is reference_goal(world, task, state) is False
-            covered.add(task.metadata["region_index"])
+            covered.add(task.target.region)
     assert covered == {0, 1, 2}
 
 
@@ -728,7 +728,7 @@ def test_goal_on_values_matches_goal_predicate_one_ulp_either_side(env):
     for world in (env, BlockNavEnv(extent=1.5)):
         r = world.region_radius
         for task in world.tasks():
-            obj = task.metadata["object_index"]
+            obj = task.target.obj
             for t in (np.nextafter(r, 0.0), r, np.nextafter(r, 1.0)):
                 state = exact_offset_state(world, task, t)
                 if state is None:
@@ -758,8 +758,8 @@ def test_goal_matches_reference_near_boundary(env, tasks):
     r = env.region_radius
     outcomes = set()
     for task in tasks:
-        obj = task.metadata["object_index"]
-        cx, cy = env.regions[task.metadata["region_index"]]
+        obj = task.target.obj
+        cx, cy = env.regions[task.target.region]
         for theta in rng.uniform(0.0, 2.0 * np.pi, size=300):
             x, y = cx + r * np.cos(theta), cy + r * np.sin(theta)
             for _ in range(int(rng.integers(0, 3))):
@@ -780,8 +780,8 @@ def test_goal_near_boundary_calls_no_numpy_norm(env, tasks, monkeypatch):
     r = env.region_radius
     cases = []
     for task in tasks:
-        obj = task.metadata["object_index"]
-        cx, cy = task.metadata["region_center"]
+        obj = task.target.obj
+        cx, cy = task.target.cx, task.target.cy
         for theta in rng.uniform(0.0, 2.0 * np.pi, size=200):
             values = [5.0, 5.0, -1.0, -1.0, 9.0, 9.0, 9.0, 9.0]
             values[4 + 2 * obj: 6 + 2 * obj] = (cx + r * math.cos(theta),
@@ -811,8 +811,8 @@ def test_goal_matches_numpy_norm_at_every_radius_scale():
         for world in (BlockNavEnv(region_radius=radius),
                       BlockNavEnv(extent=10 * radius, region_radius=radius)):
             for task in world.tasks():
-                obj = task.metadata["object_index"]
-                cx, cy = task.metadata["region_center"]
+                obj = task.target.obj
+                cx, cy = task.target.cx, task.target.cy
                 points = [(cx + r * f * math.cos(theta), cy + r * f * math.sin(theta))
                           for r in (radius, margin, 2 * margin) for f in factors
                           for theta in angles]
@@ -831,8 +831,8 @@ def test_goal_matches_numpy_norm_at_every_radius_scale():
 
 def test_goal_false_while_carried_and_on_nan(env, tasks):
     task = tasks[0]
-    obj = task.metadata["object_index"]
-    cx, cy = task.metadata["region_center"]
+    obj = task.target.obj
+    cx, cy = task.target.cx, task.target.cy
     values = [cx, cy, 1.0, float(obj), 9.0, 9.0, 9.0, 9.0]
     values[4 + 2 * obj: 6 + 2 * obj] = (cx, cy)
     assert task.goal_predicate(StateVec(values)) is False
@@ -866,11 +866,11 @@ def reference_step_macro(step, goal, state, macro):
 def random_macro_case(world, task, rng):
     """A state and a macro; often near the task's goal region or an object."""
     values = random_state_values(world, rng)
-    obj = task.metadata["object_index"]
+    obj = task.target.obj
     where = rng.random()
     if where < 0.4:
         # the robot near the region centre, carrying the task's object or not
-        center = world.regions[task.metadata["region_index"]]
+        center = world.regions[task.target.region]
         values[0:2] = center + rng.normal(0.0, 0.5, size=2)
         values[4 + 2 * obj: 6 + 2 * obj] = values[0:2]
         values[2:4] = (1.0, float(obj)) if rng.random() < 0.7 else (-1.0, -1.0)
@@ -1032,12 +1032,12 @@ def random_expert_values(world, task, rng):
     the robot is often near the region centre or the task's object.
     """
     values = random_state_values(world, rng)
-    obj = task.metadata["object_index"]
+    obj = task.target.obj
     others = [i for i in range(world.object_count) if i != obj]
     carried = rng.choice([-1, obj, others[int(rng.integers(len(others)))]])
     values[2:4] = (1.0 if carried >= 0 else float(rng.choice([-1.0, 1.0])), float(carried))
     if rng.random() < 0.6:
-        target = (np.array(task.metadata["region_center"]) if carried == obj
+        target = (np.array([task.target.cx, task.target.cy]) if carried == obj
                   else values[4 + 2 * obj: 6 + 2 * obj])
         values[0:2] = target + rng.normal(0.0, 0.4, size=2)
     if carried >= 0:
@@ -1057,7 +1057,7 @@ def test_expert_action_matches_numpy_reference_random():
             ref = reference_greedy_expert_action(world, state, task)
             got = greedy_expert_action(world, state, task)
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), state.values
-            obj, carried = task.metadata["object_index"], int(state.values[3])
+            obj, carried = task.target.obj, int(state.values[3])
             seen["target_carried" if carried == obj else
                  "wrong_carried" if carried >= 0 else "none_carried"] += 1
             if task.goal_predicate(state):
@@ -1077,12 +1077,12 @@ def axis_offset_values(world, task, carried, t):
     The target is the region centre when the task's object is carried, else
     the object, which is put at x = 0 so that the offset is always exact.
     """
-    obj = task.metadata["object_index"]
+    obj = task.target.obj
     values = np.array([5.0, 5.0, -1.0, -1.0] + [9.0, 1.0] * world.object_count)
     values[4 + 2 * obj: 6 + 2 * obj] = (0.0, 5.0)
     for axis in (0, 1):
         for sign in (-1.0, 1.0):
-            target = (np.array(task.metadata["region_center"]) if carried == obj
+            target = (np.array([task.target.cx, task.target.cy]) if carried == obj
                       else values[4 + 2 * obj: 6 + 2 * obj].copy())
             robot = target.copy()
             robot[axis] -= sign * t
@@ -1102,7 +1102,7 @@ def test_expert_action_one_ulp_either_side_of_drop_pick_and_step(env):
     covered = set()
     for world in (env, BlockNavEnv(extent=1.5), BlockNavEnv(extent=0.5)):
         for task in world.tasks():
-            obj = task.metadata["object_index"]
+            obj = task.target.obj
             for carried, reach in [(obj, world.region_radius * 0.5),
                                    (-1, world.pick_radius * 0.8),
                                    (obj, world.max_step), (-1, world.max_step)]:
@@ -1132,12 +1132,12 @@ def test_expert_action_matches_reference_near_thresholds(env, tasks):
     rng = np.random.default_rng(11)
     outcomes = set()
     for task in tasks:
-        obj = task.metadata["object_index"]
+        obj = task.target.obj
         for carried, reach in [(obj, env.region_radius * 0.5), (-1, env.pick_radius * 0.8),
                                (obj, env.max_step), (-1, env.max_step)]:
             for theta in rng.uniform(0.0, 2.0 * np.pi, size=400):
                 values = axis_offset_values(env, task, carried, 0.0)
-                target = (np.array(task.metadata["region_center"]) if carried == obj
+                target = (np.array([task.target.cx, task.target.cy]) if carried == obj
                           else values[4 + 2 * obj: 6 + 2 * obj].copy())
                 rx = target[0] - reach * np.cos(theta)
                 for _ in range(int(rng.integers(0, 3))):
@@ -1211,6 +1211,19 @@ def test_expert_on_custom_tasks_matches_reference(env, tasks):
     assert goals >= 50
 
 
+def test_expert_refuses_a_task_with_no_target(env, tasks):
+    # the expert steers for task.target, so a task without one is a broken
+    # contract named at both entry points, not a KeyError or AttributeError
+    task = TaskSpec("untargeted", "go nowhere", lambda state: False)
+    obs = env.observe(env.reset(0, tasks[0].task_id))
+    with pytest.raises(ContractViolationError,
+                       match="ScriptedExpertPrior: task 'untargeted' has no target"):
+        ScriptedExpertPrior(env, 4).sample_macro(obs, task, np.random.default_rng(0))
+    with pytest.raises(ContractViolationError,
+                       match="ScriptedExpertPrior: task 'untargeted' has no target"):
+        run_expert_episode(env, task, 0)
+
+
 # -- where a goal is tested ----------------------------------------------------
 #
 # A built-in goal reads only the carried index and its object's position, and
@@ -1226,7 +1239,7 @@ def region_goal_calls(run):
     calls = []
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code is world_module._REGION_GOAL:
+        if event == "call" and frame.f_code is RegionGoal.reached.__code__:
             calls.append(frame.f_locals["state"].step_count)
 
     sys.setprofile(profile)
@@ -1240,7 +1253,7 @@ def wandering_macro(world, task, state, rng, length):
     """``length`` rows that head for objects and regions in turn, closing the
     gripper at an object and opening it at a region, with some random rows:
     picks, drops and re-picks of the same or another object in mid-macro."""
-    obj, region = task.metadata["object_index"], task.metadata["region_index"]
+    obj, region = task.target.obj, task.target.region
     rows, target = [], None
     for _ in range(length):
         v = state.values
@@ -1271,24 +1284,37 @@ def start_for(world, task, rng):
     """A random state, in a third of cases with the task's object in its region."""
     values = random_state_values(world, rng)
     if rng.random() < 0.35:
-        obj = task.metadata["object_index"]
-        centre = np.array(task.metadata["region_center"])
+        obj = task.target.obj
+        centre = np.array([task.target.cx, task.target.cy])
         values[4 + 2 * obj: 6 + 2 * obj] = centre + rng.uniform(-0.4, 0.4, size=2)
         values[3] = float(rng.choice([-1.0] + [i for i in range(world.object_count) if i != obj]))
     return StateVec(values.tolist(), int(rng.integers(50)))
 
 
-def test_run_macro_tests_a_built_in_goal_only_where_it_can_change():
-    # for every built-in task with 2 to 4 objects, from goal and non-goal
-    # starts, on macros of 1 to 300 rows: run_macro gives the state, flag and
-    # count of step folded row by row with the goal tested after each, and
-    # calls the goal only after the first row and after each pick or drop
+def steering_elsewhere(world, task):
+    """The task of the next object and region after ``task``'s, with its predicate
+    replaced by the ``reached`` of a new RegionGoal equal to ``task``'s target: a
+    built-in goal of another object and region than the task steers for."""
+    t = task.target
+    other = world.task_by_id(f"move_obj{(t.obj + 1) % world.object_count}"
+                             f"_to_region{(t.region + 1) % len(world.regions)}")
+    return dataclasses.replace(other, goal_predicate=RegionGoal(
+        t.obj, t.region, t.cx, t.cy, t.radius).reached)
+
+
+def check_run_macro_goal_tests(other):
+    """For every built-in task with 2 to 4 objects, from goal and non-goal
+    starts, on macros of 1 to 300 rows: run_macro gives the state, flag and
+    count of step folded row by row with the goal tested after each, and
+    calls the goal only after the first row and after each pick or drop.
+    With ``other``, the task run is ``steering_elsewhere``'s."""
     rng = np.random.default_rng(47)
     seen = dict.fromkeys(["goal_start", "non_goal_start", "goal_after_row_1", "goal_at_drop",
                           "one_row", "300_rows", "pick", "drop", "re_pick", "other_pick"], 0)
     for count in (2, 3, 4):
         world = BlockNavEnv(object_count=count)
         for task in world.tasks() * 25:
+            run = steering_elsewhere(world, task) if other else task
             state = start_for(world, task, rng)
             length = int(rng.choice([1, 2, 4, 7, 20, 60, 150, 300]))
             macro = wandering_macro(world, task, state, rng, length)
@@ -1302,7 +1328,7 @@ def test_run_macro_tests_a_built_in_goal_only_where_it_can_change():
                     break
             used = len(carried) - 1
             (got, ok, got_used), calls = region_goal_calls(
-                lambda: world.run_macro(state, macro, task))
+                lambda: world.run_macro(state, macro, run))
             assert np.array(got.values).tobytes() == np.array(ref.values).tobytes()
             assert (got.step_count, ok, got_used) == (ref.step_count, ref_ok, used)
             assert state.values == before
@@ -1320,6 +1346,15 @@ def test_run_macro_tests_a_built_in_goal_only_where_it_can_change():
             seen["re_pick"] += len(picks) > 1
             seen["other_pick"] += len(set(held)) > 1
     assert min(seen.values()) >= 20, seen
+
+
+def test_run_macro_tests_a_built_in_goal_only_where_it_can_change():
+    check_run_macro_goal_tests(other=False)
+
+
+def test_run_macro_tests_any_region_goal_only_where_it_can_change():
+    # a built-in goal is any RegionGoal's reached, not only its task's target's
+    check_run_macro_goal_tests(other=True)
 
 
 def per_row_sample_macro(env, horizon, noise, obs, task, rng):
@@ -1340,11 +1375,11 @@ def per_row_sample_macro(env, horizon, noise, obs, task, rng):
     return rows, noisy, carried
 
 
-@pytest.mark.parametrize("noise", [0.0, 0.3, 1.0])
-def test_sample_macro_tests_a_built_in_goal_only_where_it_can_change(noise):
-    # the expert gives the rows of the per-row controller bit for bit and
-    # leaves the generator where it does, but calls a built-in goal only
-    # before its first non-noise row and the first after each pick or drop
+def check_sample_macro_goal_tests(noise, other):
+    """The expert gives the rows of the per-row controller bit for bit and
+    leaves the generator where it does, but calls a built-in goal only
+    before its first non-noise row and the first after each pick or drop.
+    With ``other``, the task is ``steering_elsewhere``'s."""
     rng = np.random.default_rng(int(noise * 10) + 60)
     seen = dict.fromkeys(["release", "pick", "drop", "retested"], 0)
     for count in (2, 3, 4):
@@ -1352,6 +1387,8 @@ def test_sample_macro_tests_a_built_in_goal_only_where_it_can_change(noise):
         world_tasks = world.tasks()
         for case in range(240):
             task = world_tasks[case % len(world_tasks)]
+            if other:
+                task = steering_elsewhere(world, task)
             horizon = (1, 4, 12, 40)[case % 4]
             obs = world.observe(StateVec(random_expert_values(world, task, rng).tolist()))
             draws, ref_draws = (np.random.default_rng(case) for _ in range(2))
@@ -1376,8 +1413,20 @@ def test_sample_macro_tests_a_built_in_goal_only_where_it_can_change(noise):
     assert min(seen.values()) >= 20, seen
 
 
+@pytest.mark.parametrize("noise", [0.0, 0.3, 1.0])
+def test_sample_macro_tests_a_built_in_goal_only_where_it_can_change(noise):
+    check_sample_macro_goal_tests(noise, other=False)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3, 1.0])
+def test_sample_macro_tests_any_region_goal_only_where_it_can_change(noise):
+    # the expert steers for task.target and tests whichever RegionGoal the
+    # predicate is bound to, each only where its answer can change
+    check_sample_macro_goal_tests(noise, other=True)
+
+
 def test_a_wrapped_or_replaced_goal_is_tested_at_every_row(env, tasks):
-    # the built-in goal is known by its code, which no wrapper has: a goal
+    # a built-in goal is known by its __self__, which no wrapper has: a goal
     # installed with dataclasses.replace, a plain wrapper of the built-in
     # goal and a functools.wraps wrapper that changes its meaning are each
     # tested after every row of run_macro and before every non-noise row of
