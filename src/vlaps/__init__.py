@@ -22,7 +22,6 @@ from .macrolib import (
     segment_trajectories,
 )
 from .prior import (
-    LineProtocolPrior,
     PriorPolicy,
     UniformLibraryPrior,
     beta_distribution,
@@ -54,7 +53,6 @@ __all__ = [
     "ContractViolationError",
     "DegenerateLibraryError",
     "EpisodeResult",
-    "LineProtocolPrior",
     "MacroLibrary",
     "PriorPolicy",
     "PriorQueryError",

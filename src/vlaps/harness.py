@@ -52,6 +52,10 @@ class SuiteConfig:
                                          f"would count its episodes twice: {values!r}")
             if not values and name != "task_ids":  # empty task_ids means all tasks
                 raise ConfigurationError(f"SuiteConfig: {name} needs at least one entry")
+        if any(not 0 <= seed < 2**32 for seed in self.seeds):
+            # RngFactory keeps 32 bits of each seed, so 2**32 would rerun seed 0
+            raise ConfigurationError(f"SuiteConfig: seeds must lie in [0, 2**32), "
+                                     f"got {self.seeds!r}")
         if any(not 0.0 <= x <= 1.0 for x in self.noise_levels):
             raise ConfigurationError("noise levels must lie in [0,1]")
         if not isinstance(self.search, SearchConfig) or self.search.n_mc < 1:

@@ -9,14 +9,12 @@ node's candidates; as ``psi_prior``, over the candidates' distances
 
 from __future__ import annotations
 
-import json
 import math
-import subprocess
 from typing import Protocol
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError, PriorQueryError
+from .errors import ConfigurationError, ContractViolationError
 from .macrolib import MacroLibrary
 from .world import TaskSpec
 
@@ -58,14 +56,21 @@ def _validated(probs: np.ndarray, epsilon: float) -> np.ndarray:
     return probs
 
 
-def _shifted_softmax(neg_scaled: np.ndarray, dists: np.ndarray) -> np.ndarray:
-    top = neg_scaled.max()
+def _shifted_softmax(dists: np.ndarray, alpha: float) -> np.ndarray:
+    # -alpha * d falls as d grows, so the nearest macro's scaled distance is
+    # the max-shift, and the farthest's is the first to overflow; a Python
+    # float overflows to inf with no warning
+    near = dists.item(dists.argmin())
+    top = -alpha * near
     if top == -math.inf:
         # every scaled distance overflowed: the softmax's limit as alpha grows,
         # uniform over the nearest macros
-        weights = (dists == dists.min()).astype(float)
+        weights = (dists == near).astype(float)
+    elif math.isinf(alpha * dists.item(dists.argmax())):
+        with np.errstate(over="ignore"):
+            weights = np.exp(-alpha * dists - top)
     else:
-        weights = np.exp(neg_scaled - top)
+        weights = np.exp(-alpha * dists - top)
     return weights / weights.sum()
 
 
@@ -76,7 +81,8 @@ def beta_distribution(dists: np.ndarray, alpha: float, epsilon: float) -> np.nda
     with the softmax computed under a max-shift for stability.  At
     ``eps = 0`` this is the softmax itself, bit for bit.  If ``alpha`` is so
     large that every ``-alpha * dists[i]`` is -inf, the softmax is its limit,
-    uniform over the indices of the smallest distance.
+    uniform over the indices of the smallest distance.  A scaled distance
+    that overflows gets a weight of 0, and numpy warns of none.
     """
     if alpha < 0:
         raise ConfigurationError(f"alpha must be >= 0, got {alpha}")
@@ -84,7 +90,7 @@ def beta_distribution(dists: np.ndarray, alpha: float, epsilon: float) -> np.nda
         raise ConfigurationError(f"epsilon must be in [0,1], got {epsilon}")
     if len(dists) == 0:
         raise ContractViolationError("cannot build a prior over no macros")
-    probs = (1.0 - epsilon) * _shifted_softmax(-alpha * dists, dists) + epsilon / len(dists)
+    probs = (1.0 - epsilon) * _shifted_softmax(dists, float(alpha)) + epsilon / len(dists)
     return _validated(probs, epsilon)
 
 
@@ -157,41 +163,3 @@ class UniformLibraryPrior:
 
     def sample_macro(self, obs, task: TaskSpec, rng: np.random.Generator) -> tuple:
         return self.lib.rows[rng.integers(len(self.lib.rows))]
-
-
-class LineProtocolPrior:
-    """Process-external prior speaking line-delimited JSON.
-
-    Request:  ``{"observation": [...], "instruction": "..."}``
-    Response: ``{"macro": [[...], ...]}`` (an H x n array), returned as parsed
-    """
-
-    def __init__(self, writer, reader):
-        self._writer = writer
-        self._reader = reader
-
-    def sample_macro(self, obs, task: TaskSpec, rng: np.random.Generator):
-        request = {
-            "observation": np.asarray(obs, dtype=float).tolist(),
-            "instruction": task.instruction,
-        }
-        self._writer.write(json.dumps(request) + "\n")
-        self._writer.flush()
-        line = self._reader.readline()
-        if not line:
-            raise PriorQueryError("external prior closed the stream")
-        try:
-            macro = json.loads(line)["macro"]  # a TypeError unless an object
-            if macro is None:
-                raise TypeError("macro is null")
-            return macro
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PriorQueryError(f"malformed prior response: {line!r}") from exc
-
-
-def subprocess_prior(cmd: list[str]):
-    """Spawn an external prior process; returns (prior, process)."""
-    proc = subprocess.Popen(
-        cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, bufsize=1
-    )
-    return LineProtocolPrior(proc.stdin, proc.stdout), proc

@@ -70,6 +70,9 @@ class SearchConfig:
             raise ConfigurationError("d_max, t_max must be positive")
         if self.epsilon_beta > 1.0 or self.epsilon_psi > 1.0:
             raise ConfigurationError("epsilon values must lie in [0,1]")
+        if not 0 <= self.seed < 2**32:  # RngFactory keeps 32 bits of it
+            raise ConfigurationError(f"SearchConfig: seed must lie in [0, 2**32), "
+                                     f"got {self.seed!r}")
 
     def to_json(self) -> dict:
         return {_JSON_KEYS.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}

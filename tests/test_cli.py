@@ -139,6 +139,25 @@ def test_repeated_or_missing_suite_entries_are_config_error(key, value, tmp_path
     assert not (tmp_path / "records.jsonl").exists()
 
 
+@pytest.mark.parametrize("config,field", [
+    ({"seeds": [0, 2**32]}, "SuiteConfig: seeds"),
+    ({"seeds": [-1]}, "SuiteConfig: seeds"),
+    ({"seeds": [0], "search": {"N_mc": 5, "seed": -1}}, "SearchConfig: seed"),
+    ({"seeds": [0], "search": {"N_mc": 5, "seed": 2**32}}, "SearchConfig: seed"),
+])
+def test_a_seed_outside_32_bits_is_config_error(config, field, tmp_path, monkeypatch, capsys):
+    # RngFactory keeps a seed's low 32 bits: 2**32 would rerun seed 0's
+    # streams and -1 those of 2**32 - 1
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(config))
+    monkeypatch.chdir(tmp_path)
+    assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {field} must lie in [0, 2**32)")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "records.jsonl").exists()
+
+
 def test_suite_without_search_iterations_is_config_error(tmp_path, monkeypatch, capsys):
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text(json.dumps({"seeds": [0], "search": {"N_mc": 0}}))
@@ -415,14 +434,25 @@ def test_failed_run_is_exit_4_with_one_line(tmp_path, monkeypatch, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_an_alpha_at_which_every_scaled_distance_overflows_runs(tmp_path, monkeypatch, capsys):
-    # -alpha * dists is -inf for every macro, where the softmax's max-shift
-    # alone would give NaN; the prior is then uniform over the nearest macros
+def _run_at_alpha(key, tmp_path, monkeypatch, capsys):
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text(json.dumps({"task_ids": ["move_obj0_to_region2"], "seeds": [0],
                                     "noise_levels": [1.0],
-                                    "search": {"N_mc": 5, "alpha_beta": 1e308}}))
+                                    "search": {"N_mc": 5, key: 1e308}}))
     monkeypatch.chdir(tmp_path)
-    with np.errstate(over="ignore"):
-        assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_OK
-    assert "2 records" in capsys.readouterr().out
+    assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_OK
+    out, err = capsys.readouterr()
+    # numpy warns of no overflow (tier-1 makes a RuntimeWarning an error)
+    assert "2 records" in out and err == ""
+
+
+def test_an_alpha_at_which_every_scaled_distance_overflows_runs(tmp_path, monkeypatch, capsys):
+    # -alpha * dists is -inf for every macro, where the softmax's max-shift
+    # alone would give NaN; the prior is then uniform over the nearest macros
+    _run_at_alpha("alpha_beta", tmp_path, monkeypatch, capsys)
+
+
+def test_an_alpha_psi_at_which_some_scaled_distances_overflow_runs(tmp_path, monkeypatch,
+                                                                   capsys):
+    # a candidate whose -alpha * dist overflows gets a selection prior of 0
+    _run_at_alpha("alpha_psi", tmp_path, monkeypatch, capsys)

@@ -221,6 +221,15 @@ def test_suite_config_rejects_a_repeated_entry_naming_the_field(field, values):
         SuiteConfig(**{field: values})
 
 
+@pytest.mark.parametrize("seeds", [[0, 2**32], [-1], [3, np.int64(2**32 + 3)]])
+def test_suite_config_rejects_a_seed_outside_32_bits(seeds):
+    # RngFactory keeps a seed's low 32 bits, so 2**32 would rerun seed 0's
+    # streams and count its episodes twice
+    with pytest.raises(ConfigurationError, match=r"SuiteConfig: seeds must lie in \[0, 2\*\*32\)"):
+        SuiteConfig(seeds=seeds)
+    assert SuiteConfig(seeds=[0, 2**32 - 1]).seeds == [0, 2**32 - 1]
+
+
 @pytest.mark.parametrize("field", ["seeds", "noise_levels"])
 def test_suite_config_rejects_an_empty_list_naming_the_field(field):
     # an empty seeds or noise_levels would run no episode at all; an empty

@@ -1,7 +1,5 @@
 import json
 import math
-import sys
-import textwrap
 
 import numpy as np
 import pytest
@@ -11,12 +9,10 @@ from hypothesis import strategies as st
 from vlaps.errors import ConfigurationError, ContractViolationError
 from vlaps.macrolib import MacroLibrary
 from vlaps.prior import (
-    LineProtocolPrior,
     UniformLibraryPrior,
     beta_distribution,
     psi_prior,
     sample_candidates,
-    subprocess_prior,
 )
 from vlaps.world import CheckedMacro, ScriptedExpertPrior, check_macro
 
@@ -87,13 +83,14 @@ def test_beta_at_an_alpha_that_overflows_is_the_softmax_limit():
     # limit as alpha grows is uniform over the nearest macros, then mixed with
     # epsilon as at any alpha; an alpha short of the overflow gives the same
     dists = np.array([2.0, 3.0, 2.0, 5.0])
-    with np.errstate(over="ignore"):
-        probs = beta_distribution(dists, 1e308, 0.1)
-        assert np.allclose(probs, 0.9 * np.array([0.5, 0.0, 0.5, 0.0]) + 0.1 / 4,
-                           rtol=0.0, atol=1e-15)
-        assert np.array_equal(psi_prior(dists, 1e308, 0.0), [0.5, 0.0, 0.5, 0.0])
+    probs = beta_distribution(dists, 1e308, 0.1)
+    assert np.allclose(probs, 0.9 * np.array([0.5, 0.0, 0.5, 0.0]) + 0.1 / 4,
+                       rtol=0.0, atol=1e-15)
+    assert np.array_equal(psi_prior(dists, 1e308, 0.0), [0.5, 0.0, 0.5, 0.0])
     assert np.array_equal(beta_distribution(dists, 300.0, 0.1),
                           0.9 * np.array([0.5, 0.0, 0.5, 0.0]) + 0.1 / 4)
+    # only the farther distances overflow: they get no weight
+    assert np.array_equal(psi_prior(np.array([0.5, 2.0, 0.5]), 1e308, 0.0), [0.5, 0.0, 0.5])
 
 
 @settings(max_examples=40, deadline=None)
@@ -208,43 +205,6 @@ def test_uniform_library_prior(library, env, tasks):
     assert tuple(np.ravel(macro)) in flat_protos
 
 
-ECHO_PRIOR = textwrap.dedent("""
-    import json, sys
-    for line in sys.stdin:
-        req = json.loads(line)
-        dx = 0.1 if "object" in req["instruction"] else -0.1
-        macro = [[dx, 0.0, -1.0] for _ in range(4)]
-        print(json.dumps({"macro": macro}), flush=True)
-""")
-
-
-def test_line_protocol_prior_subprocess(env, tasks):
-    prior, proc = subprocess_prior([sys.executable, "-c", ECHO_PRIOR])
-    try:
-        obs = env.observe(env.reset(0, tasks[0].task_id))
-        macro = prior.sample_macro(obs, tasks[0], np.random.default_rng(0))
-        assert np.shape(macro) == (4, 3)
-        assert macro[0][0] == pytest.approx(0.1)
-    finally:
-        proc.stdin.close()
-        proc.wait(timeout=10)
-
-
-class _ListIO:
-    def __init__(self, lines):
-        self.lines = list(lines)
-        self.written = []
-
-    def write(self, text):
-        self.written.append(text)
-
-    def flush(self):
-        pass
-
-    def readline(self):
-        return self.lines.pop(0) if self.lines else ""
-
-
 def test_built_in_replies_pass_check_macro_as_they_are(library, env, tasks):
     # the built-in priors reply with rows of Python floats, which the check
     # returns unconverted: no numpy type reaches the dynamics; the uniform
@@ -260,23 +220,6 @@ def test_built_in_replies_pass_check_macro_as_they_are(library, env, tasks):
             assert type(reply) in (list, tuple, CheckedMacro) and len(reply) == 4
             assert all(type(row) in (list, tuple) for row in reply)
             assert {type(x) for row in reply for x in row} == {float}
-
-
-def test_line_protocol_prior_errors(env, tasks):
-    import vlaps.errors as errors
-
-    obs = env.observe(env.reset(0, tasks[0].task_id))
-    closed = LineProtocolPrior(_ListIO([]), _ListIO([]))
-    with pytest.raises(errors.PriorQueryError):
-        closed.sample_macro(obs, tasks[0], np.random.default_rng(0))
-    # valid JSON without a macro: unchecked, a reply that is not an object
-    # escapes as a bare TypeError and a null macro parses as a 0-d NaN array
-    for reply in ['{"nope": 1}', "[1]", '"x"', "3", '{"macro": null}']:
-        line = reply + "\n"
-        garbled = LineProtocolPrior(_ListIO([]), _ListIO([line]))
-        with pytest.raises(errors.PriorQueryError) as info:
-            garbled.sample_macro(obs, tasks[0], np.random.default_rng(0))
-        assert str(info.value) == f"malformed prior response: {line!r}"
 
 
 def reference_sample_candidates(dist, k, rng):
@@ -468,8 +411,19 @@ def test_expand_takes_both_reference_priors(model, tasks, library):
         assert np.array([child.psi for child in node.children]).tobytes() == psi.tobytes()
 
 
+class _JsonLinePrior:
+    """A prior that answers each query with the next line's JSON ``"macro"``,
+    as parsed and unchecked."""
+
+    def __init__(self, lines):
+        self.lines = list(lines)
+
+    def sample_macro(self, obs, task, rng):
+        return json.loads(self.lines.pop(0))["macro"]
+
+
 def test_search_reports_bad_line_prior_macros(model, tasks, library):
-    # LineProtocolPrior passes on any array it parses; the search checks
+    # a prior that passes on any JSON reply it parses: the search checks
     # what it returns, at whichever of its two query sites asked
     from vlaps.errors import PriorQueryError
     from vlaps.rngutil import RngFactory
@@ -492,7 +446,7 @@ def test_search_reports_bad_line_prior_macros(model, tasks, library):
         # the first query is the root rollout's; a good 4-step reply uses up
         # its 4-step cap, so the next query is the root expansion's
         for lines, where in (([reply], "in rollout"), ([good, reply], "in expand at depth 0")):
-            prior = LineProtocolPrior(_ListIO([]), _ListIO(lines))
+            prior = _JsonLinePrior(lines)
             with pytest.raises(PriorQueryError, match=f"{where}: {error}"):
                 search_once(start, task, prior, library, model, cfg,
                             streams=RngFactory(0), meter=CostMeter(cfg))

@@ -1,12 +1,10 @@
 import collections
 import copy
 import dataclasses
-import io
 import json
 import math
 import pickle
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +16,6 @@ import vlaps.world
 from vlaps.errors import ConfigurationError, ContractViolationError, PriorQueryError
 from vlaps.macrolib import MacroLibrary
 from vlaps.prior import (
-    LineProtocolPrior,
     UniformLibraryPrior,
     beta_distribution,
     psi_prior,
@@ -95,6 +92,8 @@ def test_config_rejects_unknown_keys_and_bad_values():
     ("sim_step_cost_s", -1e-4), ("sim_step_cost_s", math.nan), ("sim_step_cost_s", math.inf),
     ("k", 2.5), ("n_mc", 2.5), ("d_sim_max", 2.5), ("horizon", 2.5), ("d_max", 2.5),
     ("k", 3.0), ("k", "3"), ("k", True), ("t_max", "10"),
+    # RngFactory keeps a seed's low 32 bits, so -1 would run 2**32 - 1's streams
+    ("seed", -1), ("seed", 2**32),
 ])
 def test_config_rejects_non_finite_negative_and_non_integer_values(field, value):
     with pytest.raises(ConfigurationError, match=field):
@@ -109,8 +108,8 @@ def test_config_checks_integer_fields_before_real_ones():
 
 def test_config_accepts_large_budgets_and_numpy_integers():
     cfg = SearchConfig(t_max=1e9, k=np.int64(4), n_mc=np.int32(7), prior_query_cost_s=0,
-                       sim_step_cost_s=0.0)
-    assert (cfg.t_max, cfg.k, cfg.n_mc) == (1e9, 4, 7)
+                       sim_step_cost_s=0.0, seed=2**32 - 1)
+    assert (cfg.t_max, cfg.k, cfg.n_mc, cfg.seed) == (1e9, 4, 7, 2**32 - 1)
 
 
 def test_config_json_round_trip_of_every_field():
@@ -1030,12 +1029,6 @@ class _FixedPrior:
         return self.output
 
 
-def _line_reply(line):
-    """What LineProtocolPrior hands the search for the reply ``line``."""
-    prior = LineProtocolPrior(io.StringIO(), io.StringIO(line + "\n"))
-    return prior.sample_macro((), SimpleNamespace(instruction=""), None)
-
-
 # each bad prior reply, and what its error says: the test of check_macro that
 # failed (naming the first non-finite row), or the prior's own message; numpy
 # reads a numeric string or a bool as a number, but neither is one
@@ -1059,7 +1052,8 @@ BAD_PRIOR_OUTPUTS = {
     "bool_among_floats": ([[True, 0.5, 1.0]], r"\[\[True, 0.5, 1.0\]\] is not numeric"),
     "bool_array": (np.array([[True, False, True]]),
                    r"array\(\[\[ True, False,  True\]\]\) is not numeric"),
-    "line_reply_strings": (_line_reply('{"macro": [["0.1", 0, 0], [0.0, 0.0, 1.0]]}'),
+    # what a prior that parses a JSON reply hands the search
+    "line_reply_strings": (json.loads('{"macro": [["0.1", 0, 0], [0.0, 0.0, 1.0]]}')["macro"],
                            r"\[\['0.1', 0, 0\], \[0.0, 0.0, 1.0\]\] is not numeric"),
     "raises": (ValueError("prior crashed"), "prior crashed"),
 }
