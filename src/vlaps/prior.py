@@ -23,6 +23,7 @@ _FLOOR_TOL = 1e-12
 _MAX_SAMPLE_ATTEMPTS = 1000
 _DRAW_BLOCK = 3  # candidate draws per block, per candidate asked for
 _DIST_SUM_TOL = 1e-8  # sample_candidates input; rng.choice allowed about 1.5e-8
+_INDEX_BLOCK = 64  # library indices the uniform prior draws at once from a generator
 
 
 class PriorPolicy(Protocol):
@@ -36,7 +37,9 @@ class PriorPolicy(Protocol):
     with the library's rows, ``CheckedMacro``s checked once when the library
     was built, which the check passes without reading them again.  The search
     keeps a reply as it is, in a goal plan too, so a prior must not change a
-    macro after returning it.
+    macro after returning it.  Only a prior's queries draw from the generator
+    the search hands them, and once the search hands over another generator it
+    never hands the last one back; so a prior may draw ahead, as the uniform one does.
     """
 
     def sample_macro(self, obs, task: TaskSpec, rng: np.random.Generator): ...
@@ -156,10 +159,21 @@ def sample_candidates(dist: np.ndarray, k: int, rng: np.random.Generator) -> lis
 
 
 class UniformLibraryPrior:
-    """Uninformed baseline prior: a uniformly random library prototype."""
+    """Uninformed baseline prior: a uniformly random library prototype, one
+    ``rng.integers(m)`` per query.  After a generator's first query its indices
+    come from ``rng.integers(m, size=_INDEX_BLOCK)``, the values of as many
+    scalar draws, by ``PriorPolicy``'s generator contract."""
 
     def __init__(self, lib: MacroLibrary):
         self.lib = lib
+        self._rng, self._ahead = None, []  # indices drawn from _rng, not used, last first
 
     def sample_macro(self, obs, task: TaskSpec, rng: np.random.Generator) -> tuple:
-        return self.lib.rows[rng.integers(len(self.lib.rows))]
+        rows = self.lib.rows
+        if rng is not self._rng:
+            # most generators serve one query: an expansion's anchor
+            self._rng, self._ahead = rng, []
+            return rows[rng.integers(len(rows))]
+        if not self._ahead:
+            self._ahead = rng.integers(len(rows), size=_INDEX_BLOCK).tolist()[::-1]
+        return rows[self._ahead.pop()]

@@ -254,12 +254,13 @@ def rollout(
 
     Returns (success, primitive steps used, ``check_macro``'s rows of each macro
     queried, uncopied); the last may have been cut short by the cap or by the
-    goal.  Each step makes a new state, so ``start`` is not copied.  Raises
-    ``PriorQueryError`` if the prior fails or returns a malformed macro.
+    goal.  ``run_macro`` steps the first macro into a new state, which ``advance``
+    steps in place, so ``start`` is left as it was.  Raises ``PriorQueryError``
+    if the prior fails or returns a malformed macro.
     """
     if task.goal_predicate(start):
         return True, 0, []
-    state, steps, macros = start, 0, []
+    state, steps, macros, run = start, 0, [], model.run_macro
     while steps < cfg.d_sim_max:
         meter.queries += 1
         macro = _query_prior(prior, model, state, task, rng, "in rollout")
@@ -267,8 +268,8 @@ def rollout(
         # the goal was tested on ``state`` by the check above or after the
         # previous macro's last step, so this skips step_macro's start test
         left = cfg.d_sim_max - steps
-        state, success, used = model.run_macro(
-            state, macro[:left] if len(macro) > left else macro, task)
+        state, success, used = run(state, macro[:left] if len(macro) > left else macro, task)
+        run = model.advance
         meter.sim_steps += used
         steps += used
         if success:

@@ -75,6 +75,12 @@ class WorldModel(ABC):
                 return state, True, steps
         return state, False, steps
 
+    def advance(self, state: StateVec, macro: Sequence,
+                task: TaskSpec) -> tuple[StateVec, bool, int]:
+        """``run_macro``'s results, but a model may step ``state`` in place and return
+        it, so the caller must own ``state``.  This default returns a new state."""
+        return self.run_macro(state, macro, task)
+
 
 # BlockNav state layout: [rx, ry, grip, carried, ox0, oy0, ox1, oy1, ...]
 _RX, _RY, _GRIP, _CARRIED = 0, 1, 2, 3
@@ -170,6 +176,9 @@ class BlockNavEnv(WorldModel):
         self.state_dim = 4 + 2 * self.object_count
         # the carried slot's valid values, -1 (none) and each object index; NaN is in none
         self.carried_slots = frozenset(map(float, range(-1, self.object_count)))
+        # for the kernel's pick search: each object's index and x slot, and its reach
+        self.objects = tuple((i, 4 + 2 * i) for i in range(self.object_count))
+        self.reach = self.pick_radius if self.pick_radius > 1e-150 else math.inf
 
     # -- interface ---------------------------------------------------------
 
@@ -201,6 +210,13 @@ class BlockNavEnv(WorldModel):
         out = state.copy()
         done = self._step_rows(out, rows, task.goal_predicate, "BlockNavEnv.run_macro")
         return out, done, out.step_count - state.step_count
+
+    def advance(self, state: StateVec, macro: Sequence,
+                task: TaskSpec) -> tuple[StateVec, bool, int]:
+        """Steps ``state`` in place through ``macro``, rows as ``check_macro`` returns them."""
+        start = state.step_count
+        done = self._step_rows(state, macro, task.goal_predicate, "BlockNavEnv.advance")
+        return state, done, state.step_count - start
 
     def _step_rows(self, state: StateVec, rows: Sequence, goal: Callable | None,
                    what: str) -> bool:
@@ -247,10 +263,22 @@ class BlockNavEnv(WorldModel):
                 else:
                     v[4 + 2 * carried], v[5 + 2 * carried] = rx, ry
             elif grip > 0:
-                carried = self._nearest_object(v)
-                if carried >= 0:
-                    v[_CARRIED], test = float(carried), check
-                    v[4 + 2 * carried], v[5 + 2 * carried] = rx, ry
+                # pick the nearest object within pick_radius as np.argmin of the norms
+                # does: the lowest index wins a tie and a NaN picks none.  One beyond
+                # reach on an axis is beyond the radius (reach is inf where squares underflow)
+                reach, near, near_d = self.reach, -1, math.inf
+                for i, x in self.objects:
+                    dx, dy = v[x] - rx, v[x + 1] - ry
+                    if -reach <= dx <= reach and -reach <= dy <= reach:
+                        d = math.sqrt(dx * dx + dy * dy)
+                        if d < near_d:
+                            near, near_d = i, d
+                    elif dx != dx or dy != dy:
+                        near_d = math.nan
+                        break
+                if near_d <= self.pick_radius:
+                    v[_CARRIED], carried, test = float(near), near, check
+                    v[4 + 2 * near], v[5 + 2 * near] = rx, ry
             state.step_count += 1
             if test:
                 if goal(state):
@@ -260,27 +288,6 @@ class BlockNavEnv(WorldModel):
 
     def observe(self, state: StateVec) -> tuple:
         return tuple(state.values)
-
-    def _nearest_object(self, values: list) -> int:
-        """Index of the object nearest the robot if within ``pick_radius``, else -1.
-
-        Bit-exact with ``np.argmin`` over ``np.linalg.norm(objects - pos,
-        axis=1)``: the lowest index wins a tie and a NaN distance yields -1.
-        An object beyond the radius on either axis is beyond it in norm unless
-        its square underflows, so above that radius it is skipped unsquared."""
-        rx, ry, radius = values[_RX], values[_RY], self.pick_radius
-        reach = radius if radius > 1e-150 else math.inf
-        best, best_d = -1, math.inf
-        for i in range(self.object_count):
-            dx = values[4 + 2 * i] - rx
-            dy = values[5 + 2 * i] - ry
-            if -reach <= dx <= reach and -reach <= dy <= reach:
-                d = math.sqrt(dx * dx + dy * dy)
-                if d < best_d:
-                    best, best_d = i, d
-            elif dx != dx or dy != dy:
-                return -1
-        return best if best_d <= radius else -1
 
     # -- tasks --------------------------------------------------------------
 

@@ -39,15 +39,33 @@ def test_traced_trend_suite_counts_match_the_cost_meter():
     assert any(line.startswith("traced counts match the CostMeter:") for line in lines), lines
 
 
-def test_search_digests_match_their_pins_on_more_seeds(tmp_path, monkeypatch):
-    # the runs above check the search digests of seed 0 only; the searches of
-    # seeds 1-3 of both search workloads must match their pins too
+def test_a_seed_beyond_32_bits_of_op_seeds_runs():
+    # the bench seeds each search's RngFactory with 1000 * seed + index, which
+    # passes 2**32 from this seed on; RngFactory keeps 32 bits of its entropy,
+    # and a run whose every op failed would exit 1 with no latency to report
+    command = [sys.executable, "bench/run.py", "--workload", "uniform_deep", "--seed",
+               "4294968", "--seconds", "0.01"]
+    run = subprocess.run(command, cwd=REPO, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, run.stderr
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """``bench/workloads.py`` as a module, with ``bench/`` on the path for its imports."""
     monkeypatch.syspath_prepend(str(REPO / "bench"))
     spec = importlib.util.spec_from_file_location("bench_workloads",
                                                   REPO / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
-    spec.loader.exec_module(workloads)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_search_digests_match_their_pins_on_more_seeds(tmp_path, workloads):
+    # the runs above check the search digests of seed 0 only; the searches of
+    # seeds 1-3 of both search workloads must match their pins too
     pinned = json.loads((REPO / "bench" / "pinned.json").read_text())
     env, library_path, library_sha = workloads.set_up(tmp_path)
     assert library_sha == pinned["library"]
@@ -58,3 +76,16 @@ def test_search_digests_match_their_pins_on_more_seeds(tmp_path, monkeypatch):
             calls = [workload.call(index) for index in range(workloads.FIXED_CALLS[name])]
             assert all(workload.check(call) for call in calls), (name, seed)
             assert workload.fingerprint(calls) == pinned[name][str(seed)], (name, seed)
+
+
+def test_the_bench_check_replays_goal_plans_that_rollouts_found(tmp_path, workloads):
+    # the short runs above reach no goal plan; these two uniform_deep searches
+    # find one in a rollout, and the bench's check replays it on a fresh env
+    env, library_path, _ = workloads.set_up(tmp_path)
+    for seed, index, macros in ((1, 67, 32), (0, 79, 40)):
+        workload = workloads.SearchWorkload("uniform_deep", seed, env, library_path)
+        workload.prepare()
+        call = workload.call(index)
+        outcome = call.output[1]
+        assert (outcome.kind, len(outcome.plan)) == (workloads.GOAL_PLAN, macros)
+        assert workload.check(call)

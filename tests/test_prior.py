@@ -205,6 +205,19 @@ def test_uniform_library_prior(library, env, tasks):
     assert tuple(np.ravel(macro)) in flat_protos
 
 
+@pytest.mark.parametrize("m", [64, 50, 7])
+def test_uniform_library_prior_replies_as_one_scalar_draw_per_query(m):
+    # it draws a generator's first index alone and the later ones a block at a
+    # time; each reply is still that of one rng.integers(m) per query on a twin
+    # generator, across queries on one generator, switches and runs past a block
+    lib = identity_library(np.arange(m, dtype=float))
+    prior = UniformLibraryPrior(lib)
+    for seed, queries in enumerate([1, 150, 1, 3]):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(queries):
+            assert prior.sample_macro((), None, rng) is lib.rows[int(ref.integers(m))]
+
+
 def test_built_in_replies_pass_check_macro_as_they_are(library, env, tasks):
     # the built-in priors reply with rows of Python floats, which the check
     # returns unconverted: no numpy type reaches the dynamics; the uniform

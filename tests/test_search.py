@@ -693,7 +693,7 @@ def test_check_tree_rejects_too_many_nodes_and_lost_visits():
        grip=st.sampled_from([-1.0, 0.0, 1.0]), which=st.integers(0, 5))
 def test_a_non_number_carried_slot_is_a_contract_violation_naming_the_site(
         env, model, tasks, library, carried, values, grip, which):
-    # the goal, the kernel's entry check for step and run_macro, and the expert's own
+    # the goal, the kernel's entry check for step, run_macro and advance, and the expert's own
     # kernel steps each name where the state was refused; step_macro and the
     # search test the goal on it first, and none of them changes it
     rx, ry, *objects = values
@@ -713,6 +713,7 @@ def test_a_non_number_carried_slot_is_a_contract_violation_naming_the_site(
                                                 np.random.default_rng(0))),
         ("BlockNavEnv.step", lambda: env.step(state, macro[0])),
         ("BlockNavEnv.run_macro", lambda: env.run_macro(state, macro, task)),
+        ("BlockNavEnv.advance", lambda: env.advance(state, macro, task)),
         # at noise 1 the expert steps a random first row without asking the goal
         ("ScriptedExpertPrior.sample_macro", lambda: ScriptedExpertPrior(
             model, cfg.horizon, 1.0).sample_macro(model.observe(state), task,
@@ -799,6 +800,86 @@ def test_chain_world_takes_default_macro_loop():
         assert runs[0][:2] == runs[1][:2]
         assert [np.asarray(m, dtype=float).tobytes() for m in runs[0][2]] == [
             np.asarray(m, dtype=float).tobytes() for m in runs[1][2]]
+
+
+def test_chain_world_advance_is_its_run_macro():
+    # ChainWorld keeps WorldModel's advance, which returns run_macro's new state
+    world = ChainWorld(goal_pos=3)
+    task = world.task()
+    assert "advance" not in vars(ChainWorld)
+    start = StateVec([1.0], 4)
+    for rows in ([[1.0]], [[1.0], [1.0], [1.0]], [[-1.0], [0.0]], np.array([[1.0], [1.0]])):
+        (got, ok, used), (ref, ref_ok, ref_used) = (
+            world.advance(start, rows, task), world.run_macro(start, rows, task))
+        assert (got.values, got.step_count, ok, used) == (
+            ref.values, ref.step_count, ref_ok, ref_used)
+        assert got is not start and (start.values, start.step_count) == ([1.0], 4)
+
+
+def test_rollout_leaves_its_start_unchanged(model, tasks):
+    # a rollout steps its first macro through run_macro, which makes a new
+    # state, and advances that state in place; start keeps its values and step
+    # count whether the goal comes in mid-macro, at a macro's end or not at all
+    two_rows = UniformLibraryPrior(MacroLibrary(np.array([[[1.0], [1.0]]]), np.zeros(1),
+                                                np.ones(1)))
+    runs = [(chain, chain.task(), two_rows, StateVec([0.0], 5), cap)
+            for chain, cap in ((ChainWorld(3), 9), (ChainWorld(4), 9), (ChainWorld(5), 3))]
+    for seed in range(24):
+        task = tasks[seed % len(tasks)]
+        runs.append((model, task, ScriptedExpertPrior(model, 4, (0.0, 0.4)[seed % 2]),
+                     StateVec(model.reset(seed, task.task_id).values, 5), (7, 80)[seed // 12]))
+    seen = collections.Counter()
+    for seed, (world, task, prior, start, cap) in enumerate(runs):
+        before = list(start.values)
+        cfg = SearchConfig(d_sim_max=cap, t_max=1e9)
+        success, steps, macros = rollout(world, prior, start, task, cfg,
+                                         np.random.default_rng(seed), CostMeter(cfg))
+        assert (start.values, start.step_count) == (before, 5)
+        assert steps > 0 and len(macros) > 1
+        end = sum(map(len, macros)) == steps
+        seen[(type(world).__name__,
+              ("goal_at_macro_end" if end else "goal_mid_macro") if success else "cap")] += 1
+    assert set(seen) == {(name, kind) for name in ("ChainWorld", "BlockNavEnv")
+                         for kind in ("goal_at_macro_end", "goal_mid_macro", "cap")}, seen
+
+
+class SpyPrior:
+    """Asks ``inner`` after checking the generator contract that the block-drawing
+    uniform prior relies on: nothing draws from a generator between two queries
+    on it, and no generator comes back once another one has been handed over."""
+
+    def __init__(self, inner):
+        self.inner, self.rng, self.after, self.retired = inner, None, None, {}
+        self.repeats = 0
+
+    def sample_macro(self, obs, task, rng):
+        if rng is self.rng:
+            assert rng.bit_generator.state == self.after, "a draw between two queries"
+            self.repeats += 1
+        else:
+            assert id(rng) not in self.retired, "a generator came back"
+            self.retired[id(self.rng)] = self.rng  # kept alive, so its id stays its own
+            self.rng = rng
+        macro = self.inner.sample_macro(obs, task, rng)
+        self.after = rng.bit_generator.state
+        return macro
+
+
+@pytest.mark.parametrize("expert", [False, True])
+@pytest.mark.parametrize("run", ["search_once", "episode_n_mc_0", "episode_n_mc_5"])
+def test_the_search_keeps_the_generator_contract_of_priors(env, model, tasks, library,
+                                                           expert, run):
+    task = tasks[2]
+    prior = SpyPrior(ScriptedExpertPrior(model, 4, 0.6) if expert
+                     else UniformLibraryPrior(library))
+    cfg = SearchConfig(n_mc=5 if run == "episode_n_mc_5" else 0 if run == "episode_n_mc_0"
+                       else 40, d_sim_max=60, t_max=1e9)
+    if run == "search_once":
+        search_once(env.reset(3, task.task_id), task, prior, library, model, cfg,
+                    streams=RngFactory(3), meter=CostMeter(cfg))
+    else:
+        run_episode(env, model, task, prior, library, cfg, streams=RngFactory(3), reset_seed=3)
+    assert prior.repeats > 0 and len(prior.retired) > (run != "episode_n_mc_0")
 
 
 # -- search_once against the loop with three rollout paths -----------------------

@@ -258,8 +258,9 @@ def test_noisy_expert_keeps_draw_order(env, tasks, noise):
 
 
 def test_nearest_object_skips_out_of_reach_objects_exactly(env):
-    # objects more than pick_radius away on one axis are skipped before the
-    # square root; the picks, misses and NaN rule stay those of the reference
+    # the kernel's pick search skips objects more than pick_radius away on one
+    # axis before the square root; the picks, misses and NaN rule stay those of
+    # the reference
     r = env.pick_radius
     three = BlockNavEnv(object_count=3)
     cases = [
@@ -288,7 +289,7 @@ def test_nearest_object_skips_out_of_reach_objects_exactly(env):
     assert offsets == [-r, r, -r, r]
     for world, values, expected in cases:
         assert reference_nearest_object(world, np.array(values)) == expected, values
-        assert world._nearest_object(values) == expected, values
+        assert kernel_pick(world, values) == expected, values
         assert_same_step(world, values, (0.0, 0.0, 1.0))
 
 
@@ -388,7 +389,7 @@ def test_step_macro_rejects_a_non_finite_row_naming_it(env, tasks, bad):
         step_macro(env, state, np.full((4, 3), bad), goal)
 
 
-@pytest.mark.parametrize("method", ["step", "run_macro"])
+@pytest.mark.parametrize("method", ["step", "run_macro", "advance"])
 @pytest.mark.parametrize("case", ["nan", "inf", "-inf", "-2.0", "object_count",
                                   "dropped_slot", "no_carried_slot", "one_value_short",
                                   "one_value_long"])
@@ -414,7 +415,7 @@ def test_bad_state_is_a_contract_violation_naming_the_method(env, tasks, method,
         if method == "step":
             env.step(state, action)
         else:
-            env.run_macro(state, [action] * 3, tasks[0])
+            getattr(env, method)(state, [action] * 3, tasks[0])
     assert repr(state.values) == before and state.step_count == 4
 
 
@@ -487,9 +488,9 @@ def test_env_json_round_trip(env, tasks):
 
 # -- scalar hot path against the numpy reference -----------------------------
 #
-# The reference functions below are the numpy forms of BlockNavEnv.step,
-# BlockNavEnv._nearest_object and the goal predicate that the scalar code
-# replaced.  The scalar code must reproduce them bit for bit.
+# The reference functions below are the numpy forms of BlockNavEnv.step, its
+# pick search and the goal predicate that the scalar code replaced.  The
+# scalar code must reproduce them bit for bit.
 
 def reference_nearest_object(env, values):
     pos = values[0:2]
@@ -497,6 +498,17 @@ def reference_nearest_object(env, values):
     dists = np.linalg.norm(objects - pos, axis=1)
     idx = int(np.argmin(dists))
     return idx if dists[idx] <= env.pick_radius else -1
+
+
+def kernel_pick(world, values):
+    """The object the kernel picks where ``values`` puts the robot and the objects:
+    the carried slot after stepping (0, 0, 1) from their open, empty-handed state.
+    The robot must lie inside the arena, where the zero move leaves it."""
+    values = [float(x) for x in values]
+    values[2:4] = -1.0, -1.0
+    got = world.step(StateVec(values), (0.0, 0.0, 1.0))
+    assert got.values[0:2] == values[0:2]
+    return int(got.values[3])
 
 
 def reference_step(env, state, action):
@@ -583,9 +595,14 @@ def test_step_matches_numpy_reference_random(env, tasks):
 def test_nearest_object_matches_numpy_reference():
     rng = np.random.default_rng(7)
     world = BlockNavEnv(object_count=4)
+    picked = set()
     for _ in range(5_000):
         values = random_state_values(world, rng)
-        assert world._nearest_object(values.tolist()) == reference_nearest_object(world, values)
+        values[0:2] = np.clip(values[0:2], 0.0, world.extent)
+        expected = reference_nearest_object(world, values)
+        assert kernel_pick(world, values) == expected
+        picked.add(expected)
+    assert picked == {-1, 0, 1, 2, 3}
 
 
 def test_step_clamps_at_arena_edges(env):
@@ -624,7 +641,7 @@ def test_nan_object_blocks_pick_like_argmin():
         values = [5.0, 5.0, -1.0, -1.0, 5.1, 5.0, 5.0, 5.1, 4.9, 5.0]
         values[4 + 2 * nan_obj] = np.nan
         assert reference_nearest_object(world, np.array(values)) == -1
-        assert world._nearest_object(values) == -1
+        assert kernel_pick(world, values) == -1
         assert_same_step(world, values, (0.0, 0.0, 1.0))
 
 
@@ -640,7 +657,7 @@ def test_pick_matches_reference_near_radius(env):
             ox = np.nextafter(ox, rng.choice([-np.inf, np.inf]))
         values = [5.0, 5.0, -1.0, -1.0, ox, oy, 9.0, 9.0]
         expected = reference_nearest_object(env, np.array(values))
-        assert env._nearest_object(values) == expected
+        assert kernel_pick(env, values) == expected
         outcomes.add(expected)
     assert outcomes == {0, -1}
 
@@ -661,7 +678,7 @@ def test_step_equidistant_objects_pick_lowest_index():
     world = BlockNavEnv(object_count=3)
     # objects 1 and 2 are exactly 0.25 from the robot, object 0 is farther
     values = [5.0, 5.0, -1.0, -1.0, 5.3, 5.0, 5.25, 5.0, 4.75, 5.0]
-    assert world._nearest_object(values) == 1
+    assert kernel_pick(world, values) == 1
     got = assert_same_step(world, values, (0.0, 0.0, 1.0))
     assert got.values[3] == 1.0
     # all three at the same distance: object 0 wins
@@ -1307,7 +1324,8 @@ def check_run_macro_goal_tests(other):
     starts, on macros of 1 to 300 rows: run_macro gives the state, flag and
     count of step folded row by row with the goal tested after each, and
     calls the goal only after the first row and after each pick or drop.
-    With ``other``, the task run is ``steering_elsewhere``'s."""
+    ``advance`` on a copy of the start gives the same, bit for bit, in the
+    copy.  With ``other``, the task run is ``steering_elsewhere``'s."""
     rng = np.random.default_rng(47)
     seen = dict.fromkeys(["goal_start", "non_goal_start", "goal_after_row_1", "goal_at_drop",
                           "one_row", "300_rows", "pick", "drop", "re_pick", "other_pick"], 0)
@@ -1334,6 +1352,13 @@ def check_run_macro_goal_tests(other):
             assert state.values == before
             changed = [i for i in range(1, used + 1) if i == 1 or carried[i] != carried[i - 1]]
             assert calls == [state.step_count + i for i in changed]
+            own = state.copy()
+            (moved, moved_ok, moved_used), moved_calls = region_goal_calls(
+                lambda: world.advance(own, macro, run))
+            assert moved is own
+            assert np.array(moved.values).tobytes() == np.array(got.values).tobytes()
+            assert (moved.step_count, moved_ok, moved_used) == (got.step_count, ok, got_used)
+            assert moved_calls == calls
             seen["goal_start" if task.goal_predicate(state) else "non_goal_start"] += 1
             seen["goal_after_row_1"] += ok and used > 1
             seen["goal_at_drop"] += ok and carried[-2] >= 0 > carried[-1]
