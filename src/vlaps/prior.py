@@ -160,9 +160,9 @@ def sample_candidates(dist: np.ndarray, k: int, rng: np.random.Generator) -> lis
 
 class UniformLibraryPrior:
     """Uninformed baseline prior: a uniformly random library prototype, one
-    ``rng.integers(m)`` per query.  After a generator's first query its indices
-    come from ``rng.integers(m, size=_INDEX_BLOCK)``, the values of as many
-    scalar draws, by ``PriorPolicy``'s generator contract."""
+    ``rng.integers(m)`` per query.  The indices come from
+    ``rng.integers(m, size=_INDEX_BLOCK)``, the values of as many scalar draws,
+    by ``PriorPolicy``'s generator contract."""
 
     def __init__(self, lib: MacroLibrary):
         self.lib = lib
@@ -170,10 +170,6 @@ class UniformLibraryPrior:
 
     def sample_macro(self, obs, task: TaskSpec, rng: np.random.Generator) -> tuple:
         rows = self.lib.rows
-        if rng is not self._rng:
-            # most generators serve one query: an expansion's anchor
-            self._rng, self._ahead = rng, []
-            return rows[rng.integers(len(rows))]
-        if not self._ahead:
-            self._ahead = rng.integers(len(rows), size=_INDEX_BLOCK).tolist()[::-1]
+        if rng is not self._rng or not self._ahead:
+            self._rng, self._ahead = rng, rng.integers(len(rows), size=_INDEX_BLOCK).tolist()[::-1]
         return rows[self._ahead.pop()]

@@ -207,9 +207,9 @@ def test_uniform_library_prior(library, env, tasks):
 
 @pytest.mark.parametrize("m", [64, 50, 7])
 def test_uniform_library_prior_replies_as_one_scalar_draw_per_query(m):
-    # it draws a generator's first index alone and the later ones a block at a
-    # time; each reply is still that of one rng.integers(m) per query on a twin
-    # generator, across queries on one generator, switches and runs past a block
+    # it draws a block of indices at a time; each reply is still that of one
+    # rng.integers(m) per query on a twin generator, across queries on one
+    # generator, switches and runs past a block
     lib = identity_library(np.arange(m, dtype=float))
     prior = UniformLibraryPrior(lib)
     for seed, queries in enumerate([1, 150, 1, 3]):
