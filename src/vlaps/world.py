@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -96,51 +96,36 @@ _OBJECT_FRACTIONS = [
     (0.40, 0.15),
 ]
 _REGION_FRACTIONS = [(0.15, 0.15), (0.85, 0.85), (0.15, 0.85)]
-# a scalar squared goal distance decides the predicate when its root lies farther
-# than this (times the radius, if above 1) from the region radius; a closer one,
-# which may differ from numpy's fused norm in the last bit, defers to _fused_norm
-_GOAL_TIE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
 class RegionGoal:
     """BlockNav's goal: object ``obj`` is not carried and lies within ``radius`` of the
-    centre ``(cx, cy)`` of region ``region``.  ``reached`` is a built-in task's predicate;
-    the kernel and the expert know it by its ``__self__`` and test it only where it can change."""
+    centre ``(cx, cy)`` of region ``region`` by the kernel pick's plain distance (a NaN
+    position never does).  It refuses a carried slot outside its environment's
+    ``carried_slots``, as the kernel does.  ``reached`` is a built-in task's predicate; the
+    kernel and the expert know it by its ``__self__`` and test it only where it can change."""
 
     obj: int
     region: int
     cx: float
     cy: float
     radius: float
-    # squared distances below inside or above outside decide the goal; the
-    # max leaves a radius below the margin no inside at all
-    inside: float = field(init=False)
-    outside: float = field(init=False)
-
-    def __post_init__(self):
-        margin = _GOAL_TIE_MARGIN * max(1.0, self.radius)
-        object.__setattr__(self, "inside", max(self.radius - margin, 0.0) ** 2)
-        object.__setattr__(self, "outside", (self.radius + margin) ** 2)
+    carried_slots: frozenset
 
     def reached(self, state: StateVec) -> bool:
         v, obj = state.values, self.obj
-        try:
-            if int(v[_CARRIED]) == obj:
+        carried = v[_CARRIED]
+        if carried != -1.0:
+            if carried not in self.carried_slots:
+                raise ContractViolationError(
+                    f"goal of move_obj{obj}_to_region{self.region}: the state's carried slot "
+                    f"(index {_CARRIED}) holds {carried!r}, not an object index")
+            if carried == obj:
                 return False
-        except (ValueError, OverflowError):
-            raise ContractViolationError(
-                f"goal of move_obj{obj}_to_region{self.region}: the state's carried slot "
-                f"(index {_CARRIED}) holds {v[_CARRIED]!r}, not an object index") from None
         dx = v[4 + 2 * obj] - self.cx
         dy = v[5 + 2 * obj] - self.cy
-        s = dx * dx + dy * dy
-        if s < self.inside:
-            return True
-        if s > self.outside:
-            return False
-        # near the boundary only the fused norm's rounding is bit-exact
-        return _fused_norm(dx, dy) <= self.radius
+        return math.sqrt(dx * dx + dy * dy) <= self.radius
 
 
 @dataclass(eq=False)
@@ -151,7 +136,7 @@ class BlockNavEnv(WorldModel):
     ``max_step`` and ``g > 0`` closing the gripper, ``g <= 0`` opening it.
     Picking happens when the gripper closes within ``pick_radius`` of an
     object; a carried object tracks the robot until dropped.  Every parameter
-    is positive, except the jitter, which may be 0.
+    is positive, except the jitter, which may be 0, and the extent is at most 1e150.
     """
 
     extent: float = 10.0
@@ -170,6 +155,9 @@ class BlockNavEnv(WorldModel):
             if value < 0 or (value == 0 and f.name != "jitter"):
                 raise ConfigurationError(f"BlockNavEnv: {f.name} must be positive "
                                          f"(the jitter may also be 0), got {value!r}")
+        if self.extent > 1e150:  # positions lie in [0, extent], so 2 * extent**2 bounds a square
+            raise ConfigurationError(f"BlockNavEnv: extent must be at most 1e+150, so a squared "
+                                     f"distance in the arena is finite, got {self.extent!r}")
         self.regions = np.array(_REGION_FRACTIONS) * self.extent
         base = [_OBJECT_FRACTIONS[i % len(_OBJECT_FRACTIONS)] for i in range(self.object_count)]
         self.base_object_positions = np.array(base) * self.extent
@@ -203,10 +191,10 @@ class BlockNavEnv(WorldModel):
         self._step_rows(out, rows, None, "BlockNavEnv.step")
         return out
 
-    def run_macro(
-        self, state: StateVec, macro: Sequence, task: TaskSpec
-    ) -> tuple[StateVec, bool, int]:
-        rows = macro if type(macro[0][0]) is float else np.asarray(macro, dtype=float).tolist()
+    def run_macro(self, state: StateVec, macro: Sequence,
+                  task: TaskSpec) -> tuple[StateVec, bool, int]:
+        """``WorldModel.run_macro``, with ``macro`` taken through ``check_macro``."""
+        rows = check_macro(macro, self.action_dim, "BlockNavEnv.run_macro: macro")
         out = state.copy()
         done = self._step_rows(out, rows, task.goal_predicate, "BlockNavEnv.run_macro")
         return out, done, out.step_count - state.step_count
@@ -292,7 +280,7 @@ class BlockNavEnv(WorldModel):
     # -- tasks --------------------------------------------------------------
 
     def tasks(self) -> list[TaskSpec]:
-        goals = [RegionGoal(obj, region, cx, cy, self.region_radius)
+        goals = [RegionGoal(obj, region, cx, cy, self.region_radius, self.carried_slots)
                  for obj in range(self.object_count)
                  for region, (cx, cy) in enumerate(self.regions.tolist())]
         return [TaskSpec(f"move_obj{g.obj}_to_region{g.region}",

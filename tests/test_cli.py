@@ -364,6 +364,18 @@ def test_nan_extent_is_config_error(tmp_path, monkeypatch, capsys):
     assert "extent" in capsys.readouterr().err
 
 
+def test_an_extent_at_which_a_squared_distance_can_overflow_is_config_error(
+        tmp_path, monkeypatch, capsys):
+    # at 1e308 the expert's norm overflowed in numpy during the library build
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps({"extent": 1e308, "seeds": [0]}))
+    monkeypatch.chdir(tmp_path)
+    assert main(["run-suite", "--config", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: BlockNavEnv: extent must be at most 1e+150")
+    assert err.count("\n") == 1 and not (tmp_path / "records.jsonl").exists()
+
+
 @pytest.mark.parametrize("shape", [(16, 8, 3), (16, 4, 2)], ids=["H8", "n2"])
 def test_library_of_another_shape_is_config_error(shape, tmp_path, monkeypatch, capsys):
     # an H=8 library under "H": 4, or macros of 2 columns for the 3-column

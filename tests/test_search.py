@@ -688,14 +688,18 @@ def test_check_tree_rejects_too_many_nodes_and_lost_visits():
 
 
 @settings(max_examples=30, deadline=None)
-@given(carried=st.sampled_from([math.nan, math.inf, -math.inf]),
+@given(carried=st.sampled_from([math.nan, math.inf, -math.inf, 2.0, 0.5, -2.0]),
        values=st.lists(st.floats(0.0, 10.0), min_size=6, max_size=6),
        grip=st.sampled_from([-1.0, 0.0, 1.0]), which=st.integers(0, 5))
-def test_a_non_number_carried_slot_is_a_contract_violation_naming_the_site(
+def test_a_carried_slot_naming_no_object_is_a_contract_violation_naming_the_site(
         env, model, tasks, library, carried, values, grip, which):
-    # the goal, the kernel's entry check for step, run_macro and advance, and the expert's own
-    # kernel steps each name where the state was refused; step_macro and the
-    # search test the goal on it first, and none of them changes it
+    # a carried slot that is not a number, or a number that is no object index
+    # (2.0 is the fixture's object count): the goal, the kernel's entry check for
+    # step, run_macro and advance, and the expert's own kernel steps each name
+    # where the state was refused by the one rule, the environment's carried
+    # slots; step_macro and the search test the goal on it first, and none of
+    # them changes it
+    assert env.object_count == 2
     rx, ry, *objects = values
     state = StateVec([rx, ry, grip, carried, *objects], 2)
     before = repr(state.values)
@@ -725,6 +729,20 @@ def test_a_non_number_carried_slot_is_a_contract_violation_naming_the_site(
                 rf"{re.escape(repr(carried))}")):
             call()
         assert repr(state.values) == before and state.step_count == 2
+
+
+def test_search_refuses_a_root_whose_carried_slot_names_no_object_before_any_query(
+        model, tasks, library):
+    # the first goal test refuses the root by the kernel's rule, so the error
+    # names the goal, not a prior query that stepped the state
+    cfg = SearchConfig(n_mc=2, k=4, d_sim_max=8)
+    meter = CostMeter(cfg)
+    root = StateVec([5.0, 5.0, 1.0, 5.0, 1.0, 1.0, 2.0, 2.0])
+    with pytest.raises(ContractViolationError, match=re.escape(
+            "goal of move_obj0_to_region0: the state's carried slot (index 3) holds 5.0")):
+        search_once(root, tasks[0], ScriptedExpertPrior(model, cfg.horizon, 0.0), library,
+                    model, cfg, streams=RngFactory(0), meter=meter)
+    assert (meter.queries, meter.sim_steps) == (0, 0)
 
 
 # -- rollout against the row-by-row loop ----------------------------------------
@@ -1178,6 +1196,19 @@ def test_step_macro_rejects_each_bad_macro_naming_itself(name, env, tasks):
     assert state == before
 
 
+@pytest.mark.parametrize("name", sorted(set(BAD_PRIOR_OUTPUTS) - {"raises"}))
+def test_run_macro_rejects_each_bad_macro_naming_itself(name, env, tasks):
+    # BlockNavEnv.run_macro takes its macro through check_macro as well: a NaN
+    # row would give a NaN state, and an empty or mis-shaped macro a bare error
+    output, reason = BAD_PRIOR_OUTPUTS[name]
+    state = env.reset(0, tasks[0].task_id)
+    before = state.copy()
+    with pytest.raises(ContractViolationError,
+                       match=f"^BlockNavEnv.run_macro: macro .*{reason}"):
+        env.run_macro(state, output, tasks[0])
+    assert state == before
+
+
 @pytest.mark.parametrize("name", ONE_ROW_BAD_OUTPUTS)
 def test_step_rejects_each_bad_one_row_macro_as_an_action(name, env, tasks):
     output, reason = BAD_PRIOR_OUTPUTS[name]
@@ -1281,6 +1312,22 @@ def test_expand_requires_library_horizon_rows(name, model, tasks, library):
     success, steps, _ = rollout(model, prior, node.sim_state, tasks[0], cfg,
                                 np.random.default_rng(0), CostMeter(cfg))
     assert (success, steps) == (False, 12)
+
+
+@pytest.mark.parametrize("entry", [1e300, 1.7e308, -1e200])
+def test_a_reply_too_large_to_square_is_infinitely_far_from_every_prototype(
+        entry, model, tasks, library):
+    # a finite reply whose normalized squares overflow: every distance is inf
+    # and the prior rule takes its uniform limit, with no numpy warning (a
+    # warning is an error in this suite)
+    cfg = SearchConfig(n_mc=5, k=4, d_sim_max=8, t_max=1e9)
+    reply = [[entry, 0.0, -1.0]] * cfg.horizon
+    dists = library.distances_to(reply)
+    assert np.isinf(dists).all()
+    assert (beta_distribution(dists, cfg.alpha_beta, cfg.epsilon_beta) == 1 / library.m).all()
+    outcome = search_once(model.reset(0, tasks[0].task_id), tasks[0], _FixedPrior(reply),
+                          library, model, cfg, streams=RngFactory(0), meter=CostMeter(cfg))
+    assert outcome.kind == BEST_ROOT_MACRO and outcome.iterations_used == cfg.n_mc
 
 
 def test_prior_only_episode_rejects_nan_macro(env, model, tasks, library):

@@ -133,6 +133,25 @@ def test_the_macro_rule_lives_in_check_macro():
     assert [path.name for path in SOURCES if "_float_array" in path.read_text()] == []
 
 
+def test_the_goal_applies_the_kernels_rules_and_the_fused_norm_is_the_experts():
+    # the goal tests the carried slot by its environment's own set, the one the
+    # kernel checks on entry, and its distance as the kernel's pick does, with
+    # no numpy; only the expert's steering keeps numpy's fused norm
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    users = sorted((module, owner) for module, tree in trees.items()
+                   for owner, ident in _identifiers(tree) if ident == "_fused_norm")
+    assert users == [("world.py", "_steer_values")]
+    region_goal = next(node for node in trees["world.py"].body
+                       if isinstance(node, ast.ClassDef) and node.name == "RegionGoal")
+    reached = next(node for node in region_goal.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "reached")
+    names = {node.id for node in ast.walk(reached) if isinstance(node, ast.Name)}
+    assert "np" not in names and "numpy" not in names
+    assert "math" in names
+    for env in (BlockNavEnv(), BlockNavEnv(object_count=4)):
+        assert all(task.target.carried_slots is env.carried_slots for task in env.tasks())
+
+
 def test_only_the_kernel_and_the_expert_test_for_a_built_in_goal():
     # a built-in goal is the bound RegionGoal.reached of its task's target,
     # known by its __self__, not by a code object; only _step_rows and
