@@ -16,9 +16,7 @@ the medoids and the objective after every swap are bit-identical to plain PAM's.
 
 from __future__ import annotations
 
-import contextlib
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -43,7 +41,6 @@ _PAM_RESTARTS = 8
 # a swap slot whose FastPAM1 cost is within this fraction of the lowest one
 # (at least this much in absolute terms) has its costs recomputed exactly
 _FASTPAM_MARGIN = 1e-8
-_AS_IS = contextlib.nullcontext()  # numpy's error handling, unchanged
 
 
 @dataclass
@@ -163,10 +160,6 @@ class MacroLibrary:
         flat = self.normalize(self.prototypes).reshape(self.m, -1)
         flat.setflags(write=False)
         object.__setattr__(self, "_normalized_flat", flat)
-        # normalized, a macro of at most this norm lies within 1e150 of every flat prototype
-        spread = max((math.hypot(*row) for row in flat.tolist()), default=0.0)
-        object.__setattr__(self, "_safe_norm", min(self.per_dim_std.tolist(), default=1.0) * (
-            1e150 - spread) - math.sqrt(self.horizon) * math.hypot(*self.per_dim_mean.tolist()))
         rows = tuple(CheckedMacro(proto, self.action_dim, "MacroLibrary: prototype")
                      for proto in self.prototypes.tolist())
         object.__setattr__(self, "rows", rows)
@@ -195,8 +188,7 @@ class MacroLibrary:
             raise ContractViolationError(
                 f"macro shape {macro.shape} != {self.prototypes.shape[1:]}"
             )
-        big = math.hypot(*macro.ravel().tolist()) > self._safe_norm  # only a big one overflows
-        with np.errstate(over="ignore") if big else _AS_IS:
+        with np.errstate(over="ignore"):
             # the bits np.linalg.norm(diff, axis=1) computes, without its conj copy
             diff = self._normalized_flat - self.normalize(macro).ravel()
             return np.sqrt(np.add.reduce(diff * diff, axis=1))

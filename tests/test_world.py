@@ -821,6 +821,8 @@ def test_goal_matches_numpy_norm_at_every_radius_scale():
     factors = [0.5, 1 - 1e-6, 1 - 1e-9, 1.0, 1 + 1e-9, 1 + 1e-6, 2.0]
     cases = 0
     for radius in (1e-300, 1e-12, 5e-10, 1e-9, 2e-9, 1e-6, 0.6, 3.0, 1e6):
+        # points around the radius, and around tiny offsets from the centre
+        scales = (radius, 1e-9 * max(1.0, radius), 2e-9 * max(1.0, radius))
         outcomes = set()
         # region centres at the default extent and at the radius's own scale
         for world in (BlockNavEnv(region_radius=radius),
@@ -828,8 +830,8 @@ def test_goal_matches_numpy_norm_at_every_radius_scale():
             for task in world.tasks():
                 obj = task.target.obj
                 cx, cy = task.target.cx, task.target.cy
-                points = [(cx + radius * f * math.cos(theta), cy + radius * f * math.sin(theta))
-                          for f in factors for theta in angles]
+                points = [(cx + r * f * math.cos(theta), cy + r * f * math.sin(theta))
+                          for r in scales for f in factors for theta in angles]
                 points += [(math.nan, cy), (cx, math.nan), (math.inf, cy), (cx, -math.inf)]
                 for x, y in points:
                     values = [5.0, 5.0, -1.0, -1.0, 9.0, 9.0, 9.0, 9.0]
@@ -843,9 +845,9 @@ def test_goal_matches_numpy_norm_at_every_radius_scale():
                     outcomes.add(expected)
                     cases += 1
         assert outcomes == {True, False}, radius
-    # the boundary band skips about 8% of the points: those put on the radius,
+    # the boundary band skips about 4% of the points: those put on the radius,
     # or rounded onto it where the centre's ulp dwarfs the offset
-    assert cases >= 9 * 2 * 6 * (len(factors) * len(angles) + 4) * 0.9, cases
+    assert cases >= 9 * 2 * 6 * (3 * len(factors) * len(angles) + 4) * 0.9, cases
 
 
 def test_goal_false_while_carried_and_on_nan(env, tasks):
