@@ -39,7 +39,7 @@ class PriorPolicy(Protocol):
     keeps a reply as it is, in a goal plan too, so a prior must not change a
     macro after returning it.  Only a prior's queries draw from the generator
     the search hands them, and once the search hands over another generator it
-    never hands the last one back; so a prior may draw ahead, as the uniform one does.
+    never hands the last one back; so a prior may draw ahead, as both built-in priors do.
     """
 
     def sample_macro(self, obs, task: TaskSpec, rng: np.random.Generator): ...
@@ -63,6 +63,9 @@ def _shifted_softmax(dists: np.ndarray, alpha: float) -> np.ndarray:
     # -alpha * d falls as d grows, so the nearest macro's scaled distance is
     # the max-shift, and the farthest's is the first to overflow; a Python
     # float overflows to inf with no warning
+    if alpha == 0.0:
+        # uniform whatever the distances; the max-shift's -0.0 * inf would be NaN
+        return np.full(len(dists), 1.0 / len(dists))
     near = dists.item(dists.argmin())
     top = -alpha * near
     if top == -math.inf:
@@ -82,7 +85,8 @@ def beta_distribution(dists: np.ndarray, alpha: float, epsilon: float) -> np.nda
 
     ``probs[i] = (1-eps) * softmax_i(-alpha * dists[i]) + eps/len(dists)``,
     with the softmax computed under a max-shift for stability.  At
-    ``eps = 0`` this is the softmax itself, bit for bit.  If ``alpha`` is so
+    ``eps = 0`` this is the softmax itself, bit for bit.  At ``alpha = 0`` the
+    softmax is uniform, infinite distances too.  If ``alpha`` is so
     large that every ``-alpha * dists[i]`` is -inf, the softmax is its limit,
     uniform over the indices of the smallest distance.  A scaled distance
     that overflows gets a weight of 0, and numpy warns of none.

@@ -136,7 +136,8 @@ class BlockNavEnv(WorldModel):
     ``max_step`` and ``g > 0`` closing the gripper, ``g <= 0`` opening it.
     Picking happens when the gripper closes within ``pick_radius`` of an
     object; a carried object tracks the robot until dropped.  Every parameter
-    is positive, except the jitter, which may be 0, and the extent is at most 1e150.
+    is positive, except the jitter, which may be 0, and the extent and ``max_step``
+    are at most 1e150.
     """
 
     extent: float = 10.0
@@ -155,9 +156,11 @@ class BlockNavEnv(WorldModel):
             if value < 0 or (value == 0 and f.name != "jitter"):
                 raise ConfigurationError(f"BlockNavEnv: {f.name} must be positive "
                                          f"(the jitter may also be 0), got {value!r}")
-        if self.extent > 1e150:  # positions lie in [0, extent], so 2 * extent**2 bounds a square
-            raise ConfigurationError(f"BlockNavEnv: extent must be at most 1e+150, so a squared "
-                                     f"distance in the arena is finite, got {self.extent!r}")
+        # 2 * extent**2 bounds a squared distance, and a noise row spans 2 * max_step
+        for name, value in (("extent", self.extent), ("max_step", self.max_step)):
+            if value > 1e150:
+                raise ConfigurationError(f"BlockNavEnv: {name} must be at most 1e+150, so squares "
+                                         f"and the expert's noise span are finite, got {value!r}")
         self.regions = np.array(_REGION_FRACTIONS) * self.extent
         base = [_OBJECT_FRACTIONS[i % len(_OBJECT_FRACTIONS)] for i in range(self.object_count)]
         self.base_object_positions = np.array(base) * self.extent
@@ -209,7 +212,9 @@ class BlockNavEnv(WorldModel):
     def _step_rows(self, state: StateVec, rows: Sequence, goal: Callable | None,
                    what: str) -> bool:
         """Apply the primitives ``(ax, ay, g)`` of ``rows`` to ``state`` in
-        place, adding 1 to its ``step_count`` for each; with a ``goal``, stop
+        place, adding 1 to its ``step_count`` for each; ``rows`` may be any iterable,
+        each row taken after the last is written, so a generator may compute a row
+        from the state's values, as the expert does.  With a ``goal``, stop
         after the first row at which it holds.  Returns whether one did.  A
         custom goal is tested after every row; a built-in one only after the
         first row and each pick or drop, since it reads only the carried index
@@ -374,6 +379,7 @@ def step_macro(
 
 _DROP_FRACTION = 0.5  # drop once within this fraction of the region radius
 _DEMO_STEPS = 100  # steps of an expert demonstration before it counts as failed
+_NOISE_BLOCK = 64  # uniforms the noisy expert draws at once from a generator
 
 
 def _fused_norm(dx: float, dy: float) -> float:
@@ -434,10 +440,12 @@ class ScriptedExpertPrior:
     """Greedy BlockNav controller exposed through the prior-policy interface.
 
     ``noise_level`` independently replaces each primitive with a uniformly
-    random action: each row draws ``rng.random()`` and, when that falls below
-    the noise, three uniforms; at 0 it draws nothing and this is the
-    deterministic expert.  The prior simulates its own copy of the
-    environment for the length of one macro-action.
+    random action: each row takes one uniform and, when that falls below the
+    noise, three more; at 0 it draws nothing and this is the deterministic
+    expert.  The uniforms are the values of as many ``rng.random()`` calls,
+    taken from ``rng.random(_NOISE_BLOCK)`` by ``PriorPolicy``'s generator
+    contract.  The prior steps its own copy of the state through one
+    macro-action in one kernel pass, computing each row from the last.
     """
 
     def __init__(self, env: BlockNavEnv, horizon: int, noise_level: float = 0.0):
@@ -446,26 +454,37 @@ class ScriptedExpertPrior:
         self.env = env
         self.horizon = int(horizon)
         self.noise_level = float(noise_level)
+        self._rng, self._ahead = None, []  # uniforms drawn from _rng, not used, last first
 
     def sample_macro(self, obs: tuple, task: TaskSpec, rng: np.random.Generator) -> list[tuple]:
         env, noise_level, high = self.env, self.noise_level, self.env.max_step
         goal, steer, state = task.goal_predicate, _steer_values(env, task), StateVec(list(obs))
-        every, done, rows = type(getattr(goal, "__self__", None)) is not RegionGoal, None, []
-        for _ in range(self.horizon):
-            if noise_level > 0.0 and rng.random() < noise_level:
-                # rng.uniform(-high, high) twice, then rng.uniform(-1, 1): numpy's
-                # arithmetic, low + (high - low) * u, on the same three draws
-                ux, uy, ug = rng.random(3).tolist()
-                action = -high + (high + high) * ux, -high + (high + high) * uy, -1.0 + 2.0 * ug
-            else:
-                if done is None:
-                    done = goal(state)
-                action = (0.0, 0.0, -1.0) if done else steer(state.values)
-            carried = state.values[_CARRIED]
-            env._step_rows(state, (action,), None, "ScriptedExpertPrior.sample_macro")
-            if every or state.values[_CARRIED] != carried:  # the goal may have changed
-                done = None
-            rows.append(action)
+        every, v, rows = type(getattr(goal, "__self__", None)) is not RegionGoal, state.values, []
+        if rng is not self._rng:
+            self._rng, self._ahead = rng, []
+        ahead, span = self._ahead, high + high
+
+        def actions():
+            done = None
+            for _ in range(self.horizon):
+                if noise_level > 0.0 and len(ahead) < 4:  # a row takes at most 4 uniforms
+                    ahead[:0] = rng.random(_NOISE_BLOCK).tolist()[::-1]  # after those left
+                if noise_level > 0.0 and ahead.pop() < noise_level:
+                    # rng.uniform(-high, high) twice, then rng.uniform(-1, 1): numpy's
+                    # arithmetic, low + (high - low) * u, on the next three uniforms
+                    ux, uy, ug = ahead.pop(), ahead.pop(), ahead.pop()
+                    action = -high + span * ux, -high + span * uy, -1.0 + 2.0 * ug
+                else:
+                    if done is None:
+                        done = goal(state)
+                    action = (0.0, 0.0, -1.0) if done else steer(v)
+                carried = v[_CARRIED]
+                rows.append(action)
+                yield action
+                if every or v[_CARRIED] != carried:  # the goal may have changed
+                    done = None
+
+        env._step_rows(state, actions(), None, "ScriptedExpertPrior.sample_macro")
         return rows
 
 

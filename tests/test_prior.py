@@ -48,6 +48,18 @@ def test_alpha_zero_is_uniform():
     assert np.allclose(probs, 1.0 / 3.0)
 
 
+def test_alpha_zero_is_uniform_at_any_distance():
+    # the bits of the max-shifted softmax, whose weights are all exp(0) at finite
+    # distances, and the same rule at an infinite distance, where -0.0 * inf is NaN
+    for dists in ([0.3, 1.0, 2.5, 7.0], [0.0] * 5, [1e300] * 64):
+        for epsilon in (0.0, 0.1):
+            weights = np.exp(-0.0 * np.array(dists))
+            shifted = (1.0 - epsilon) * (weights / weights.sum()) + epsilon / len(dists)
+            assert beta_distribution(np.array(dists), 0.0, epsilon).tobytes() == shifted.tobytes()
+            with_inf = beta_distribution(np.array(dists + [math.inf]), 0.0, epsilon)
+            assert np.allclose(with_inf, 1.0 / (len(dists) + 1), rtol=0.0, atol=1e-15)
+
+
 def test_beta_matches_scalar_oracle_example():
     lib = identity_library([0.0, 1.0, 2.0])
     probs = beta(lib, np.array([[0.0]]), alpha=1.0, epsilon=0.0)

@@ -695,10 +695,10 @@ def test_a_carried_slot_naming_no_object_is_a_contract_violation_naming_the_site
         env, model, tasks, library, carried, values, grip, which):
     # a carried slot that is not a number, or a number that is no object index
     # (2.0 is the fixture's object count): the goal, the kernel's entry check for
-    # step, run_macro and advance, and the expert's own kernel steps each name
+    # step, run_macro and advance, and the expert's own kernel pass each name
     # where the state was refused by the one rule, the environment's carried
-    # slots; step_macro and the search test the goal on it first, and none of
-    # them changes it
+    # slots; step_macro and the search test the goal on it first, the expert
+    # enters the kernel before it steers or draws, and none of them changes it
     assert env.object_count == 2
     rx, ry, *objects = values
     state = StateVec([rx, ry, grip, carried, *objects], 2)
@@ -713,12 +713,11 @@ def test_a_carried_slot_naming_no_object_is_a_contract_violation_naming_the_site
         (goal_site, lambda: step_macro(env, state, macro, task)),
         (goal_site, lambda: search_once(state, task, expert, library, model, cfg,
                                         streams=RngFactory(0), meter=CostMeter(cfg))),
-        (goal_site, lambda: expert.sample_macro(model.observe(state), task,
-                                                np.random.default_rng(0))),
+        ("ScriptedExpertPrior.sample_macro", lambda: expert.sample_macro(
+            model.observe(state), task, np.random.default_rng(0))),
         ("BlockNavEnv.step", lambda: env.step(state, macro[0])),
         ("BlockNavEnv.run_macro", lambda: env.run_macro(state, macro, task)),
         ("BlockNavEnv.advance", lambda: env.advance(state, macro, task)),
-        # at noise 1 the expert steps a random first row without asking the goal
         ("ScriptedExpertPrior.sample_macro", lambda: ScriptedExpertPrior(
             model, cfg.horizon, 1.0).sample_macro(model.observe(state), task,
                                                   np.random.default_rng(0))),
@@ -1328,6 +1327,19 @@ def test_a_reply_too_large_to_square_is_infinitely_far_from_every_prototype(
     outcome = search_once(model.reset(0, tasks[0].task_id), tasks[0], _FixedPrior(reply),
                           library, model, cfg, streams=RngFactory(0), meter=CostMeter(cfg))
     assert outcome.kind == BEST_ROOT_MACRO and outcome.iterations_used == cfg.n_mc
+
+
+def test_an_infinitely_far_reply_at_alpha_zero_is_uniform(model, tasks, library):
+    # at alpha 0 the rule is uniform whatever the distances; the max-shift's
+    # -0.0 * inf would be NaN (uniform_deep selects with alpha_psi 0)
+    for alphas in ({"alpha_psi": 0.0}, {"alpha_beta": 0.0, "alpha_psi": 0.0}):
+        cfg = SearchConfig(n_mc=5, k=4, d_sim_max=8, t_max=1e9, **alphas)
+        reply = [[1e300, 0.0, -1.0]] * cfg.horizon
+        dists = library.distances_to(reply)
+        assert (psi_prior(dists[:cfg.k], cfg.alpha_psi, 0.0) == 1 / cfg.k).all()
+        outcome = search_once(model.reset(0, tasks[0].task_id), tasks[0], _FixedPrior(reply),
+                              library, model, cfg, streams=RngFactory(0), meter=CostMeter(cfg))
+        assert outcome.kind == BEST_ROOT_MACRO and outcome.iterations_used == cfg.n_mc
 
 
 def test_prior_only_episode_rejects_nan_macro(env, model, tasks, library):

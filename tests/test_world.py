@@ -72,6 +72,21 @@ def test_env_refuses_an_extent_at_which_a_squared_distance_can_overflow():
             BlockNavEnv(extent=extent)
 
 
+def test_env_refuses_a_max_step_at_which_the_expert_noise_span_overflows():
+    # a noise row is -max_step + (2 * max_step) * u, as rng.uniform computes it;
+    # above 1e150 the env refuses the field, at 1e150 noise rows stay finite
+    for max_step in (math.nextafter(1e150, math.inf), 1e308):
+        with pytest.raises(ConfigurationError, match=(
+                r"^BlockNavEnv: max_step must be at most 1e\+150, .* got "
+                + re.escape(repr(max_step)))):
+            BlockNavEnv(max_step=max_step)
+    world = BlockNavEnv(max_step=1e150)
+    task = world.tasks()[0]
+    obs = world.observe(world.reset(0, task.task_id))
+    macro = ScriptedExpertPrior(world, 50, 1.0).sample_macro(obs, task, np.random.default_rng(0))
+    assert all(map(math.isfinite, np.ravel(macro))) and np.abs(macro).max() > 1e149
+
+
 def test_env_accepts_zero_jitter_and_numpy_numbers():
     world = BlockNavEnv(extent=np.float64(8.0), object_count=np.int64(3), jitter=0)
     assert (world.extent, world.object_count, world.jitter) == (8.0, 3, 0.0)
@@ -253,7 +268,8 @@ def reference_run_expert_episode(env, task, seed):
 @pytest.mark.parametrize("noise", [0.0, 0.3, 1.0])
 def test_noisy_expert_keeps_draw_order(env, tasks, noise):
     # consecutive macros from a reset state on one stream, as an episode
-    # queries the prior, draw what the numpy rule drew, row after row
+    # queries the prior, draw what the numpy rule drew, row after row; the
+    # noisy expert draws ahead, so only at noise 0 is the stream left untouched
     for seed, task in enumerate(tasks * 3):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         state = env.reset(seed, task.task_id)
@@ -265,7 +281,8 @@ def test_noisy_expert_keeps_draw_order(env, tasks, noise):
                 ref_rows.append(_reference_noisy_action(env, state, task, noise, ref_rng))
                 state = env.step(state, ref_rows[-1])
             assert np.array(ref_rows).tobytes() == np.asarray(macro, dtype=float).tobytes()
-        assert rng.random() == ref_rng.random()
+        if noise == 0.0:
+            assert rng.random() == ref_rng.random()
 
 
 def test_nearest_object_skips_out_of_reach_objects_exactly(env):
@@ -1190,7 +1207,8 @@ def test_sample_macro_matches_numpy_reference(noise):
                 ref = reference_sample_macro(world, horizon, noise, obs, task, ref_draws)
                 assert np.shape(got) == ref.shape == (horizon, 3)
                 assert np.asarray(got, dtype=float).tobytes() == ref.tobytes()
-                assert draws.random() == ref_draws.random()
+                if noise == 0.0:  # the noisy expert draws ahead of its rows
+                    assert draws.random() == ref_draws.random()
 
 
 def test_run_expert_episode_matches_numpy_reference():
@@ -1228,7 +1246,8 @@ def test_expert_on_custom_tasks_matches_reference(env, tasks):
         got = ScriptedExpertPrior(env, 4, noise).sample_macro(obs, task, draws)
         assert np.asarray(got, dtype=float).tobytes() == reference_sample_macro(
             env, 4, noise, obs, task, ref_draws).tobytes()
-        assert draws.random() == ref_draws.random()
+        if noise == 0.0:  # the noisy expert draws ahead of its rows
+            assert draws.random() == ref_draws.random()
     assert goals >= 50
 
 
@@ -1404,8 +1423,8 @@ def per_row_sample_macro(env, horizon, noise, obs, task, rng):
 
 
 def check_sample_macro_goal_tests(noise, other):
-    """The expert gives the rows of the per-row controller bit for bit and
-    leaves the generator where it does, but calls a built-in goal only
+    """The expert gives the rows of the per-row controller bit for bit, and at
+    noise 0 leaves the generator untouched as it does, but calls a built-in goal only
     before its first non-noise row and the first after each pick or drop.
     With ``other``, the task is ``steering_elsewhere``'s."""
     rng = np.random.default_rng(int(noise * 10) + 60)
@@ -1424,7 +1443,8 @@ def check_sample_macro_goal_tests(noise, other):
             got, calls = region_goal_calls(lambda: prior.sample_macro(obs, task, draws))
             ref, noisy, carried = per_row_sample_macro(world, horizon, noise, obs, task, ref_draws)
             assert np.array(got).tobytes() == np.array(ref).tobytes()
-            assert draws.bit_generator.state == ref_draws.bit_generator.state
+            if noise == 0.0:  # the noisy expert draws ahead of its rows
+                assert draws.bit_generator.state == ref_draws.bit_generator.state
             expected, stale, before = [], True, [obs[3]] + carried
             for i in range(horizon):
                 if stale and not noisy[i]:
@@ -1510,8 +1530,8 @@ def test_a_wrapped_or_replaced_goal_is_tested_at_every_row(env, tasks):
 def test_uniform_matches_rng_uniform_stream(lo, hi):
     # at noise 1 every row of the expert's macro is rng.random() (the noise
     # draw), then rng.uniform(lo, hi) twice and rng.uniform(-1, 1), which it
-    # computes from one rng.random(3); the values and the generator's next
-    # draw must match rng.uniform's
+    # computes from the next three uniforms; the values must match rng.uniform's,
+    # and the generator stands at the end of the last block of 64 the expert drew
     world = BlockNavEnv(max_step=hi)
     prior, task = ScriptedExpertPrior(world, 50, 1.0), world.tasks()[0]
     draws, ref_draws = np.random.default_rng(77), np.random.default_rng(77)
@@ -1523,4 +1543,42 @@ def test_uniform_matches_rng_uniform_stream(lo, hi):
         ref.append([ref_draws.uniform(lo, hi), ref_draws.uniform(lo, hi),
                     ref_draws.uniform(-1.0, 1.0)])
     assert got.tobytes() == np.array(ref).tobytes()
+    ref_draws.random(-4 * len(got) % 64)
     assert draws.random() == ref_draws.random()
+
+
+@pytest.mark.parametrize("noise,horizon", [(0.3, 4), (1.0, 20)])
+def test_noisy_expert_replies_as_scalar_draws_per_row(noise, horizon):
+    # it draws its uniforms a block at a time; each reply is still that of one
+    # rng.random() per row, and rng.uniform three times for a noise row, on a twin
+    # generator, across queries on one generator, switches to a new one and, at
+    # H = 20 and noise 1 (80 uniforms a query), a refill inside one query
+    world = BlockNavEnv(object_count=3)
+    prior, world_tasks = ScriptedExpertPrior(world, horizon, noise), world.tasks()
+    states = np.random.default_rng(12)
+    for seed, queries in enumerate([1, 150, 1, 3]):
+        draws, ref_draws = np.random.default_rng(seed), np.random.default_rng(seed)
+        for query in range(queries):
+            task = world_tasks[query % len(world_tasks)]
+            obs = world.observe(StateVec(random_expert_values(world, task, states).tolist()))
+            got = prior.sample_macro(obs, task, draws)
+            assert np.asarray(got, dtype=float).tobytes() == reference_sample_macro(
+                world, horizon, noise, obs, task, ref_draws).tobytes()
+
+
+def test_expert_steps_a_query_in_one_kernel_pass(env, tasks, monkeypatch):
+    # one entry into the kernel per query, so its entry checks run once
+    kernel, calls = BlockNavEnv._step_rows, []
+
+    def counted(self, state, rows, goal, what):
+        calls.append(what)
+        return kernel(self, state, rows, goal, what)
+
+    monkeypatch.setattr(BlockNavEnv, "_step_rows", counted)
+    for noise in (0.0, 0.5, 1.0):
+        prior = ScriptedExpertPrior(env, 20, noise)
+        for seed, task in enumerate(tasks):
+            calls.clear()
+            obs = env.observe(env.reset(seed, task.task_id))
+            macro = prior.sample_macro(obs, task, np.random.default_rng(seed))
+            assert len(macro) == 20 and calls == ["ScriptedExpertPrior.sample_macro"]
