@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -209,7 +209,7 @@ class BlockNavEnv(WorldModel):
         done = self._step_rows(state, macro, task.goal_predicate, "BlockNavEnv.advance")
         return state, done, state.step_count - start
 
-    def _step_rows(self, state: StateVec, rows: Sequence, goal: Callable | None,
+    def _step_rows(self, state: StateVec, rows: Iterable, goal: Callable | None,
                    what: str) -> bool:
         """Apply the primitives ``(ax, ay, g)`` of ``rows`` to ``state`` in
         place, adding 1 to its ``step_count`` for each; ``rows`` may be any iterable,

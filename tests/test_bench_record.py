@@ -1,4 +1,3 @@
-import ast
 import importlib.util
 from pathlib import Path
 
@@ -29,12 +28,6 @@ def test_recorder_summarises_one_short_bench_run():
     assert set(entry["metrics"]) == set(run["result"]["metrics"]) and entry["layers"] == {}
     (seen,) = entry["runs"]
     assert seen["probe_ms"] > 0 and seen["loadavg_1m"] >= 0 and seen["failed"] == 0
-
-
-def test_recorder_counts_defaulted_parameters_as_the_source_test_finds_them():
-    from test_source import SOURCES, _defaulted_parameters
-    found = [p for path in SOURCES for p in _defaulted_parameters(ast.parse(path.read_text()))]
-    assert load_recorder().defaulted_parameters() == len(found) > 0
 
 
 def test_spread_gives_the_median_and_inclusive_quartiles():

@@ -1,23 +1,22 @@
 """Record the benchmark into one JSON file, for a change to quote before and after.
 
-    python3 tools/bench_record.py --out BENCH_<n>.json [--seeds 0 1 3] [--seconds S]
+    python3 tools/bench_record.py --out BENCH_<n>.json
 
 It runs ``python3 bench/run.py`` as subprocesses: each workload of
-``BENCHMARK.json`` at ``--trace 0`` once per seed, for ``--seconds`` each (by
-default the file's ``run_seconds``), and once at ``--trace 1`` on the first
-seed.  It also times tier-1 and criterion 7 with ``perf_counter``.  The file
-holds, per workload, the median and quartiles of each end-to-end metric, the
-per-layer metrics of the traced pass, every fingerprint's status as the bench
-printed it, and each run's ``probe_ms`` and load average, so a slow host can
-be told from a slow change; and ``src.lines`` and the count of defaulted
-parameters in ``src/``.  Standard library only; it changes nothing under
-``bench/`` or ``src/``.
+``BENCHMARK.json`` at ``--trace 0`` once per seed of ``SEEDS``, for the file's
+``run_seconds`` each, and once at ``--trace 1`` on the first seed.  It also
+times tier-1 and criterion 7 with ``perf_counter``.  The file holds, per
+workload, the median and quartiles of each end-to-end metric, the per-layer
+metrics of the traced pass, every fingerprint's status as the bench printed
+it, and each run's ``probe_ms`` and load average, so a slow host can be told
+from a slow change; and ``src.lines``.  The seeds and run length are fixed, so
+every such file is comparable with the last.  Standard library only; it
+changes nothing under ``bench/`` or ``src/``.
 """
 
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import os
 import statistics
@@ -27,6 +26,7 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
+SEEDS = (3, 0, 1)  # each workload runs once per seed; the first is also traced
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 CRITERION_7 = ["-m", "pytest", "-q", "tests/test_acceptance.py", "-k", "criterion_7"]
 
@@ -91,17 +91,6 @@ def summarise(runs: list) -> dict:
             "workloads": workloads}
 
 
-def defaulted_parameters() -> int:
-    """Defaulted parameters of the top-level functions and methods of ``src/vlaps``."""
-    count = 0
-    for path in (REPO / "src" / "vlaps").glob("*.py"):
-        body = ast.parse(path.read_text()).body
-        body += [stmt for cls in body if isinstance(cls, ast.ClassDef) for stmt in cls.body]
-        count += sum(len(f.args.defaults) + sum(d is not None for d in f.args.kw_defaults)
-                     for f in body if isinstance(f, ast.FunctionDef))
-    return count
-
-
 def timed(args: list) -> dict:
     """Wall seconds of ``python <args>`` at the repository root, with ``src/`` on
     the path, its exit code and pytest's last line."""
@@ -119,19 +108,16 @@ def main(argv=None) -> int:
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 3])
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     args = parser.parse_args(argv)
-    runs = []
+    seconds, runs = spec["run_seconds"], []
     for workload in (w["name"] for w in spec["workloads"]):
-        for seed in args.seeds:
-            runs.append(bench_run(workload, seed, args.seconds, 0))
+        for seed in SEEDS:
+            runs.append(bench_run(workload, seed, seconds, 0))
             print(f"{workload} seed {seed}: exit {runs[-1]['exit']}", file=sys.stderr)
-        runs.append(bench_run(workload, args.seeds[0], args.seconds, 1))
+        runs.append(bench_run(workload, SEEDS[0], seconds, 1))
         print(f"{workload} traced: exit {runs[-1]['exit']}", file=sys.stderr)
     record = summarise(runs)
-    record["seconds"], record["seeds"] = args.seconds, args.seeds
-    record["defaulted_parameters"] = defaulted_parameters()
+    record["seconds"], record["seeds"] = seconds, list(SEEDS)
     record["tier1"] = timed(TIER1)
     record["criterion_7"] = timed(CRITERION_7)
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
