@@ -254,27 +254,47 @@ def rollout(
 
     Returns (success, primitive steps used, ``check_macro``'s rows of each macro
     queried, uncopied); the last may have been cut short by the cap or by the
-    goal.  ``run_macro`` steps the first macro into a new state, which ``advance``
-    steps in place, so ``start`` is left as it was.  Raises ``PriorQueryError``
-    if the prior fails or returns a malformed macro.
+    goal.  ``run_macro`` steps the first macro into a new state, the rollout's
+    own, and one ``advance`` call steps that state in place through every later
+    macro: its rows come from a generator that, each time it runs out, queries
+    the prior on the state the model has just written.  So ``start`` is left as
+    it was, and ``meter`` reads as a macro-by-macro loop's would at each query.
+    Raises ``PriorQueryError`` if the prior fails or returns a malformed macro.
     """
     if task.goal_predicate(start):
         return True, 0, []
-    state, steps, macros, run = start, 0, [], model.run_macro
-    while steps < cfg.d_sim_max:
+    cap, macros = cfg.d_sim_max, []
+
+    def query(state: StateVec, steps: int) -> list | tuple:
+        # the goal was tested on ``state`` by the check above or after the
+        # previous macro's last step, so no caller repeats step_macro's start test
         meter.queries += 1
         macro = _query_prior(prior, model, state, task, rng, "in rollout")
         macros.append(macro)
-        # the goal was tested on ``state`` by the check above or after the
-        # previous macro's last step, so this skips step_macro's start test
-        left = cfg.d_sim_max - steps
-        state, success, used = run(state, macro[:left] if len(macro) > left else macro, task)
-        run = model.advance
-        meter.sim_steps += used
-        steps += used
-        if success:
-            return True, steps, macros
-    return False, steps, macros
+        left = cap - steps
+        return macro[:left] if len(macro) > left else macro
+
+    state, success, steps = model.run_macro(start, query(start, 0), task)
+    meter.sim_steps += steps
+    if success or steps == cap:
+        return success, steps, macros
+    if state is start:  # a model whose step returned its input: advance must not write it
+        state = start.copy()
+    charged = steps
+
+    def rows():
+        # resumed after a macro's last row only once the model has written it
+        # and found no goal there, so those rows are charged before the next query
+        nonlocal charged
+        while charged < cap:
+            macro = query(state, charged)
+            yield from macro
+            meter.sim_steps += len(macro)
+            charged += len(macro)
+
+    _, success, used = model.advance(state, rows(), task)
+    meter.sim_steps += steps + used - charged
+    return success, steps + used, macros
 
 
 def _path_macros(path: list, lib: MacroLibrary) -> list:

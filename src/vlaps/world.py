@@ -75,11 +75,23 @@ class WorldModel(ABC):
                 return state, True, steps
         return state, False, steps
 
-    def advance(self, state: StateVec, macro: Sequence,
+    def advance(self, state: StateVec, rows: Iterable,
                 task: TaskSpec) -> tuple[StateVec, bool, int]:
-        """``run_macro``'s results, but a model may step ``state`` in place and return
-        it, so the caller must own ``state``.  This default returns a new state."""
-        return self.run_macro(state, macro, task)
+        """Step ``state`` in place through any iterable of rows as ``check_macro``
+        returns them, with ``run_macro``'s goal test, and return it with the flag
+        and count; the caller must own ``state``.  Each row is taken only after
+        the last is written, so a generator may compute a row from ``state``, as
+        a rollout does when it queries the prior between macros.  This default
+        writes the ``values`` and ``step_count`` of each state ``step`` returns
+        into ``state``."""
+        steps = 0
+        for row in rows:
+            new = self.step(state, row)
+            state.values, state.step_count = new.values, new.step_count
+            steps += 1
+            if task.goal_predicate(state):
+                return state, True, steps
+        return state, False, steps
 
 
 # BlockNav state layout: [rx, ry, grip, carried, ox0, oy0, ox1, oy1, ...]
@@ -202,11 +214,12 @@ class BlockNavEnv(WorldModel):
         done = self._step_rows(out, rows, task.goal_predicate, "BlockNavEnv.run_macro")
         return out, done, out.step_count - state.step_count
 
-    def advance(self, state: StateVec, macro: Sequence,
+    def advance(self, state: StateVec, rows: Iterable,
                 task: TaskSpec) -> tuple[StateVec, bool, int]:
-        """Steps ``state`` in place through ``macro``, rows as ``check_macro`` returns them."""
+        """``WorldModel.advance`` in one kernel pass: steps ``state`` in place through
+        any iterable of rows as ``check_macro`` returns them, a generator's included."""
         start = state.step_count
-        done = self._step_rows(state, macro, task.goal_predicate, "BlockNavEnv.advance")
+        done = self._step_rows(state, rows, task.goal_predicate, "BlockNavEnv.advance")
         return state, done, state.step_count - start
 
     def _step_rows(self, state: StateVec, rows: Iterable, goal: Callable | None,

@@ -770,25 +770,145 @@ def reference_rollout(model, prior, start, task, cfg, rng, meter=None):
     return False, steps, macros
 
 
+def _rollout_against_reference(world, prior, start, task, cfg, seed):
+    """What ``reference_rollout`` and ``rollout`` return from one start on fresh
+    generators of ``seed``, each with its meter's counts and the generator's next
+    draw, the macros as bytes; ``prior`` may be a factory making a fresh prior."""
+    runs = []
+    for fn in (reference_rollout, rollout):
+        meter, rng = CostMeter(cfg), np.random.default_rng(seed)
+        success, steps, macros = fn(world, prior() if callable(prior) else prior,
+                                    start, task, cfg, rng, meter)
+        runs.append((success, steps, [np.asarray(m, dtype=float).tobytes() for m in macros],
+                     meter.queries, meter.sim_steps, rng.random()))
+    return runs
+
+
+def _rollout_outcome(success, steps, macros):
+    """How a rollout ended: at the goal, at the cap at a macro's end, or at a cap
+    that cut a later macro short (its macros hold the rows as the prior gave them)."""
+    if success:
+        return "goal"
+    if sum(map(len, macros)) == steps:
+        return "cap_at_macro_end"
+    assert len(macros) > 1
+    return "cap_cut_later_macro"
+
+
 def test_rollout_matches_reference_loop(model, tasks, library):
+    # H = 4 and H = 1 priors; caps of 5, 17 and 30 cut a later H = 4 macro short
     priors = [UniformLibraryPrior(library)] + [
-        ScriptedExpertPrior(model, 4, noise) for noise in (0.0, 0.3, 0.6, 1.0)]
+        ScriptedExpertPrior(model, horizon, noise)
+        for horizon in (4, 1) for noise in (0.0, 0.3, 0.6, 1.0)]
     outcomes = set()
-    for seed in range(200):
-        cfg = SearchConfig(d_sim_max=(5, 17, 30, 80)[seed % 4], t_max=1e9)
+    for seed in range(270):
+        cfg = SearchConfig(d_sim_max=(5, 17, 30, 80, 9)[seed % 5], t_max=1e9)
         prior = priors[seed % len(priors)]
         task = tasks[seed % len(tasks)]
         start = model.reset(seed, task.task_id)
-        runs = []
-        for fn in (reference_rollout, rollout):
-            meter, rng = CostMeter(cfg), np.random.default_rng(seed)
-            success, steps, macros = fn(model, prior, start, task, cfg, rng, meter)
-            runs.append((success, steps, [np.asarray(m, dtype=float).tobytes() for m in macros],
-                         meter.queries, meter.sim_steps, rng.random()))
+        runs = _rollout_against_reference(model, prior, start, task, cfg, seed)
         assert runs[0] == runs[1], seed
+        success, steps, macros = rollout(model, prior, start, task, cfg,
+                                         np.random.default_rng(seed), CostMeter(cfg))
+        outcomes.add((len(macros[0]), _rollout_outcome(success, steps, macros)))
+    assert outcomes == {(4, "goal"), (4, "cap_at_macro_end"), (4, "cap_cut_later_macro"),
+                        (1, "goal"), (1, "cap_at_macro_end")}, outcomes
+
+
+class _HomingPrior:
+    """A ChainWorld prior whose reply depends on its observation: two rows, each a
+    step toward cell 4 plus a random -1, 0 or 1, so a stale observation shows."""
+
+    def sample_macro(self, obs, task, rng):
+        drift = float(np.sign(4.0 - obs[0]))
+        return [[drift + float(rng.integers(-1, 2))] for _ in range(2)]
+
+
+def test_rollout_on_a_model_whose_step_returns_new_states_queries_each_written_state():
+    # ChainWorld's step returns a new state, and it keeps WorldModel's advance,
+    # which must write each one into the rollout's own state: the prior between
+    # macros must see the state the last row made, not the first macro's end
+    assert "advance" not in vars(ChainWorld)
+    outcomes = set()
+    for seed in range(60):
+        world = (ChainWorld(5.0), ChainWorld(4.5))[seed % 2]
+        cfg = SearchConfig(d_sim_max=(9, 12, 30)[seed % 3], horizon=2, t_max=1e9)
+        start = StateVec([float(seed % 3)], 2)
+        runs = _rollout_against_reference(world, _HomingPrior(), start, world.task(), cfg, seed)
+        assert runs[0] == runs[1], seed
+        assert (start.values, start.step_count) == ([float(seed % 3)], 2)
         success, steps = runs[1][:2]
-        outcomes.add("goal" if success else "cap" if steps % 4 else "cap_at_macro_end")
-    assert outcomes == {"goal", "cap", "cap_at_macro_end"}
+        outcomes.add("goal" if success else "cap")
+        if success:
+            outcomes.add("goal_after_2_macros" if runs[1][3] > 2 else "goal_early")
+    assert outcomes == {"goal", "cap", "goal_after_2_macros", "goal_early"}, outcomes
+
+
+class _FailingPrior:
+    """Asks ``inner``, but raises on its ``fail_at``-th query (counted from 1)."""
+
+    def __init__(self, inner, fail_at):
+        self.inner, self.fail_at, self.count = inner, fail_at, 0
+
+    def sample_macro(self, obs, task, rng):
+        self.count += 1
+        if self.count == self.fail_at:
+            raise ValueError(f"query {self.count} refused")
+        return self.inner.sample_macro(obs, task, rng)
+
+
+@pytest.mark.parametrize("fail_at", [1, 2, 5])
+@pytest.mark.parametrize("world_name", ["blocknav", "chain"])
+def test_a_prior_that_raises_in_a_rollout_leaves_the_meter_as_the_macro_loop_does(
+        world_name, fail_at, model, tasks, library):
+    # the query that raises may be the first, made before run_macro, or one
+    # made inside advance's pass; either way the meter has charged that query
+    # and every step before it, as the per-macro loop did, and start is as it was
+    for seed in range(6):
+        if world_name == "blocknav":
+            world, task, rows = model, tasks[2], 4
+            start, inner = model.reset(seed, task.task_id), UniformLibraryPrior(library)
+        else:
+            world, rows = ChainWorld(4.5), 2
+            task, start, inner = world.task(), StateVec([float(seed % 4)], 1), _HomingPrior()
+        before = _snapshot(start)
+        cfg = SearchConfig(d_sim_max=80, t_max=1e9)
+        readings = []
+        for fn, error in ((reference_rollout, ValueError), (rollout, PriorQueryError)):
+            meter = CostMeter(cfg)
+            with pytest.raises(error) as raised:
+                fn(world, _FailingPrior(inner, fail_at), start, task, cfg,
+                   np.random.default_rng(seed), meter)
+            readings.append((meter.queries, meter.sim_steps))
+            assert _snapshot(start) == before
+        assert str(raised.value) == f"prior query failed in rollout: query {fail_at} refused"
+        assert type(raised.value.__cause__) is ValueError
+        assert readings[0] == readings[1] == (fail_at, rows * (fail_at - 1)), seed
+
+
+def test_a_blocknav_rollout_enters_the_kernel_at_most_twice(model, tasks, library,
+                                                            monkeypatch):
+    # run_macro steps the first macro and one advance pass every later one, so
+    # the kernel's entry checks run at most twice whatever the rollout's length
+    kernel, calls = BlockNavEnv._step_rows, []
+
+    def counted(self, state, rows, goal, what):
+        calls.append(what)
+        return kernel(self, state, rows, goal, what)
+
+    monkeypatch.setattr(BlockNavEnv, "_step_rows", counted)
+    lengths = set()
+    for seed in range(36):
+        task = tasks[seed % len(tasks)]
+        prior = (UniformLibraryPrior(library), ScriptedExpertPrior(model, 4, 0.5))[seed % 2]
+        cfg = SearchConfig(d_sim_max=(4, 8, 80)[seed % 3], t_max=1e9)
+        calls.clear()
+        _, _, macros = rollout(model, prior, model.reset(seed, task.task_id), task, cfg,
+                               np.random.default_rng(seed), CostMeter(cfg))
+        own = [what for what in calls if what != "ScriptedExpertPrior.sample_macro"]
+        assert own == ["BlockNavEnv.run_macro", "BlockNavEnv.advance"][:1 + (len(macros) > 1)]
+        lengths.add(min(len(macros), 3))
+    assert lengths == {1, 2, 3}
 
 
 def test_chain_world_takes_default_macro_loop():
@@ -819,18 +939,61 @@ def test_chain_world_takes_default_macro_loop():
             np.asarray(m, dtype=float).tobytes() for m in runs[1][2]]
 
 
-def test_chain_world_advance_is_its_run_macro():
-    # ChainWorld keeps WorldModel's advance, which returns run_macro's new state
+def test_chain_world_advance_steps_in_place_to_its_run_macro():
+    # ChainWorld keeps WorldModel's advance, which steps the state it is handed
+    # in place to run_macro's values, step count, flag and count, from any
+    # iterable of rows, taking each row only after the last is written
     world = ChainWorld(goal_pos=3)
     task = world.task()
     assert "advance" not in vars(ChainWorld)
     start = StateVec([1.0], 4)
     for rows in ([[1.0]], [[1.0], [1.0], [1.0]], [[-1.0], [0.0]], np.array([[1.0], [1.0]])):
-        (got, ok, used), (ref, ref_ok, ref_used) = (
-            world.advance(start, rows, task), world.run_macro(start, rows, task))
-        assert (got.values, got.step_count, ok, used) == (
-            ref.values, ref.step_count, ref_ok, ref_used)
-        assert got is not start and (start.values, start.step_count) == ([1.0], 4)
+        ref, ref_ok, ref_used = world.run_macro(start, rows, task)
+        for given in (rows, (row for row in rows)):
+            own = StateVec([1.0], 4)
+            got, ok, used = world.advance(own, given, task)
+            assert got is own and (own.values, own.step_count, ok, used) == (
+                ref.values, ref.step_count, ref_ok, ref_used)
+        assert (start.values, start.step_count) == ([1.0], 4)
+    own, seen = StateVec([0.0], 0), []
+
+    def reading():
+        while True:
+            seen.append(own.values[0])
+            yield [1.0]
+
+    assert world.advance(own, reading(), task) == (own, True, 3)
+    assert (seen, own.values, own.step_count) == ([0.0, 1.0, 2.0], [3.0], 3)
+
+
+class _StillChain(ChainWorld):
+    """A ChainWorld whose step returns the state it is given for a row that does
+    not move, as a model may for a no-op."""
+
+    def step(self, state, action):
+        return state if round(float(action[0])) == 0 else super().step(state, action)
+
+
+def test_rollout_writes_no_start_its_model_handed_back():
+    # run_macro of a first macro that does not move returns start itself; the
+    # rollout must then step a copy of it, not write the caller's state
+    world = _StillChain(goal_pos=3)
+    replies = [[[0.0], [0.0]]] + [[[1.0], [1.0]]] * 5
+    cfg = SearchConfig(d_sim_max=9, horizon=2, t_max=1e9)
+    start = StateVec([0.0], 5)
+    assert world.run_macro(start, replies[0], world.task())[0] is start
+    runs = _rollout_against_reference(world, lambda: _FixedReplies(replies), start,
+                                      world.task(), cfg, 0)
+    assert runs[0] == runs[1] and runs[1][:2] == (True, 5)
+    assert (start.values, start.step_count) == ([0.0], 5)
+
+
+class _FixedReplies:
+    def __init__(self, replies):
+        self.replies = iter(replies)
+
+    def sample_macro(self, obs, task, rng):
+        return next(self.replies)
 
 
 def test_rollout_leaves_its_start_unchanged(model, tasks):
