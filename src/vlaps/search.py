@@ -265,13 +265,13 @@ def rollout(
         return True, 0, []
     cap, macros = cfg.d_sim_max, []
 
-    def query(state: StateVec, steps: int) -> list | tuple:
+    def query(state: StateVec, taken: int) -> list | tuple:
         # the goal was tested on ``state`` by the check above or after the
         # previous macro's last step, so no caller repeats step_macro's start test
         meter.queries += 1
         macro = _query_prior(prior, model, state, task, rng, "in rollout")
         macros.append(macro)
-        left = cap - steps
+        left = cap - taken
         return macro[:left] if len(macro) > left else macro
 
     state, success, steps = model.run_macro(start, query(start, 0), task)
@@ -293,7 +293,7 @@ def rollout(
             charged += len(macro)
 
     _, success, used = model.advance(state, rows(), task)
-    meter.sim_steps += steps + used - charged
+    meter.sim_steps += steps + used - charged  # the last macro's rows, if the goal cut it
     return success, steps + used, macros
 
 
