@@ -254,27 +254,24 @@ def rollout(
 
     Returns (success, primitive steps used, ``check_macro``'s rows of each macro
     queried, uncopied); the last may have been cut short by the cap or by the
-    goal.  ``run_macro`` steps the first macro into a new state, the rollout's
-    own, and one ``advance`` call steps that state in place through every later
-    macro: its rows come from a generator that, each time it runs out, queries
-    the prior on the state the model has just written.  So ``start`` is left as
-    it was, and ``meter`` reads as a macro-by-macro loop's would at each query.
-    Raises ``PriorQueryError`` if the prior fails or returns a malformed macro.
+    goal.  ``run_macro`` steps the first macro into the rollout's own state, and
+    one ``advance`` call steps it in place through every later macro, whose rows
+    a generator yields, querying the prior on the state just written each time
+    it runs out.  ``start`` is left as it was, and ``meter`` reads at each query
+    as a macro-by-macro loop's would.  Raises ``PriorQueryError`` if the prior
+    fails or returns a malformed macro.
     """
     if task.goal_predicate(start):
         return True, 0, []
-    cap, macros = cfg.d_sim_max, []
-
-    def query(state: StateVec, taken: int) -> list | tuple:
-        # the goal was tested on ``state`` by the check above or after the
-        # previous macro's last step, so no caller repeats step_macro's start test
-        meter.queries += 1
-        macro = _query_prior(prior, model, state, task, rng, "in rollout")
-        macros.append(macro)
-        left = cap - taken
-        return macro[:left] if len(macro) > left else macro
-
-    state, success, steps = model.run_macro(start, query(start, 0), task)
+    cap = cfg.d_sim_max
+    # the goal was tested on each state the prior is queried on, by the check
+    # above or after the previous macro's last step, so no macro repeats it
+    meter.queries += 1
+    first = _query_prior(prior, model, start, task, rng, "in rollout")
+    macros = [first]
+    if len(first) > cap:
+        first = first[:cap]
+    state, success, steps = model.run_macro(start, first, task)
     meter.sim_steps += steps
     if success or steps == cap:
         return success, steps, macros
@@ -287,7 +284,12 @@ def rollout(
         # and found no goal there, so those rows are charged before the next query
         nonlocal charged
         while charged < cap:
-            macro = query(state, charged)
+            meter.queries += 1
+            macro = _query_prior(prior, model, state, task, rng, "in rollout")
+            macros.append(macro)
+            left = cap - charged
+            if len(macro) > left:
+                macro = macro[:left]
             yield from macro
             meter.sim_steps += len(macro)
             charged += len(macro)

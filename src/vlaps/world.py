@@ -77,13 +77,10 @@ class WorldModel(ABC):
 
     def advance(self, state: StateVec, rows: Iterable,
                 task: TaskSpec) -> tuple[StateVec, bool, int]:
-        """Step ``state`` in place through any iterable of rows as ``check_macro``
-        returns them, with ``run_macro``'s goal test, and return it with the flag
-        and count; the caller must own ``state``.  Each row is taken only after
-        the last is written, so a generator may compute a row from ``state``, as
-        a rollout does when it queries the prior between macros.  This default
-        writes the ``values`` and ``step_count`` of each state ``step`` returns
-        into ``state``."""
+        """``run_macro``'s results, stepping ``state`` in place, which the caller must own,
+        through any iterable of checked rows.  A row is taken only after the last is
+        written, so a generator may read ``state``, as a rollout's does.  This default
+        writes the ``values`` and ``step_count`` of each state ``step`` returns into it."""
         steps = 0
         for row in rows:
             new = self.step(state, row)
