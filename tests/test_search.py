@@ -784,14 +784,15 @@ def _rollout_against_reference(world, prior, start, task, cfg, seed):
     return runs
 
 
-def _rollout_outcome(success, steps, macros):
+def _rollout_outcome(success, steps, lengths):
     """How a rollout ended: at the goal, at the cap at a macro's end, or at a cap
-    that cut a later macro short (its macros hold the rows as the prior gave them)."""
+    that cut a later macro short; ``lengths`` are the rows of each macro as the
+    prior gave them."""
     if success:
         return "goal"
-    if sum(map(len, macros)) == steps:
+    if sum(lengths) == steps:
         return "cap_at_macro_end"
-    assert len(macros) > 1
+    assert len(lengths) > 1
     return "cap_cut_later_macro"
 
 
@@ -808,9 +809,9 @@ def test_rollout_matches_reference_loop(model, tasks, library):
         start = model.reset(seed, task.task_id)
         runs = _rollout_against_reference(model, prior, start, task, cfg, seed)
         assert runs[0] == runs[1], seed
-        success, steps, macros = rollout(model, prior, start, task, cfg,
-                                         np.random.default_rng(seed), CostMeter(cfg))
-        outcomes.add((len(macros[0]), _rollout_outcome(success, steps, macros)))
+        success, steps, macros = runs[1][:3]
+        lengths = [len(m) // (8 * model.action_dim) for m in macros]  # float64 bytes
+        outcomes.add((lengths[0], _rollout_outcome(success, steps, lengths)))
     assert outcomes == {(4, "goal"), (4, "cap_at_macro_end"), (4, "cap_cut_later_macro"),
                         (1, "goal"), (1, "cap_at_macro_end")}, outcomes
 
@@ -839,9 +840,9 @@ def test_rollout_on_a_model_whose_step_returns_new_states_queries_each_written_s
         assert (start.values, start.step_count) == ([float(seed % 3)], 2)
         success, steps = runs[1][:2]
         outcomes.add("goal" if success else "cap")
-        if success:
-            outcomes.add("goal_after_2_macros" if runs[1][3] > 2 else "goal_early")
-    assert outcomes == {"goal", "cap", "goal_after_2_macros", "goal_early"}, outcomes
+        if success:  # runs[1][3] counts the macros queried
+            outcomes.add("goal_in_macro_3_on" if runs[1][3] > 2 else "goal_in_macro_1_or_2")
+    assert outcomes == {"goal", "cap", "goal_in_macro_3_on", "goal_in_macro_1_or_2"}, outcomes
 
 
 class _FailingPrior:
