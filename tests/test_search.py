@@ -975,6 +975,16 @@ class _StillChain(ChainWorld):
         return state if round(float(action[0])) == 0 else super().step(state, action)
 
 
+class _FixedReplies:
+    """Replies with ``replies`` in turn, whatever it observes."""
+
+    def __init__(self, replies):
+        self.replies = iter(replies)
+
+    def sample_macro(self, obs, task, rng):
+        return next(self.replies)
+
+
 def test_rollout_writes_no_start_its_model_handed_back():
     # run_macro of a first macro that does not move returns start itself; the
     # rollout must then step a copy of it, not write the caller's state
@@ -987,14 +997,6 @@ def test_rollout_writes_no_start_its_model_handed_back():
                                       world.task(), cfg, 0)
     assert runs[0] == runs[1] and runs[1][:2] == (True, 5)
     assert (start.values, start.step_count) == ([0.0], 5)
-
-
-class _FixedReplies:
-    def __init__(self, replies):
-        self.replies = iter(replies)
-
-    def sample_macro(self, obs, task, rng):
-        return next(self.replies)
 
 
 def test_rollout_leaves_its_start_unchanged(model, tasks):
