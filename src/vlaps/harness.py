@@ -171,15 +171,19 @@ def run_suite(cfg: SuiteConfig) -> list[RunRecord]:
     for noise in sorted(cfg.noise_levels):
         for task in tasks:
             for seed in cfg.seeds:
+                # the pair's one prior, stream factory and reset seed
                 prior = ScriptedExpertPrior(model, cfg.search.horizon, noise)
-                for method, search_cfg in (
-                    (METHOD_PRIOR_ONLY, prior_cfg),
-                    (METHOD_VLAPS, cfg.search),
-                ):
-                    streams = RngFactory(cfg.search.seed, seed, stable_hash(task.task_id),
-                                         int(round(noise * 1000)))
-                    result = run_episode(env, model, task, prior, library, search_cfg,
-                                         streams=streams, reset_seed=seed)
+                streams = RngFactory(cfg.search.seed, seed, stable_hash(task.task_id),
+                                     int(round(noise * 1000)))
+                base = run_episode(env, model, task, prior, library, prior_cfg,
+                                   streams=streams, reset_seed=seed)
+                # the search's root rollout is the prior-only episode's rollout, used
+                # again: the same prior, stream, state and cap, and model is an exact
+                # clone of env.  A planning model that differs from env must not reuse it
+                searched = run_episode(env, model, task, prior, library, cfg.search,
+                                       streams=streams, reset_seed=seed,
+                                       root_rollout=base.root_rollout)
+                for method, result in ((METHOD_PRIOR_ONLY, base), (METHOD_VLAPS, searched)):
                     records.append(RunRecord(
                         task_id=task.task_id, noise_level=noise, method=method, seed=seed,
                         success=result.success, wall_time=result.total_wall_time,

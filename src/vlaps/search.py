@@ -129,12 +129,16 @@ class SearchOutcome:
 
 @dataclass
 class EpisodeResult:
+    """One episode's outcome and whole cost: executed steps, searches (decision points),
+    cost-model seconds, prior queries and search iterations.  A prior-only episode also
+    keeps its one rollout's ``(success, steps, macros)`` for its paired search arm."""
     success: bool
     primitive_steps: int
     decision_points: int
     total_wall_time: float
     total_prior_queries: int
     total_search_iterations: int = 0
+    root_rollout: Optional[tuple] = None
 
 
 def _best_candidate(node: TreeNode) -> int:
@@ -247,41 +251,35 @@ def rollout(
     start: StateVec,
     task: TaskSpec,
     cfg: SearchConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     meter: CostMeter,
+    known: tuple | None = None,
 ) -> tuple[bool, int, list]:
     """Simulate the prior policy from a state until goal or the step cap.
 
     Returns (success, primitive steps used, ``check_macro``'s rows of each macro
     queried, uncopied); the last may have been cut short by the cap or by the
-    goal.  ``run_macro`` steps the first macro into the rollout's own state, and
-    one ``advance`` call steps it in place through every later macro, whose rows
-    a generator yields, querying the prior on the state just written each time
-    it runs out.  ``start`` is left as it was, and ``meter`` reads at each query
-    as a macro-by-macro loop's would.  Raises ``PriorQueryError`` if the prior
-    fails or returns a malformed macro.
+    goal.  One ``advance`` call steps a copy of ``start`` in place through rows
+    that a generator yields, querying the prior on the state just written each
+    time it runs out, so ``meter`` reads at each query as a macro-by-macro
+    loop's would.  ``known``, the triple this rollout returned before (the same
+    prior, stream, cap and start, on a model that steps alike), is returned
+    with its queries and steps charged, and ``rng`` is not used.  Raises
+    ``PriorQueryError`` if the prior fails or returns a malformed macro.
     """
+    if known is not None:
+        meter.queries += len(known[2])
+        meter.sim_steps += known[1]
+        return known
     if task.goal_predicate(start):
         return True, 0, []
-    cap = cfg.d_sim_max
-    # the goal was tested on each state the prior is queried on, by the check
-    # above or after the previous macro's last step, so no macro repeats it
-    meter.queries += 1
-    first = _query_prior(prior, model, start, task, rng, "in rollout")
-    macros = [first]
-    if len(first) > cap:
-        first = first[:cap]
-    state, success, steps = model.run_macro(start, first, task)
-    meter.sim_steps += steps
-    if success or steps == cap:
-        return success, steps, macros
-    if state is start:  # a model whose step returned its input: advance must not write it
-        state = start.copy()
-    charged = steps
+    state, macros, charged, cap = start.copy(), [], 0, cfg.d_sim_max
 
     def rows():
-        # resumed after a macro's last row only once the model has written it
-        # and found no goal there, so those rows are charged before the next query
+        # the goal was tested on each state the prior is queried on, by the check
+        # above or after the previous macro's last step, so no macro repeats it; and
+        # resumed after a macro's last row only once the model has written it and
+        # found no goal there, so those rows are charged before the next query
         nonlocal charged
         while charged < cap:
             meter.queries += 1
@@ -294,9 +292,9 @@ def rollout(
             meter.sim_steps += len(macro)
             charged += len(macro)
 
-    _, success, used = model.advance(state, rows(), task)
-    meter.sim_steps += steps + used - charged  # the last macro's rows, if the goal cut it
-    return success, steps + used, macros
+    _, success, steps = model.advance(state, rows(), task)
+    meter.sim_steps += steps - charged  # the last macro's rows, if the goal cut it
+    return success, steps, macros
 
 
 def _path_macros(path: list, lib: MacroLibrary) -> list:
@@ -313,6 +311,7 @@ def search_once(
     streams: RngFactory,
     meter: CostMeter,
     dp: int = 0,
+    root_rollout: tuple | None = None,
 ) -> SearchOutcome:
     """Run one decision point's search.
 
@@ -320,10 +319,13 @@ def search_once(
     ``d_max``, rolls the prior out from the best-prior new child (or from the
     leaf itself at ``d_max``), and backpropagates visit counts.  Iteration 1 first
     rolls the prior out from the root, so a prior that already solves the
-    task returns its solution at once.  Returns a goal plan as soon as any
-    simulated state satisfies the goal, otherwise the most-visited root macro
-    once the iteration budget is spent or ``meter`` reads ``cfg.t_max``.  Its
-    cost is the outcome's iterations and nodes and what ``meter`` was charged.
+    task returns its solution at once.  Given ``root_rollout``, that rollout's
+    result from an earlier run (see ``run_episode``), ``rollout`` returns it and
+    charges ``meter`` its cost, with no prior query, no step and no generator.
+    Returns a goal plan as soon as any simulated state satisfies the goal,
+    otherwise the most-visited root macro once the iteration budget is spent or
+    ``meter`` reads ``cfg.t_max``.  Its cost is the outcome's iterations and
+    nodes and what ``meter`` was charged.
     """
     if cfg.n_mc < 1:
         raise ConfigurationError("search_once requires n_mc >= 1")
@@ -348,8 +350,9 @@ def search_once(
         if it == 1:
             # first roll the prior out from the root, with no deadline check
             # before the root is expanded
-            success, _, macros = rollout(model, prior, root_state, task, cfg,
-                                         streams.rng(ROLLOUT, dp, 0), meter)
+            rng = streams.rng(ROLLOUT, dp, 0) if root_rollout is None else None
+            success, _, macros = rollout(model, prior, root_state, task, cfg, rng, meter,
+                                         root_rollout)
             if success:
                 return finish(GOAL_PLAN, plan=macros)
         if leaf.depth < cfg.d_max:
@@ -440,6 +443,7 @@ def run_episode(
     cfg: SearchConfig,
     streams: RngFactory,
     reset_seed: int = 0,
+    root_rollout: tuple | None = None,
 ) -> EpisodeResult:
     """Receding-horizon episode: search, execute, observe, repeat.
 
@@ -447,17 +451,18 @@ def run_episode(
     macro; if the true environment then misses the goal (after a goal plan,
     the model diverged from it), the runner searches again from the reached
     state.  With ``n_mc == 0`` the runner executes a single prior rollout
-    directly in the true environment (the prior-only baseline).  The result
-    holds the episode's whole cost.
+    directly in the true environment (the prior-only baseline) and keeps it in
+    the result.  The first search takes such a ``root_rollout`` as its root
+    rollout, bit for bit, if it came from the same prior, ``streams``,
+    ``reset_seed`` and ``d_sim_max`` and ``model`` steps exactly as ``env``.
+    The result holds the episode's whole cost.
     """
     meter = CostMeter(cfg)
     state = env.reset(reset_seed, task.task_id)
 
     if cfg.n_mc == 0:
-        success, steps, _ = rollout(
-            env, prior, state, task, cfg, streams.rng(ROLLOUT, 0, 0), meter
-        )
-        return EpisodeResult(success, steps, 0, meter.elapsed(), meter.queries)
+        done = rollout(env, prior, state, task, cfg, streams.rng(ROLLOUT, 0, 0), meter)
+        return EpisodeResult(done[0], done[1], 0, meter.elapsed(), meter.queries, 0, done)
 
     primitive_steps = 0
     decision_points = 0
@@ -468,8 +473,9 @@ def run_episode(
             break
         outcome = search_once(
             state, task, prior, lib, model, cfg,
-            streams=streams, meter=meter, dp=decision_points,
+            streams=streams, meter=meter, dp=decision_points, root_rollout=root_rollout,
         )
+        root_rollout = None  # it started at the episode's first state only
         decision_points += 1
         search_iterations += outcome.iterations_used
         plan = outcome.plan if outcome.kind == GOAL_PLAN else [outcome.best_macro]

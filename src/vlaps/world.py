@@ -60,27 +60,17 @@ class WorldModel(ABC):
     def run_macro(
         self, state: StateVec, macro: Sequence, task: TaskSpec
     ) -> tuple[StateVec, bool, int]:
-        """Step the rows of Python floats ``check_macro`` returns until the goal holds.
-
-        Returns the resulting state, whether the goal predicate held, and the
-        number of primitives applied, as if the goal were tested after each
-        step; testing it on ``state`` itself is the caller's job.  Models may
-        override this with a faster loop that gives the same results.
-        """
-        steps = 0
-        for row in macro:
-            state = self.step(state, row)
-            steps += 1
-            if task.goal_predicate(state):
-                return state, True, steps
-        return state, False, steps
+        """``advance`` on a copy of ``state``, which is left as it was.  Models may
+        override this with a faster loop that gives the same results."""
+        return self.advance(state.copy(), macro, task)
 
     def advance(self, state: StateVec, rows: Iterable,
                 task: TaskSpec) -> tuple[StateVec, bool, int]:
-        """``run_macro``'s results, stepping ``state`` in place, which the caller must own,
-        through any iterable of checked rows.  A row is taken only after the last is
-        written, so a generator may read ``state``, as a rollout's does.  This default
-        writes the ``values`` and ``step_count`` of each state ``step`` returns into it."""
+        """Step ``state`` in place, which the caller must own, through any iterable of
+        checked rows until the goal holds; return it, whether the goal held and the rows
+        applied, the goal tested after each row but not on ``state`` itself.  A row is taken
+        only after the last is written, so a generator may read ``state``, as a rollout's
+        does.  This default writes each state ``step`` returns into it."""
         steps = 0
         for row in rows:
             new = self.step(state, row)

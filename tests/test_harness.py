@@ -21,8 +21,9 @@ from vlaps.harness import (
     run_suite,
     write_records,
 )
-from vlaps.search import EpisodeResult, SearchConfig
-from vlaps.world import BlockNavEnv
+from vlaps.rngutil import ROLLOUT, RngFactory, stable_hash
+from vlaps.search import EpisodeResult, SearchConfig, run_episode
+from vlaps.world import BlockNavEnv, ScriptedExpertPrior
 
 
 def read_summary_csv(path):
@@ -67,12 +68,136 @@ def test_paired_seed_invariant(small_records):
 
 
 def test_strict_improvement_per_seed(small_records):
-    # wherever the prior-only baseline succeeds, the paired search run does too
+    # wherever the prior-only baseline succeeds, the paired search run does too:
+    # the search arm's iteration-1 rollout is the prior-only episode's rollout
+    # itself, so every prior-only success is a goal plan found at once
     outcome = {(r.task_id, r.noise_level, r.seed, r.method): r.success
                for r in small_records}
     for (task_id, noise, seed, method), ok in outcome.items():
         if method == METHOD_PRIOR_ONLY and ok:
             assert outcome[(task_id, noise, seed, METHOD_VLAPS)]
+
+
+class _CountingPrior(ScriptedExpertPrior):
+    """The scripted expert, keeping the generator of each query."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.queried = []
+
+    def sample_macro(self, obs, task, rng):
+        self.queried.append(rng)
+        return super().sample_macro(obs, task, rng)
+
+
+def _records_without_reuse(cfg, priors):
+    """``run_suite``'s records from a loop that runs both arms of each pair in
+    full, each with a stream factory of its own and no known root rollout; each
+    pair's prior is appended to ``priors``."""
+    env = BlockNavEnv(extent=cfg.extent, object_count=cfg.object_count)
+    model = BlockNavEnv.from_json(env.to_json())
+    library = resolve_library(cfg, env, env.tasks())
+    arms = ((METHOD_PRIOR_ONLY, dataclasses.replace(cfg.search, n_mc=0)),
+            (METHOD_VLAPS, cfg.search))
+    records = []
+    for noise in cfg.noise_levels:
+        for task in map(env.task_by_id, cfg.task_ids):
+            for seed in cfg.seeds:
+                prior = _CountingPrior(model, cfg.search.horizon, noise)
+                priors.append(prior)
+                for method, search_cfg in arms:
+                    streams = RngFactory(cfg.search.seed, seed, stable_hash(task.task_id),
+                                         int(round(noise * 1000)))
+                    result = run_episode(env, model, task, prior, library, search_cfg,
+                                         streams=streams, reset_seed=seed)
+                    records.append(RunRecord(
+                        task_id=task.task_id, noise_level=noise, method=method, seed=seed,
+                        success=result.success, wall_time=result.total_wall_time,
+                        iterations=result.total_search_iterations,
+                        prior_queries=result.total_prior_queries,
+                        decision_points=result.decision_points))
+    return records
+
+
+def test_reusing_the_prior_only_rollout_leaves_the_records_byte_identical(tmp_path,
+                                                                         monkeypatch):
+    # the search arm takes its pair's prior-only rollout as its root rollout;
+    # the records are those of both arms run in full, byte for byte, and the
+    # sweep queries the prior that rollout's queries fewer times per pair
+    cfg = _small_config(task_ids=["move_obj0_to_region0", "move_obj0_to_region2",
+                                  "move_obj1_to_region1"])
+    reused_priors, full_priors = [], []
+
+    def counting(*args):
+        reused_priors.append(_CountingPrior(*args))
+        return reused_priors[-1]
+
+    monkeypatch.setattr("vlaps.harness.ScriptedExpertPrior", counting)
+    reused, full = run_suite(cfg), _records_without_reuse(cfg, full_priors)
+    write_records(reused, tmp_path / "reused.jsonl")
+    write_records(full, tmp_path / "full.jsonl")
+    assert (tmp_path / "reused.jsonl").read_bytes() == (tmp_path / "full.jsonl").read_bytes()
+    saved = [len(a.queried) - len(b.queried) for a, b in zip(full_priors, reused_priors)]
+    assert len(saved) == len(reused_priors) == len(reused) // 2
+    assert saved == [r.prior_queries for r in sorted(
+        (r for r in reused if r.method == METHOD_PRIOR_ONLY),
+        key=lambda r: (r.noise_level, cfg.task_ids.index(r.task_id), r.seed))]
+    searched = [r for r in reused if r.method == METHOD_VLAPS]
+    # some searches ended on the reused rollout, and some went on past it
+    assert {r.iterations == 1 for r in searched} == {True, False}
+
+
+class _KeyedStreams(RngFactory):
+    """An ``RngFactory`` that keeps each generator it builds with its key."""
+
+    def __init__(self, *entropy):
+        super().__init__(*entropy)
+        self.built = []
+
+    def rng(self, *key):
+        generator = super().rng(*key)
+        self.built.append((generator, key))
+        return generator
+
+    def key_of(self, generator):
+        return next(key for built, key in self.built if built is generator)
+
+
+def test_the_search_arm_queries_no_prior_for_its_reused_root_rollout(env, model, tasks,
+                                                                     library):
+    # with the prior-only rollout handed over, the search arm builds no
+    # (ROLLOUT, 0, 0) generator and makes no query on it, and every other query
+    # is the full arm's, in order; a later decision point rolls out afresh
+    cfg = SearchConfig(n_mc=5, d_sim_max=40, t_max=1e9, d_max=4)
+    root, ended_on_it, later = (ROLLOUT, 0, 0), 0, 0
+    for noise in (0.0, 0.6):
+        for task in tasks[:3]:
+            for seed in range(3):
+                arms = []
+                for reuse in (False, True):
+                    streams = _KeyedStreams(0, seed, stable_hash(task.task_id),
+                                            int(round(noise * 1000)))
+                    prior = _CountingPrior(model, cfg.horizon, noise)
+                    base = run_episode(env, model, task, prior, library,
+                                       dataclasses.replace(cfg, n_mc=0), streams=streams,
+                                       reset_seed=seed)
+                    built, queried = len(streams.built), len(prior.queried)
+                    result = run_episode(env, model, task, prior, library, cfg,
+                                         streams=streams, reset_seed=seed,
+                                         root_rollout=base.root_rollout if reuse else None)
+                    arms.append((result, [key for _, key in streams.built[built:]],
+                                 [streams.key_of(rng) for rng in prior.queried[queried:]]))
+                (full, full_built, full_keys), (reused, reused_built, reused_keys) = arms
+                assert reused == full and reused.root_rollout is None
+                assert full_keys.count(root) == len(base.root_rollout[2]) > 0
+                assert root not in reused_built and root not in reused_keys
+                assert reused_keys == [key for key in full_keys if key != root]
+                for dp in range(1, reused.decision_points):
+                    later += 1
+                    assert reused_keys.count((ROLLOUT, dp, 0)) > 0
+                    assert reused_keys.count((ROLLOUT, dp, 0)) == full_keys.count((ROLLOUT, dp, 0))
+                ended_on_it += reused.total_search_iterations == 1 and base.success
+    assert ended_on_it > 0 and later > 0
 
 
 def test_records_sorted(small_records):

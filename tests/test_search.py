@@ -862,8 +862,8 @@ class _FailingPrior:
 @pytest.mark.parametrize("world_name", ["blocknav", "chain"])
 def test_a_prior_that_raises_in_a_rollout_leaves_the_meter_as_the_macro_loop_does(
         world_name, fail_at, model, tasks, library):
-    # the query that raises may be the first, made before run_macro, or one
-    # made inside advance's pass; either way the meter has charged that query
+    # the query that raises may be the first or a later one, all made inside
+    # advance's pass; either way the meter has charged that query
     # and every step before it, as the per-macro loop did, and start is as it was
     for seed in range(6):
         if world_name == "blocknav":
@@ -887,10 +887,9 @@ def test_a_prior_that_raises_in_a_rollout_leaves_the_meter_as_the_macro_loop_doe
         assert readings[0] == readings[1] == (fail_at, rows * (fail_at - 1)), seed
 
 
-def test_a_blocknav_rollout_enters_the_kernel_at_most_twice(model, tasks, library,
-                                                            monkeypatch):
-    # run_macro steps the first macro and one advance pass every later one, so
-    # the kernel's entry checks run at most twice whatever the rollout's length
+def test_a_blocknav_rollout_enters_the_kernel_once(model, tasks, library, monkeypatch):
+    # one advance pass steps every macro, so the kernel's entry checks run once
+    # whatever the rollout's length
     kernel, calls = BlockNavEnv._step_rows, []
 
     def counted(self, state, rows, goal, what):
@@ -907,7 +906,7 @@ def test_a_blocknav_rollout_enters_the_kernel_at_most_twice(model, tasks, librar
         _, _, macros = rollout(model, prior, model.reset(seed, task.task_id), task, cfg,
                                np.random.default_rng(seed), CostMeter(cfg))
         own = [what for what in calls if what != "ScriptedExpertPrior.sample_macro"]
-        assert own == ["BlockNavEnv.run_macro", "BlockNavEnv.advance"][:1 + (len(macros) > 1)]
+        assert own == ["BlockNavEnv.advance"]
         lengths.add(min(len(macros), 3))
     assert lengths == {1, 2, 3}
 
@@ -986,13 +985,12 @@ class _FixedReplies:
 
 
 def test_rollout_writes_no_start_its_model_handed_back():
-    # run_macro of a first macro that does not move returns start itself; the
-    # rollout must then step a copy of it, not write the caller's state
+    # a model whose step returns the state it is given for a first macro that
+    # does not move; the rollout steps its own copy, not the caller's state
     world = _StillChain(goal_pos=3)
     replies = [[[0.0], [0.0]]] + [[[1.0], [1.0]]] * 5
     cfg = SearchConfig(d_sim_max=9, horizon=2, t_max=1e9)
     start = StateVec([0.0], 5)
-    assert world.run_macro(start, replies[0], world.task())[0] is start
     runs = _rollout_against_reference(world, lambda: _FixedReplies(replies), start,
                                       world.task(), cfg, 0)
     assert runs[0] == runs[1] and runs[1][:2] == (True, 5)
@@ -1000,9 +998,9 @@ def test_rollout_writes_no_start_its_model_handed_back():
 
 
 def test_rollout_leaves_its_start_unchanged(model, tasks):
-    # a rollout steps its first macro through run_macro, which makes a new
-    # state, and advances that state in place; start keeps its values and step
-    # count whether the goal comes in mid-macro, at a macro's end or not at all
+    # a rollout copies start once and advances the copy in place; start keeps
+    # its values and step count whether the goal comes in mid-macro, at a
+    # macro's end or not at all
     two_rows = UniformLibraryPrior(MacroLibrary(np.array([[[1.0], [1.0]]]), np.zeros(1),
                                                 np.ones(1)))
     runs = [(chain, chain.task(), two_rows, StateVec([0.0], 5), cap)
@@ -1024,6 +1022,50 @@ def test_rollout_leaves_its_start_unchanged(model, tasks):
               ("goal_at_macro_end" if end else "goal_mid_macro") if success else "cap")] += 1
     assert set(seen) == {(name, kind) for name in ("ChainWorld", "BlockNavEnv")
                          for kind in ("goal_at_macro_end", "goal_mid_macro", "cap")}, seen
+
+
+
+class _NoQueries:
+    """A prior that must not be asked."""
+
+    def sample_macro(self, obs, task, rng):
+        raise AssertionError("a rollout given its known result queried the prior")
+
+
+def test_rollout_given_its_known_result_charges_what_the_live_rollout_did(model, tasks):
+    # a known result is returned as it is, with its queries and steps charged
+    # on top of what the meter read, no prior query, no step and no generator;
+    # the cases are a cap that cut the last macro, the goal inside the last
+    # macro, a failure at a macro's end and a start that is already the goal
+    seen = set()
+    for seed in range(40):
+        task = tasks[seed % len(tasks)]
+        noise, cap = (0.0, 0.3, 0.6)[seed % 3], (6, 8, 30, 80)[seed % 4]
+        start = model.reset(seed, task.task_id)
+        cfg = SearchConfig(d_sim_max=cap, t_max=1e9)
+        live, meter = CostMeter(cfg), CostMeter(cfg)
+        live.queries = meter.queries = 3
+        live.sim_steps = meter.sim_steps = 7
+        known = rollout(model, ScriptedExpertPrior(model, 4, noise), start, task, cfg,
+                        np.random.default_rng(seed), live)
+        before = list(start.values)
+        assert rollout(model, _NoQueries(), start, task, cfg, None, meter, known) is known
+        assert (meter.queries, meter.sim_steps) == (live.queries, live.sim_steps)
+        assert (meter.queries - 3, meter.sim_steps - 7) == (len(known[2]), known[1])
+        assert start.values == before
+        success, steps, macros = known
+        cut = sum(map(len, macros)) > steps
+        seen.add(("goal_in_last_macro" if cut else "goal") if success
+                 else "cap_cut_last_macro" if cut else "failed_at_macro_end")
+    assert seen >= {"goal_in_last_macro", "cap_cut_last_macro", "failed_at_macro_end"}, seen
+    goal_task = tasks[0]
+    at_goal = StateVec(model.reset(0, goal_task.task_id).values, 0)
+    at_goal.values[4:6] = model.regions[0].tolist()
+    cfg, meter = SearchConfig(t_max=1e9), CostMeter(SearchConfig())
+    known = rollout(model, _NoQueries(), at_goal, goal_task, cfg, None, meter)
+    assert known == (True, 0, []) and (meter.queries, meter.sim_steps) == (0, 0)
+    assert rollout(model, _NoQueries(), at_goal, goal_task, cfg, None, meter, known) is known
+    assert (meter.queries, meter.sim_steps) == (0, 0)
 
 
 class SpyPrior:

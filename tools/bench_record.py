@@ -31,13 +31,13 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 CRITERION_7 = ["-m", "pytest", "-q", "tests/test_acceptance.py", "-k", "criterion_7"]
 
 
-def bench_run(workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``bench/run.py`` process: its exit code, its last line's JSON, its
-    ``meta:`` line, the status of each pinned line and whether a traced pass
-    printed that its counts match the CostMeter."""
+def bench_run(workload: str, seed: int, seconds: float, trace: int, root: Path = REPO) -> dict:
+    """One ``bench/run.py`` process of the checkout at ``root``: its exit code, its
+    last line's JSON, its ``meta:`` line, the status of each pinned line and whether
+    a traced pass printed that its counts match the CostMeter."""
     command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", str(trace)]
-    done = subprocess.run(command, cwd=REPO, capture_output=True, text=True)
+    done = subprocess.run(command, cwd=root, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     run = {"workload": workload, "seed": seed, "trace": trace, "exit": done.returncode,
            "result": None, "meta": None, "pins": {}, "counts_match": False}
