@@ -462,7 +462,7 @@ def run_episode(
 
     if cfg.n_mc == 0:
         done = rollout(env, prior, state, task, cfg, streams.rng(ROLLOUT, 0, 0), meter)
-        return EpisodeResult(done[0], done[1], 0, meter.elapsed(), meter.queries, 0, done)
+        return EpisodeResult(*done[:2], 0, meter.elapsed(), meter.queries, root_rollout=done)
 
     primitive_steps = 0
     decision_points = 0

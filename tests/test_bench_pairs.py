@@ -74,7 +74,8 @@ def test_a_lower_is_better_metric_wins_by_falling_and_is_bounded_by_rising(pairs
 
 
 def _run(pair, side, ops, failed=0):
-    return {"pair": pair, "side": side, "seed": pair, "exit": 0, "pins": {"setup": "unchanged"},
+    return {"pair": pair, "side": side, "seed": pair, "trace": 0, "exit": 0,
+            "pins": {"setup": "unchanged"},
             "meta": {"probe_ms": 2.5, "loadavg_1m": 0.4},
             "result": {"correct": True, "failed": failed,
                        "metrics": {"ops_per_s": {"value": ops, "unit": "1/s"}}}}

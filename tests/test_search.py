@@ -939,16 +939,32 @@ def test_chain_world_takes_default_macro_loop():
             np.asarray(m, dtype=float).tobytes() for m in runs[1][2]]
 
 
+def _step_loop(world, state, rows, task):
+    """A macro as a loop of ``step`` calls with the goal tested after each: the
+    reference for WorldModel's default ``advance`` and ``run_macro``."""
+    steps = 0
+    for row in rows:
+        state = world.step(state, row)
+        steps += 1
+        if task.goal_predicate(state):
+            return state, True, steps
+    return state, False, steps
+
+
 def test_chain_world_advance_steps_in_place_to_its_run_macro():
     # ChainWorld keeps WorldModel's advance, which steps the state it is handed
-    # in place to run_macro's values, step count, flag and count, from any
-    # iterable of rows, taking each row only after the last is written
+    # in place to the step loop's values, step count, flag and count, from any
+    # iterable of rows, taking each row only after the last is written; its
+    # run_macro is advance on a copy
     world = ChainWorld(goal_pos=3)
     task = world.task()
     assert "advance" not in vars(ChainWorld)
     start = StateVec([1.0], 4)
     for rows in ([[1.0]], [[1.0], [1.0], [1.0]], [[-1.0], [0.0]], np.array([[1.0], [1.0]])):
-        ref, ref_ok, ref_used = world.run_macro(start, rows, task)
+        ref, ref_ok, ref_used = _step_loop(world, start, rows, task)
+        got, ok, used = world.run_macro(start, rows, task)
+        assert got is not start and (got.values, got.step_count, ok, used) == (
+            ref.values, ref.step_count, ref_ok, ref_used)
         for given in (rows, (row for row in rows)):
             own = StateVec([1.0], 4)
             got, ok, used = world.advance(own, given, task)

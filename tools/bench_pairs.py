@@ -30,7 +30,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_record import REPO, bench_run, spread
+from bench_record import REPO, bench_run, outcome, spread
 
 PARENT, CHANGE = "parent", "change"
 WIN_SHARE = 0.9  # the gain rule's wins: 9 of 10 pairs
@@ -102,13 +102,7 @@ def summarise(runs: list[dict], spec: dict) -> dict:
             metrics[metric["name"]] = compare([sides[PARENT][i] for i in paired],
                                               [sides[CHANGE][i] for i in paired],
                                               metric["better"], metric["bound"])
-    kept = []
-    for run in runs:
-        meta, result = run["meta"] or {}, run["result"] or {}
-        kept.append({"pair": run["pair"], "side": run["side"], "seed": run["seed"],
-                     "exit": run["exit"], "correct": result.get("correct"),
-                     "failed": result.get("failed"), "pins": run["pins"],
-                     "probe_ms": meta.get("probe_ms"), "loadavg_1m": meta.get("loadavg_1m")})
+    kept = [dict(outcome(run), pair=run["pair"], side=run["side"]) for run in runs]
     return {"metrics": metrics, "runs": kept}
 
 

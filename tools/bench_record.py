@@ -64,25 +64,30 @@ def spread(values: list) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
 
 
+def outcome(run: dict) -> dict:
+    """A run's seed, exit code, outcome, pin statuses and host readings."""
+    meta, result = run["meta"] or {}, run["result"] or {}
+    return {"seed": run["seed"], "trace": run["trace"], "exit": run["exit"],
+            "correct": result.get("correct"), "attempted": result.get("attempted"),
+            "failed": result.get("failed"), "pins": run["pins"],
+            "probe_ms": meta.get("probe_ms"), "loadavg_1m": meta.get("loadavg_1m")}
+
+
 def summarise(runs: list) -> dict:
     """Per workload: each end-to-end metric's spread over its untraced runs, the
     traced run's metrics, and every run's pins, host readings and outcome."""
     workloads = {}
     for run in runs:
         entry = workloads.setdefault(run["workload"], {"metrics": {}, "layers": {}, "runs": []})
-        meta, result = run["meta"] or {}, run["result"] or {}
-        values = {name: m["value"] for name, m in result.get("metrics", {}).items()}
+        values = {name: m["value"]
+                  for name, m in (run["result"] or {}).get("metrics", {}).items()}
         if run["trace"]:
             entry["layers"] = values
             entry["traced_counts_match"] = run["counts_match"]
         else:
             for name, value in values.items():
                 entry["metrics"].setdefault(name, []).append(value)
-        entry["runs"].append({
-            "seed": run["seed"], "trace": run["trace"], "exit": run["exit"],
-            "correct": result.get("correct"), "attempted": result.get("attempted"),
-            "failed": result.get("failed"), "pins": run["pins"],
-            "probe_ms": meta.get("probe_ms"), "loadavg_1m": meta.get("loadavg_1m")})
+        entry["runs"].append(outcome(run))
     for entry in workloads.values():
         entry["metrics"] = {name: spread(values) for name, values in entry["metrics"].items()}
     metas = [run["meta"] for run in runs if run["meta"]]
