@@ -235,10 +235,10 @@ def expand(
     dist = beta_distribution(dists, cfg.alpha_beta, cfg.epsilon_beta)
     indices = sample_candidates(dist, cfg.k, rng_sample)
     psi = psi_prior(dists[indices], cfg.alpha_psi, cfg.epsilon_psi).tolist()
-    # the anchor checks above prove the prototypes' shape, and a node that is
-    # not a goal node fails the goal, so step_macro's two tests are skipped
+    # a library row is a CheckedMacro, and a node that is not a goal node fails
+    # the goal, so step_macro's two tests are skipped
     for slot, (proto, weight) in enumerate(zip(indices, psi)):
-        state, success, used = model.run_macro(node.sim_state, lib.rows[proto], task)
+        state, success, used = model.advance(node.sim_state.copy(), lib.rows[proto], task)
         meter.sim_steps += used
         node.children.append(TreeNode(state, node.depth + 1, next_id + slot,
                                       success, proto, weight))

@@ -42,7 +42,9 @@ class TaskSpec:
 
 
 class WorldModel(ABC):
-    """Deterministic simulator interface used both as environment and planner model."""
+    """Deterministic simulator interface used both as environment and planner model.
+    The search steps a model through ``advance`` alone, on a copy of any state it keeps;
+    a model may replace ``advance``'s fold of ``step`` with a faster loop of equal results."""
 
     @property
     @abstractmethod
@@ -52,17 +54,10 @@ class WorldModel(ABC):
     def reset(self, seed: int, task_id: str) -> StateVec: ...
 
     @abstractmethod
-    def step(self, state: StateVec, action: np.ndarray) -> StateVec: ...
+    def step(self, state: StateVec, action: Sequence) -> StateVec: ...
 
     @abstractmethod
     def observe(self, state: StateVec): ...
-
-    def run_macro(
-        self, state: StateVec, macro: Sequence, task: TaskSpec
-    ) -> tuple[StateVec, bool, int]:
-        """``advance`` on a copy of ``state``, which is left as it was.  Models may
-        override this with a faster loop that gives the same results."""
-        return self.advance(state.copy(), macro, task)
 
     def advance(self, state: StateVec, rows: Iterable,
                 task: TaskSpec) -> tuple[StateVec, bool, int]:
@@ -187,19 +182,11 @@ class BlockNavEnv(WorldModel):
         values[4:] = positions.ravel()
         return StateVec(values.tolist(), step_count=0)
 
-    def step(self, state: StateVec, action: np.ndarray) -> StateVec:
+    def step(self, state: StateVec, action: Sequence) -> StateVec:
         rows = check_macro([action], self.action_dim, "BlockNavEnv.step: action")
         out = state.copy()
         self._step_rows(out, rows, None, "BlockNavEnv.step")
         return out
-
-    def run_macro(self, state: StateVec, macro: Sequence,
-                  task: TaskSpec) -> tuple[StateVec, bool, int]:
-        """``WorldModel.run_macro``, with ``macro`` taken through ``check_macro``."""
-        rows = check_macro(macro, self.action_dim, "BlockNavEnv.run_macro: macro")
-        out = state.copy()
-        done = self._step_rows(out, rows, task.goal_predicate, "BlockNavEnv.run_macro")
-        return out, done, out.step_count - state.step_count
 
     def advance(self, state: StateVec, rows: Iterable,
                 task: TaskSpec) -> tuple[StateVec, bool, int]:
@@ -360,10 +347,11 @@ class CheckedMacro(tuple):
 def step_macro(
     model: WorldModel,
     state: StateVec,
-    macro: np.ndarray,
+    macro: Sequence,
     task: TaskSpec,
 ) -> tuple[StateVec, bool, int]:
-    """Apply the rows of a macro-action in order, stopping early on goal.
+    """Apply the rows of a macro-action in order to a copy of ``state`` through
+    ``model.advance``, stopping early on goal.
 
     Returns the resulting state, whether the goal predicate held, and the
     number of primitives actually applied.  It charges no cost model; the
@@ -372,7 +360,7 @@ def step_macro(
     macro = check_macro(macro, model.action_dim, "step_macro: macro")
     if task.goal_predicate(state):
         return state, True, 0
-    return model.run_macro(state, macro, task)
+    return model.advance(state.copy(), macro, task)
 
 
 # -- scripted expert ---------------------------------------------------------

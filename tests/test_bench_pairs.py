@@ -97,19 +97,55 @@ def test_summarise_pairs_each_metric_by_pair_and_keeps_every_run(pairs_tool):
     json.dumps(summary)
 
 
+def test_pair_workloads_runs_each_workload_in_the_same_two_checkouts(pairs_tool):
+    # canned runs: every workload's pairs run in the one parent export and this
+    # checkout, on the same seeds, and each is summarised apart from the others
+    calls = []
+
+    def fake(workload, seed, seconds, trace, root):
+        calls.append((workload, seed, root))
+        ops = {"trend_suite": 10.0, "expand_heavy": 20.0}[workload] + (root == Path("/change"))
+        return dict(_run(0, "", ops), seed=seed)
+
+    spec = {"end_to_end": [{"name": "ops_per_s", "better": "higher", "bound": 0.2}]}
+    roots = {"parent": Path("/parent"), "change": Path("/change")}
+    results = pairs_tool.pair_workloads(roots, ["trend_suite", "expand_heavy"], 2, 5, 0.5,
+                                        spec, run=fake)
+    assert list(results) == ["trend_suite", "expand_heavy"]
+    assert calls == [(workload, seed, Path(root)) for workload in ("trend_suite", "expand_heavy")
+                     for seed, root in ((5, "/parent"), (5, "/change"),
+                                        (6, "/change"), (6, "/parent"))]
+    for workload, base in (("trend_suite", 10.0), ("expand_heavy", 20.0)):
+        ops = results[workload]["metrics"]["ops_per_s"]
+        assert (ops["parent"]["median"], ops["change"]["median"], ops["wins"]) == (
+            base, base + 1.0, 2)
+        assert [(run["pair"], run["side"], run["seed"]) for run in results[workload]["runs"]] == [
+            (0, "parent", 5), (0, "change", 5), (1, "change", 6), (1, "parent", 6)]
+
+
 @pytest.mark.skipif(not (REPO / ".git").exists(), reason="needs the repository's history")
-def test_one_short_pair_of_head_against_itself(pairs_tool, tmp_path):
-    # the tool end to end: HEAD exported, one 0.01-s pair, its summary added to
-    # a file that already holds other keys
+def test_one_short_pair_of_head_against_itself(pairs_tool, tmp_path, monkeypatch):
+    # the tool end to end: HEAD exported once, one 0.01-s pair of each of two
+    # workloads, their summaries added to a file that already holds other keys
+    exports, export = [], pairs_tool.export
+
+    def counted(rev, dest):
+        exports.append(rev)
+        return export(rev, dest)
+
+    monkeypatch.setattr(pairs_tool, "export", counted)
     out = tmp_path / "bench.json"
     out.write_text(json.dumps({"src.lines": 1}))
-    code = pairs_tool.main(["--parent", "HEAD", "--workload", "uniform_deep", "--pairs", "1",
-                            "--seconds", "0.01", "--out", str(out)])
+    code = pairs_tool.main(["--parent", "HEAD", "--workload", "uniform_deep", "--workload",
+                            "expand_heavy", "--pairs", "1", "--seconds", "0.01",
+                            "--out", str(out)])
     record = json.loads(out.read_text())
-    assert code == 0 and record["src.lines"] == 1
-    result = record["pairs"]["uniform_deep"]
-    assert len(result["parent_commit"]) == 40 and result["first_seed"] == 1
-    assert [(run["side"], run["exit"], run["correct"]) for run in result["runs"]] == [
-        ("parent", 0, True), ("change", 0, True)]
-    assert result["runs"][0]["pins"]["setup"] == "unchanged"
-    assert result["metrics"]["ops_per_s"]["pairs"] == 1
+    assert code == 0 and record["src.lines"] == 1 and exports == ["HEAD"]
+    assert sorted(record["pairs"]) == ["expand_heavy", "uniform_deep"]
+    for workload, result in record["pairs"].items():
+        assert result["workload"] == workload
+        assert len(result["parent_commit"]) == 40 and result["first_seed"] == 1
+        assert [(run["side"], run["exit"], run["correct"]) for run in result["runs"]] == [
+            ("parent", 0, True), ("change", 0, True)]
+        assert result["runs"][0]["pins"]["setup"] == "unchanged"
+        assert result["metrics"]["ops_per_s"]["pairs"] == 1

@@ -613,7 +613,7 @@ def _snapshot(state):
 def _no_write_cases(world_name, env, tasks, library):
     """(world, task, library, prior, config, the search's exit) for a search that
     finds a goal plan and one that spends its budget; ChainWorld steps macros
-    through the step-and-test loop of WorldModel.run_macro."""
+    through the step-and-test loop of WorldModel.advance."""
     if world_name == "blocknav":
         return [(env, tasks[2], library, prior, cfg, kind) for prior, cfg, kind in (
             (ScriptedExpertPrior(env, 4, 0.0), SearchConfig(d_sim_max=80, t_max=1e9), GOAL_PLAN),
@@ -695,10 +695,11 @@ def test_a_carried_slot_naming_no_object_is_a_contract_violation_naming_the_site
         env, model, tasks, library, carried, values, grip, which):
     # a carried slot that is not a number, or a number that is no object index
     # (2.0 is the fixture's object count): the goal, the kernel's entry check for
-    # step, run_macro and advance, and the expert's own kernel pass each name
-    # where the state was refused by the one rule, the environment's carried
-    # slots; step_macro and the search test the goal on it first, the expert
-    # enters the kernel before it steers or draws, and none of them changes it
+    # step and advance, and the expert's own kernel pass each name where the
+    # state was refused by the one rule, the environment's carried slots;
+    # step_macro and the search test the goal on it first, the expert enters
+    # the kernel before it steers or draws, expand steps its first child
+    # through advance, and none of them changes it
     assert env.object_count == 2
     rx, ry, *objects = values
     state = StateVec([rx, ry, grip, carried, *objects], 2)
@@ -716,7 +717,9 @@ def test_a_carried_slot_naming_no_object_is_a_contract_violation_naming_the_site
         ("ScriptedExpertPrior.sample_macro", lambda: expert.sample_macro(
             model.observe(state), task, np.random.default_rng(0))),
         ("BlockNavEnv.step", lambda: env.step(state, macro[0])),
-        ("BlockNavEnv.run_macro", lambda: env.run_macro(state, macro, task)),
+        ("BlockNavEnv.advance", lambda: expand(
+            TreeNode(state, 0, 0), UniformLibraryPrior(library), library, env, task, cfg,
+            np.random.default_rng(0), np.random.default_rng(1), CostMeter(cfg), 1)),
         ("BlockNavEnv.advance", lambda: env.advance(state, macro, task)),
         ("ScriptedExpertPrior.sample_macro", lambda: ScriptedExpertPrior(
             model, cfg.horizon, 1.0).sample_macro(model.observe(state), task,
@@ -912,10 +915,10 @@ def test_a_blocknav_rollout_enters_the_kernel_once(model, tasks, library, monkey
 
 
 def test_chain_world_takes_default_macro_loop():
-    # ChainWorld does not override run_macro: WorldModel's step-and-test loop
+    # ChainWorld does not override advance: WorldModel's step-and-test loop
     world = ChainWorld(goal_pos=3)
     task = world.task()
-    assert "run_macro" not in vars(ChainWorld)
+    assert "advance" not in vars(ChainWorld)
     start = world.reset(0, "chain")
     macro = np.array([[1.0], [1.0], [1.0], [1.0]])
     state, ok, used = step_macro(world, start, macro, task)
@@ -925,7 +928,7 @@ def test_chain_world_takes_default_macro_loop():
     # it hands each row to step, whatever its type, so an array, its rows or
     # rows of numpy scalars leave the Python floats step makes in the state
     for rows in (macro[:2], list(macro[:2]), [[np.float64(1.0)], [np.float64(1.0)]]):
-        state, ok, used = world.run_macro(start, rows, task)
+        state, ok, used = world.advance(start.copy(), rows, task)
         assert (state.values, state.step_count, ok, used) == ([2.0], 2, False, 2)
         assert type(state.values) is list and all(type(x) is float for x in state.values)
     assert start.values == [0.0]
@@ -941,7 +944,7 @@ def test_chain_world_takes_default_macro_loop():
 
 def _step_loop(world, state, rows, task):
     """A macro as a loop of ``step`` calls with the goal tested after each: the
-    reference for WorldModel's default ``advance`` and ``run_macro``."""
+    reference for WorldModel's default ``advance``."""
     steps = 0
     for row in rows:
         state = world.step(state, row)
@@ -954,17 +957,13 @@ def _step_loop(world, state, rows, task):
 def test_chain_world_advance_steps_in_place_to_its_run_macro():
     # ChainWorld keeps WorldModel's advance, which steps the state it is handed
     # in place to the step loop's values, step count, flag and count, from any
-    # iterable of rows, taking each row only after the last is written; its
-    # run_macro is advance on a copy
+    # iterable of rows, taking each row only after the last is written
     world = ChainWorld(goal_pos=3)
     task = world.task()
     assert "advance" not in vars(ChainWorld)
     start = StateVec([1.0], 4)
     for rows in ([[1.0]], [[1.0], [1.0], [1.0]], [[-1.0], [0.0]], np.array([[1.0], [1.0]])):
         ref, ref_ok, ref_used = _step_loop(world, start, rows, task)
-        got, ok, used = world.run_macro(start, rows, task)
-        assert got is not start and (got.values, got.step_count, ok, used) == (
-            ref.values, ref.step_count, ref_ok, ref_used)
         for given in (rows, (row for row in rows)):
             own = StateVec([1.0], 4)
             got, ok, used = world.advance(own, given, task)
@@ -1416,19 +1415,6 @@ def test_step_macro_rejects_each_bad_macro_naming_itself(name, env, tasks):
     before = state.copy()
     with pytest.raises(ContractViolationError, match=f"^step_macro: macro .*{reason}"):
         step_macro(env, state, output, tasks[0])
-    assert state == before
-
-
-@pytest.mark.parametrize("name", sorted(set(BAD_PRIOR_OUTPUTS) - {"raises"}))
-def test_run_macro_rejects_each_bad_macro_naming_itself(name, env, tasks):
-    # BlockNavEnv.run_macro takes its macro through check_macro as well: a NaN
-    # row would give a NaN state, and an empty or mis-shaped macro a bare error
-    output, reason = BAD_PRIOR_OUTPUTS[name]
-    state = env.reset(0, tasks[0].task_id)
-    before = state.copy()
-    with pytest.raises(ContractViolationError,
-                       match=f"^BlockNavEnv.run_macro: macro .*{reason}"):
-        env.run_macro(state, output, tasks[0])
     assert state == before
 
 

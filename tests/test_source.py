@@ -10,7 +10,7 @@ from pathlib import Path
 import vlaps
 from vlaps.harness import SuiteConfig, default_library
 from vlaps.search import SearchConfig
-from vlaps.world import BlockNavEnv, RegionGoal
+from vlaps.world import BlockNavEnv, RegionGoal, WorldModel
 
 SOURCES = sorted(Path(vlaps.__file__).parent.glob("*.py"))
 REPO = Path(__file__).resolve().parents[1]
@@ -171,6 +171,20 @@ def test_only_the_kernel_and_the_expert_test_for_a_built_in_goal():
     env = BlockNavEnv(object_count=3)
     assert all(type(task.target) is RegionGoal and task.goal_predicate.__self__ is task.target
                for task in env.tasks())
+
+
+def test_a_world_model_steps_through_step_and_advance_only():
+    # the search steps every macro through advance, on a copy of any state it
+    # keeps, so the model interface has no second macro-stepping method, and no
+    # program file or README names the one that was removed
+    public = sorted(name for name in vars(WorldModel) if not name.startswith("_"))
+    assert public == ["action_dim", "advance", "observe", "reset", "step"]
+    files = [REPO / "README.md"] + [path for folder in ("src", "bench", "tools")
+                                    for path in sorted((REPO / folder).rglob("*"))
+                                    if path.is_file() and "__pycache__" not in path.parts]
+    assert len(files) > len(SOURCES)
+    assert [str(path.relative_to(REPO)) for path in files
+            if b"run_macro" in path.read_bytes()] == []
 
 
 def test_bench_tracer_still_finds_every_traced_name():

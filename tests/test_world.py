@@ -123,19 +123,21 @@ def test_zero_action_is_identity(env, tasks):
 
 
 def test_states_hold_lists_of_floats(env, tasks):
-    # reset, step and run_macro return lists of Python floats and leave the
-    # state they start from as it was; observe hands the prior a tuple of them
+    # reset, step, step_macro and advance on a copy return lists of Python
+    # floats and leave the state they start from as it was; observe hands the
+    # prior a tuple of them
     state = env.reset(0, tasks[0].task_id)
     before = list(state.values)
     stepped = env.step(state, np.array([0.2, 0.1, 1.0]))
     array = np.tile([0.5, 0.0, 1.0], (3, 1))
-    # run_macro takes rows of Python floats, but an array, its rows or rows of
-    # numpy scalars still leave Python floats in the state
+    advanced, _, _ = env.advance(state.copy(), array.tolist(), tasks[0])
+    # advance takes checked rows of Python floats; step_macro checks an array,
+    # its rows or rows of numpy scalars into such rows before it advances a copy
     for macro in (array, list(array), [list(map(np.float64, row)) for row in array.tolist()]):
-        ran, _, used = env.run_macro(state, macro, tasks[0])
-        for got in (state, stepped, ran):
+        ran, _, used = step_macro(env, state, macro, tasks[0])
+        for got in (state, stepped, advanced, ran):
             assert type(got.values) is list and {type(x) for x in got.values} == {float}
-        assert ran.values == env.run_macro(state, array.tolist(), tasks[0])[0].values
+        assert ran.values == advanced.values
         assert (stepped.step_count, ran.step_count, used) == (1, 3, 3)
     assert state.values == before
     assert env.observe(state) == tuple(before)
@@ -417,7 +419,7 @@ def test_step_macro_rejects_a_non_finite_row_naming_it(env, tasks, bad):
         step_macro(env, state, np.full((4, 3), bad), goal)
 
 
-@pytest.mark.parametrize("method", ["step", "run_macro", "advance"])
+@pytest.mark.parametrize("method", ["step", "advance"])
 @pytest.mark.parametrize("case", ["nan", "inf", "-inf", "-2.0", "object_count",
                                   "dropped_slot", "no_carried_slot", "one_value_short",
                                   "one_value_long"])
@@ -458,13 +460,14 @@ def test_noisy_expert_refuses_a_state_one_value_too_long(env, tasks):
 
 @pytest.mark.parametrize("error", [ValueError, IndexError])
 def test_a_custom_goal_error_passes_run_macro_unchanged(env, tasks, error):
-    # on a good state, an error is the predicate's own and is not relabelled
+    # on a good state, an error is the predicate's own and advance does not
+    # relabel it
     def broken(state):
         raise error("the predicate's own")
 
     task = dataclasses.replace(tasks[0], goal_predicate=broken)
     with pytest.raises(error, match="^the predicate's own$"):
-        env.run_macro(env.reset(0, task.task_id), [(0.1, 0.0, 1.0)] * 3, task)
+        env.advance(env.reset(0, task.task_id), [(0.1, 0.0, 1.0)] * 3, task)
 
 
 def test_expert_prior_leaves_the_observed_state_unchanged(env, tasks):
@@ -586,13 +589,13 @@ def assert_same_step(env, values, action, step_count=0):
     if all(map(math.isfinite, action)):
         got = env.step(StateVec(values, step_count), action)
     else:
-        # step and run_macro reject a non-finite action; advance applies rows
+        # step and step_macro reject a non-finite action; advance applies rows
         # unchecked (its caller checks them) and must still match the reference
         never = TaskSpec("never", "never done", lambda state: False)
         with pytest.raises(ContractViolationError, match="BlockNavEnv.step: action"):
             env.step(StateVec(values, step_count), action)
-        with pytest.raises(ContractViolationError, match="BlockNavEnv.run_macro: macro"):
-            env.run_macro(StateVec(values, step_count), np.array([action]), never)
+        with pytest.raises(ContractViolationError, match="step_macro: macro"):
+            step_macro(env, StateVec(values, step_count), np.array([action]), never)
         got, _, _ = env.advance(StateVec(list(values), step_count),
                                 [tuple(map(float, action))], never)
     assert {type(x) for x in got.values} == {float}
@@ -773,7 +776,7 @@ def test_goal_radius_one_ulp_either_side(env):
 
 
 def test_goal_on_values_matches_goal_predicate_one_ulp_either_side(env):
-    # the goal BlockNavEnv.run_macro tests on the list it steps in place agrees
+    # the goal BlockNavEnv.advance tests on the list it steps in place agrees
     # with goal_predicate on a fresh state and with the reference, one ulp
     # inside, on and outside the radius, carried or not
     checked = 0
@@ -796,7 +799,7 @@ def test_goal_on_values_matches_goal_predicate_one_ulp_either_side(env):
                     state.values[2:4] = (grip, carried)
                     expected = task.goal_predicate(StateVec(list(state.values)))
                     assert expected is reference_goal(world, task, state)
-                    out, ok, used = world.run_macro(state, np.zeros((1, 3)), task)
+                    out, ok, used = world.advance(state.copy(), [(0.0, 0.0, 0.0)], task)
                     assert (ok, used) == (expected, 1)
                     assert out.values[4:] == state.values[4:]
                     checked += 1
@@ -960,9 +963,9 @@ def test_step_macro_matches_row_by_row_reference_random():
 
 
 def test_run_macro_equals_step_folded_row_by_row():
-    # BlockNavEnv.run_macro and BlockNavEnv.step share one stepping kernel;
-    # run_macro must give the state, flag and count of step applied row by
-    # row with the goal tested after each, and leave its argument unchanged
+    # BlockNavEnv.advance and BlockNavEnv.step share one stepping kernel;
+    # advance on a copy must give the state, flag and count of step applied
+    # row by row with the goal tested after each, and leave the original as it was
     rng = np.random.default_rng(41)
     seen = {"goal": 0, "goal_mid_macro": 0, "pick": 0}
     for count in (2, 3, 4):
@@ -979,7 +982,7 @@ def test_run_macro_equals_step_folded_row_by_row():
                 if task.goal_predicate(ref):
                     ref_ok = True
                     break
-            got, ok, used = world.run_macro(state, macro, task)
+            got, ok, used = world.advance(state.copy(), macro.tolist(), task)
             assert np.array(got.values).tobytes() == np.array(ref.values).tobytes()
             assert (got.step_count, ok, used) == (ref.step_count, ref_ok, ref_used)
             assert state.values == before and got.values is not state.values
@@ -991,7 +994,7 @@ def test_run_macro_equals_step_folded_row_by_row():
 
 def test_replaced_goal_predicate_decides_where_run_macro_stops(env, tasks):
     # a BlockNav task whose goal is "robot x >= 6", new or made from a region
-    # task with dataclasses.replace: BlockNavEnv.run_macro tests it, not the
+    # task with dataclasses.replace: BlockNavEnv.advance tests it, not the
     # region test, after every step
     calls = []
 
@@ -1341,13 +1344,13 @@ def steering_elsewhere(world, task):
     return dataclasses.replace(other, goal_predicate=dataclasses.replace(t).reached)
 
 
-def check_run_macro_goal_tests(other):
+def check_advance_goal_tests(other):
     """For every built-in task with 2 to 4 objects, from goal and non-goal
-    starts, on macros of 1 to 300 rows: run_macro gives the state, flag and
-    count of step folded row by row with the goal tested after each, and
-    calls the goal only after the first row and after each pick or drop.
-    ``advance`` on a copy of the start gives the same, bit for bit, in the
-    copy.  With ``other``, the task run is ``steering_elsewhere``'s."""
+    starts, on macros of 1 to 300 rows: ``advance`` on a copy of the start
+    gives, in the copy, the state, flag and count of step folded row by row
+    with the goal tested after each, and calls the goal only after the first
+    row and after each pick or drop.  With ``other``, the task run is
+    ``steering_elsewhere``'s."""
     rng = np.random.default_rng(47)
     seen = dict.fromkeys(["goal_start", "non_goal_start", "goal_after_row_1", "goal_at_drop",
                           "one_row", "300_rows", "pick", "drop", "re_pick", "other_pick"], 0)
@@ -1367,20 +1370,15 @@ def check_run_macro_goal_tests(other):
                     ref_ok = True
                     break
             used = len(carried) - 1
+            own = state.copy()
             (got, ok, got_used), calls = region_goal_calls(
-                lambda: world.run_macro(state, macro, run))
+                lambda: world.advance(own, macro, run))
+            assert got is own
             assert np.array(got.values).tobytes() == np.array(ref.values).tobytes()
             assert (got.step_count, ok, got_used) == (ref.step_count, ref_ok, used)
             assert state.values == before
             changed = [i for i in range(1, used + 1) if i == 1 or carried[i] != carried[i - 1]]
             assert calls == [state.step_count + i for i in changed]
-            own = state.copy()
-            (moved, moved_ok, moved_used), moved_calls = region_goal_calls(
-                lambda: world.advance(own, macro, run))
-            assert moved is own
-            assert np.array(moved.values).tobytes() == np.array(got.values).tobytes()
-            assert (moved.step_count, moved_ok, moved_used) == (got.step_count, ok, got_used)
-            assert moved_calls == calls
             seen["goal_start" if task.goal_predicate(state) else "non_goal_start"] += 1
             seen["goal_after_row_1"] += ok and used > 1
             seen["goal_at_drop"] += ok and carried[-2] >= 0 > carried[-1]
@@ -1396,12 +1394,12 @@ def check_run_macro_goal_tests(other):
 
 
 def test_run_macro_tests_a_built_in_goal_only_where_it_can_change():
-    check_run_macro_goal_tests(other=False)
+    check_advance_goal_tests(other=False)
 
 
 def test_run_macro_tests_any_region_goal_only_where_it_can_change():
     # a built-in goal is any RegionGoal's reached, not only its task's target's
-    check_run_macro_goal_tests(other=True)
+    check_advance_goal_tests(other=True)
 
 
 def per_row_sample_macro(env, horizon, noise, obs, task, rng):
@@ -1477,7 +1475,7 @@ def test_a_wrapped_or_replaced_goal_is_tested_at_every_row(env, tasks):
     # a built-in goal is known by its __self__, which no wrapper has: a goal
     # installed with dataclasses.replace, a plain wrapper of the built-in
     # goal and a functools.wraps wrapper that changes its meaning are each
-    # tested after every row of run_macro and before every non-noise row of
+    # tested after every row of advance and before every non-noise row of
     # sample_macro
     task = tasks[0]
     built_in, calls = task.goal_predicate, []
@@ -1505,7 +1503,7 @@ def test_a_wrapped_or_replaced_goal_is_tested_at_every_row(env, tasks):
             lambda s, a: reference_step(env, s, a), goal, start, macro)
         assert (ref_ok, ref_used) == ((True, stop) if stop else (False, 6))
         calls.clear()
-        got, ok, used = env.run_macro(start, macro, replaced)
+        got, ok, used = env.advance(start.copy(), macro, replaced)
         assert (ok, used) == (ref_ok, ref_used)
         assert np.array(got.values).tobytes() == np.array(ref.values).tobytes()
         assert calls == list(range(1, used + 1))

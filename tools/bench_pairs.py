@@ -1,12 +1,13 @@
 """Alternated A/B runs of one benchmark workload, a parent revision against this checkout.
 
-    python3 tools/bench_pairs.py --parent REV --workload W [--pairs 10] \
-        [--first-seed 1] [--seconds S] [--out BENCH_<n>.json]
+    python3 tools/bench_pairs.py --parent REV --workload W [--workload W2 ...] \
+        [--pairs 10] [--first-seed 1] [--seconds S] [--out BENCH_<n>.json]
 
 It exports ``REV`` with ``git archive REV | tar -x`` into a temporary directory,
 which needs no network and leaves no worktree behind, and runs
 ``bench/run.py --trace 0`` there and in this checkout, for ``BENCHMARK.json``'s
-``run_seconds`` unless ``--seconds`` is given.  Pair ``i`` runs both sides on seed
+``run_seconds`` unless ``--seconds`` is given.  The workloads run one after
+another from that one export, each on the same seeds.  Pair ``i`` runs both sides on seed
 ``first_seed + i``, in ABBA order (parent first in even pairs, the change first
 in odd ones), so slow drift of the host cancels.  For each end-to-end metric it
 writes each side's median and quartiles, the pairs the change won, the parent's
@@ -14,8 +15,8 @@ IQR, the change of the medians, whether that stays within the metric's
 ``BENCHMARK.json`` bound, and the gain rule's verdict: the change wins at least 9
 pairs in 10 and its median is better than the parent's by more than the parent's
 IQR.  Every run's exit code, ``failed`` count, pin statuses, ``probe_ms`` and load
-average are kept.  The result is printed as JSON, or with ``--out`` added under
-``pairs`` and the workload's name to that file, beside what
+average are kept.  The results are printed as JSON by workload, or with ``--out``
+added under ``pairs`` and each workload's name to that file, beside what
 ``tools/bench_record.py`` wrote there.  Standard library only; it changes nothing
 under ``bench/`` or ``src/``.
 """
@@ -106,11 +107,19 @@ def summarise(runs: list[dict], spec: dict) -> dict:
     return {"metrics": metrics, "runs": kept}
 
 
+def pair_workloads(roots: dict, workloads: list[str], pairs: int, first_seed: int,
+                   seconds: float, spec: dict, run=bench_run) -> dict:
+    """Each workload's pairs in the same two checkouts, one workload after another,
+    summarised by workload."""
+    return {workload: summarise(run_pairs(roots, workload, pairs, first_seed, seconds, run),
+                                spec) for workload in workloads}
+
+
 def main(argv=None) -> int:
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True)
-    parser.add_argument("--workload", required=True,
+    parser.add_argument("--workload", required=True, action="append",
                         choices=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
@@ -119,25 +128,28 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs and --seconds must be positive")
+    workloads = list(dict.fromkeys(args.workload))
     with tempfile.TemporaryDirectory() as tmp:
         commit = export(args.parent, Path(tmp))
-        runs = run_pairs({PARENT: Path(tmp), CHANGE: REPO}, args.workload, args.pairs,
-                         args.first_seed, args.seconds)
-    result = summarise(runs, spec)
-    result.update(workload=args.workload, parent=args.parent, parent_commit=commit,
-                  seconds=args.seconds, first_seed=args.first_seed)
-    for name, metric in result["metrics"].items():
-        print(f"{name}: {metric[PARENT]['median']:.6g} -> {metric[CHANGE]['median']:.6g} "
-              f"({metric['relative_change']:+.1%}), won {metric['wins']}/{metric['pairs']}, "
-              f"parent IQR {metric['parent_iqr']:.4g}, within bound {metric['within_bound']}, "
-              f"gain {metric['gain']}", file=sys.stderr)
+        results = pair_workloads({PARENT: Path(tmp), CHANGE: REPO}, workloads, args.pairs,
+                                 args.first_seed, args.seconds, spec)
+    for workload, result in results.items():
+        result.update(workload=workload, parent=args.parent, parent_commit=commit,
+                      seconds=args.seconds, first_seed=args.first_seed)
+        for name, metric in result["metrics"].items():
+            print(f"{workload} {name}: {metric[PARENT]['median']:.6g} -> "
+                  f"{metric[CHANGE]['median']:.6g} ({metric['relative_change']:+.1%}), "
+                  f"won {metric['wins']}/{metric['pairs']}, parent IQR "
+                  f"{metric['parent_iqr']:.4g}, within bound {metric['within_bound']}, "
+                  f"gain {metric['gain']}", file=sys.stderr)
     if args.out:
         record = json.loads(args.out.read_text()) if args.out.exists() else {}
-        record.setdefault("pairs", {})[args.workload] = result
+        record.setdefault("pairs", {}).update(results)
         args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     else:
-        print(json.dumps(result, indent=1, sort_keys=True))
-    failed = [run for run in result["runs"] if run["exit"] != 0 or not run["correct"]]
+        print(json.dumps(results, indent=1, sort_keys=True))
+    failed = [run for result in results.values() for run in result["runs"]
+              if run["exit"] != 0 or not run["correct"]]
     return 1 if failed else 0
 
 
