@@ -104,8 +104,8 @@ def test_pair_workloads_runs_each_workload_in_the_same_two_checkouts(pairs_tool)
 
     def fake(workload, seed, seconds, trace, root):
         calls.append((workload, seed, root))
-        ops = {"trend_suite": 10.0, "expand_heavy": 20.0}[workload] + (root == Path("/change"))
-        return dict(_run(0, "", ops), seed=seed)
+        ops = {"trend_suite": 10.0, "expand_heavy": 20.0}[workload]
+        return dict(_run(0, "", ops + 1.0 if root == Path("/change") else ops), seed=seed)
 
     spec = {"end_to_end": [{"name": "ops_per_s", "better": "higher", "bound": 0.2}]}
     roots = {"parent": Path("/parent"), "change": Path("/change")}

@@ -1,4 +1,4 @@
-"""Alternated A/B runs of one benchmark workload, a parent revision against this checkout.
+"""Alternated A/B runs of benchmark workloads, a parent revision against this checkout.
 
     python3 tools/bench_pairs.py --parent REV --workload W [--workload W2 ...] \
         [--pairs 10] [--first-seed 1] [--seconds S] [--out BENCH_<n>.json]
@@ -7,9 +7,9 @@ It exports ``REV`` with ``git archive REV | tar -x`` into a temporary directory,
 which needs no network and leaves no worktree behind, and runs
 ``bench/run.py --trace 0`` there and in this checkout, for ``BENCHMARK.json``'s
 ``run_seconds`` unless ``--seconds`` is given.  The workloads run one after
-another from that one export, each on the same seeds.  Pair ``i`` runs both sides on seed
-``first_seed + i``, in ABBA order (parent first in even pairs, the change first
-in odd ones), so slow drift of the host cancels.  For each end-to-end metric it
+another from that one export, each on the same seeds: pair ``i`` runs both sides
+on seed ``first_seed + i``, in ABBA order (parent first in even pairs, the change
+first in odd ones), so slow drift of the host cancels.  For each end-to-end metric it
 writes each side's median and quartiles, the pairs the change won, the parent's
 IQR, the change of the medians, whether that stays within the metric's
 ``BENCHMARK.json`` bound, and the gain rule's verdict: the change wins at least 9
