@@ -5,6 +5,9 @@ over negative scaled distances to the prior's suggested macro.  Over the whole
 library (``alpha_beta``, ``epsilon_beta``) it decides which prototypes become a
 node's candidates; as ``psi_prior``, over the candidates' distances
 (``alpha_psi``, ``epsilon_psi``, by default 0), it allocates visits among them.
+At ``alpha = 0`` or ``epsilon = 1`` the rule is uniform and reads no distance,
+so ``search.expand`` measures the library's distances to the prior's macro only
+when one of the two rules has ``alpha > 0`` and ``epsilon < 1``.
 """
 
 from __future__ import annotations
@@ -63,13 +66,11 @@ def _shifted_softmax(dists: np.ndarray, alpha: float) -> np.ndarray:
     # -alpha * d falls as d grows, so the nearest macro's scaled distance is
     # the max-shift, and the farthest's is the first to overflow; a Python
     # float overflows to inf with no warning
-    if alpha == 0.0:
-        # uniform whatever the distances; the max-shift's -0.0 * inf would be NaN
-        return np.full(len(dists), 1.0 / len(dists))
     near = dists.item(dists.argmin())
     top = -alpha * near
-    if top == -math.inf:
-        # every scaled distance overflowed: the softmax's limit as alpha grows,
+    if top == -math.inf or alpha == math.inf:
+        # every scaled distance overflowed, or alpha is infinite (where
+        # -inf * 0.0 would be NaN): the softmax's limit as alpha grows,
         # uniform over the nearest macros
         weights = (dists == near).astype(float)
     elif math.isinf(alpha * dists.item(dists.argmax())):
@@ -86,18 +87,30 @@ def beta_distribution(dists: np.ndarray, alpha: float, epsilon: float) -> np.nda
     ``probs[i] = (1-eps) * softmax_i(-alpha * dists[i]) + eps/len(dists)``,
     with the softmax computed under a max-shift for stability.  At
     ``eps = 0`` this is the softmax itself, bit for bit.  At ``alpha = 0`` the
-    softmax is uniform, infinite distances too.  If ``alpha`` is so
-    large that every ``-alpha * dists[i]`` is -inf, the softmax is its limit,
-    uniform over the indices of the smallest distance.  A scaled distance
-    that overflows gets a weight of 0, and numpy warns of none.
+    softmax is uniform, whatever the distances.  At ``eps = 1`` the rule is its
+    limit, exactly ``1/len(dists)`` each, with no softmax computed.  If ``alpha``
+    is infinite, or so large that every ``-alpha * dists[i]`` is -inf, the
+    softmax is its limit, uniform over the indices of the smallest distance.  A
+    scaled distance that overflows gets a weight of 0, and numpy warns of none.
+    At ``alpha > 0`` a NaN or -inf distance raises ``ContractViolationError``.
     """
-    if alpha < 0:
+    if not alpha >= 0:  # NaN too
         raise ConfigurationError(f"alpha must be >= 0, got {alpha}")
     if not 0.0 <= epsilon <= 1.0:
         raise ConfigurationError(f"epsilon must be in [0,1], got {epsilon}")
-    if len(dists) == 0:
+    m = len(dists)
+    if m == 0:
         raise ContractViolationError("cannot build a prior over no macros")
-    probs = (1.0 - epsilon) * _shifted_softmax(dists, float(alpha)) + epsilon / len(dists)
+    if alpha == 0.0:
+        # the softmax is uniform; the max-shift's -0.0 * inf would be NaN
+        return np.full(m, (1.0 - epsilon) * (1.0 / m) + epsilon / m)
+    low = float(dists.min())
+    if not low > -math.inf:  # a NaN minimum fails too
+        raise ContractViolationError(f"invalid distances: min={low}; at alpha > 0 "
+                                     f"no distance may be NaN or -inf")
+    if epsilon == 1.0:
+        return np.full(m, 1.0 / m)
+    probs = (1.0 - epsilon) * _shifted_softmax(dists, float(alpha)) + epsilon / m
     return _validated(probs, epsilon)
 
 

@@ -181,20 +181,19 @@ def backpropagate(path: list) -> None:
         node.children[idx].visits += 1
 
 
-def _query_prior(
-    prior: PriorPolicy,
-    model: WorldModel,
-    state: StateVec,
-    task: TaskSpec,
-    rng: np.random.Generator,
-    where: str,
-) -> list | tuple:
-    """The prior's macro at ``state`` as ``check_macro`` returns it; a prior that
-    raises, or a macro that fails the check, is a ``PriorQueryError`` naming ``where``."""
-    obs = model.observe(state)
+def _query_prior(sample, obs, task: TaskSpec, rng: np.random.Generator, width: int,
+                 depth: int | None = None) -> list | tuple:
+    """The reply of ``sample``, a prior's ``sample_macro``, as ``check_macro`` returns it
+    at ``width``, a ``CheckedMacro`` of that width as it is; a prior that raises, or a
+    reply that fails the check, is a ``PriorQueryError`` naming the rollout, or the
+    expansion at ``depth``."""
     try:
-        return check_macro(prior.sample_macro(obs, task, rng), model.action_dim, "macro")
+        macro = sample(obs, task, rng)
+        if type(macro) is CheckedMacro and len(macro[0]) == width:
+            return macro
+        return check_macro(macro, width, "macro")
     except Exception as exc:  # noqa: BLE001 - surface with search context
+        where = "in rollout" if depth is None else f"in expand at depth {depth}"
         raise PriorQueryError(f"prior query failed {where}: {exc}") from exc
 
 
@@ -213,11 +212,14 @@ def expand(
     """Create the node's k children, one per candidate macro.
 
     Queries the prior exactly once for the anchor macro, which must have the
-    library's H rows, and measures the library's distances to it once.
-    Samples k distinct library indices by the prior rule over all of them,
-    takes the selection prior over the candidates' own, and steps the world
-    model through each candidate macro, charging its steps to ``meter``.
-    The node must be unexpanded, shallower than ``d_max`` and not a goal.
+    shape of the library's macros.  Samples k distinct library indices by the prior
+    rule over all of them, takes the selection prior over the candidates', and
+    steps the world model through each candidate macro, charging its steps to
+    ``meter``.  The library's distances to the anchor are measured once, and
+    only if a rule reads them: one with ``alpha > 0`` and ``epsilon < 1``.
+    Under uniform rules (criterion 7's uninformed arm: ``epsilon_beta = 1``,
+    ``alpha_psi = 0``) neither does.  The node must be unexpanded, shallower
+    than ``d_max`` and not a goal.
     """
     if node.children:
         raise ContractViolationError("node is already expanded")
@@ -226,12 +228,18 @@ def expand(
     if node.is_goal:
         raise ContractViolationError("cannot expand a goal node")
     meter.queries += 1
-    where = f"in expand at depth {node.depth}"
-    anchor = _query_prior(prior, model, node.sim_state, task, rng_query, where)
-    if len(anchor) != lib.horizon:
-        raise PriorQueryError(f"prior returned a macro of {len(anchor)} rows {where}; "
-                              f"the library's macros have H = {lib.horizon}")
-    dists = lib.distances_to(anchor)
+    anchor = _query_prior(prior.sample_macro, model.observe(node.sim_state), task, rng_query,
+                          model.action_dim, node.depth)
+    if len(anchor) != lib.horizon or len(anchor[0]) != lib.action_dim:
+        raise PriorQueryError(
+            f"prior returned a macro of {len(anchor)} rows in expand at depth {node.depth}, "
+            f"{len(anchor[0])} wide; the library's macros have H = {lib.horizon} rows, "
+            f"{lib.action_dim} wide")
+    if (cfg.alpha_beta > 0.0 and cfg.epsilon_beta < 1.0) or (
+            cfg.alpha_psi > 0.0 and cfg.epsilon_psi < 1.0):
+        dists = lib.distances_to(anchor)
+    else:
+        dists = np.zeros(lib.m)  # not measured: both rules are uniform, reading none
     dist = beta_distribution(dists, cfg.alpha_beta, cfg.epsilon_beta)
     indices = sample_candidates(dist, cfg.k, rng_sample)
     psi = psi_prior(dists[indices], cfg.alpha_psi, cfg.epsilon_psi).tolist()
@@ -274,6 +282,7 @@ def rollout(
     if task.goal_predicate(start):
         return True, 0, []
     state, macros, charged, cap = start.copy(), [], 0, cfg.d_sim_max
+    observe, sample, width = model.observe, prior.sample_macro, model.action_dim
 
     def rows():
         # the goal was tested on each state the prior is queried on, by the check
@@ -283,7 +292,7 @@ def rollout(
         nonlocal charged
         while charged < cap:
             meter.queries += 1
-            macro = _query_prior(prior, model, state, task, rng, "in rollout")
+            macro = _query_prior(sample, observe(state), task, rng, width)
             macros.append(macro)
             left = cap - charged
             if len(macro) > left:

@@ -433,7 +433,9 @@ class ScriptedExpertPrior:
     expert.  The uniforms are the values of as many ``rng.random()`` calls,
     taken from ``rng.random(_NOISE_BLOCK)`` by ``PriorPolicy``'s generator
     contract.  The prior steps its own copy of the state through one
-    macro-action in one kernel pass, computing each row from the last.
+    macro-action in one kernel pass, computing each row from the last.  The
+    steering rule and the goal's kind are built once per task, on its first
+    query after a query on another task.
     """
 
     def __init__(self, env: BlockNavEnv, horizon: int, noise_level: float = 0.0):
@@ -443,11 +445,17 @@ class ScriptedExpertPrior:
         self.horizon = int(horizon)
         self.noise_level = float(noise_level)
         self._rng, self._ahead = None, []  # uniforms drawn from _rng, not used, last first
+        self._task = self._steer = self._every = None  # the last task and its rule
 
     def sample_macro(self, obs: tuple, task: TaskSpec, rng: np.random.Generator) -> list[tuple]:
         env, noise_level, high = self.env, self.noise_level, self.env.max_step
-        goal, steer, state = task.goal_predicate, _steer_values(env, task), StateVec(list(obs))
-        every, v, rows = type(getattr(goal, "__self__", None)) is not RegionGoal, state.values, []
+        goal = task.goal_predicate
+        if task is not self._task:  # a task without a target raises here on every query
+            self._steer = _steer_values(env, task)
+            self._every = type(getattr(goal, "__self__", None)) is not RegionGoal
+            self._task = task
+        steer, every, state = self._steer, self._every, StateVec(list(obs))
+        v, rows = state.values, []
         if rng is not self._rng:
             self._rng, self._ahead = rng, []
         ahead, span = self._ahead, high + high

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,50 @@ def test_beta_at_an_alpha_that_overflows_is_the_softmax_limit():
                           0.9 * np.array([0.5, 0.0, 0.5, 0.0]) + 0.1 / 4)
     # only the farther distances overflow: they get no weight
     assert np.array_equal(psi_prior(np.array([0.5, 2.0, 0.5]), 1e308, 0.0), [0.5, 0.0, 0.5])
+
+
+@pytest.mark.parametrize("rule", [beta_distribution, psi_prior])
+def test_an_infinite_alpha_is_the_softmax_limit_at_any_distance(rule):
+    # -inf * 0.0 is NaN, so a zero distance broke the max-shift, with a numpy
+    # warning and then an invalid probability vector
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for epsilon in (0.0, 0.1):
+            for dists, nearest in (([0.0, 1.0], [1.0, 0.0]), ([2.0, 0.0, 0.0, math.inf],
+                                                            [0.0, 0.5, 0.5, 0.0]),
+                                   ([3.0, 1.5, 7.0], [0.0, 1.0, 0.0]), ([math.inf] * 2, [0.5] * 2)):
+                want = (1.0 - epsilon) * np.array(nearest) + epsilon / len(dists)
+                assert rule(np.array(dists), math.inf, epsilon).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rule", [beta_distribution, psi_prior])
+def test_a_nan_alpha_is_a_configuration_error_naming_alpha(rule):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dists in ([0.0, 1.0], [2.0, 3.0, math.inf]):
+            for epsilon in (0.0, 0.5, 1.0):
+                with pytest.raises(ConfigurationError, match="^alpha must be >= 0, got nan"):
+                    rule(np.array(dists), math.nan, epsilon)
+
+
+def test_epsilon_one_is_exactly_uniform_and_reads_distances_only_for_nan():
+    # the rule's limit is exactly 1/m, the bits (1 - 1) * s + 1/m has at any
+    # finite softmax s; at alpha > 0 a NaN or -inf distance still raises, at alpha 0 not
+    gen = np.random.default_rng(3)
+    for m in (1, 3, 10, 64):
+        dists = np.abs(gen.normal(size=m)) * 10.0 ** gen.integers(-3, 300, size=m)
+        dists[gen.integers(m)] = math.inf
+        for alpha in (0.0, 0.5, 1e308, math.inf):
+            got = beta_distribution(dists, alpha, 1.0)
+            assert got.tobytes() == np.full(m, 1.0 / m).tobytes()
+    for bad in (math.nan, -math.inf):
+        dists = np.array([1.0, bad, 2.0])
+        for epsilon in (0.0, 0.5, 1.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ContractViolationError, match="invalid distances"):
+                    beta_distribution(dists, 2.0, epsilon)
+                assert (beta_distribution(dists, 0.0, epsilon) == 1.0 / 3.0).all()
 
 
 @settings(max_examples=40, deadline=None)

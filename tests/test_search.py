@@ -267,8 +267,8 @@ def reference_expand(node, prior, lib, model, task, cfg, rng_query, rng_sample, 
     """expand as it was: each candidate stepped by step_macro, which checks the
     macro's shape and tests the goal on the start state before stepping."""
     meter.queries += 1
-    where = f"in expand at depth {node.depth}"
-    anchor = _query_prior(prior, model, node.sim_state, task, rng_query, where)
+    anchor = _query_prior(prior.sample_macro, model.observe(node.sim_state), task, rng_query,
+                          model.action_dim, node.depth)
     dists = lib.distances_to(anchor)
     dist = beta_distribution(dists, cfg.alpha_beta, cfg.epsilon_beta)
     indices = sample_candidates(dist, cfg.k, rng_sample)
@@ -282,15 +282,33 @@ def reference_expand(node, prior, lib, model, task, cfg, rng_query, rng_sample, 
     return node.children
 
 
-def test_expand_matches_step_macro_reference(env, model, tasks, library):
+# the rules each trial of the expand reference test takes: drawn, then each
+# uniform limit of one rule, then both rules uniform, when no distance is read
+UNIFORM_RULES = [{}, {"epsilon_beta": 1.0}, {"alpha_beta": 0.0}, {"alpha_psi": 0.0},
+                 {"epsilon_psi": 1.0}, {"epsilon_beta": 1.0, "alpha_psi": 0.0},
+                 {"alpha_beta": 0.0, "epsilon_psi": 1.0}]
+
+
+def test_expand_matches_step_macro_reference(env, model, tasks, library, monkeypatch):
     # random non-goal nodes, many a few steps from the goal on the expert's
-    # path so that candidates reach it in mid-macro
+    # path so that candidates reach it in mid-macro; the reference measures the
+    # distances under every rule, expand only where a rule reads them
     gen = np.random.default_rng(31)
-    seen = collections.Counter()
+    seen, measured = collections.Counter(), []
+    original = MacroLibrary.distances_to
+
+    def counted(lib, macro):
+        measured.append(macro)
+        return original(lib, macro)
+
+    monkeypatch.setattr(MacroLibrary, "distances_to", counted)
     for trial in range(300):
         task = tasks[trial % len(tasks)]
+        rules = UNIFORM_RULES[trial % len(UNIFORM_RULES)]
         cfg = SearchConfig(k=int(gen.integers(1, 12)), alpha_beta=float(gen.uniform(0, 20)),
                            epsilon_beta=float(gen.uniform()), t_max=1e9)
+        cfg = dataclasses.replace(cfg, **rules)
+        reads = rules not in UNIFORM_RULES[-2:]
         prior = ScriptedExpertPrior(model, cfg.horizon, float(gen.choice([0.0, 0.3, 1.0])))
         path = [env.reset(trial, task.task_id)]
         while not task.goal_predicate(path[-1]):
@@ -302,12 +320,14 @@ def test_expand_matches_step_macro_reference(env, model, tasks, library):
         for fn in (reference_expand, expand):
             meter = CostMeter(cfg)
             node = TreeNode(start.copy(), depth, 7)
+            measured.clear()
             fn(node, prior, library, model, task, cfg, RngFactory(trial).rng(PRIOR_QUERY),
                RngFactory(trial).rng(CANDIDATES), meter, 8)
             children.append(([(c.sim_state.values, c.sim_state.step_count, c.depth,
                                c.node_id, c.is_goal, c.proto, c.psi, c.visits)
                               for c in node.children], meter.queries, meter.sim_steps))
         assert children[0] == children[1], trial
+        assert len(measured) == reads, (trial, rules)
         for _, step_count, _, _, is_goal, _, _, _ in children[1][0]:
             steps = step_count - start.step_count
             seen["goal_mid_macro" if is_goal and steps < cfg.horizon
@@ -1362,6 +1382,9 @@ BAD_PRIOR_OUTPUTS = {
     "plus_inf": (np.array([[0.1, 0.0, 1.0], [0.1, 0.0, 1.0], [0.2, 0.0, np.inf]]),
                  r"row 2 \[0.2, 0.0, inf\] is not finite"),
     "wrong_columns": (np.zeros((4, 2)), r"shape \(4, 2\) is not \(H, 3\)"),
+    # a CheckedMacro passes unread only at the width it was checked at
+    "checked_wrong_columns": (CheckedMacro(np.zeros((4, 2)), 2, "m"),
+                              r"shape \(4, 2\) is not \(H, 3\)"),
     "one_row_wrong_columns": ([[0.1, 0.0, 1.0, 0.0]], r"shape \(1, 4\) is not \(H, 3\)"),
     "zero_dimensional": (0.5, r"shape \(\) is not \(H, 3\)"),
     "one_dimensional": (np.zeros(3), r"shape \(3,\) is not \(H, 3\)"),
@@ -1521,6 +1544,26 @@ def test_expand_requires_library_horizon_rows(name, model, tasks, library):
     success, steps, _ = rollout(model, prior, node.sim_state, tasks[0], cfg,
                                 np.random.default_rng(0), CostMeter(cfg))
     assert (success, steps) == (False, 12)
+
+
+@pytest.mark.parametrize("rules", [{}, {"epsilon_beta": 1.0, "alpha_psi": 0.0}],
+                         ids=["measured", "uniform"])
+def test_expand_refuses_a_library_of_another_width_before_stepping(rules, model, tasks,
+                                                                 monkeypatch):
+    # the anchor is checked at the model's width; a library of another width is
+    # refused before any child is stepped, also where no distance is measured
+    lib = MacroLibrary(np.zeros((6, 4, 2)) + np.arange(6.0)[:, None, None], np.zeros(2),
+                       np.ones(2))
+    cfg = SearchConfig(k=3, t_max=1e9, **rules)
+    node = TreeNode(model.reset(0, tasks[0].task_id), 2, 0)
+    stepped = []
+    monkeypatch.setattr(BlockNavEnv, "advance", lambda *args: stepped.append(args))
+    meter = CostMeter(cfg)
+    with pytest.raises(PriorQueryError, match=r"4 rows in expand at depth 2, 3 wide; the "
+                                              r"library's macros have H = 4 rows, 2 wide"):
+        expand(node, _FixedPrior(np.zeros((4, 3))), lib, model, tasks[0], cfg,
+               np.random.default_rng(0), np.random.default_rng(1), meter, 1)
+    assert node.children == [] and stepped == [] and meter.sim_steps == 0
 
 
 @pytest.mark.parametrize("entry", [1e300, 1.7e308, -1e200])

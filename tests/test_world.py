@@ -1267,6 +1267,33 @@ def test_expert_refuses_a_task_with_no_target(env, tasks):
         run_expert_episode(env, task, 0)
 
 
+@pytest.mark.parametrize("noise", [0.0, 0.6])
+def test_expert_kept_across_tasks_replies_as_a_fresh_one(env, tasks, noise):
+    # the expert builds its steering rule and goal kind once per task; queries
+    # that alternate between two tasks, a task whose goal was replaced and a task
+    # without a target each reply, or raise, as a fresh expert's query does
+    kept = ScriptedExpertPrior(env, 4, noise)
+    # a custom goal, which holds once a row is stepped, and so mid-macro
+    wrapped = dataclasses.replace(tasks[1], goal_predicate=lambda state: state.step_count > 0)
+    untargeted = dataclasses.replace(tasks[0], target=None)
+    order = [tasks[0], untargeted, untargeted, tasks[0], tasks[4], tasks[1], wrapped, wrapped,
+             tasks[1]]
+    rng = np.random.default_rng(17)
+    for i in range(6 * len(order)):
+        task = order[i % len(order)]
+        near = task if task.target is not None else tasks[0]
+        obs = env.observe(StateVec(random_expert_values(env, near, rng).tolist()))
+        draws, fresh_draws = np.random.default_rng(i), np.random.default_rng(i)
+        if task.target is None:
+            for prior, gen in ((kept, draws), (ScriptedExpertPrior(env, 4, noise), fresh_draws)):
+                with pytest.raises(ContractViolationError, match="has no target to steer for"):
+                    prior.sample_macro(obs, task, gen)
+            continue
+        got = kept.sample_macro(obs, task, draws)
+        assert got == ScriptedExpertPrior(env, 4, noise).sample_macro(obs, task, fresh_draws), i
+        assert draws.random() == fresh_draws.random()
+
+
 # -- where a goal is tested ----------------------------------------------------
 #
 # A built-in goal reads only the carried index and its object's position, and
