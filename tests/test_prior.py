@@ -130,7 +130,7 @@ def test_a_nan_alpha_is_a_configuration_error_naming_alpha(rule):
                     rule(np.array(dists), math.nan, epsilon)
 
 
-def test_epsilon_one_is_exactly_uniform_and_reads_distances_only_for_nan():
+def test_epsilon_one_is_exactly_uniform_and_a_bad_distance_still_raises():
     # the rule's limit is exactly 1/m, the bits (1 - 1) * s + 1/m has at any
     # finite softmax s; at alpha > 0 a NaN or -inf distance still raises, at alpha 0 not
     gen = np.random.default_rng(3)
