@@ -5,9 +5,9 @@ over negative scaled distances to the prior's suggested macro.  Over the whole
 library (``alpha_beta``, ``epsilon_beta``) it decides which prototypes become a
 node's candidates; as ``psi_prior``, over the candidates' distances
 (``alpha_psi``, ``epsilon_psi``, by default 0), it allocates visits among them.
-At ``alpha = 0`` or ``epsilon = 1`` the rule is uniform and reads no distance,
-so ``search.expand`` measures the library's distances to the prior's macro only
-when one of the two rules has ``alpha > 0`` and ``epsilon < 1``.
+At ``alpha = 0`` or ``epsilon = 1`` the rule is uniform and reads no distance
+(``reads_distances``), so ``search.expand`` measures the library's distances to
+the prior's macro only when one of the two rules reads them.
 """
 
 from __future__ import annotations
@@ -81,6 +81,12 @@ def _shifted_softmax(dists: np.ndarray, alpha: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+def reads_distances(alpha: float, epsilon: float) -> bool:
+    """Whether ``beta_distribution`` at ``alpha`` and ``epsilon`` reads the distances'
+    values; at ``alpha = 0`` or ``epsilon = 1`` it is uniform whatever they are."""
+    return alpha > 0.0 and epsilon < 1.0
+
+
 def beta_distribution(dists: np.ndarray, alpha: float, epsilon: float) -> np.ndarray:
     """The prior rule over a vector of macro distances.
 
@@ -101,15 +107,15 @@ def beta_distribution(dists: np.ndarray, alpha: float, epsilon: float) -> np.nda
     m = len(dists)
     if m == 0:
         raise ContractViolationError("cannot build a prior over no macros")
-    if alpha == 0.0:
-        # the softmax is uniform; the max-shift's -0.0 * inf would be NaN
+    if alpha > 0.0:
+        low = float(dists.min())
+        if not low > -math.inf:  # a NaN minimum fails too
+            raise ContractViolationError(f"invalid distances: min={low}; at alpha > 0 "
+                                         f"no distance may be NaN or -inf")
+    if not reads_distances(alpha, epsilon):
+        # the softmax is uniform, or weighs 0; at epsilon = 1 this is exactly 1/m.
+        # At alpha = 0 the max-shift's -0.0 * inf would be NaN
         return np.full(m, (1.0 - epsilon) * (1.0 / m) + epsilon / m)
-    low = float(dists.min())
-    if not low > -math.inf:  # a NaN minimum fails too
-        raise ContractViolationError(f"invalid distances: min={low}; at alpha > 0 "
-                                     f"no distance may be NaN or -inf")
-    if epsilon == 1.0:
-        return np.full(m, 1.0 / m)
     probs = (1.0 - epsilon) * _shifted_softmax(dists, float(alpha)) + epsilon / m
     return _validated(probs, epsilon)
 

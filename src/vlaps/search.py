@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, PriorQueryError, check_fields
 from .macrolib import MacroLibrary
-from .prior import PriorPolicy, beta_distribution, psi_prior, sample_candidates
+from .prior import (PriorPolicy, beta_distribution, psi_prior, reads_distances,
+                    sample_candidates)
 from .rngutil import CANDIDATES, PRIOR_QUERY, ROLLOUT, RngFactory
 from .world import CheckedMacro, StateVec, TaskSpec, WorldModel, check_macro, step_macro
 
@@ -184,14 +185,10 @@ def backpropagate(path: list) -> None:
 def _query_prior(sample, obs, task: TaskSpec, rng: np.random.Generator, width: int,
                  depth: int | None = None) -> list | tuple:
     """The reply of ``sample``, a prior's ``sample_macro``, as ``check_macro`` returns it
-    at ``width``, a ``CheckedMacro`` of that width as it is; a prior that raises, or a
-    reply that fails the check, is a ``PriorQueryError`` naming the rollout, or the
-    expansion at ``depth``."""
+    at ``width``; a prior that raises, or a reply that fails the check, is a
+    ``PriorQueryError`` naming the rollout, or the expansion at ``depth``."""
     try:
-        macro = sample(obs, task, rng)
-        if type(macro) is CheckedMacro and len(macro[0]) == width:
-            return macro
-        return check_macro(macro, width, "macro")
+        return check_macro(sample(obs, task, rng), width, "macro")
     except Exception as exc:  # noqa: BLE001 - surface with search context
         where = "in rollout" if depth is None else f"in expand at depth {depth}"
         raise PriorQueryError(f"prior query failed {where}: {exc}") from exc
@@ -216,7 +213,7 @@ def expand(
     rule over all of them, takes the selection prior over the candidates', and
     steps the world model through each candidate macro, charging its steps to
     ``meter``.  The library's distances to the anchor are measured once, and
-    only if a rule reads them: one with ``alpha > 0`` and ``epsilon < 1``.
+    only if a rule reads them, as ``prior.reads_distances`` decides.
     Under uniform rules (criterion 7's uninformed arm: ``epsilon_beta = 1``,
     ``alpha_psi = 0``) neither does.  The node must be unexpanded, shallower
     than ``d_max`` and not a goal.
@@ -235,8 +232,8 @@ def expand(
             f"prior returned a macro of {len(anchor)} rows in expand at depth {node.depth}, "
             f"{len(anchor[0])} wide; the library's macros have H = {lib.horizon} rows, "
             f"{lib.action_dim} wide")
-    if (cfg.alpha_beta > 0.0 and cfg.epsilon_beta < 1.0) or (
-            cfg.alpha_psi > 0.0 and cfg.epsilon_psi < 1.0):
+    if reads_distances(cfg.alpha_beta, cfg.epsilon_beta) or reads_distances(
+            cfg.alpha_psi, cfg.epsilon_psi):
         dists = lib.distances_to(anchor)
     else:
         dists = np.zeros(lib.m)  # not measured: both rules are uniform, reading none

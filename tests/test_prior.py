@@ -13,6 +13,7 @@ from vlaps.prior import (
     UniformLibraryPrior,
     beta_distribution,
     psi_prior,
+    reads_distances,
     sample_candidates,
 )
 from vlaps.world import CheckedMacro, ScriptedExpertPrior, check_macro
@@ -128,6 +129,18 @@ def test_a_nan_alpha_is_a_configuration_error_naming_alpha(rule):
             for epsilon in (0.0, 0.5, 1.0):
                 with pytest.raises(ConfigurationError, match="^alpha must be >= 0, got nan"):
                     rule(np.array(dists), math.nan, epsilon)
+
+
+def test_the_rule_reads_the_distances_exactly_where_reads_distances_says():
+    # search.expand hands zeros, not the library's distances, to a rule that
+    # reads none; one that reads them gives other bits at distinct distances
+    gen = np.random.default_rng(5)
+    for alpha in (0.0, 0.5, 20.0, 1e308, math.inf):
+        for epsilon in (0.0, 0.3, 1.0):
+            dists = np.abs(gen.normal(size=8)) + np.arange(8.0)
+            same = (beta_distribution(dists, alpha, epsilon).tobytes()
+                    == beta_distribution(np.zeros(8), alpha, epsilon).tobytes())
+            assert same != reads_distances(alpha, epsilon), (alpha, epsilon)
 
 
 def test_epsilon_one_is_exactly_uniform_and_a_bad_distance_still_raises():

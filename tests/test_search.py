@@ -282,11 +282,12 @@ def reference_expand(node, prior, lib, model, task, cfg, rng_query, rng_sample, 
     return node.children
 
 
-# the rules each trial of the expand reference test takes: drawn, then each
-# uniform limit of one rule, then both rules uniform, when no distance is read
-UNIFORM_RULES = [{}, {"epsilon_beta": 1.0}, {"alpha_beta": 0.0}, {"alpha_psi": 0.0},
+# the expand reference test's trials beyond its drawn ones: each uniform limit
+# of one rule, then both rules uniform, when no distance is read
+UNIFORM_RULES = [{"epsilon_beta": 1.0}, {"alpha_beta": 0.0}, {"alpha_psi": 0.0},
                  {"epsilon_psi": 1.0}, {"epsilon_beta": 1.0, "alpha_psi": 0.0},
                  {"alpha_beta": 0.0, "epsilon_psi": 1.0}]
+DRAWN_TRIALS, UNIFORM_TRIALS = 300, 20  # the latter for each of UNIFORM_RULES
 
 
 def test_expand_matches_step_macro_reference(env, model, tasks, library, monkeypatch):
@@ -302,9 +303,9 @@ def test_expand_matches_step_macro_reference(env, model, tasks, library, monkeyp
         return original(lib, macro)
 
     monkeypatch.setattr(MacroLibrary, "distances_to", counted)
-    for trial in range(300):
+    for trial in range(DRAWN_TRIALS + UNIFORM_TRIALS * len(UNIFORM_RULES)):
         task = tasks[trial % len(tasks)]
-        rules = UNIFORM_RULES[trial % len(UNIFORM_RULES)]
+        rules = {} if trial < DRAWN_TRIALS else UNIFORM_RULES[trial % len(UNIFORM_RULES)]
         cfg = SearchConfig(k=int(gen.integers(1, 12)), alpha_beta=float(gen.uniform(0, 20)),
                            epsilon_beta=float(gen.uniform()), t_max=1e9)
         cfg = dataclasses.replace(cfg, **rules)
