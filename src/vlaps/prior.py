@@ -62,11 +62,20 @@ def _validated(probs: np.ndarray, epsilon: float) -> np.ndarray:
     return probs
 
 
+def _nearest(dists: np.ndarray) -> float:
+    # argmin finds a NaN before any number, so a NaN distance is the nearest
+    near = dists.item(dists.argmin())
+    if not near > -math.inf:
+        raise ContractViolationError(f"invalid distances: min={near}; at alpha > 0 "
+                                     f"no distance may be NaN or -inf")
+    return near
+
+
 def _shifted_softmax(dists: np.ndarray, alpha: float) -> np.ndarray:
     # -alpha * d falls as d grows, so the nearest macro's scaled distance is
     # the max-shift, and the farthest's is the first to overflow; a Python
     # float overflows to inf with no warning
-    near = dists.item(dists.argmin())
+    near = _nearest(dists)
     top = -alpha * near
     if top == -math.inf or alpha == math.inf:
         # every scaled distance overflowed, or alpha is infinite (where
@@ -107,12 +116,9 @@ def beta_distribution(dists: np.ndarray, alpha: float, epsilon: float) -> np.nda
     m = len(dists)
     if m == 0:
         raise ContractViolationError("cannot build a prior over no macros")
-    if alpha > 0.0:
-        low = float(dists.min())
-        if not low > -math.inf:  # a NaN minimum fails too
-            raise ContractViolationError(f"invalid distances: min={low}; at alpha > 0 "
-                                         f"no distance may be NaN or -inf")
     if not reads_distances(alpha, epsilon):
+        if alpha > 0.0:
+            _nearest(dists)  # refuses a NaN or -inf distance, as the softmax does
         # the softmax is uniform, or weighs 0; at epsilon = 1 this is exactly 1/m.
         # At alpha = 0 the max-shift's -0.0 * inf would be NaN
         return np.full(m, (1.0 - epsilon) * (1.0 / m) + epsilon / m)
