@@ -22,7 +22,7 @@ byte-identical results; see ``CostMeter``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -100,21 +100,49 @@ class CostMeter:
         return self.queries * self.query_cost + self.sim_steps * self.step_cost
 
 
-@dataclass(slots=True)
+def _step_child(model: WorldModel, parent: StateVec, row: CheckedMacro,
+                task: TaskSpec) -> tuple[StateVec, bool, int]:
+    """An expansion child's step, eager or deferred: ``advance`` on a copy of ``parent``."""
+    return model.advance(parent.copy(), row, task)
+
+
 class TreeNode:
     """A simulated state and the edge that reached it from its parent: the
     library index of the macro taken (-1 at the root), that macro's selection
     prior and its visit count.  ``children`` are in draw order; a node is
-    expanded once it has any."""
+    expanded once it has any.
 
-    sim_state: StateVec
-    depth: int
-    node_id: int
-    is_goal: bool = False
-    proto: int = -1
-    psi: float = 0.0
-    visits: int = 0
-    children: list = field(default_factory=list)
+    A child that ``expand`` deferred, where ``model.may_reach_goal`` said no
+    H rows could meet the goal, holds ``(model, parent state, library row,
+    task)`` in ``pending`` and no state.  It is stepped through ``_step_child``,
+    the eager path's call, the first time ``sim_state`` is read, once; the
+    parent's state is never written, so the bits are the eager ones.  Its goal
+    flag and step count were charged already, so the step is checked against
+    them: a ``BlockNavEnv`` subclass with other dynamics that keeps the rule
+    fails here.
+    """
+
+    __slots__ = ("_state", "pending", "depth", "node_id", "is_goal", "proto", "psi",
+                 "visits", "children")
+
+    def __init__(self, sim_state: StateVec | None, depth: int, node_id: int,
+                 is_goal: bool = False, proto: int = -1, psi: float = 0.0,
+                 pending: tuple | None = None):
+        self._state, self.pending = sim_state, pending
+        self.depth, self.node_id, self.is_goal = depth, node_id, is_goal
+        self.proto, self.psi, self.visits, self.children = proto, psi, 0, []
+
+    @property
+    def sim_state(self) -> StateVec:
+        if self.pending is not None:
+            model, parent, row, task = self.pending
+            state, success, used = _step_child(model, parent, row, task)
+            if success or used != len(row):
+                raise ContractViolationError(
+                    f"{type(model).__name__}.may_reach_goal answered False, yet node "
+                    f"{self.node_id} met the goal or stopped after {used} of {len(row)} rows")
+            self._state, self.pending = state, None
+        return self._state
 
 
 @dataclass
@@ -212,7 +240,13 @@ def expand(
     shape of the library's macros.  Samples k distinct library indices by the prior
     rule over all of them, takes the selection prior over the candidates', and
     steps the world model through each candidate macro, charging its steps to
-    ``meter``.  The library's distances to the anchor are measured once, and
+    ``meter``.  Where ``model.may_reach_goal`` says that no H rows from the node
+    can meet the goal, each child is charged its H steps at once, is not a goal,
+    and is stepped only when its ``sim_state`` is first read, by the same
+    ``_step_child`` call: selection reads only ψ and visits, so most children
+    are never stepped, and every state, count and outcome is the eager one's.
+    A ``BlockNavEnv`` subclass with other dynamics must override that rule.
+    The library's distances to the anchor are measured once, and
     only if a rule reads them, as ``prior.reads_distances`` decides.
     Under uniform rules (criterion 7's uninformed arm: ``epsilon_beta = 1``,
     ``alpha_psi = 0``) neither does.  The node must be unexpanded, shallower
@@ -242,12 +276,18 @@ def expand(
     psi = psi_prior(dists[indices], cfg.alpha_psi, cfg.epsilon_psi).tolist()
     # a library row is a CheckedMacro, and a node that is not a goal node fails
     # the goal, so step_macro's two tests are skipped
-    for slot, (proto, weight) in enumerate(zip(indices, psi)):
-        state, success, used = model.advance(node.sim_state.copy(), lib.rows[proto], task)
-        meter.sim_steps += used
-        node.children.append(TreeNode(state, node.depth + 1, next_id + slot,
-                                      success, proto, weight))
-    return node.children
+    parent, depth, rows, children = node.sim_state, node.depth + 1, lib.rows, node.children
+    if model.may_reach_goal(parent, task, lib.horizon):
+        for slot, (proto, weight) in enumerate(zip(indices, psi)):
+            state, success, used = _step_child(model, parent, rows[proto], task)
+            meter.sim_steps += used
+            children.append(TreeNode(state, depth, next_id + slot, success, proto, weight))
+    else:  # every child steps all H rows and misses the goal
+        meter.sim_steps += lib.horizon * len(indices)
+        for slot, (proto, weight) in enumerate(zip(indices, psi)):
+            children.append(TreeNode(None, depth, next_id + slot, False, proto, weight,
+                                     pending=(model, parent, rows[proto], task)))
+    return children
 
 
 def rollout(

@@ -44,7 +44,11 @@ class TaskSpec:
 class WorldModel(ABC):
     """Deterministic simulator interface used both as environment and planner model.
     The search steps a model through ``advance`` alone, on a copy of any state it keeps;
-    a model may replace ``advance``'s fold of ``step`` with a faster loop of equal results."""
+    a model may replace ``advance``'s fold of ``step`` with a faster loop of equal results.
+    ``may_reach_goal`` steps nothing: where it answers ``False`` the search defers an
+    expansion's children's steps until it reads their states, with every result unchanged
+    (see ``search.expand``).  A subclass with other dynamics, a ``BlockNavEnv`` subclass
+    included, must override a rule that answers ``False`` anywhere."""
 
     @property
     @abstractmethod
@@ -75,6 +79,13 @@ class WorldModel(ABC):
                 return state, True, steps
         return state, False, steps
 
+    def may_reach_goal(self, state: StateVec, task: TaskSpec, steps: int) -> bool:
+        """Whether ``advance`` from ``state`` through some ``steps`` checked rows may meet
+        ``task``'s goal, or raise, after one of them.  ``False`` promises that it does
+        neither, so that the rows' steps can wait until a caller reads their state; ``True``,
+        this default's answer, is always sound."""
+        return True
+
 
 # BlockNav state layout: [rx, ry, grip, carried, ox0, oy0, ox1, oy1, ...]
 _RX, _RY, _GRIP, _CARRIED = 0, 1, 2, 3
@@ -98,7 +109,8 @@ class RegionGoal:
     centre ``(cx, cy)`` of region ``region`` by the kernel pick's plain distance (a NaN
     position never does).  It refuses a carried slot outside its environment's
     ``carried_slots``, as the kernel does.  ``reached`` is a built-in task's predicate; the
-    kernel and the expert know it by its ``__self__`` and test it only where it can change."""
+    kernel and the expert know it by its ``__self__`` and test it only where it can change,
+    and ``BlockNavEnv.may_reach_goal`` bounds where it can turn true."""
 
     obj: int
     region: int
@@ -195,6 +207,36 @@ class BlockNavEnv(WorldModel):
         start = state.step_count
         done = self._step_rows(state, rows, task.goal_predicate, "BlockNavEnv.advance")
         return state, done, state.step_count - start
+
+    def may_reach_goal(self, state: StateVec, task: TaskSpec, steps: int) -> bool:
+        """``False`` only for a built-in goal, a ``RegionGoal``'s ``reached`` known by its
+        ``__self__``, that no ``steps`` rows can meet: the state passes the kernel's entry
+        checks, the robot lies in ``[0, extent]``, the object as it lies fails the goal's own
+        test, and the robot is farther from the centre than ``radius + reach``, with ``reach``
+        ``steps * max_step * sqrt(2)`` plus a rounding margin.  Any NaN gives ``True``.
+
+        The goal can only turn true where the object is released, at its stored position
+        (on the first row, if it is carried) or where the robot has carried it.  Each row
+        moves the robot at most ``max_step`` per axis, plus one rounding of a sum below
+        ``extent + max_step``, and the clip into ``[0, extent]`` only shortens that.  The
+        margin's relative term covers the kernel's and the goal's roundings, its absolute
+        term the goal's squares underflowing where ``math.hypot``'s do not.  A subclass
+        with other dynamics must override this."""
+        goal = getattr(task.goal_predicate, "__self__", None)
+        if type(goal) is not RegionGoal or not self.carried_slots <= goal.carried_slots:
+            return True
+        v, obj, extent = state.values, goal.obj, self.extent
+        if (len(v) != self.state_dim or v[_CARRIED] not in self.carried_slots
+                or obj not in range(self.object_count)):
+            return True
+        rx, ry, cx, cy, radius = v[_RX], v[_RY], goal.cx, goal.cy, goal.radius
+        if not (0.0 <= rx <= extent and 0.0 <= ry <= extent):
+            return True
+        dx, dy = v[4 + 2 * obj] - cx, v[5 + 2 * obj] - cy
+        if not math.sqrt(dx * dx + dy * dy) > radius:
+            return True
+        reach = steps * (self.max_step + (extent + self.max_step) * 2.0**-52) * math.sqrt(2.0)
+        return not math.hypot(rx - cx, ry - cy) > (radius + reach) * (1.0 + 1e-12) + 1e-150
 
     def _step_rows(self, state: StateVec, rows: Iterable, goal: Callable | None,
                    what: str) -> bool:

@@ -230,3 +230,30 @@ def test_recorder_summarises_one_short_bench_run(recorder, monkeypatch):
         assert entry["metrics"]["ops_per_s"] == {"median": ops, "q1": ops, "q3": ops, "n": 1}
         assert entry["traced_counts_match"] and entry["layers"]["world.step.calls"] > 0
         assert (entry["traced"]["exit"], entry["traced"]["correct"]) == (0, True)
+
+
+DURATIONS = """.                                                                        [100%]
+============================== slowest durations ===============================
+2.65s call     tests/test_acceptance.py::test_criterion_7_search_space_tractability
+0.12s setup    tests/test_acceptance.py::test_criterion_7_search_space_tractability
+0.00s teardown tests/test_acceptance.py::test_criterion_7_search_space_tractability
+1 passed, 9 deselected in 4.85s
+"""
+
+
+def test_call_seconds_sums_the_call_lines_of_a_durations_report(recorder):
+    # criterion 7's process is half start-up and collection; the record keeps
+    # the test's own call time beside it, from pytest's --durations lines
+    assert recorder.call_seconds(DURATIONS) == 2.65
+    two = DURATIONS.replace("0.12s setup", "1.25s call ")
+    assert recorder.call_seconds(two) == 2.65 + 1.25
+    assert recorder.call_seconds("1 passed in 4.85s\n") is None
+    assert recorder.call_seconds("0.50s calls t.py::a\n12 call\n") is None
+    assert "--durations=0" in recorder.CRITERION_7 and "--durations-min=0" in recorder.CRITERION_7
+
+
+def test_timed_records_wall_seconds_exit_summary_and_call_seconds(recorder):
+    done = recorder.timed(["-c", "print('0.50s call     t.py::a'); print('1 passed in 0.6s')"])
+    assert done["exit"] == 0 and done["summary"] == "1 passed in 0.6s"
+    assert done["call_s"] == 0.5 and done["seconds"] > 0
+    assert recorder.timed(["-c", "print('5 passed')"])["call_s"] is None

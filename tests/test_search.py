@@ -131,9 +131,10 @@ def _fake_node(psi, counts, protos=None):
     """An expanded root whose children carry the given edge stats."""
     node = TreeNode(StateVec(np.zeros(2)), depth=0, node_id=0)
     protos = range(len(psi)) if protos is None else protos
-    node.children = [TreeNode(StateVec(np.zeros(2)), 1, i + 1, proto=proto, psi=float(p),
-                              visits=int(n))
-                     for i, (proto, p, n) in enumerate(zip(protos, psi, counts))]
+    node.children = [TreeNode(StateVec(np.zeros(2)), 1, i + 1, proto=proto, psi=float(p))
+                     for i, (proto, p) in enumerate(zip(protos, psi))]
+    for child, n in zip(node.children, counts):
+        child.visits = int(n)
     return node
 
 
@@ -324,16 +325,88 @@ def test_expand_matches_step_macro_reference(env, model, tasks, library, monkeyp
             measured.clear()
             fn(node, prior, library, model, task, cfg, RngFactory(trial).rng(PRIOR_QUERY),
                RngFactory(trial).rng(CANDIDATES), meter, 8)
+            deferred = sum(c.pending is not None for c in node.children)
             children.append(([(c.sim_state.values, c.sim_state.step_count, c.depth,
                                c.node_id, c.is_goal, c.proto, c.psi, c.visits)
                               for c in node.children], meter.queries, meter.sim_steps))
         assert children[0] == children[1], trial
         assert len(measured) == reads, (trial, rules)
+        assert deferred in (0, cfg.k)
+        seen["deferred" if deferred else "stepped"] += 1
         for _, step_count, _, _, is_goal, _, _, _ in children[1][0]:
             steps = step_count - start.step_count
             seen["goal_mid_macro" if is_goal and steps < cfg.horizon
                  else "goal_last_step" if is_goal else "no_goal"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def test_expand_steps_a_deferred_child_once_when_read_and_as_the_reference(
+        env, model, tasks, library, monkeypatch):
+    # from nodes along the expert's path: far from the region expand calls
+    # advance 0 times and charges the reference's steps; each child read twice
+    # is stepped once, to the reference's bits, and the parent's state never
+    # changes.  Within reach of the region it steps all k children at once
+    cfg = SearchConfig(k=10, t_max=1e9)
+    prior = ScriptedExpertPrior(model, cfg.horizon, 0.6)
+    calls, seen = [], collections.Counter()
+    original = BlockNavEnv.advance
+
+    def counted(self, state, rows, task):
+        calls.append(state.step_count)
+        return original(self, state, rows, task)
+
+    monkeypatch.setattr(BlockNavEnv, "advance", counted)
+    for trial in range(30):
+        task = tasks[trial % len(tasks)]
+        path = [env.reset(trial, task.task_id)]
+        while not task.goal_predicate(path[-1]):
+            path.append(env.step(path[-1], _steer_values(env, task)(path[-1].values)))
+        start = path[int(np.random.default_rng(trial).integers(0, len(path) - 1))]
+        far = not model.may_reach_goal(start, task, cfg.horizon)
+        nodes, meters = [], []
+        for fn in (reference_expand, expand):
+            nodes.append(TreeNode(start.copy(), 1, 3))
+            meters.append(CostMeter(cfg))
+            calls.clear()
+            fn(nodes[-1], prior, library, model, task, cfg, RngFactory(trial).rng(PRIOR_QUERY),
+               RngFactory(trial).rng(CANDIDATES), meters[-1], 4)
+        reference, node = nodes
+        assert len(calls) == (0 if far else cfg.k)
+        assert (meters[1].queries, meters[1].sim_steps) == (meters[0].queries,
+                                                            meters[0].sim_steps)
+        assert [(c.node_id, c.proto, c.psi, c.is_goal) for c in node.children] == [
+            (c.node_id, c.proto, c.psi, c.is_goal) for c in reference.children]
+        calls.clear()
+        for child, expected in zip(node.children, reference.children):
+            assert (child.pending is not None) == far
+            assert child.sim_state is child.sim_state
+            assert (child.sim_state.values, child.sim_state.step_count) == (
+                expected.sim_state.values, expected.sim_state.step_count)
+        assert len(calls) == (cfg.k if far else 0)
+        assert node.sim_state.values == start.values
+        assert node.sim_state.step_count == start.step_count
+        seen[far] += 1
+    assert min(seen[True], seen[False]) >= 5, seen
+    # a state the kernel refuses is refused inside expand, by the eager step
+    bad = TreeNode(StateVec(start.values + [0.0], start.step_count), 0, 0)
+    with pytest.raises(ContractViolationError, match="^BlockNavEnv.advance: the state has 9"):
+        expand(bad, UniformLibraryPrior(library), library, model, tasks[0], cfg,
+               np.random.default_rng(0), np.random.default_rng(1), CostMeter(cfg), 1)
+
+
+def test_a_deferred_child_that_meets_the_goal_is_a_contract_violation(model, tasks):
+    # a child deferred by a rule that answered False where the model's own
+    # step does meet the goal is refused when it is read, not taken as a miss
+    task = tasks[0]
+    cx, cy, obj = task.target.cx, task.target.cy, task.target.obj
+    values = [cx, cy, 1.0, float(obj), 9.0, 9.0, 9.0, 9.0]
+    values[4 + 2 * obj: 6 + 2 * obj] = (cx, cy)
+    row = CheckedMacro([(0.0, 0.0, -1.0)] * 4, 3, "macro")
+    child = TreeNode(None, 1, 5, pending=(model, StateVec(values), row, task))
+    with pytest.raises(ContractViolationError, match=(
+            "^BlockNavEnv.may_reach_goal answered False, yet node 5 met the goal or "
+            "stopped after 1 of 4 rows")):
+        child.sim_state
 
 
 def test_expand_rejects_a_goal_node(env, model, tasks, library, search_setup):

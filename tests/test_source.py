@@ -156,7 +156,8 @@ def test_only_the_kernel_and_the_expert_test_for_a_built_in_goal():
     # a built-in goal is the bound RegionGoal.reached of its task's target,
     # known by its __self__, not by a code object; only _step_rows and
     # sample_macro test a goal for it, since only they skip rows at which its
-    # answer cannot change.  Any other use of the name builds one.
+    # answer cannot change, and only may_reach_goal, the rule that lets expand
+    # defer a child's step, bounds where it can.  Any other use of the name builds one.
     assert [path.name for path in SOURCES
             if "__code__" in path.read_text() or "co_consts" in path.read_text()] == []
     functions = [(path.name, node) for path in SOURCES
@@ -167,7 +168,8 @@ def test_only_the_kernel_and_the_expert_test_for_a_built_in_goal():
     readers = sorted((module, func.name) for module, func in functions if any(
         isinstance(node, ast.Name) and node.id == "RegionGoal" and id(node) not in builds
         for node in ast.walk(func)))
-    assert readers == [("world.py", "_step_rows"), ("world.py", "sample_macro")]
+    assert readers == [("world.py", "_step_rows"), ("world.py", "may_reach_goal"),
+                       ("world.py", "sample_macro")]
     env = BlockNavEnv(object_count=3)
     assert all(type(task.target) is RegionGoal and task.goal_predicate.__self__ is task.target
                for task in env.tasks())
@@ -176,9 +178,11 @@ def test_only_the_kernel_and_the_expert_test_for_a_built_in_goal():
 def test_a_world_model_steps_through_step_and_advance_only():
     # the search steps every macro through advance, on a copy of any state it
     # keeps, so the model interface has no second macro-stepping method, and no
-    # program file or README names the one that was removed
+    # program file or README names the one that was removed.  Its one query,
+    # may_reach_goal, steps nothing: the default answers True on a state it never reads
     public = sorted(name for name in vars(WorldModel) if not name.startswith("_"))
-    assert public == ["action_dim", "advance", "observe", "reset", "step"]
+    assert public == ["action_dim", "advance", "may_reach_goal", "observe", "reset", "step"]
+    assert WorldModel.may_reach_goal(None, None, None, 4) is True
     files = [REPO / "README.md"] + [path for folder in ("src", "bench", "tools")
                                     for path in sorted((REPO / folder).rglob("*"))
                                     if path.is_file() and "__pycache__" not in path.parts]

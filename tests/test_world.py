@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vlaps.errors import ConfigurationError, ContractViolationError
 from vlaps.world import (
@@ -881,6 +883,133 @@ def test_goal_false_while_carried_and_on_nan(env, tasks):
     assert task.goal_predicate(StateVec(values)) is True
     values[4 + 2 * obj] = math.nan
     assert task.goal_predicate(StateVec(values)) is reference_goal(env, task, StateVec(values))
+
+
+# -- the reach rule that lets an expansion defer its children's steps ----------
+
+def _power(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@st.composite
+def reach_cases(draw):
+    # the regimes the rule must get right: a tiny extent, where the goal's
+    # squares underflow; the robot outside the extent, which the first row
+    # clips in; the centre just beyond the rule's reach from where the robot is
+    # clipped to, or within the radius of it; a carried object stored away from
+    # the robot, carried and then dropped; an object in the region, at the
+    # robot or at NaN; a carried slot the kernel refuses
+    scale = draw(st.sampled_from(["tiny", "normal", "wide", "huge"]))
+    extent = draw({"tiny": _power(-300.0, -163.0), "normal": _power(-3.0, 3.0),
+                   "wide": _power(-300.0, 150.0), "huge": _power(140.0, 150.0)}[scale])
+    relative = _power(-4.0, 1.0).map(lambda f: f * extent)
+    magnitude = (relative if scale != "wide" else _power(-300.0, 150.0)).map(
+        lambda x: min(max(x, 1e-300), 1e150))
+    max_step, radius, pick = draw(magnitude), draw(magnitude), draw(magnitude)
+    env = BlockNavEnv(extent=extent, object_count=2, max_step=max_step, pick_radius=pick,
+                      region_radius=radius, jitter=0.0)
+    move = st.sampled_from([-max_step, 0.0, max_step]) | st.floats(-2.0, 2.0).map(
+        lambda f: f * max_step) | st.floats(allow_nan=False, allow_infinity=False)
+    grip = st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0)
+    rows = draw(st.lists(st.tuples(move, move, grip), min_size=1, max_size=6))
+    if draw(st.booleans()):  # carry, then drop: the goal turns true only at a drop
+        rows = [(ax, ay, 1.0) for ax, ay, _ in rows[:-1]] + [rows[-1][:2] + (-1.0,)]
+
+    def coordinate(kind):
+        return draw({"in": st.floats(0.0, 1.0).map(lambda f: f * extent),
+                     "edge": st.sampled_from([0.0, extent]),
+                     "out": st.floats(1.0, 3.0).map(lambda f: f * extent) | st.floats(-2.0, 0.0)
+                     .map(lambda f: f * extent), "nan": st.just(math.nan)}[kind])
+
+    rx = coordinate(draw(st.sampled_from(["in"] * 4 + ["edge"] * 2 + ["out"] * 3 + ["nan"])))
+    ry = coordinate(draw(st.sampled_from(["in", "edge"])))
+    bx, by = min(max(rx, 0.0), extent), ry  # where the first row's clip leaves the robot
+    reach = radius + len(rows) * max_step * math.sqrt(2.0)
+    distance = draw(st.sampled_from(["beyond", "beyond", "within", "within", "far", "any"]).flatmap(lambda kind: {
+        "beyond": st.integers(0, 8).map(lambda k: reach * (1.0 + k * 2.0**-52)),
+        "within": st.floats(0.0, 1.0).map(lambda f: f * radius),
+        "far": _power(0.0, 160.0).map(lambda f: f * reach),
+        "any": _power(-300.0, 150.0)}[kind]))
+    angle = draw(st.sampled_from([0.0, math.pi / 4, math.pi]) | st.floats(0.0, 2 * math.pi))
+    cx, cy = bx + distance * math.cos(angle), by + distance * math.sin(angle)
+    objects = []
+    for _ in range(2):
+        kind = draw(st.sampled_from(["away"] * 7 + ["in", "robot", "centre", "nan"]))
+        if kind == "away":
+            objects += [cx + radius + draw(magnitude | _power(-100.0, 100.0)), coordinate("in")]
+        else:
+            objects += {"in": [coordinate("in"), coordinate("in")], "robot": [rx, ry],
+                        "centre": [cx, cy], "nan": [math.nan, cy]}[kind]
+    obj = draw(st.sampled_from([0, 1]))
+    carried = draw(st.sampled_from([-1.0, 0.0, 1.0] + [float(obj)] * 4 + [2.0]))
+    state = StateVec([rx, ry, draw(grip), carried] + objects, draw(st.integers(0, 5)))
+    goal = RegionGoal(obj, 0, cx, cy, radius, env.carried_slots)
+    return env, state, TaskSpec("reach", "reach", goal.reached, target=goal), [
+        tuple(map(float, row)) for row in rows]
+
+
+def _reach_case(extent, max_step, radius, robot, centre, stored, grips=(1.0, -1.0)):
+    """Object 0 carried from ``stored``, its gripper set to each of ``grips`` in turn."""
+    env = BlockNavEnv(extent=extent, max_step=max_step, region_radius=radius, jitter=0.0)
+    goal = RegionGoal(0, 0, *centre, radius, env.carried_slots)
+    return (env, StateVec([*robot, 1.0, 0.0, *stored, 1.0, 1.0]),
+            TaskSpec("reach", "reach", goal.reached, target=goal),
+            [(0.0, 0.0, g) for g in grips])
+
+
+@settings(max_examples=800, deadline=None)
+@given(case=reach_cases())
+# the drawn cases find these only now and then: dropped at once inside the
+# region; clipped from outside the extent to within the radius; a hair from the
+# centre, where the goal's squares underflow to 0; and one ulp beyond the
+# radius by math.hypot, where the goal's own sum and root round to the radius
+@example(case=_reach_case(10.0, 0.5, 0.6, (9.0, 9.0), (5.0, 5.0), (5.0, 5.3), (-1.0,)))
+@example(case=_reach_case(10.0, 0.5, 0.6, (-15.0, 5.0), (0.3, 5.0), (9.0, 9.0)))
+@example(case=_reach_case(1e-170, 1e-175, 1e-174, (5e-171, 5e-171), (5.03e-171, 5e-171),
+                          (9.0, 9.0)))
+@example(case=_reach_case(1.0, 1e-300, 1e5, (0.5, 0.5), (67148.783018164, -74101.51136077582),
+                          (9.0, 9.0)))
+def test_a_goal_out_of_reach_is_met_by_no_prefix_of_any_rows(case):
+    # where the rule says no H rows can meet the goal, neither advance over all
+    # of them nor the goal after any prefix, stepped row by row, does, and
+    # advance does not raise: expand charges such a child H steps, unstepped
+    env, state, task, rows = case
+    before = state.copy()
+    if env.may_reach_goal(state, task, len(rows)):
+        return
+    assert state == before
+    assert env.advance(state.copy(), rows, task)[1:] == (False, len(rows))
+    for row in rows:
+        state = env.step(state, row)
+        assert not task.goal_predicate(state), (before, rows)
+
+
+def test_the_reach_rule_answers_true_wherever_it_cannot_vouch(env, tasks):
+    # a custom or wrapped goal, a state the kernel refuses, a robot outside the
+    # extent, the object in the region or carried at it, a robot within reach and
+    # any NaN all give True; far from the region with the object outside it, False
+    task = tasks[0]
+    obj, cx, cy = task.target.obj, task.target.cx, task.target.cy
+    far = [cx + 5.0, cy + 5.0, -1.0, -1.0, 9.0, 1.0, 9.0, 1.0]
+    far[4 + 2 * obj: 6 + 2 * obj] = (cx + 3.0, cy)
+    assert not env.may_reach_goal(StateVec(far), task, 4)
+    edits = {"the region": {4 + 2 * obj: cx + 0.3},
+             "carried at the region": {3: float(obj), 4 + 2 * obj: cx},
+             "robot outside": {0: -50.0}, "robot within reach": {0: cx + 2.0, 1: cy + 2.0},
+             "robot nan": {1: math.nan}, "object nan": {5 + 2 * obj: math.nan},
+             "bad carried slot": {3: 2.0}}
+    for name, edit in edits.items():
+        values = list(far)
+        for index, value in edit.items():
+            values[index] = value
+        assert env.may_reach_goal(StateVec(values), task, 4), name
+    assert env.may_reach_goal(StateVec(far + [0.0]), task, 4)
+    assert env.may_reach_goal(StateVec(far), task, 100)
+    for goal in (lambda state: task.goal_predicate(state), functools.partial(task.goal_predicate),
+                 dataclasses.replace(task.target, radius=math.nan).reached,
+                 dataclasses.replace(task.target, carried_slots=frozenset({-1.0})).reached,
+                 dataclasses.replace(task.target, obj=2).reached):
+        assert env.may_reach_goal(StateVec(far), dataclasses.replace(task, goal_predicate=goal), 4)
 
 
 # -- macro kernel against the row-by-row loop ---------------------------------

@@ -15,7 +15,9 @@ as ``PAIRS`` pairs of subprocesses, for the file's ``run_seconds`` each: pair
 ``i`` runs both sides on seed ``i``, in ABBA order (parent first in even pairs,
 the change first in odd ones), so slow drift of the host cancels.  Then it runs
 one ``--trace 1`` pass of the change at ``TRACED_SEED``.  Last it times tier-1
-and criterion 7 in the checkout with ``perf_counter``.
+and criterion 7 in the checkout with ``perf_counter``.  Criterion 7 is one
+unpaired pytest process, about half of it start-up and collection, so its record
+also holds the test's own call seconds, which pytest's ``--durations`` reports.
 
 The file holds, per workload, under ``workloads`` the change side's median and
 quartiles of each metric and the traced pass's per-layer metrics, and under
@@ -36,6 +38,7 @@ import argparse
 import json
 import math
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -50,7 +53,8 @@ PARENT, CHANGE = "parent", "change"
 WIN_SHARE = 0.9  # the gain rule's wins: 9 of 10 pairs
 MEASURED = ["src", "bench", "tools", "BENCHMARK.json"]
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
-CRITERION_7 = ["-m", "pytest", "-q", "tests/test_acceptance.py", "-k", "criterion_7"]
+CRITERION_7 = ["-m", "pytest", "-q", "tests/test_acceptance.py", "-k", "criterion_7",
+               "--durations=0", "--durations-min=0"]
 
 
 def bench_run(workload: str, seed: int, seconds: float, trace: int, root: Path) -> dict:
@@ -190,9 +194,16 @@ def record(parent: str, spec: dict, run=bench_run) -> dict:
     return result
 
 
+def call_seconds(output: str) -> float | None:
+    """The summed ``call`` seconds of pytest's ``--durations`` report in ``output``,
+    lines such as ``2.31s call     tests/test_x.py::test_y``; None without one."""
+    calls = [float(seconds) for seconds in re.findall(r"^(\d+\.\d+)s call\s", output, re.M)]
+    return math.fsum(calls) if calls else None
+
+
 def timed(args: list) -> dict:
     """Wall seconds of ``python <args>`` at the repository root, with ``src/`` on
-    the path, its exit code and pytest's last line."""
+    the path, its exit code, pytest's last line and the tests' ``call_seconds``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
     start = time.perf_counter()
@@ -200,7 +211,8 @@ def timed(args: list) -> dict:
                           text=True)
     seconds = time.perf_counter() - start
     last = done.stdout.strip().splitlines()[-1:] or [""]
-    return {"seconds": seconds, "exit": done.returncode, "summary": last[0]}
+    return {"seconds": seconds, "exit": done.returncode, "summary": last[0],
+            "call_s": call_seconds(done.stdout)}
 
 
 def main(argv=None) -> int:
