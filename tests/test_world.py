@@ -957,7 +957,7 @@ def _reach_case(extent, max_step, radius, robot, centre, stored, grips=(1.0, -1.
             [(0.0, 0.0, g) for g in grips])
 
 
-@settings(max_examples=800, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(case=reach_cases())
 # the drawn cases find these only now and then: dropped at once inside the
 # region; clipped from outside the extent to within the radius; a hair from the
