@@ -100,12 +100,6 @@ class CostMeter:
         return self.queries * self.query_cost + self.sim_steps * self.step_cost
 
 
-def _step_child(model: WorldModel, parent: StateVec, row: CheckedMacro,
-                task: TaskSpec) -> tuple[StateVec, bool, int]:
-    """An expansion child's step, eager or deferred: ``advance`` on a copy of ``parent``."""
-    return model.advance(parent.copy(), row, task)
-
-
 class TreeNode:
     """A simulated state and the edge that reached it from its parent: the
     library index of the macro taken (-1 at the root), that macro's selection
@@ -114,12 +108,11 @@ class TreeNode:
 
     A child that ``expand`` deferred, where ``model.may_reach_goal`` said no
     H rows could meet the goal, holds ``(model, parent state, library row,
-    task)`` in ``pending`` and no state.  It is stepped through ``_step_child``,
-    the eager path's call, the first time ``sim_state`` is read, once; the
-    parent's state is never written, so the bits are the eager ones.  Its goal
+    task)`` in ``pending`` and no state.  It is stepped by the eager path's
+    call, ``advance`` on a copy of the parent's state, the first time
+    ``sim_state`` is read, once, so the bits are the eager ones.  Its goal
     flag and step count were charged already, so the step is checked against
-    them: a ``BlockNavEnv`` subclass with other dynamics that keeps the rule
-    fails here.
+    them: a rule wrong for its model's dynamics fails here.
     """
 
     __slots__ = ("_state", "pending", "depth", "node_id", "is_goal", "proto", "psi",
@@ -136,10 +129,10 @@ class TreeNode:
     def sim_state(self) -> StateVec:
         if self.pending is not None:
             model, parent, row, task = self.pending
-            state, success, used = _step_child(model, parent, row, task)
+            state, success, used = model.advance(parent.copy(), row, task)
             if success or used != len(row):
                 raise ContractViolationError(
-                    f"{type(model).__name__}.may_reach_goal answered False, yet node "
+                    f"{type(model).may_reach_goal.__qualname__} answered False, yet node "
                     f"{self.node_id} met the goal or stopped after {used} of {len(row)} rows")
             self._state, self.pending = state, None
         return self._state
@@ -243,9 +236,8 @@ def expand(
     ``meter``.  Where ``model.may_reach_goal`` says that no H rows from the node
     can meet the goal, each child is charged its H steps at once, is not a goal,
     and is stepped only when its ``sim_state`` is first read, by the same
-    ``_step_child`` call: selection reads only ψ and visits, so most children
+    ``advance`` call: selection reads only ψ and visits, so most children
     are never stepped, and every state, count and outcome is the eager one's.
-    A ``BlockNavEnv`` subclass with other dynamics must override that rule.
     The library's distances to the anchor are measured once, and
     only if a rule reads them, as ``prior.reads_distances`` decides.
     Under uniform rules (criterion 7's uninformed arm: ``epsilon_beta = 1``,
@@ -279,7 +271,7 @@ def expand(
     parent, depth, rows, children = node.sim_state, node.depth + 1, lib.rows, node.children
     if model.may_reach_goal(parent, task, lib.horizon):
         for slot, (proto, weight) in enumerate(zip(indices, psi)):
-            state, success, used = _step_child(model, parent, rows[proto], task)
+            state, success, used = model.advance(parent.copy(), rows[proto], task)
             meter.sim_steps += used
             children.append(TreeNode(state, depth, next_id + slot, success, proto, weight))
     else:  # every child steps all H rows and misses the goal
@@ -392,7 +384,7 @@ def search_once(
         if meter.elapsed() >= cfg.t_max:
             break
         iterations = it
-        leaf, path = select_path(root, cfg) if it > 1 else (root, [])
+        leaf, path = select_path(root, cfg)
         if it == 1:
             # first roll the prior out from the root, with no deadline check
             # before the root is expanded

@@ -47,8 +47,7 @@ class WorldModel(ABC):
     a model may replace ``advance``'s fold of ``step`` with a faster loop of equal results.
     ``may_reach_goal`` steps nothing: where it answers ``False`` the search defers an
     expansion's children's steps until it reads their states, with every result unchanged
-    (see ``search.expand``).  A subclass with other dynamics, a ``BlockNavEnv`` subclass
-    included, must override a rule that answers ``False`` anywhere."""
+    (see ``search.expand``)."""
 
     @property
     @abstractmethod
@@ -108,9 +107,9 @@ class RegionGoal:
     """BlockNav's goal: object ``obj`` is not carried and lies within ``radius`` of the
     centre ``(cx, cy)`` of region ``region`` by the kernel pick's plain distance (a NaN
     position never does).  It refuses a carried slot outside its environment's
-    ``carried_slots``, as the kernel does.  ``reached`` is a built-in task's predicate; the
-    kernel and the expert know it by its ``__self__`` and test it only where it can change,
-    and ``BlockNavEnv.may_reach_goal`` bounds where it can turn true."""
+    ``carried_slots``, as the kernel does.  ``reached`` is a built-in task's predicate, which
+    ``_region_goal`` alone recognises: the kernel and the expert test it only where it can
+    change, and ``BlockNavEnv.may_reach_goal`` bounds where it can turn true."""
 
     obj: int
     region: int
@@ -132,6 +131,13 @@ class RegionGoal:
         dx = v[4 + 2 * obj] - self.cx
         dy = v[5 + 2 * obj] - self.cy
         return math.sqrt(dx * dx + dy * dy) <= self.radius
+
+
+def _region_goal(goal: Callable | None) -> RegionGoal | None:
+    """The ``RegionGoal`` that ``goal`` is a bound method of, or ``None``: a built-in goal,
+    known by its ``__self__``, so a wrapped or replaced predicate is a custom goal."""
+    region = getattr(goal, "__self__", None)
+    return region if type(region) is RegionGoal else None
 
 
 @dataclass(eq=False)
@@ -209,11 +215,12 @@ class BlockNavEnv(WorldModel):
         return state, done, state.step_count - start
 
     def may_reach_goal(self, state: StateVec, task: TaskSpec, steps: int) -> bool:
-        """``False`` only for a built-in goal, a ``RegionGoal``'s ``reached`` known by its
-        ``__self__``, that no ``steps`` rows can meet: the state passes the kernel's entry
-        checks, the robot lies in ``[0, extent]``, the object as it lies fails the goal's own
-        test, and the robot is farther from the centre than ``radius + reach``, with ``reach``
-        ``steps * max_step * sqrt(2)`` plus a rounding margin.  Any NaN gives ``True``.
+        """``False`` only for a built-in goal, as ``_region_goal`` knows one, that no
+        ``steps`` rows of ``BlockNavEnv``'s own dynamics can meet: the state passes the
+        kernel's entry checks, the robot lies in ``[0, extent]``, the object as it lies fails
+        the goal's own test, and the robot is farther from the centre than ``radius +
+        reach``, with ``reach`` ``steps * max_step * sqrt(2)`` plus a rounding margin.  Any
+        NaN gives ``True``.
 
         The goal can only turn true where the object is released, at its stored position
         (on the first row, if it is carried) or where the robot has carried it.  Each row
@@ -221,9 +228,10 @@ class BlockNavEnv(WorldModel):
         ``extent + max_step``, and the clip into ``[0, extent]`` only shortens that.  The
         margin's relative term covers the kernel's and the goal's roundings, its absolute
         term the goal's squares underflowing where ``math.hypot``'s do not.  A subclass
-        with other dynamics must override this."""
-        goal = getattr(task.goal_predicate, "__self__", None)
-        if type(goal) is not RegionGoal or not self.carried_slots <= goal.carried_slots:
+        answers ``True`` unless it overrides this with a rule for its own dynamics."""
+        goal = _region_goal(task.goal_predicate)
+        if (type(self) is not BlockNavEnv or goal is None
+                or not self.carried_slots <= goal.carried_slots):
             return True
         v, obj, extent = state.values, goal.obj, self.extent
         if (len(v) != self.state_dim or v[_CARRIED] not in self.carried_slots
@@ -267,7 +275,7 @@ class BlockNavEnv(WorldModel):
                 f"{what}: the state's carried slot (index {_CARRIED}) holds {v[_CARRIED]!r}, "
                 f"neither -1 (none) nor an object index below {self.object_count}")
         test = check = goal is not None
-        every = type(getattr(goal, "__self__", None)) is not RegionGoal
+        every = _region_goal(goal) is None
         rx, ry, grip, carried = v[_RX], v[_RY], v[_GRIP], int(v[_CARRIED])
         for ax, ay, g in rows:
             rx += low if ax < low else max_step if ax > max_step else ax
@@ -494,7 +502,7 @@ class ScriptedExpertPrior:
         goal = task.goal_predicate
         if task is not self._task:  # a task without a target raises here on every query
             self._steer = _steer_values(env, task)
-            self._every = type(getattr(goal, "__self__", None)) is not RegionGoal
+            self._every = _region_goal(goal) is None
             self._task = task
         steer, every, state = self._steer, self._every, StateVec(list(obs))
         v, rows = state.values, []

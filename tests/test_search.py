@@ -21,7 +21,7 @@ from vlaps.prior import (
     psi_prior,
     sample_candidates,
 )
-from vlaps.rngutil import CANDIDATES, PRIOR_QUERY, ROLLOUT, RngFactory
+from vlaps.rngutil import CANDIDATES, PRIOR_QUERY, ROLLOUT, RngFactory, stable_hash
 from vlaps.search import (
     BEST_ROOT_MACRO,
     GOAL_PLAN,
@@ -407,6 +407,88 @@ def test_a_deferred_child_that_meets_the_goal_is_a_contract_violation(model, tas
             "^BlockNavEnv.may_reach_goal answered False, yet node 5 met the goal or "
             "stopped after 1 of 4 rows")):
         child.sim_state
+
+
+def test_expand_steps_every_child_of_a_subclass_with_other_dynamics(
+        thrice, library, monkeypatch):
+    # a BlockNavEnv subclass whose kernel applies each row three times makes no
+    # reach promise, so far from the region its k children are stepped at once,
+    # each charged the 3H steps that advance reports, as the reference does
+    cfg = SearchConfig(k=10, t_max=1e9)
+    task = thrice.task_by_id("move_obj0_to_region2")
+    prior = ScriptedExpertPrior(thrice, cfg.horizon, 0.6)
+    calls, original = [], BlockNavEnv.advance
+
+    def counted(self, state, rows, task):
+        calls.append(state.step_count)
+        return original(self, state, rows, task)
+
+    monkeypatch.setattr(BlockNavEnv, "advance", counted)
+    for seed in range(3):
+        start = thrice.reset(seed, task.task_id)
+        nodes, meters = [], []
+        for fn in (reference_expand, expand):
+            nodes.append(TreeNode(start.copy(), 0, 0))
+            meters.append(CostMeter(cfg))
+            calls.clear()
+            fn(nodes[-1], prior, library, thrice, task, cfg, RngFactory(seed).rng(PRIOR_QUERY),
+               RngFactory(seed).rng(CANDIDATES), meters[-1], 1)
+        assert len(calls) == cfg.k
+        assert all(child.pending is None for child in nodes[1].children)
+        assert meters[1].sim_steps == meters[0].sim_steps == 3 * cfg.horizon * cfg.k
+        assert [(c.sim_state.values, c.sim_state.step_count, c.node_id, c.proto, c.psi)
+                for c in nodes[1].children] == [
+            (c.sim_state.values, c.sim_state.step_count, c.node_id, c.proto, c.psi)
+            for c in nodes[0].children]
+
+
+def test_search_once_on_a_subclass_with_other_dynamics_matches_the_eager_reference(
+        thrice, library, monkeypatch):
+    # search_once against reference_search_once with every expansion stepped by
+    # reference_expand, on the subclass above: the same outcome and meter, where
+    # an inherited promise would defer children that its dynamics step elsewhere
+    task = thrice.task_by_id("move_obj0_to_region2")
+    priors = [UniformLibraryPrior(library), ScriptedExpertPrior(thrice, 4, 0.6)]
+    kinds = collections.Counter()
+    for case in range(6):
+        cfg = SearchConfig(n_mc=30, d_sim_max=8, t_max=1e9, seed=case)
+        state = thrice.reset(case, task.task_id)
+        runs = []
+        for fn in (reference_search_once, search_once):
+            meter = CostMeter(cfg)
+            with monkeypatch.context() as patch:
+                patch.setitem(globals(), "expand", reference_expand)
+                outcome = fn(state, task, priors[case % 2], library, thrice, cfg,
+                             streams=RngFactory(case), meter=meter)
+            if fn is reference_search_once:
+                outcome = outcome[0]
+            runs.append(_search_fingerprint(outcome, meter, None))
+        assert runs[0] == runs[1], case
+        kinds[runs[1][0]] += 1
+    assert kinds[BEST_ROOT_MACRO] >= 1, kinds
+
+
+def test_a_plain_blocknav_defers_most_expand_heavy_expansions(env, model, library, monkeypatch):
+    # the bench's expand_heavy searches at seed 0 (op seeds 0-2): a full budget
+    # of 300 iterations each, with a noisy expert and 8-step rollouts, and all
+    # but 13 of the 900 expansions far enough from the region to defer
+    cfg = SearchConfig(d_sim_max=8, t_max=1e9)
+    prior = ScriptedExpertPrior(model, cfg.horizon, 0.6)
+    task = env.task_by_id("move_obj0_to_region2")
+    deferred, original = [], expand
+
+    def counted(*args):
+        children = original(*args)
+        deferred.append(all(child.pending is not None for child in children))
+        return children
+
+    monkeypatch.setitem(vars(vlaps.search), "expand", counted)
+    for op_seed in range(3):
+        outcome = search_once(env.reset(op_seed, task.task_id), task, prior, library, model,
+                              cfg, streams=RngFactory(op_seed, stable_hash(task.task_id)),
+                              meter=CostMeter(cfg))
+        assert outcome.iterations_used == cfg.n_mc
+    assert (sum(deferred), len(deferred)) == (887, 900)
 
 
 def test_expand_rejects_a_goal_node(env, model, tasks, library, search_setup):

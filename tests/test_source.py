@@ -10,7 +10,7 @@ from pathlib import Path
 import vlaps
 from vlaps.harness import SuiteConfig, default_library
 from vlaps.search import SearchConfig
-from vlaps.world import BlockNavEnv, RegionGoal, WorldModel
+from vlaps.world import BlockNavEnv, RegionGoal, WorldModel, _region_goal
 
 SOURCES = sorted(Path(vlaps.__file__).parent.glob("*.py"))
 REPO = Path(__file__).resolve().parents[1]
@@ -154,25 +154,41 @@ def test_the_goal_applies_the_kernels_rules_and_the_fused_norm_is_the_experts():
 
 def test_only_the_kernel_and_the_expert_test_for_a_built_in_goal():
     # a built-in goal is the bound RegionGoal.reached of its task's target,
-    # known by its __self__, not by a code object; only _step_rows and
-    # sample_macro test a goal for it, since only they skip rows at which its
-    # answer cannot change, and only may_reach_goal, the rule that lets expand
-    # defer a child's step, bounds where it can.  Any other use of the name builds one.
+    # known by its __self__, not by a code object, and one helper, _region_goal,
+    # recognises it: only it reads the name RegionGoal, and any other use of
+    # the name builds one.  Its callers are _step_rows and sample_macro, the
+    # only code that skips rows at which a built-in goal's answer cannot
+    # change, and may_reach_goal, the rule that lets expand defer a child's
+    # step and bounds where that goal can turn true
     assert [path.name for path in SOURCES
             if "__code__" in path.read_text() or "co_consts" in path.read_text()] == []
-    functions = [(path.name, node) for path in SOURCES
-                 for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    functions = [(module, node) for module, tree in trees.items() for node in ast.walk(tree)
                  if isinstance(node, ast.FunctionDef)]
     builds = {id(node.func) for _, func in functions for node in ast.walk(func)
               if isinstance(node, ast.Call)}
-    readers = sorted((module, func.name) for module, func in functions if any(
-        isinstance(node, ast.Name) and node.id == "RegionGoal" and id(node) not in builds
-        for node in ast.walk(func)))
-    assert readers == [("world.py", "_step_rows"), ("world.py", "may_reach_goal"),
-                       ("world.py", "sample_macro")]
+
+    def users(used):
+        return sorted((module, func.name) for module, func in functions
+                      if any(used(node) for node in ast.walk(func)))
+
+    assert users(lambda node: isinstance(node, ast.Name) and node.id == "RegionGoal"
+                 and id(node) not in builds) == [("world.py", "_region_goal")]
+    assert users(lambda node: isinstance(node, ast.Name) and node.id == "_region_goal") == [
+        ("world.py", "_step_rows"), ("world.py", "may_reach_goal"), ("world.py", "sample_macro")]
+    # __self__ is read in that one function, and in no other code of any module
+    helper = next(func for module, func in functions if func.name == "_region_goal")
+    inside = {id(node) for node in ast.walk(helper)}
+    reads = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "__self__"
+             or isinstance(node, ast.Constant) and node.value == "__self__"]
+    assert reads and all(id(node) in inside for node in reads)
     env = BlockNavEnv(object_count=3)
     assert all(type(task.target) is RegionGoal and task.goal_predicate.__self__ is task.target
-               for task in env.tasks())
+               and _region_goal(task.goal_predicate) is task.target for task in env.tasks())
+    task = env.tasks()[0]
+    assert _region_goal(lambda state: task.goal_predicate(state)) is None
+    assert _region_goal(None) is None
 
 
 def test_a_world_model_steps_through_step_and_advance_only():

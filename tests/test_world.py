@@ -1012,6 +1012,40 @@ def test_the_reach_rule_answers_true_wherever_it_cannot_vouch(env, tasks):
         assert env.may_reach_goal(StateVec(far), dataclasses.replace(task, goal_predicate=goal), 4)
 
 
+def test_a_subclass_with_other_dynamics_makes_no_reach_promise(env, tasks, thrice):
+    # BlockNavEnv's rule bounds its own dynamics only: a subclass whose kernel
+    # applies each row three times carries object 0 into its region within 4
+    # rows where that rule rules it out, and the subclass's inherited rule answers True
+    task = thrice.task_by_id("move_obj0_to_region2")
+    state = thrice.reset(0, task.task_id)
+    assert not env.may_reach_goal(state, task, 4)
+    assert thrice.may_reach_goal(state, task, 4)
+    cx, cy = task.target.cx, task.target.cy
+    carried = StateVec([cx + 2.9, cy - 2.9, 1.0, 0.0, cx + 2.9, cy - 2.9, 9.0, 9.0])
+    rows = [(-0.5, 0.5, 1.0)] * 2 + [(0.0, 0.0, -1.0)] * 2
+    assert not env.may_reach_goal(carried, task, len(rows))
+    assert env.advance(carried.copy(), rows, task)[1] is False
+    assert thrice.advance(carried.copy(), rows, task)[1] is True
+    assert thrice.may_reach_goal(carried, task, len(rows))
+
+
+def test_a_subclass_that_writes_its_own_reach_rule_keeps_its_answer(env, tasks):
+    # a subclass opts in to deferred steps by its own rule, which answers as it
+    # writes it, where BlockNavEnv's would say True and where it would say False
+    class OwnRule(BlockNavEnv):
+        def may_reach_goal(self, state, task, steps):
+            return self.answer
+
+    task = tasks[0]
+    far = env.task_by_id("move_obj0_to_region2")
+    state = env.reset(0, far.task_id)
+    assert env.may_reach_goal(state, task, 100) and not env.may_reach_goal(state, far, 4)
+    for answer, goal, steps in ((False, task, 100), (True, far, 4)):
+        own = OwnRule.from_json(env.to_json())
+        own.answer = answer
+        assert own.may_reach_goal(state, goal, steps) is answer
+
+
 # -- macro kernel against the row-by-row loop ---------------------------------
 #
 # ``reference_step_macro`` is the row-by-row loop that step_macro and the
