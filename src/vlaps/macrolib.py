@@ -9,9 +9,10 @@ are summed column by column, in order, as SciPy's ``cdist`` sums them, bit for b
 A SWAP pass prices every (medoid slot, candidate) swap at once with FastPAM1
 (Schubert & Rousseeuw, "Faster k-Medoids Clustering: Improving the PAM, CLARA,
 and CLARANS Algorithms", SISAP 2019).  Those costs only pick the contending
-slots, the ones within a relative margin of the lowest; each contender's costs
-are recomputed exactly and the slot-by-slot acceptance rule runs over them, so
-the medoids and the objective after every swap are bit-identical to plain PAM's.
+cells, the (slot, candidate) swaps within a relative margin of the lowest; each
+contending cell is recomputed exactly, summed as the whole cost matrix sums its
+column, and the slot-by-slot acceptance rule runs over them, so the medoids and
+the objective after every swap are bit-identical to plain PAM's.
 """
 
 from __future__ import annotations
@@ -34,12 +35,16 @@ from .world import CheckedMacro, check_macro
 LIBRARY_FORMAT_VERSION = 1
 _STD_CLAMP = 1e-12  # dimensions with smaller spread are treated as constant
 _MAX_PAM_CANDIDATES = 1000
+# SWAP's guard against a hang, not a setting: it allows max(100, 4 * m) swaps, where
+# the default library's searches take 7 to 37 and 1,000 random macros at m = 256
+# took 181 to 205
 _MAX_SWAP_PASSES = 100
+_SWAP_PASSES_PER_MEDOID = 4
 # most of a default build, but without them acceptance criterion 4 finds 15 of
 # 20 brute-force optima, worst ratio 1.0428, where it asks >= 18 and <= 1.05
 _PAM_RESTARTS = 8
-# a swap slot whose FastPAM1 cost is within this fraction of the lowest one
-# (at least this much in absolute terms) has its costs recomputed exactly
+# a swap cell (medoid slot, candidate) whose FastPAM1 cost is within this fraction
+# of the lowest one (at least this much in absolute terms) is recomputed exactly
 _FASTPAM_MARGIN = 1e-8
 
 
@@ -322,19 +327,30 @@ def _pam(dist: np.ndarray, m: int, seed: int) -> np.ndarray:
 
 def _swap(dist: np.ndarray, medoids: np.ndarray) -> tuple[np.ndarray, list[float]]:
     """Best-improvement SWAP passes until no swap lowers the objective; returns
-    the sorted medoids and the objective at the start and after each swap."""
+    the sorted medoids and the objective at the start and after each swap.  A search
+    still improving after ``max(_MAX_SWAP_PASSES, _SWAP_PASSES_PER_MEDOID * m)``
+    swaps raises ``ContractViolationError`` rather than return unconverged medoids.
+    Only the (slot, candidate) cells that FastPAM1 prices within the margin of the
+    lowest are recomputed exactly, not each contending slot's whole row."""
     n_points = dist.shape[0]
+    rows = np.arange(n_points)
     cost = pam_objective(dist, medoids)
     costs = [cost]
 
-    # SWAP: best-improvement passes until convergence
-    for _ in range(_MAX_SWAP_PASSES):
+    for _ in range(max(_MAX_SWAP_PASSES, _SWAP_PASSES_PER_MEDOID * len(medoids))):
         # a point with two nearest medoids has nearest_d == second_d, so either
         # slot may be its nearest_pos: its loss is 0 and without_j the same
         med_dist = dist[:, medoids]
         nearest_pos = med_dist.argmin(axis=1)
-        nearest_d, second_d = np.partition(med_dist, 1, axis=1)[:, :2].T
-        non_medoids = np.delete(np.arange(n_points), medoids)  # ascending: ties go low
+        nearest_d = med_dist[rows, nearest_pos]
+        med_dist[rows, nearest_pos] = np.inf
+        second_d = med_dist.min(axis=1)
+        is_medoid = np.zeros(n_points, dtype=bool)
+        is_medoid[medoids] = True
+        non_medoids = np.flatnonzero(~is_medoid)  # ascending: ties go low
+        # a column gather is Fortran-ordered, and so is np.minimum over it or over a
+        # gather of its columns: .sum(axis=0) sums each contiguous column on its own,
+        # so the sums of a subset of cand's columns are the whole matrix's, bit for bit
         cand = dist[:, non_medoids]
 
         # FastPAM1: every (slot, candidate) cost at once, one shared column sum plus
@@ -348,21 +364,23 @@ def _swap(dist: np.ndarray, medoids: np.ndarray) -> tuple[np.ndarray, list[float
         approx += keep.sum(axis=0)
         slot_low = approx.min(axis=1)
         low = float(slot_low.min())
-        contenders = np.flatnonzero(slot_low <= low + _FASTPAM_MARGIN * max(abs(low), 1.0))
+        bound = low + _FASTPAM_MARGIN * max(abs(low), 1.0)
+        contenders = np.flatnonzero(slot_low <= bound)
 
-        # FastPAM1 sums in another order, so its costs only pick the contenders:
-        # a slot outside the margin exceeds the lowest by more than rounding plus
-        # the 1e-12 step, so it can neither be taken nor change which slot is.
-        # Contenders are recomputed as plain PAM sums them, under its rule.
+        # FastPAM1 sums in another order, so its costs only pick the contending
+        # cells: one outside the margin exceeds every cell within it by more than
+        # rounding plus the 1e-12 step, so it can neither be taken nor change which
+        # cell is.  Contending cells are recomputed as plain PAM sums them, under its rule.
         best_cost, best_swap = cost, None
         for pos in contenders.tolist():
+            cols = np.flatnonzero(approx[pos] <= bound)
             without_j = np.where(nearest_pos == pos, second_d, nearest_d)
-            cand_costs = np.minimum(cand, without_j[:, None]).sum(axis=0)
-            h = int(np.argmin(cand_costs))
-            if cand_costs[h] < best_cost - 1e-12:
-                best_cost, best_swap = float(cand_costs[h]), (pos, int(non_medoids[h]))
+            cell_costs = np.minimum(cand[:, cols], without_j[:, None]).sum(axis=0)
+            h = int(np.argmin(cell_costs))
+            if cell_costs[h] < best_cost - 1e-12:
+                best_cost, best_swap = float(cell_costs[h]), (pos, int(non_medoids[cols[h]]))
         if best_swap is None:
-            break
+            return medoids, costs
         medoids = medoids.copy()
         medoids[best_swap[0]] = best_swap[1]
         medoids = np.sort(medoids)
@@ -372,4 +390,6 @@ def _swap(dist: np.ndarray, medoids: np.ndarray) -> tuple[np.ndarray, list[float
             )
         cost = best_cost
         costs.append(cost)
-    return medoids, costs
+    raise ContractViolationError(
+        f"_swap: PAM's SWAP still lowered the objective after {len(costs) - 1} swaps"
+    )

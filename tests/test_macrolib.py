@@ -14,6 +14,7 @@ from vlaps.errors import (
     ContractViolationError,
     DegenerateLibraryError,
 )
+from vlaps.harness import DEFAULT_DEMO_SEEDS, collect_expert_trajectories
 from vlaps.macrolib import (
     _MAX_SWAP_PASSES,
     MacroLibrary,
@@ -227,6 +228,71 @@ def test_swap_matches_slot_by_slot_reference(scale):
         # every accepted swap lowers the objective
         assert all(b < a for a, b in zip(got_costs, got_costs[1:]))
     assert tied >= 50
+
+
+def test_swap_matches_slot_by_slot_reference_at_library_scale(env, tasks, monkeypatch):
+    # the default library's 163-point matrix at m = 64, from BUILD's init and the
+    # 8 restart inits of seed 7, plus a tie-heavy quarter grid: at this scale each
+    # contending slot re-prices about 2 of its 99 candidates, not the whole row
+    cases = []
+
+    def spy(dist, init):
+        cases.append((dist, init))
+        return _swap(dist, init)
+
+    monkeypatch.setattr("vlaps.macrolib._swap", spy)
+    trajs = collect_expert_trajectories(env, tasks, DEFAULT_DEMO_SEEDS)
+    build_library(segment_trajectories(trajs, 4), 64, seed=7)
+    assert len(cases) == 9 and all(d.shape == (163, 163) and len(i) == 64 for d, i in cases)
+    rng = np.random.default_rng(42)
+    points = np.round(rng.normal(size=(160, 2)) * 4) / 4
+    cases.append((cdist(points, points), np.sort(rng.choice(160, size=64, replace=False))))
+    for dist, init in cases:
+        want_history = []
+        want, _ = reference_swap(dist, init, want_history)
+        got, got_costs = _swap(dist, init)
+        assert np.array_equal(got, want)
+        assert got_costs == want_history
+
+
+def test_swap_runs_past_a_hundred_swaps_to_convergence():
+    # 500 random points at m = 160 take 106 swaps; SWAP used to stop at 100
+    rng = np.random.default_rng(0)
+    points = rng.normal(size=(500, 8))
+    dist = cdist(points, points)
+    medoids, costs = _swap(dist, np.sort(rng.choice(500, size=160, replace=False)))
+    assert len(costs) - 1 > 100
+    # one more pass of plain PAM finds no swap that lowers the objective
+    history = []
+    again, _ = reference_swap(dist, medoids, history)
+    assert np.array_equal(again, medoids) and history == [costs[-1]]
+
+
+def test_swap_that_is_still_improving_at_its_guard_raises(monkeypatch):
+    monkeypatch.setattr("vlaps.macrolib._MAX_SWAP_PASSES", 3)
+    monkeypatch.setattr("vlaps.macrolib._SWAP_PASSES_PER_MEDOID", 0)
+    rng = np.random.default_rng(0)
+    points = rng.normal(size=(60, 2))
+    with pytest.raises(ContractViolationError, match="after 3 swaps"):
+        _swap(cdist(points, points), np.arange(20))
+
+
+def test_a_column_gather_sums_each_column_as_the_whole_gather_does():
+    # _swap re-prices only some columns of cand and needs each sum to be the one
+    # the whole matrix's .sum(axis=0) gives: true because a column gather of a
+    # C-ordered matrix is Fortran-ordered, so every column is summed alone
+    rng = np.random.default_rng(3)
+    dist = _pairwise_distances(rng.normal(size=(163, 12)))
+    is_medoid = np.zeros(163, dtype=bool)
+    is_medoid[rng.choice(163, size=64, replace=False)] = True
+    cand = dist[:, np.flatnonzero(~is_medoid)]
+    assert dist.flags.c_contiguous and cand.flags.f_contiguous
+    without_j = dist[:, is_medoid].min(axis=1)
+    whole = np.minimum(cand, without_j[:, None]).sum(axis=0)
+    for cols in ([57], [0, 98], np.sort(rng.choice(99, size=17, replace=False)), np.arange(99)):
+        cols = np.asarray(cols)
+        part = np.minimum(cand[:, cols], without_j[:, None]).sum(axis=0)
+        assert part.tobytes() == whole[cols].tobytes()
 
 
 @pytest.mark.parametrize("n_rows, n_cols, scale", [
