@@ -233,7 +233,7 @@ def test_swap_matches_slot_by_slot_reference(scale):
 def test_swap_matches_slot_by_slot_reference_at_library_scale(env, tasks, monkeypatch):
     # the default library's 163-point matrix at m = 64, from BUILD's init and the
     # 8 restart inits of seed 7, plus a tie-heavy quarter grid: at this scale each
-    # contending slot re-prices about 2 of its 99 candidates, not the whole row
+    # contending slot re-prices 1.4 of its 99 candidates on average, not the whole row
     cases = []
 
     def spy(dist, init):
